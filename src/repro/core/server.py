@@ -218,7 +218,6 @@ class IntegrationServer:
         """
         self.machine.boot()
         self.fdbs.statement_cache.invalidate()
-        self.fdbs._function_plan_cache.clear()
 
     @property
     def now(self) -> float:

@@ -49,7 +49,6 @@ from repro.fdbs.catalog import (
     TableFunction,
     WrapperDef,
 )
-from repro.fdbs.executor import Plan
 from repro.fdbs.expr import (
     ColumnSlot,
     EvalContext,
@@ -62,7 +61,7 @@ from repro.fdbs.functions import normalize_rows
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.planner import Planner
 from repro.fdbs.procedures import ProcedureInterpreter
-from repro.fdbs.session import Result, StatementCache
+from repro.fdbs.session import CachedStatement, Result, StatementCache
 from repro.fdbs.storage import (
     DEFAULT_CHUNK_SIZE,
     Snapshot,
@@ -209,7 +208,6 @@ class Database:
         self.function_runtime: FunctionRuntime = FunctionRuntime(self)
         self._undo = UndoLog()
         self._local = _EngineLocal()
-        self._function_plan_cache: dict[str, Plan] = {}
         # MVCC snapshot isolation replaces the old database-wide
         # statement lock: readers pin `_published` (an immutable map of
         # every table's current TableVersion) with a single reference
@@ -289,7 +287,7 @@ class Database:
         """Switch between ``"row"``, ``"batch"`` and ``"columnar"``.
 
         Cached statement plans are mode-specific, so the statement cache
-        is keyed per mode (see :meth:`_parse_cached`); switching modes
+        is keyed per mode (see :meth:`_plan_namespace`); switching modes
         never invalidates the other mode's entries.
         """
         if mode not in ("row", "batch", "columnar"):
@@ -350,8 +348,8 @@ class Database:
     def set_optimizer(self, mode: str) -> None:
         """Switch between ``"syntactic"`` and ``"cost"`` planning.
 
-        No plan invalidation is needed: SELECT plans are rebuilt on every
-        execution (the statement cache holds parsed ASTs only) and
+        No plan invalidation is needed: the optimizer is part of the
+        statement-cache namespace (see :meth:`_plan_namespace`) and
         function bodies always plan syntactically.
         """
         if mode not in ("syntactic", "cost"):
@@ -392,7 +390,8 @@ class Database:
         self.adaptive_blowup_factor = factor
 
     def _note_join(self, strategy: str) -> None:
-        """Count one built join operator (wired into the planner)."""
+        """Count one built join operator (wired into the planner; a
+        cached plan re-executes without counting again)."""
         key = f"joins_{strategy}"
         with self._join_lock:
             if key in self._joins:
@@ -428,10 +427,12 @@ class Database:
         if self.machine is not None:
             self.machine.ensure_base_services()
             self.machine.clock.advance(self.machine.costs.fdbs_query_base)
-        statement = self._parse_cached(sql)
+        statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
-        return self._dispatch(statement, sql, params or [], trace, snapshot)
+        return self._dispatch(
+            statement, sql, params or [], trace, snapshot, cached
+        )
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a ';'-separated script; returns one Result per statement."""
@@ -558,10 +559,13 @@ class Database:
         source (a :class:`~repro.fdbs.federation.SourceProfile`): its
         cost constants replace the uniform round-trip pricing and its
         counters surface in SYSCAT_RUNTIME_STATS as ``source:<name>``.
+        Plans capture the endpoint and profile of every remote scan, so
+        attaching invalidates every cached plan.
         """
         server = self.catalog.get_server(server_name)
         server.endpoint = endpoint
         server.profile = profile
+        self._invalidate_plans()
 
     def register_external_function(self, function: ExternalTableFunction) -> None:
         """Register a pre-built external table function (A-UDTF)."""
@@ -578,35 +582,52 @@ class Database:
     # Statement dispatch
     # ------------------------------------------------------------------
 
-    def _parse_cached(self, sql: str) -> ast.Statement:
-        # Namespaced per execution mode: planner rewrites annotate the
-        # AST in mode-specific ways, so row and batch executions never
-        # share an entry.  The namespace additionally folds in the
-        # catalog's DDL epoch, so a statement compiled and validated
-        # against one schema generation can never be replayed after a
-        # concurrent CREATE/DROP changed the catalog underneath it —
-        # the entry simply misses and the statement recompiles against
-        # the schema its fresh snapshot will actually read.  The stats
-        # epoch folds in the same way: RUNSTATS or recorded cardinality
-        # feedback bumps it, invalidating every cached statement so the
-        # next execution replans against the corrected estimates.  The
-        # *warmth* key stays mode-independent — the simulated
-        # plan-compile charge is identical in both modes.
-        namespace = (
-            f"{self.execution_mode}@{self.catalog.ddl_epoch}"
-            f".{self.catalog.stats_epoch}"
+    def _plan_namespace(self) -> str:
+        """Statement-cache namespace: every input the planner reads.
+
+        Two executions share an entry (and so its compiled plan) only
+        when they would plan identically: same execution mode, optimizer,
+        join strategy, adaptive factor and pushdown / index-selection /
+        zone-map switches (the last three read here, at lookup time,
+        since two are plain attributes).  The catalog's DDL epoch folds
+        in too, so a statement compiled against one schema generation is
+        never replayed after a concurrent CREATE/DROP, and so does the
+        stats epoch: RUNSTATS or recorded cardinality feedback bumps it,
+        so the next execution replans against the corrected estimates.
+        """
+        return (
+            f"{self.execution_mode}.{self.optimizer}.{self.join_strategy}"
+            f".{self.adaptive_blowup_factor}.{self.pushdown_enabled}"
+            f".{self.index_selection_enabled}.{self.zone_maps_enabled}"
+            f"@{self.catalog.ddl_epoch}.{self.catalog.stats_epoch}"
         )
+
+    def _parse_cached(
+        self, sql: str
+    ) -> tuple[ast.Statement, CachedStatement | None]:
+        """The parsed statement, plus its cache entry on a cache hit.
+
+        A miss parses, stores a plan-less entry and returns no entry, so
+        a first execution plans and discards; only a hit (a text run
+        again under the same :meth:`_plan_namespace`) may keep a plan.
+        The simulated plan-compile charge is keyed separately, by the
+        bare statement text: its warmth survives namespace changes, so
+        switching modes or settings never re-charges it.
+        """
+        namespace = self._plan_namespace()
         cached = self.statement_cache.get(sql, namespace=namespace)
         if cached is not None:
-            return cached  # type: ignore[return-value]
+            return cached.statement, cached  # type: ignore[union-attr]
         if self.machine is not None:
             key = StatementCache.normalize(sql)
             if not self.machine.warmth.statement_is_hot(key):
                 self.machine.clock.advance(self.machine.costs.plan_compile)
                 self.machine.warmth.note_statement(key)
         statement = parse_statement(sql)
-        self.statement_cache.put(sql, statement, namespace=namespace)
-        return statement
+        self.statement_cache.put(
+            sql, CachedStatement(statement), namespace=namespace
+        )
+        return statement, None
 
     def set_current_user(self, name: str) -> None:
         """Switch the session user (must exist; SYSTEM is built in)."""
@@ -650,10 +671,13 @@ class Database:
         params: list[object],
         trace: TraceRecorder | None,
         snapshot: Snapshot,
+        cached: CachedStatement | None = None,
     ) -> Result:
         self._enforce_authorization(statement)
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement, params, trace, snapshot)
+            return self._execute_select(
+                statement, params, trace, snapshot, cached
+            )
         if isinstance(statement, ast.Explain):
             return self._execute_explain(statement, params, trace, snapshot)
         if isinstance(statement, ast.Runstats):
@@ -821,11 +845,10 @@ class Database:
 
     def _invalidate_plans(self) -> None:
         # The epoch bump is what *guarantees* staleness safety (every
-        # compiled-plan cache folds it into its keys); the explicit
-        # clears just reclaim the now-unreachable entries eagerly.
+        # statement-cache namespace folds it in); the explicit clear
+        # just reclaims the now-unreachable entries eagerly.
         self.catalog.note_ddl()
         self.statement_cache.invalidate()
-        self._function_plan_cache.clear()
 
     def _execute_grant_revoke(self, statement, grant: bool) -> Result:
         kind = statement.kind or self._infer_object_kind(statement.object_name)
@@ -963,8 +986,25 @@ class Database:
         params: list[object],
         trace: TraceRecorder | None,
         snapshot: Snapshot,
+        cached: CachedStatement | None = None,
     ) -> Result:
-        plan = self._planner().plan_select(statement)
+        """Run a SELECT, reusing the plan of a statement-cache hit.
+
+        ``cached`` is the entry when this execution is a cache hit.  Its
+        plan is reused when present; otherwise the fresh plan is stored
+        in it — unless planning read volatile runtime state, in which
+        case every execution replans.
+        """
+        plan = cached.plan if cached is not None else None
+        if plan is None:
+            planner = self._planner()
+            plan = planner.plan_select(statement)
+            if cached is not None and not planner.reads_volatile_state:
+                # Racing stores from concurrent hits are benign: every
+                # plan built under one namespace is equally valid.
+                cached.plan = plan
+        else:
+            self.statement_cache.note_plan_hit()
         ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
         if self.execution_mode == "columnar":
             rows = [
@@ -1013,11 +1053,18 @@ class Database:
                 f"table-function recursion deeper than {_MAX_FUNCTION_DEPTH} "
                 f"while invoking {function.name}"
             )
-        plan_key = f"{function.name.upper()}@{self.catalog.ddl_epoch}"
-        plan = self._function_plan_cache.get(plan_key)
-        if plan is None:
+        # Body plans live in the statement cache under their own
+        # namespace: always row mode and syntactic, so only the pushdown
+        # and index-selection switches and the DDL epoch matter.
+        name = function.name.upper()
+        namespace = (
+            f"function.{self.pushdown_enabled}.{self.index_selection_enabled}"
+            f"@{self.catalog.ddl_epoch}"
+        )
+        cached = self.statement_cache.get(name, namespace=namespace, count=False)
+        if cached is None:
             if self.machine is not None:
-                key = f"FUNCTION:{function.name.upper()}"
+                key = f"FUNCTION:{name}"
                 if not self.machine.warmth.statement_is_hot(key):
                     self.machine.clock.advance(self.machine.costs.plan_compile)
                     self.machine.warmth.note_statement(key)
@@ -1041,7 +1088,9 @@ class Database:
                     f"body of {function.name} produces {len(plan.schema)} "
                     f"column(s), declaration says {len(function.returns)}"
                 )
-            self._function_plan_cache[plan_key] = plan
+            cached = CachedStatement(function.body, plan)
+            self.statement_cache.put(name, cached, namespace=namespace)
+        plan = cached.plan
         self._local.function_depth += 1
         try:
             ctx = EvalContext(

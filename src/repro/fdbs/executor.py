@@ -487,13 +487,14 @@ class StaticRightSide(RightSide):
     def __init__(self, plan: Plan):
         self.plan = plan
         self.schema = plan.schema
-        self._cache: list[tuple] | None = None
 
     def rows_for(self, left_row: tuple, ctx: EvalContext) -> Iterable[tuple]:
-        """Rows of the right side for one left row."""
-        if self._cache is None:
-            self._cache = list(self.plan.rows(ctx))
-        return self._cache
+        """Rows of the right side for one left row (materialised once
+        per execution)."""
+        rows = ctx.op_state.get(self)
+        if rows is None:
+            rows = ctx.op_state[self] = list(self.plan.rows(ctx))
+        return rows
 
 
 class TableFunctionRightSide(RightSide):
@@ -527,11 +528,6 @@ class TableFunctionRightSide(RightSide):
         self.alias = alias
         self.composition_cost = composition_cost
         self.charge = charge
-        # DETERMINISTIC-function optimization (extension, cf. the
-        # paper's [10]): repeated invocations with equal arguments are
-        # served from this cache for the lifetime of the plan — the
-        # declaration's contract is that results never change per args.
-        self._result_cache: dict[tuple, list[tuple]] = {}
         self.invocations = 0
         self.cache_hits = 0
 
@@ -541,9 +537,17 @@ class TableFunctionRightSide(RightSide):
             self.charge(self.composition_cost)
         args = [expr(left_row, ctx) for expr in self.arg_exprs]
         if self.function.deterministic:
+            # DETERMINISTIC-function optimization (extension, cf. the
+            # paper's [10]): within one execution, repeated invocations
+            # with equal arguments are served from a per-execution
+            # cache — the declaration's contract is that results never
+            # change per args.
+            results = ctx.op_state.get(self)
+            if results is None:
+                results = ctx.op_state[self] = {}
             try:
                 key = tuple(args)
-                cached = self._result_cache.get(key)
+                cached = results.get(key)
             except TypeError:  # unhashable argument value
                 key = None
                 cached = None
@@ -553,7 +557,7 @@ class TableFunctionRightSide(RightSide):
             self.invocations += 1
             rows = self.invoker(self.function, args, ctx)
             if key is not None:
-                self._result_cache[key] = rows
+                results[key] = rows
             return rows
         self.invocations += 1
         return self.invoker(self.function, args, ctx)

@@ -126,6 +126,11 @@ class EvalContext:
         #: table scans resolve their TableVersion through it so every
         #: read of the statement sees one consistent database state.
         self.snapshot = snapshot
+        #: Per-execution operator state keyed by operator (materialised
+        #: static right sides, DETERMINISTIC result caches).  Plans are
+        #: shared through the statement cache, so operators themselves
+        #: must carry nothing from one execution to the next.
+        self.op_state: dict[object, object] = {}
 
     def run_subquery(self, select: ast.Select) -> list[tuple]:
         """Execute an uncorrelated subquery via the runner hook."""

@@ -325,6 +325,8 @@ class FederationLayer:
     def __init__(self, database: "Database"):
         self.database = database
         self.pushdown_count = 0
+        #: Conjuncts pushed into remote scans, counted when a plan is
+        #: built (a cached plan re-executes without raising it).
         self.predicates_pushed = 0
         #: Bind joins executed: remote fetches narrowed to the outer
         #: join keys by the cost-based optimizer.

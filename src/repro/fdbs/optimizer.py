@@ -128,6 +128,11 @@ class Decisions:
     factor): execution probes the build side's actual cardinality and
     falls back to the bind join when the estimate was blown."""
 
+    reads_volatile_state: bool = False
+    """Whether a choice read runtime state that changes without any
+    epoch bump — a cache-fronted source's response cache.  A plan built
+    from such decisions must not be kept in the statement cache."""
+
 
 @dataclass
 class _Item:
@@ -238,6 +243,10 @@ def plan_decisions(
         local_selectivity=local,
         local_join=local_join,
         adaptive_remote=adaptive_remote,
+        reads_volatile_state=any(
+            info.profile is not None and info.profile.cache_hit_cost is not None
+            for info in infos
+        ),
     )
 
 

@@ -141,6 +141,10 @@ class Planner:
         #: Callback wired into adaptive joins: fires when the mid-query
         #: fallback from ship-all to bind join actually triggers.
         self.adaptive_note = adaptive_note
+        #: Set when planning read volatile runtime state (see
+        #: ``Decisions.reads_volatile_state``): the plan is correct for
+        #: this execution only and must not be cached.
+        self.reads_volatile_state = False
         self._view_stack: list[str] = []
 
     def _batch(self, compiler: ExpressionCompiler, expr: ast.Expression) -> BatchFn | None:
@@ -199,6 +203,8 @@ class Planner:
                 join_strategy=self.join_strategy,
                 adaptive_factor=self.adaptive_factor,
             )
+            if decisions is not None and decisions.reads_volatile_state:
+                self.reads_volatile_state = True
         plan, layout, remote_candidates, local_scans, consumed, prunable = (
             self._plan_from(select, decisions)
         )

@@ -3,7 +3,8 @@
 The statement cache is what makes *repeated* federated-function calls
 the fastest in the paper's boot/other/repeated comparison: a cache miss
 pays :attr:`~repro.simtime.costs.CostModel.plan_compile`, a hit pays
-nothing.
+nothing.  Hot SELECT texts also skip planning in wall-clock terms: the
+entry keeps the compiled plan next to the parsed statement.
 """
 
 from __future__ import annotations
@@ -57,19 +58,34 @@ class Result:
         raise ExecutionError(f"result has no column {name!r}")
 
 
+@dataclass
+class CachedStatement:
+    """One statement-cache entry: the parsed statement and its plan.
+
+    ``plan`` starts empty.  The engine fills it when a cache *hit*
+    re-executes the text (a first execution plans and discards), so
+    one-shot statements never keep a compiled plan alive.
+    """
+
+    statement: object
+    plan: object | None = None
+
+
 class StatementCache:
-    """Caches compiled plans by statement text.
+    """Caches parsed statements and their compiled plans by text.
 
-    Eviction is LRU with a configurable capacity; any DDL invalidates
-    the whole cache (catalog objects may have changed shape).  Entries
-    may be *namespaced* (the engine namespaces by execution mode, so a
-    row-mode plan is never served to a batch-mode execution); hit, miss
-    and eviction counters are exposed through :meth:`stats`.
+    Eviction is LRU with a configurable capacity; any DDL invalidates the
+    whole cache (catalog objects may have changed shape).  Entries are
+    *namespaced*: the engine folds every planning input (execution
+    mode, optimizer settings, pushdown/index/zone-map switches, DDL and
+    statistics epochs) into the namespace, so a plan is only ever served
+    to an execution that would have planned it identically.  Hit, miss,
+    eviction and plan-reuse counters are exposed through :meth:`stats`.
 
-    Lookups, stores and the hit/miss/eviction counters are guarded by an
-    internal lock: concurrent sessions sharing one FDBS must neither
-    lose counter updates nor race the LRU pop/reinsert (which would
-    raise ``KeyError`` or corrupt the recency order).
+    Lookups, stores and the counters are guarded by an internal lock:
+    concurrent sessions sharing one FDBS must neither lose counter
+    updates nor race the LRU pop/reinsert (which would raise
+    ``KeyError`` or corrupt the recency order).
     """
 
     def __init__(self, capacity: int = 256):
@@ -81,6 +97,8 @@ class StatementCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Executions that reused a cached compiled plan.
+        self.plan_hits = 0
 
     @staticmethod
     def normalize(sql: str) -> str:
@@ -93,17 +111,26 @@ class StatementCache:
             return normalized
         return f"{namespace}\x00{normalized}"
 
-    def get(self, sql: str, namespace: str | None = None) -> object | None:
-        """Cached entry for the statement text, or None (LRU refresh)."""
+    def get(
+        self, sql: str, namespace: str | None = None, count: bool = True
+    ) -> object | None:
+        """Cached entry for the statement text, or None (LRU refresh).
+
+        ``count=False`` leaves the hit/miss counters alone: the engine
+        uses it for UDTF body plans, which share the cache but are not
+        statement executions.
+        """
         key = self._key(sql, namespace)
         with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                value = self._entries.pop(key)
+            value = self._entries.pop(key, None)
+            if value is not None:
                 self._entries[key] = value  # move to MRU position
-                return value
-            self.misses += 1
-            return None
+            if count:
+                if value is None:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+            return value
 
     def put(self, sql: str, value: object, namespace: str | None = None) -> None:
         """Cache an entry, evicting the least recently used if full."""
@@ -117,18 +144,25 @@ class StatementCache:
                 self.evictions += 1
             self._entries[key] = value
 
+    def note_plan_hit(self) -> None:
+        """Count one execution that reused a cached plan."""
+        with self._lock:
+            self.plan_hits += 1
+
     def invalidate(self) -> None:
         """Drop every cached entry (DDL happened)."""
         with self._lock:
             self._entries.clear()
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters plus current size and capacity."""
+        """Hit/miss/eviction/plan-reuse counters plus current size and
+        capacity."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "plan_hits": self.plan_hits,
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

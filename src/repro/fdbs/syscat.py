@@ -14,11 +14,14 @@ table:
 * ``SYSCAT_STATS``      — tabname, colname, card, ndv, nulls, minval,
   maxval: RUNSTATS snapshots feeding the cost-based optimizer
 * ``SYSCAT_RUNTIME_STATS`` — component, counter, value: live counters of
-  the statement cache, MVCC, columnar execution, the join subsystem
-  (``joins`` — joins_hash/merge/indexnlj/nlj operator counts,
-  plans_invalidated, midquery_fallbacks, max_q_error_pct, stats_epoch)
-  and (on machine-backed databases) the warm runtime pool, result
-  cache and RMI channels
+  the statement cache (hits, misses, evictions, ``plan_hits`` — the
+  executions that reused a cached compiled plan — size, capacity),
+  MVCC, columnar execution, the join subsystem (``joins`` —
+  joins_hash/merge/indexnlj/nlj counts of join operators *built*, so
+  re-running a cached plan does not raise them; plans_invalidated,
+  midquery_fallbacks, max_q_error_pct, stats_epoch) and (on
+  machine-backed databases) the warm runtime pool, result cache and
+  RMI channels
 
 The planner treats them as ordinary scans whose rows are generated from
 the live catalog at execution time, so DDL is immediately visible.

@@ -117,6 +117,7 @@ class TestStatementCacheCounters:
             "hits": 1,
             "misses": 1,
             "evictions": 1,
+            "plan_hits": 0,
             "size": 2,
             "capacity": 2,
         }
