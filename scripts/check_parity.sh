@@ -25,7 +25,8 @@
 #     merge-join and adaptive-feedback benchmark gates),
 #  7. columnar parity (row vs batch vs columnar => bit-identical rows
 #     AND simulated times; zone-map pruning on/off => same rows;
-#     COW-rebuild, all-NULL and pinned-snapshot edge cases),
+#     COW-rebuild, all-NULL and pinned-snapshot edge cases; `?`-bound
+#     predicates identical to their literal-inlined queries),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers).
 #
 # Usage: scripts/check_parity.sh
@@ -149,7 +150,7 @@ print(f"OK: merge join {merge['speedup_wall']}x wall over hash; "
 EOF
 
 echo "== columnar parity (row vs batch vs columnar, zone maps on/off) =="
-python -m pytest -q tests/test_columnar_parity.py
+python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py

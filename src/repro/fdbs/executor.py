@@ -245,18 +245,21 @@ class TableScanPlan(Plan):
         self.schema = schema
         self._name = name
         self.index_probe: tuple[str, CompiledExpr] | None = None
-        #: Zone-map prune checks attached by the planner in columnar
-        #: mode: ``(column position, check, conjunct text)`` where
-        #: ``check(lo, hi, nulls, count)`` returns False only when no
-        #: row of a chunk with that zone entry can satisfy the conjunct.
+        #: Zone-map prune checks attached by the planner:
+        #: ``(column position, bind, conjunct text)`` where
+        #: ``bind(params)`` yields this execution's check (or None to
+        #: keep every chunk) and ``check(lo, hi, nulls, count)`` returns
+        #: False only when no row of a chunk with that zone entry can
+        #: satisfy the conjunct.
         self.prune_checks: list[tuple[int, Callable, str]] = []
         #: Callback ``(chunks_scanned, chunks_pruned)`` feeding the
         #: database's columnar runtime counters (attached by the planner).
         self.columnar_note: Callable[[int, int], None] | None = None
-        #: Chunk pruning outcome of the most recent execution (shown by
-        #: EXPLAIN ANALYZE as ``pruned=N/M chunks``).
-        self.last_chunks_total: int | None = None
-        self.last_chunks_pruned: int | None = None
+        #: ``[scanned, pruned]`` chunks of the most recent execution,
+        #: kept only on EXPLAIN ANALYZE's private instrumented plan (shown
+        #: as ``pruned=N/M chunks``); a cached plan shared across
+        #: threads never records per-execution state.
+        self.last_chunks: list[int] | None = None
 
     def _version(self, ctx: EvalContext):
         """The TableVersion this scan reads: the statement's pinned
@@ -283,38 +286,37 @@ class TableScanPlan(Plan):
         the consumer, and EXPLAIN ANALYZE's ``pruned=N/M`` reports the
         chunks actually examined (``M - N`` of which were scanned) —
         never chunks the aborted scan would have read.
+
+        The checks are bound to this execution's parameters into a local
+        list first, so one cached plan serves every binding at once.
         """
         chunks = self._table.columnar_chunks(self._version(ctx))
-        checks = self.prune_checks
-        scanned = pruned = 0
-        self.last_chunks_total = 0
-        self.last_chunks_pruned = 0
+        checks = []
+        for position, bind, _text in self.prune_checks:
+            check = bind(ctx.params)
+            if check is not None:
+                checks.append((position, check))
+        outcome = [0, 0]  # scanned, pruned
+        if self.actual_rows is not None:  # instrumented by EXPLAIN ANALYZE
+            self.last_chunks = outcome
         try:
             for chunk in chunks:
                 count = chunk.count
                 if count == 0:
                     continue
-                keep = True
-                for position, check, _text in checks:
+                for position, check in checks:
                     lo, hi, nulls = chunk.zone(position)
                     if not check(lo, hi, nulls, count):
-                        keep = False
+                        outcome[1] += 1
                         break
-                if keep:
-                    scanned += 1
-                    self.last_chunks_total = scanned + pruned
-                    yield chunk
                 else:
-                    pruned += 1
-                    self.last_chunks_total = scanned + pruned
-                    self.last_chunks_pruned = pruned
+                    outcome[0] += 1
+                    yield chunk
         finally:
             # Runs on exhaustion *and* on early termination (generator
             # close), so the database counters see each chunk once.
-            self.last_chunks_total = scanned + pruned
-            self.last_chunks_pruned = pruned
             if self.columnar_note is not None:
-                self.columnar_note(scanned, pruned)
+                self.columnar_note(*outcome)
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -366,11 +368,9 @@ class TableScanPlan(Plan):
             described = f"TableScan({self._name}, zone: {zones})"
         else:
             described = f"TableScan({self._name})"
-        if self.last_chunks_total is not None:
-            described += (
-                f" [pruned={self.last_chunks_pruned}"
-                f"/{self.last_chunks_total} chunks]"
-            )
+        if self.last_chunks is not None:
+            scanned, pruned = self.last_chunks
+            described += f" [pruned={pruned}/{scanned + pruned} chunks]"
         return described
 
 
@@ -1486,9 +1486,11 @@ class _AggState:
         """Fold a whole chunk of argument values at once.
 
         ``values`` is None for COUNT(*) (``count`` rows, no argument).
-        SUM/MIN/MAX over plain numeric chunks use the C-level builtins;
-        anything they cannot fold (mixed or exotic operand types) falls
-        back to the exact per-value path, keeping row-mode semantics.
+        MIN/MAX and all-integer SUM chunks use the C-level builtins;
+        other sums fold value by value in row order, so float totals
+        are bit-identical to row mode.  Anything the builtins cannot
+        fold (mixed or exotic operand types) falls back to the exact
+        per-value path, keeping row-mode semantics.
         """
         if self.spec.arg is None:
             self.count += count
@@ -1505,6 +1507,18 @@ class _AggState:
         try:
             if name in ("SUM", "AVG"):
                 folded = sum(live)
+                if type(folded) is not int or type(self.total) not in (int, type(None)):
+                    # Float addition is not associative: fold in row
+                    # order from the running total, as row mode does
+                    # (``sum(live, total)`` would not do: from 3.12 it
+                    # compensates float rounding).  Only an all-int
+                    # chunk into an int total may be pre-summed.
+                    total = self.total
+                    for value in live:
+                        total = value if total is None else total + value
+                    self.total = total
+                    self.count += len(live)
+                    return
             elif name == "MIN":
                 folded = min(live)
             elif name == "MAX":

@@ -751,10 +751,10 @@ class BatchCompiler:
 
     def compile(self, expr: ast.Expression) -> BatchFn:
         """Compile one expression into a guarded chunk closure."""
-        row_fn = self.row.compile(expr).fn  # raises on invalid expressions
+        per_row = self._per_row(expr)  # raises on invalid expressions
         fast, _ = self._compile(expr)
         if fast is None:
-            return lambda chunk, ctx: [row_fn(row, ctx) for row in chunk]
+            return per_row
 
         def guarded(chunk: list, ctx: EvalContext) -> list:
             try:
@@ -762,7 +762,7 @@ class BatchCompiler:
             except Exception:
                 # Re-run row-at-a-time: reproduces row-mode results for
                 # short-circuit cases, or re-raises the row-mode error.
-                return [row_fn(row, ctx) for row in chunk]
+                return per_row(chunk, ctx)
 
         return guarded
 
@@ -780,6 +780,10 @@ class BatchCompiler:
         fast, _ = self._compile(expr)
         if fast is not None:
             return fast
+        return self._per_row(expr)
+
+    def _per_row(self, expr: ast.Expression) -> BatchFn:
+        """The row-compiled closure applied to each row of a chunk."""
         row_fn = self.row.compile(expr).fn
         return lambda chunk, ctx: [row_fn(row, ctx) for row in chunk]
 
@@ -788,6 +792,22 @@ class BatchCompiler:
             return self.row.compile(expr).type
         except (PlanError, TypeError_):  # pragma: no cover - defensive
             return None
+
+    def _scalar(self, expr: ast.Expression) -> Callable[[EvalContext], object] | None:
+        """A getter for an operand that is one value per execution: a
+        literal (a constant) or a ``?`` marker (``ctx.params[i]``).
+        None for anything that varies by row.
+
+        An unbound ``?`` raises IndexError here; the guard then re-runs
+        the chunk row-at-a-time, which raises the row-mode error.
+        """
+        if isinstance(expr, ast.Literal):
+            value = expr.value
+            return lambda ctx: value
+        if isinstance(expr, ast.Parameter):
+            index = expr.index
+            return lambda ctx: ctx.params[index]
+        return None
 
     # -- leaves -----------------------------------------------------------------
 
@@ -897,6 +917,15 @@ class BatchCompiler:
         )
 
     def _batch_comparison(self, expr: ast.BinaryOp, op: str) -> tuple[BatchFn | None, bool]:
+        for column, other, column_op in (
+            (expr.left, expr.right, op),
+            (expr.right, expr.left, _FLIPPED[op]),
+        ):
+            scalar = self._scalar(other)
+            if scalar is not None:
+                fast = self._compare_scalar(expr, column_op, column, scalar)
+                if fast is not None:
+                    return fast, True
         left_type = self._type_of(expr.left)
         right_type = self._type_of(expr.right)
         if _plain_numeric(left_type) and _plain_numeric(right_type):
@@ -922,31 +951,45 @@ class BatchCompiler:
             )
         else:
             pairs = lambda chunk, ctx: zip(left(chunk, ctx), right(chunk, ctx))
-        if op == "=":
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a == b for a, b in pairs(chunk, ctx)
-            ]
-        elif op == "<>":
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a != b for a, b in pairs(chunk, ctx)
-            ]
-        elif op == "<":
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a < b for a, b in pairs(chunk, ctx)
-            ]
-        elif op == "<=":
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a <= b for a, b in pairs(chunk, ctx)
-            ]
-        elif op == ">":
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a > b for a, b in pairs(chunk, ctx)
-            ]
-        else:
-            fn = lambda chunk, ctx: [
-                None if a is None or b is None else a >= b for a, b in pairs(chunk, ctx)
-            ]
+        kernel = _PAIR_KERNELS[op]
+        fn = lambda chunk, ctx: kernel(pairs(chunk, ctx))
         return fn, True
+
+    def _compare_scalar(
+        self, expr: ast.BinaryOp, op: str, column: ast.Expression, scalar
+    ) -> BatchFn | None:
+        """``column <op> scalar`` with the scalar read once per chunk.
+
+        The kernel runs when the bound value has the column's raw Python
+        semantics: a plain int/float against a plain numeric column, or
+        a string against a character column (both sides pad-stripped, as
+        :func:`_align` does).  A NULL yields an all-NULL column; any
+        other value runs this node row-at-a-time.  None when the
+        column's type has no kernel at all.
+        """
+        column_type = self._type_of(column)
+        if _plain_numeric(column_type):
+            strip = False
+        elif column_type is not None and is_character(column_type):
+            strip = True
+        else:
+            return None
+        values_of = self._value(column)
+        kernel = _COMPARE_KERNELS[op]
+        per_row = self._per_row(expr)
+
+        def compare(chunk, ctx):
+            value = scalar(ctx)
+            if value is None:
+                return [None] * len(values_of(chunk, ctx))
+            if strip and isinstance(value, str):
+                values = [None if v is None else v.rstrip() for v in values_of(chunk, ctx)]
+                return kernel(values, value.rstrip())
+            if not strip and _plain_value(value):
+                return kernel(values_of(chunk, ctx), value)
+            return per_row(chunk, ctx)
+
+        return compare
 
     def _batch_unaryop(self, expr: ast.UnaryOp) -> tuple[BatchFn | None, bool]:
         if expr.op.upper() == "NOT":
@@ -979,28 +1022,28 @@ class BatchCompiler:
         return lambda chunk, ctx: [v is None for v in operand(chunk, ctx)], True
 
     def _batch_between(self, expr: ast.Between) -> tuple[BatchFn | None, bool]:
-        if not all(
-            _plain_numeric(self._type_of(e)) for e in (expr.operand, expr.low, expr.high)
-        ):
+        """``operand [NOT] BETWEEN scalar AND scalar`` over a plain
+        numeric operand, bounds read once per chunk (gated like
+        :meth:`_compare_scalar`)."""
+        low, high = self._scalar(expr.low), self._scalar(expr.high)
+        if low is None or high is None or not _plain_numeric(self._type_of(expr.operand)):
             return None, False
-        operand = self._value(expr.operand)
-        low = self._value(expr.low)
-        high = self._value(expr.high)
-        if expr.negated:
-            fn = lambda chunk, ctx: [
-                None if v is None or lo is None or hi is None else not (lo <= v <= hi)
-                for v, lo, hi in zip(
-                    operand(chunk, ctx), low(chunk, ctx), high(chunk, ctx)
-                )
-            ]
-        else:
-            fn = lambda chunk, ctx: [
-                None if v is None or lo is None or hi is None else lo <= v <= hi
-                for v, lo, hi in zip(
-                    operand(chunk, ctx), low(chunk, ctx), high(chunk, ctx)
-                )
-            ]
-        return fn, True
+        values_of = self._value(expr.operand)
+        per_row = self._per_row(expr)
+        negated = expr.negated
+
+        def between(chunk, ctx):
+            lo, hi = low(ctx), high(ctx)
+            if lo is None or hi is None:
+                return [None] * len(values_of(chunk, ctx))
+            if not (_plain_value(lo) and _plain_value(hi)):
+                return per_row(chunk, ctx)
+            values = values_of(chunk, ctx)
+            if negated:
+                return [None if v is None else not (lo <= v <= hi) for v in values]
+            return [None if v is None else lo <= v <= hi for v in values]
+
+        return between, True
 
     def _batch_like(self, expr: ast.Like) -> tuple[BatchFn | None, bool]:
         if not (
@@ -1023,22 +1066,26 @@ class BatchCompiler:
         return fn, True
 
     def _batch_inlist(self, expr: ast.InList) -> tuple[BatchFn | None, bool]:
-        if not all(isinstance(item, ast.Literal) for item in expr.items):
+        scalars = [self._scalar(item) for item in expr.items]
+        if None in scalars:
             return None, False
-        values = [item.value for item in expr.items]  # type: ignore[union-attr]
-        has_null = any(v is None for v in values)
-        members = frozenset(v for v in values if v is not None)
-        miss = None if has_null else False
-        hit_miss = (False, None if has_null else True) if expr.negated else (True, miss)
-        hit, miss = hit_miss
         operand = self._value(expr.operand)
-        return (
-            lambda chunk, ctx: [
+        negated = expr.negated
+
+        def in_list(chunk, ctx):
+            # Hashed membership is row mode's ``==`` scan for any value
+            # type; an unhashable binding raises into the guard.
+            values = [scalar(ctx) for scalar in scalars]
+            has_null = None in values
+            members = frozenset(v for v in values if v is not None)
+            miss = None if has_null else False
+            hit, miss = (False, None if has_null else True) if negated else (True, miss)
+            return [
                 None if v is None else (hit if v in members else miss)
                 for v in operand(chunk, ctx)
-            ],
-            True,
-        )
+            ]
+
+        return in_list, True
 
     # -- calls ------------------------------------------------------------------
 
@@ -1092,6 +1139,38 @@ def _plain_numeric(t: SqlType | None) -> bool:
     DECIMAL: row mode aligns mixed DECIMAL operands via ``Decimal(str(x))``,
     which raw operators would not reproduce)."""
     return t is not None and is_numeric(t) and t.name != "DECIMAL"
+
+
+def _plain_value(value: object) -> bool:
+    """The value-level twin of :func:`_plain_numeric`: a plain int or
+    float (not a bool, not a Decimal), which compares against a plain
+    numeric column under raw Python operators exactly as :func:`_align`
+    would compare it."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: ``column <op> scalar`` becomes ``scalar <flipped op> column``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
+#: ``kernel(values, scalar)``: one comparison per value, NULL stays NULL.
+_COMPARE_KERNELS = {
+    "=": lambda values, b: [None if a is None else a == b for a in values],
+    "<>": lambda values, b: [None if a is None else a != b for a in values],
+    "<": lambda values, b: [None if a is None else a < b for a in values],
+    "<=": lambda values, b: [None if a is None else a <= b for a in values],
+    ">": lambda values, b: [None if a is None else a > b for a in values],
+    ">=": lambda values, b: [None if a is None else a >= b for a in values],
+}
+
+#: ``kernel(pairs)``: one comparison per ``(a, b)`` pair of two columns.
+_PAIR_KERNELS = {
+    "=": lambda pairs: [None if a is None or b is None else a == b for a, b in pairs],
+    "<>": lambda pairs: [None if a is None or b is None else a != b for a, b in pairs],
+    "<": lambda pairs: [None if a is None or b is None else a < b for a, b in pairs],
+    "<=": lambda pairs: [None if a is None or b is None else a <= b for a, b in pairs],
+    ">": lambda pairs: [None if a is None or b is None else a > b for a, b in pairs],
+    ">=": lambda pairs: [None if a is None or b is None else a >= b for a, b in pairs],
+}
 
 
 def _sql_div(a, b):

@@ -656,8 +656,9 @@ class Planner:
         Each locally-evaluated conjunct of a recognised shape is bound
         to its scan by slot identity and attached as a conservative
         may-match check over the chunk's ``(min, max, null_count)``
-        statistics.  The conjunct itself stays in the filter above —
-        pruning only skips chunks the filter would have emptied anyway.
+        statistics; ``?`` operands are bound per execution.  The
+        conjunct itself stays in the filter above — pruning only skips
+        chunks the filter would have emptied anyway.
         """
         if not prunable:
             return
@@ -684,10 +685,10 @@ class Planner:
                     break
             if position is None:
                 continue
-            check = zone_check(conjunct, slot.type)
-            if check is None:
+            bind = zone_check(conjunct, slot.type)
+            if bind is None:
                 continue
-            scan.prune_checks.append((position, check, conjunct.render()))
+            scan.prune_checks.append((position, bind, conjunct.render()))
 
     def _try_remote_bind(
         self,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.fdbs import ast
 from repro.fdbs.executor import RemoteScanPlan
+from repro.fdbs.expr import _FLIPPED, _plain_numeric, _plain_value
 
 
 def split_conjuncts(expr: ast.Expression) -> list[ast.Expression]:
@@ -187,44 +188,45 @@ def push_predicates(
 #: True means the chunk may contain matching rows (keep it).
 ZoneCheck = "Callable[[object, object, int, int], bool]"
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+#: A prune check awaiting its statement parameters: ``bind(params)``
+#: returns the execution's :data:`ZoneCheck`, or None to keep every
+#: chunk.  Plans are cached and shared across threads, so the bound
+#: check lives only in the scan's local variables, never on the plan.
+ZoneBinder = "Callable[[list], ZoneCheck | None]"
 
 
 def _zone_value(value: object) -> bool:
-    """True when a literal is safe for raw min/max comparison.
+    """True when a bound value is safe for raw min/max comparison.
 
-    Mirrors the batch compiler's ``_plain_numeric`` gate: only plain
-    ints and floats (not bools, not Decimal, not strings) compare under
-    raw Python operators exactly as the row-mode ``_align`` semantics —
-    CHAR values pad-strip in comparisons and DECIMAL operands are
-    re-aligned through ``Decimal(str(x))``, both of which raw bounds
-    comparisons would not reproduce.
+    The batch kernels' gate (``_plain_value``: a plain int or float, not
+    a bool, not a Decimal, not a string — CHAR values pad-strip in
+    comparisons and DECIMAL operands are re-aligned through
+    ``Decimal(str(x))``, neither of which raw bounds comparisons
+    reproduce), minus NaN: every comparison with NaN is false, so
+    bounds tests such as ``NOT BETWEEN`` would prune matching chunks.
     """
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _plain_value(value) and value == value
 
 
 def zone_target(conjunct: ast.Expression) -> ast.ColumnRef | None:
     """The single column a zone check could prune on (None if none).
 
-    Recognised shapes: ``col <op> literal`` / ``literal <op> col`` for
-    the six comparison operators, ``col [NOT] BETWEEN lit AND lit``,
-    ``col IN (lit, ...)`` (non-negated), and ``col IS [NOT] NULL``.
+    Recognised shapes, where a scalar is a literal or a ``?`` marker:
+    ``col <op> scalar`` / ``scalar <op> col`` for the six comparison
+    operators, ``col [NOT] BETWEEN scalar AND scalar``,
+    ``col IN (scalar, ...)`` (non-negated), and ``col IS [NOT] NULL``.
     """
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op.upper() in _FLIPPED:
-        if isinstance(conjunct.left, ast.ColumnRef) and isinstance(
-            conjunct.right, ast.Literal
-        ):
+        if isinstance(conjunct.left, ast.ColumnRef) and _is_scalar(conjunct.right):
             return conjunct.left
-        if isinstance(conjunct.left, ast.Literal) and isinstance(
-            conjunct.right, ast.ColumnRef
-        ):
+        if _is_scalar(conjunct.left) and isinstance(conjunct.right, ast.ColumnRef):
             return conjunct.right
         return None
     if isinstance(conjunct, ast.Between):
         if (
             isinstance(conjunct.operand, ast.ColumnRef)
-            and isinstance(conjunct.low, ast.Literal)
-            and isinstance(conjunct.high, ast.Literal)
+            and _is_scalar(conjunct.low)
+            and _is_scalar(conjunct.high)
         ):
             return conjunct.operand
         return None
@@ -232,7 +234,7 @@ def zone_target(conjunct: ast.Expression) -> ast.ColumnRef | None:
         if (
             not conjunct.negated
             and isinstance(conjunct.operand, ast.ColumnRef)
-            and all(isinstance(item, ast.Literal) for item in conjunct.items)
+            and all(_is_scalar(item) for item in conjunct.items)
         ):
             return conjunct.operand
         return None
@@ -241,6 +243,10 @@ def zone_target(conjunct: ast.Expression) -> ast.ColumnRef | None:
             return conjunct.operand
         return None
     return None
+
+
+def _is_scalar(expr: ast.Expression) -> bool:
+    return isinstance(expr, (ast.Literal, ast.Parameter))
 
 
 def _bounded(test):
@@ -262,20 +268,68 @@ def _prune_all(lo, hi, nulls, count):
     return False
 
 
-def zone_check(conjunct: ast.Expression, column_type) -> "ZoneCheck | None":
-    """Compile one WHERE conjunct into a zone-map prune check.
+def _compare_check(op: str, value: object) -> "ZoneCheck | None":
+    """Check for ``col <op> value``."""
+    if value is None:
+        # ``col <op> NULL`` is never TRUE: no chunk can match.
+        return _prune_all
+    if not _zone_value(value):
+        return None
+    if op == "=":
+        return _bounded(lambda lo, hi: lo <= value <= hi)
+    if op == "<":
+        return _bounded(lambda lo, hi: lo < value)
+    if op == "<=":
+        return _bounded(lambda lo, hi: lo <= value)
+    if op == ">":
+        return _bounded(lambda lo, hi: hi > value)
+    if op == ">=":
+        return _bounded(lambda lo, hi: hi >= value)
+    return _bounded(lambda lo, hi: not (lo == value and hi == value))  # <>
+
+
+def _between_check(negated: bool, low: object, high: object) -> "ZoneCheck | None":
+    """Check for ``col [NOT] BETWEEN low AND high``."""
+    if low is None or high is None:
+        return _prune_all
+    if not (_zone_value(low) and _zone_value(high)):
+        return None
+    if negated:
+        # Prunable only when every value is inside [low, high].
+        return _bounded(lambda lo, hi: lo < low or hi > high)
+    return _bounded(lambda lo, hi: not (hi < low or lo > high))
+
+
+def _in_check(*values: object) -> "ZoneCheck | None":
+    """Check for ``col IN (values...)``."""
+    members = [v for v in values if v is not None]
+    if not members:
+        # ``col IN (NULL, ...)`` with no real members is never TRUE.
+        return _prune_all
+    if not all(_zone_value(v) for v in members):
+        return None
+    return _bounded(lambda lo, hi: any(lo <= member <= hi for member in members))
+
+
+def zone_check(conjunct: ast.Expression, column_type) -> "ZoneBinder | None":
+    """Compile one WHERE conjunct into a zone-map prune-check binder.
 
     ``column_type`` is the scan column's SQL type; value comparisons are
     only compiled for plain numeric columns (see :func:`_zone_value`).
-    Returns None when the conjunct cannot prune safely.
+    Returns None when the conjunct can never prune safely.  A conjunct
+    over literals only is the trivially bound case: its check is built
+    once here.  One with ``?`` operands builds its check per execution
+    from the bound values, keeping every chunk when a value is unbound
+    or not zone-safe and pruning every chunk for a NULL, exactly as the
+    same literal would.
     """
-    from repro.fdbs.expr import _plain_numeric
-
     if isinstance(conjunct, ast.IsNull):
         # Type-free: the null count is exact regardless of column type.
         if conjunct.negated:
-            return lambda lo, hi, nulls, count: nulls < count
-        return lambda lo, hi, nulls, count: nulls > 0
+            check = lambda lo, hi, nulls, count: nulls < count
+        else:
+            check = lambda lo, hi, nulls, count: nulls > 0
+        return lambda params: check
 
     if not _plain_numeric(column_type):
         return None
@@ -283,51 +337,33 @@ def zone_check(conjunct: ast.Expression, column_type) -> "ZoneCheck | None":
     if isinstance(conjunct, ast.BinaryOp):
         op = conjunct.op.upper()
         if isinstance(conjunct.left, ast.ColumnRef):
-            literal = conjunct.right.value  # type: ignore[union-attr]
+            operands = [conjunct.right]
         else:
-            literal = conjunct.left.value  # type: ignore[union-attr]
+            operands = [conjunct.left]
             op = _FLIPPED[op]
-        if literal is None:
-            # ``col <op> NULL`` is never TRUE: no chunk can match.
-            return _prune_all
-        if not _zone_value(literal):
-            return None
-        if op == "=":
-            return _bounded(lambda lo, hi: lo <= literal <= hi)
-        if op == "<":
-            return _bounded(lambda lo, hi: lo < literal)
-        if op == "<=":
-            return _bounded(lambda lo, hi: lo <= literal)
-        if op == ">":
-            return _bounded(lambda lo, hi: hi > literal)
-        if op == ">=":
-            return _bounded(lambda lo, hi: hi >= literal)
-        if op == "<>":
-            return _bounded(lambda lo, hi: not (lo == literal and hi == literal))
+        build = lambda value: _compare_check(op, value)
+    elif isinstance(conjunct, ast.Between):
+        operands = [conjunct.low, conjunct.high]
+        build = lambda low, high: _between_check(conjunct.negated, low, high)
+    elif isinstance(conjunct, ast.InList):
+        operands = list(conjunct.items)
+        build = _in_check
+    else:
         return None
 
-    if isinstance(conjunct, ast.Between):
-        low = conjunct.low.value  # type: ignore[union-attr]
-        high = conjunct.high.value  # type: ignore[union-attr]
-        if low is None or high is None:
-            return _prune_all
-        if not (_zone_value(low) and _zone_value(high)):
-            return None
-        if conjunct.negated:
-            # Prunable only when every value is inside [low, high].
-            return _bounded(lambda lo, hi: lo < low or hi > high)
-        return _bounded(lambda lo, hi: not (hi < low or lo > high))
+    if all(isinstance(operand, ast.Literal) for operand in operands):
+        check = build(*[operand.value for operand in operands])
+        return None if check is None else (lambda params: check)
 
-    if isinstance(conjunct, ast.InList):
-        values = [item.value for item in conjunct.items]  # type: ignore[union-attr]
-        members = [v for v in values if v is not None]
-        if not members:
-            # ``col IN (NULL, ...)`` with no real members is never TRUE.
-            return _prune_all
-        if not all(_zone_value(v) for v in members):
-            return None
-        return _bounded(
-            lambda lo, hi: any(lo <= member <= hi for member in members)
-        )
+    def bind(params: list) -> "ZoneCheck | None":
+        values = []
+        for operand in operands:
+            if isinstance(operand, ast.Literal):
+                values.append(operand.value)
+            elif operand.index < len(params):
+                values.append(params[operand.index])
+            else:
+                return None  # unbound: the filter raises row mode's error
+        return build(*values)
 
-    return None
+    return bind

@@ -9,6 +9,8 @@ rebuild, stats-less columns, snapshots pinned against an old arena, the
 zone-map ablation toggle and non-default chunk sizes.
 """
 
+import random
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -247,3 +249,45 @@ class TestCounters:
         db.execute("UPDATE t SET v = 0.0 WHERE id = 3")  # COW rebuild
         db.execute("SELECT COUNT(*) FROM t WHERE id > 0")  # reseal
         assert db.columnar_stats()["zone_map_rebuilds"] >= 1
+
+
+class TestDoubleAggregates:
+    """Ungrouped SUM/AVG over DOUBLE fold in row order in every mode.
+
+    Float addition is not associative: pre-summing each chunk and adding
+    the partial to the running total gave ``995656.1999999998`` where row
+    mode gives ``995656.2000000002``.  Replacing the in-order fold with
+    ``sum(live)`` + add, or with ``sum(live, total)`` (compensated from
+    Python 3.12), makes this test fail.
+    """
+
+    @staticmethod
+    def _db(mode):
+        db = Database("sums", execution_mode=mode, chunk_size=64)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, g INT, x DOUBLE)")
+        rng = random.Random(3)
+        for index in range(2000):
+            db.execute(
+                "INSERT INTO t VALUES (?, ?, ?)",
+                params=[index, index % 7, rng.randrange(100, 100000) / 100],
+            )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(x) FROM t",
+            "SELECT SUM(x), AVG(x) FROM t WHERE x > 10.5",
+            "SELECT SUM(id), AVG(id), SUM(x) FROM t",
+        ],
+    )
+    def test_bit_identical_across_modes(self, sql):
+        results = {mode: self._db(mode).execute(sql).rows for mode in MODES}
+        assert results["batch"] == results["row"]
+        assert results["columnar"] == results["row"]
+        assert repr(results["columnar"]) == repr(results["row"])
+
+    def test_row_mode_value(self):
+        assert self._db("columnar").execute("SELECT SUM(x) FROM t").rows == [
+            (995656.2000000002,)
+        ]
