@@ -27,7 +27,10 @@
 #     AND simulated times; zone-map pruning on/off => same rows;
 #     COW-rebuild, all-NULL and pinned-snapshot edge cases; `?`-bound
 #     predicates identical to their literal-inlined queries),
-#  8. calibration regression (the frozen Fig. 5/6 anchor numbers).
+#  8. calibration regression (the frozen Fig. 5/6 anchor numbers),
+#  9. SQL front end (tokens start at their positions, render -> parse
+#     round trips over the battery corpus, exact lexer-error positions,
+#     fuzzing, expression precedence and `?` marker numbering).
 #
 # Usage: scripts/check_parity.sh
 
@@ -154,5 +157,9 @@ python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py
+
+echo "== SQL front end =="
+python -m pytest -q tests/test_sql_frontend.py tests/test_fdbs_lexer.py \
+    tests/test_fdbs_parser.py tests/test_property_sql.py
 
 echo "parity checks passed"

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.fdbs.lexer import KEYWORDS
 from repro.fdbs.types import SqlType
 
 
 def _render_identifier(name: str) -> str:
-    """Quote an identifier when needed."""
-    if name and (name[0].isalpha() or name[0] == "_") and all(
-        ch.isalnum() or ch == "_" for ch in name
+    """Quote an identifier when needed: not a plain word, or a reserved one."""
+    if (
+        name
+        and (name[0].isalpha() or name[0] == "_")
+        and all(ch.isalnum() or ch == "_" for ch in name)
+        and name.upper() not in KEYWORDS
     ):
         return name
     escaped = name.replace('"', '""')

@@ -1,15 +1,18 @@
 """Tokenizer for the FDBS SQL dialect.
 
-Hand-written scanner producing a flat token list for the recursive
-descent parser.  The dialect is DB2-v7.1-flavoured: case-insensitive
-keywords, ``"quoted"`` delimited identifiers, ``'...'`` strings with
-``''`` escapes, ``--`` line comments and ``/* ... */`` block comments.
+One compiled master regular expression with a named group per token
+kind, matched in a single loop, produces the flat token list for the
+parser.  The dialect is DB2-v7.1-flavoured: case-insensitive keywords,
+``"quoted"`` delimited identifiers with ``""`` escapes, ``'...'``
+strings with ``''`` escapes, ``--`` line comments and ``/* ... */``
+block comments.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexerError
 
@@ -49,26 +52,8 @@ KEYWORDS = frozenset(
 # Soft keywords recognised contextually by the parser (they stay usable
 # as ordinary identifiers): NAME, FIRST, ROW, ROWS, ONLY, WORK.
 
-_OPERATORS = (
-    "<>",
-    "<=",
-    ">=",
-    "!=",
-    "||",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-)
 
-_PUNCTUATION = "(),.;"
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages)."""
 
     type: TokenType
@@ -79,209 +64,101 @@ class Token:
 
     def matches(self, type_: TokenType, value: str | None = None) -> bool:
         """True if the token has the given type (and value, if given)."""
-        if self.type is not type_:
-            return False
-        if value is None:
-            return True
-        if type_ in (TokenType.KEYWORD, TokenType.OPERATOR, TokenType.PUNCTUATION):
-            return self.value == value
-        return self.value == value
+        return self.type is type_ and (value is None or self.value == value)
 
     def __str__(self) -> str:
-        if self.type is TokenType.EOF:
-            return "<end of statement>"
-        return self.value
+        return "<end of statement>" if self.type is TokenType.EOF else self.value
 
 
-class Lexer:
-    """Scans SQL text into tokens."""
+# Alternatives are tried in order, so a two-character operator wins over
+# its one-character prefix, ``--`` and ``/*`` win over ``-`` and ``/``,
+# and ``.5`` is a number rather than punctuation.  ``word`` also admits
+# non-alphabetic numerics such as ``²``; the loop rejects those.  The
+# ``bad_*`` groups and the final catch-all turn into LexerErrors.
+_MASTER = re.compile(
+    r"""
+    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+  | (?P<bad_comment>/\*)
+  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<string>'[^']*(?:''[^']*)*')
+  | (?P<ident>"[^"]*(?:""[^"]*)*")
+  | (?P<parameter>\?)
+  | (?P<operator><>|<=|>=|!=|\|\||[=<>+\-*/])
+  | (?P<punctuation>[(),.;])
+  | (?P<bad_string>')
+  | (?P<bad_ident>")
+  | (?P<bad_char>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+_SIMPLE_KINDS = {
+    "number": TokenType.NUMBER,
+    "parameter": TokenType.PARAMETER,
+    "operator": TokenType.OPERATOR,
+    "punctuation": TokenType.PUNCTUATION,
+}
 
-    def tokenize(self) -> list[Token]:
-        """Return the full token list, terminated by an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                tokens.append(self._make(TokenType.EOF, ""))
-                return tokens
-            tokens.append(self._next_token())
+# Matches that may contain newlines, so they move the line count.
+_SPANNING = frozenset(("skip", "string", "ident"))
 
-    # -- internals -----------------------------------------------------------
-
-    def _make(self, type_: TokenType, value: str) -> Token:
-        return Token(type_, value, self.pos, self.line, self.column)
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.pos, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self.text[self.pos] == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self.text[self.pos]
-        if ch == "'":
-            return self._string()
-        if ch == '"':
-            return self._quoted_identifier()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number()
-        if ch.isalpha() or ch == "_":
-            return self._word()
-        if ch == "?":
-            token = self._make(TokenType.PARAMETER, "?")
-            self._advance()
-            return token
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.pos):
-                token = self._make(TokenType.OPERATOR, op)
-                self._advance(len(op))
-                return token
-        if ch in _PUNCTUATION:
-            token = self._make(TokenType.PUNCTUATION, ch)
-            self._advance()
-            return token
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _string(self) -> Token:
-        start = self._make(TokenType.STRING, "")
-        self._advance()  # opening quote
-        chunks: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self.text[self.pos]
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chunks.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(
-                    TokenType.STRING,
-                    "".join(chunks),
-                    start.position,
-                    start.line,
-                    start.column,
-                )
-            chunks.append(ch)
-            self._advance()
-
-    def _quoted_identifier(self) -> Token:
-        start = self._make(TokenType.IDENTIFIER, "")
-        self._advance()
-        chunks: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated delimited identifier")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self._advance()
-                if not chunks:
-                    raise self._error("empty delimited identifier")
-                return Token(
-                    TokenType.IDENTIFIER,
-                    "".join(chunks),
-                    start.position,
-                    start.line,
-                    start.column,
-                )
-            chunks.append(ch)
-            self._advance()
-
-    def _number(self) -> Token:
-        start = self._make(TokenType.NUMBER, "")
-        chunks: list[str] = []
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isdigit():
-                chunks.append(ch)
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp:
-                # a trailing '.' followed by an identifier is qualification,
-                # not a decimal point (e.g. "1.foo" never occurs, but "GQ.Qual"
-                # is tokenized via _word; numbers ending in '.' are decimals)
-                seen_dot = True
-                chunks.append(ch)
-                self._advance()
-            elif ch in "eE" and not seen_exp and chunks and chunks[-1].isdigit():
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    seen_exp = True
-                    chunks.append(ch)
-                    self._advance()
-                    if self._peek() in "+-":
-                        chunks.append(self._peek())
-                        self._advance()
-                else:
-                    break
-            else:
-                break
-        return Token(
-            TokenType.NUMBER, "".join(chunks), start.position, start.line, start.column
-        )
-
-    def _word(self) -> Token:
-        start = self._make(TokenType.IDENTIFIER, "")
-        chunks: list[str] = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch == "_":
-                chunks.append(ch)
-                self._advance()
-            else:
-                break
-        word = "".join(chunks)
-        if word.upper() in KEYWORDS:
-            return Token(
-                TokenType.KEYWORD,
-                word.upper(),
-                start.position,
-                start.line,
-                start.column,
-            )
-        return Token(
-            TokenType.IDENTIFIER, word, start.position, start.line, start.column
-        )
+_UNTERMINATED = {
+    "bad_comment": "unterminated block comment",
+    "bad_string": "unterminated string literal",
+    "bad_ident": "unterminated delimited identifier",
+}
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` fully."""
-    return Lexer(text).tokenize()
+    """Return the full token list of ``text``, terminated by an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without its Python-level __new__
+    line, line_start = 1, 0  # line number and offset of its first character
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "word":
+            word = match.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise LexerError(
+                    f"unexpected character {word[0]!r}", start, line, column
+                )
+            upper = word.upper()
+            if upper in KEYWORDS:
+                append(new(Token, (TokenType.KEYWORD, upper, start, line, column)))
+            else:
+                append(new(Token, (TokenType.IDENTIFIER, word, start, line, column)))
+        elif kind in _SIMPLE_KINDS:
+            append(new(Token, (_SIMPLE_KINDS[kind], match.group(), start, line, column)))
+        elif kind in _SPANNING:
+            chunk = match.group()
+            if kind == "string":
+                value = chunk[1:-1].replace("''", "'")
+                append(new(Token, (TokenType.STRING, value, start, line, column)))
+            elif kind == "ident":
+                if chunk == '""':
+                    end = match.end()
+                    raise LexerError(
+                        "empty delimited identifier", end, line, end - line_start + 1
+                    )
+                value = chunk[1:-1].replace('""', '"')
+                append(new(Token, (TokenType.IDENTIFIER, value, start, line, column)))
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                line_start = start + chunk.rindex("\n") + 1
+        elif kind == "bad_char":
+            raise LexerError(
+                f"unexpected character {match.group()!r}", start, line, column
+            )
+        else:  # an opener without its closer: report at the end of the text
+            end = len(text)
+            if "\n" in text[start:]:
+                line += text.count("\n", start)
+                line_start = text.rindex("\n") + 1
+            raise LexerError(_UNTERMINATED[kind], end, line, end - line_start + 1)
+    end = len(text)
+    append(new(Token, (TokenType.EOF, "", end, line, end - line_start + 1)))
+    return tokens

@@ -1,6 +1,7 @@
-"""Recursive-descent parser for the FDBS SQL dialect.
+"""Parser for the FDBS SQL dialect.
 
-Produces :mod:`repro.fdbs.ast` nodes.  The grammar mirrors the DB2 v7.1
+Produces :mod:`repro.fdbs.ast` nodes: recursive descent for statements,
+precedence climbing for expressions.  The grammar mirrors the DB2 v7.1
 subset the paper exercises, including the deliberately reproduced
 restrictions:
 
@@ -14,10 +15,34 @@ restrictions:
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from repro.errors import OneStatementError, ParseError
 from repro.fdbs import ast
 from repro.fdbs.lexer import Token, TokenType, tokenize
 from repro.fdbs.types import SqlType, parse_type
+
+_KEYWORD = TokenType.KEYWORD
+_OPERATOR = TokenType.OPERATOR
+_PUNCTUATION = TokenType.PUNCTUATION
+
+# Expression binding levels, loosest first.
+_OR, _AND, _NOT, _PREDICATE, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 8)
+
+#: Level of every infix operator, keyed by keyword or operator spelling.
+#: ``NOT`` is infix only in ``NOT IN``, ``NOT LIKE`` and ``NOT BETWEEN``.
+_INFIX = {
+    "OR": _OR,
+    "AND": _AND,
+    **dict.fromkeys(
+        ("=", "<>", "!=", "<", "<=", ">", ">=", "IS", "IN", "LIKE", "BETWEEN", "NOT"),
+        _PREDICATE,
+    ),
+    **dict.fromkeys(("+", "-", "||"), _ADDITIVE),
+    **dict.fromkeys(("*", "/"), _MULTIPLICATIVE),
+}
+_NEGATABLE = ("IN", "LIKE", "BETWEEN")
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class Parser:
@@ -27,12 +52,19 @@ class Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        # ``?`` markers seen so far; never reset, so a script numbers its
+        # markers across statements.
+        self._parameters = 0
 
     # -- token helpers ---------------------------------------------------------
 
+    # Only ``_advance`` may meet EOF; the others consume a token of a given
+    # type, never EOF, and so step ``pos`` directly.
+
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -41,50 +73,57 @@ class Parser:
         return token
 
     def _check_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.KEYWORD and token.value in keywords
+        token = self.tokens[self.pos]
+        return token.type is _KEYWORD and token.value in keywords
 
     def _accept_keyword(self, *keywords: str) -> Token | None:
-        if self._check_keyword(*keywords):
-            return self._advance()
+        token = self.tokens[self.pos]
+        if token.type is _KEYWORD and token.value in keywords:
+            self.pos += 1
+            return token
         return None
 
     def _expect_keyword(self, keyword: str) -> Token:
-        token = self._peek()
-        if not token.matches(TokenType.KEYWORD, keyword):
+        token = self.tokens[self.pos]
+        if token.type is not _KEYWORD or token.value != keyword:
             raise self._error(f"expected {keyword}, found {token}")
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _check_punct(self, value: str) -> bool:
-        return self._peek().matches(TokenType.PUNCTUATION, value)
+        token = self.tokens[self.pos]
+        return token.type is _PUNCTUATION and token.value == value
 
     def _accept_punct(self, value: str) -> bool:
-        if self._check_punct(value):
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.type is _PUNCTUATION and token.value == value:
+            self.pos += 1
             return True
         return False
 
     def _expect_punct(self, value: str) -> Token:
-        token = self._peek()
-        if not token.matches(TokenType.PUNCTUATION, value):
+        token = self.tokens[self.pos]
+        if token.type is not _PUNCTUATION or token.value != value:
             raise self._error(f"expected {value!r}, found {token}")
-        return self._advance()
+        self.pos += 1
+        return token
 
-    def _check_operator(self, *values: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.OPERATOR and token.value in values
+    def _check_operator(self, value: str) -> bool:
+        token = self.tokens[self.pos]
+        return token.type is _OPERATOR and token.value == value
 
-    def _accept_operator(self, *values: str) -> Token | None:
-        if self._check_operator(*values):
-            return self._advance()
-        return None
+    def _accept_operator(self, value: str) -> bool:
+        if self._check_operator(value):
+            self.pos += 1
+            return True
+        return False
 
     def _expect_identifier(self, what: str = "identifier") -> str:
-        token = self._peek()
-        if token.type is TokenType.IDENTIFIER:
-            self._advance()
-            return token.value
-        raise self._error(f"expected {what}, found {token}")
+        token = self.tokens[self.pos]
+        if token.type is not TokenType.IDENTIFIER:
+            raise self._error(f"expected {what}, found {token}")
+        self.pos += 1
+        return token.value
 
     def _accept_soft(self, *words: str) -> str | None:
         """Accept a *soft* keyword: an identifier matching one of ``words``."""
@@ -97,6 +136,14 @@ class Parser:
     def _expect_soft(self, word: str) -> None:
         if self._accept_soft(word) is None:
             raise self._error(f"expected {word}, found {self._peek()}")
+
+    def _integer(self, message: str) -> int:
+        """Consume an unsigned integer literal, or raise ``message``."""
+        token = self.tokens[self.pos]
+        if token.type is not TokenType.NUMBER or not token.value.isdecimal():
+            raise self._error(message)
+        self.pos += 1
+        return int(token.value)
 
     def _error(self, message: str) -> ParseError:
         token = self._peek()
@@ -282,21 +329,13 @@ class Parser:
     def _fetch_first(self) -> int | None:
         if self._accept_keyword("FETCH"):
             self._expect_soft("FIRST")
-            token = self._peek()
-            if token.type is not TokenType.NUMBER:
-                raise self._error("expected row count after FETCH FIRST")
-            self._advance()
-            count = int(token.value)
+            count = self._integer("expected row count after FETCH FIRST")
             if self._accept_soft("ROWS", "ROW") is None:
                 raise self._error("expected ROWS after the row count")
             self._expect_soft("ONLY")
             return count
         if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.type is not TokenType.NUMBER:
-                raise self._error("expected row count after LIMIT")
-            self._advance()
-            return int(token.value)
+            return self._integer("expected row count after LIMIT")
         return None
 
     # FROM ---------------------------------------------------------------------------
@@ -461,11 +500,7 @@ class Parser:
         params: list[int] = []
         if self._accept_punct("("):
             while True:
-                number = self._peek()
-                if number.type is not TokenType.NUMBER:
-                    raise self._error("expected numeric type parameter")
-                self._advance()
-                params.append(int(number.value))
+                params.append(self._integer("expected numeric type parameter"))
                 if not self._accept_punct(","):
                     break
             self._expect_punct(")")
@@ -599,7 +634,7 @@ class Parser:
             return ast.PsmDeclare(name, var_type, default)
         if self._accept_keyword("SET"):
             target = self._expect_identifier("variable name")
-            if self._accept_operator("=") is None:
+            if not self._accept_operator("="):
                 raise self._error("expected '=' in SET statement")
             return ast.PsmSet(target, self._expression())
         if self._accept_keyword("IF"):
@@ -682,7 +717,7 @@ class Parser:
         assignments: list[tuple[str, ast.Expression]] = []
         while True:
             column = self._expect_identifier("column name")
-            if self._accept_operator("=") is None:
+            if not self._accept_operator("="):
                 raise self._error("expected '=' in UPDATE assignment")
             assignments.append((column, self._expression()))
             if not self._accept_punct(","):
@@ -713,58 +748,67 @@ class Parser:
         return args
 
     # -- expressions --------------------------------------------------------------------
+    #
+    # Precedence climbing over ``_INFIX``.  ``_expression(level)`` parses an
+    # operand, then folds in every infix operator that binds at ``level``
+    # or tighter and no looser than ``ceiling``.  Binary operators are
+    # left-associative.  A predicate (comparison, IS, [NOT] IN/LIKE/BETWEEN)
+    # takes no further predicate, and neither does a prefix NOT, so after
+    # either the ceiling drops to AND: ``a = b = c`` stops before the
+    # second ``=``, which the caller then reports as unexpected.
 
-    def _expression(self) -> ast.Expression:
-        return self._or_expr()
+    def _expression(self, level: int = _OR) -> ast.Expression:
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token.type is _KEYWORD and token.value == "NOT" and level <= _NOT:
+            self.pos += 1
+            left: ast.Expression = ast.UnaryOp("NOT", self._expression(_NOT))
+            ceiling = _AND
+        elif token.type is _OPERATOR and token.value in ("-", "+"):
+            self.pos += 1
+            left = self._expression(_UNARY)
+            if token.value == "-":
+                left = ast.UnaryOp("-", left)
+            ceiling = _MULTIPLICATIVE
+        else:
+            left = self._primary()
+            ceiling = _MULTIPLICATIVE
+        while True:
+            token = tokens[self.pos]
+            if token.type is not _KEYWORD and token.type is not _OPERATOR:
+                return left
+            op_level = _INFIX.get(token.value)
+            if op_level is None or not level <= op_level <= ceiling:
+                return left
+            if op_level != _PREDICATE:
+                self.pos += 1
+                left = ast.BinaryOp(token.value, left, self._expression(op_level + 1))
+                ceiling = op_level
+                continue
+            negated = token.value == "NOT"
+            if negated:
+                token = tokens[self.pos + 1]
+                if token.type is not _KEYWORD or token.value not in _NEGATABLE:
+                    return left
+                self.pos += 1
+            self.pos += 1
+            left = self._predicate(left, token, negated)
+            ceiling = _AND
 
-    def _or_expr(self) -> ast.Expression:
-        left = self._and_expr()
-        while self._accept_keyword("OR"):
-            left = ast.BinaryOp("OR", left, self._and_expr())
-        return left
-
-    def _and_expr(self) -> ast.Expression:
-        left = self._not_expr()
-        while self._accept_keyword("AND"):
-            left = ast.BinaryOp("AND", left, self._not_expr())
-        return left
-
-    def _not_expr(self) -> ast.Expression:
-        if self._accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._not_expr())
-        return self._predicate()
-
-    def _predicate(self) -> ast.Expression:
-        left = self._additive()
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value in (
-            "=",
-            "<>",
-            "!=",
-            "<",
-            "<=",
-            ">",
-            ">=",
-        ):
-            op = self._advance().value
-            if op == "!=":
-                op = "<>"
-            return ast.BinaryOp(op, left, self._additive())
-        if self._accept_keyword("IS"):
+    def _predicate(
+        self, left: ast.Expression, token: Token, negated: bool
+    ) -> ast.Expression:
+        """The rest of a predicate whose operator ``token`` was just consumed."""
+        op = token.value
+        if token.type is _OPERATOR:  # comparison
+            return ast.BinaryOp(
+                "<>" if op == "!=" else op, left, self._expression(_ADDITIVE)
+            )
+        if op == "IS":
             negated = self._accept_keyword("NOT") is not None
             self._expect_keyword("NULL")
             return ast.IsNull(left, negated)
-        negated = False
-        if self._check_keyword("NOT"):
-            nxt = self._peek(1)
-            if nxt.type is TokenType.KEYWORD and nxt.value in (
-                "IN",
-                "LIKE",
-                "BETWEEN",
-            ):
-                self._advance()
-                negated = True
-        if self._accept_keyword("IN"):
+        if op == "IN":
             self._expect_punct("(")
             if self._check_keyword("SELECT"):
                 subquery = self._select()
@@ -775,93 +819,57 @@ class Parser:
                 items.append(self._expression())
             self._expect_punct(")")
             return ast.InList(left, items, negated)
-        if self._accept_keyword("LIKE"):
-            return ast.Like(left, self._additive(), negated)
-        if self._accept_keyword("BETWEEN"):
-            low = self._additive()
-            self._expect_keyword("AND")
-            high = self._additive()
-            return ast.Between(left, low, high, negated)
-        if negated:  # pragma: no cover - unreachable by construction
-            raise self._error("dangling NOT")
-        return left
-
-    def _additive(self) -> ast.Expression:
-        left = self._multiplicative()
-        while True:
-            token = self._accept_operator("+", "-", "||")
-            if token is None:
-                return left
-            left = ast.BinaryOp(token.value, left, self._multiplicative())
-
-    def _multiplicative(self) -> ast.Expression:
-        left = self._unary()
-        while True:
-            token = self._accept_operator("*", "/")
-            if token is None:
-                return left
-            left = ast.BinaryOp(token.value, left, self._unary())
-
-    def _unary(self) -> ast.Expression:
-        token = self._accept_operator("-", "+")
-        if token is not None:
-            if token.value == "+":
-                return self._unary()
-            return ast.UnaryOp("-", self._unary())
-        return self._primary()
+        if op == "LIKE":
+            return ast.Like(left, self._expression(_ADDITIVE), negated)
+        low = self._expression(_ADDITIVE)  # BETWEEN
+        self._expect_keyword("AND")
+        return ast.Between(left, low, self._expression(_ADDITIVE), negated)
 
     def _primary(self) -> ast.Expression:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
+        token = self.tokens[self.pos]
+        kind = token.type
+        if kind is TokenType.NUMBER:
+            self.pos += 1
             text = token.value
             if "e" in text or "E" in text:
                 return ast.Literal(float(text))
             if "." in text:
                 # SQL: a literal with a decimal point is an *exact*
                 # numeric (DECIMAL), not an approximate DOUBLE.
-                from decimal import Decimal
-
                 return ast.Literal(Decimal(text))
             return ast.Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
+        if kind is TokenType.IDENTIFIER:
+            return self._identifier_expression()
+        if kind is TokenType.STRING:
+            self.pos += 1
             return ast.Literal(token.value)
-        if token.type is TokenType.PARAMETER:
-            self._advance()
-            index = sum(
-                1
-                for t in self.tokens[: self.pos - 1]
-                if t.type is TokenType.PARAMETER
-            )
-            return ast.Parameter(index)
-        if token.matches(TokenType.KEYWORD, "NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches(TokenType.KEYWORD, "TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches(TokenType.KEYWORD, "FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.matches(TokenType.KEYWORD, "CASE"):
-            return self._case()
-        if token.matches(TokenType.KEYWORD, "CAST"):
-            self._advance()
-            self._expect_punct("(")
-            operand = self._expression()
-            self._expect_keyword("AS")
-            target = self._type()
-            self._expect_punct(")")
-            return ast.Cast(operand, target)
-        if token.matches(TokenType.KEYWORD, "EXISTS"):
-            self._advance()
-            self._expect_punct("(")
-            subquery = self._select()
-            self._expect_punct(")")
-            return ast.Exists(subquery)
-        if self._check_punct("("):
-            self._advance()
+        if kind is TokenType.PARAMETER:
+            self.pos += 1
+            self._parameters += 1
+            return ast.Parameter(self._parameters - 1)
+        if kind is _KEYWORD:
+            value = token.value
+            if value in _KEYWORD_LITERALS:
+                self.pos += 1
+                return ast.Literal(_KEYWORD_LITERALS[value])
+            if value == "CASE":
+                return self._case()
+            if value == "CAST":
+                self.pos += 1
+                self._expect_punct("(")
+                operand = self._expression()
+                self._expect_keyword("AS")
+                target = self._type()
+                self._expect_punct(")")
+                return ast.Cast(operand, target)
+            if value == "EXISTS":
+                self.pos += 1
+                self._expect_punct("(")
+                subquery = self._select()
+                self._expect_punct(")")
+                return ast.Exists(subquery)
+        elif kind is _PUNCTUATION and token.value == "(":
+            self.pos += 1
             if self._check_keyword("SELECT"):
                 subquery = self._select()
                 self._expect_punct(")")
@@ -869,8 +877,6 @@ class Parser:
             expr = self._expression()
             self._expect_punct(")")
             return expr
-        if token.type is TokenType.IDENTIFIER:
-            return self._identifier_expression()
         raise self._error(f"unexpected token in expression: {token}")
 
     def _identifier_expression(self) -> ast.Expression:

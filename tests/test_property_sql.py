@@ -28,6 +28,17 @@ identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True).filt
     lambda s: s.upper() not in KEYWORDS
 )
 
+# Names the renderer must quote: reserved words in any case, and names
+# with '"' or other non-word characters.  Kept apart from ``identifiers``,
+# which the lexer properties rely on never producing a keyword.
+quoted_identifiers = st.one_of(
+    identifiers,
+    st.sampled_from(sorted(KEYWORDS)).flatmap(
+        lambda word: st.sampled_from([word, word.lower(), word.title()])
+    ),
+    st.text(alphabet='ab_1 "', min_size=1, max_size=6),
+)
+
 safe_strings = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
 )
@@ -138,6 +149,20 @@ def test_select_render_parse_round_trip(columns, table):
     rendered = select.render()
     reparsed = parse_statement(rendered)
     assert reparsed.render() == rendered
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(quoted_identifiers, min_size=1, max_size=4),
+    quoted_identifiers,
+    quoted_identifiers,
+)
+def test_render_parse_round_trip_quotes_keywords_and_quotes(columns, table, alias):
+    select = ast.Select(
+        items=[ast.SelectItem(ast.ColumnRef(alias, c), c) for c in columns],
+        from_items=[ast.TableRef(table, alias)],
+    )
+    assert parse_statement(select.render()) == select
 
 
 # ---------------------------------------------------------------------------
