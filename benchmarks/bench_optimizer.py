@@ -43,6 +43,7 @@ or through pytest (deselected by default via the ``perf`` marker)::
 """
 
 import argparse
+import gc
 import json
 import time
 from pathlib import Path
@@ -144,20 +145,40 @@ def build_merge_workload(optimizer: str, n_rows: int):
     return db
 
 
-def run_merge_join(n_rows: int = 100_000, repeats: int = 3) -> dict:
-    """Forced hash vs merge on presorted inputs: wall-clock best-of-N."""
+def _timed_without_gc(run) -> tuple[float, object]:
+    """Wall time of one ``run()`` with the cyclic collector held off.
+
+    A full collection landing inside one strategy's execution but not
+    the other's moves their ratio by more than the join does, so the
+    heap is collected first and the collector stays disabled for the
+    timed call only.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run()
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
+
+
+def run_merge_join(n_rows: int = 100_000, repeats: int = 5) -> dict:
+    """Forced hash vs merge on presorted inputs: wall-clock best-of-N,
+    the strategies alternating and each execution timed GC-neutrally."""
     db = build_merge_workload("cost", n_rows)
-    walls = {}
-    for strategy in ("hash", "merge"):
+    strategies = ("hash", "merge")
+    for strategy in strategies:
         db.set_join_strategy(strategy)
         db.execute(MERGE_COUNT_SQL)  # warm the statement cache + plan
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            count = db.execute(MERGE_COUNT_SQL).scalar()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        walls[strategy] = best
+    walls: dict[str, float] = {}
+    for _ in range(repeats):
+        for strategy in strategies:
+            db.set_join_strategy(strategy)
+            elapsed, count = _timed_without_gc(
+                lambda: db.execute(MERGE_COUNT_SQL).scalar()
+            )
+            walls[strategy] = min(walls.get(strategy, elapsed), elapsed)
     presorted = "input=presorted" in db.explain(MERGE_COUNT_SQL)
     # Row parity sweeps the full join output on a smaller instance (the
     # syntactic baseline is a cross-product fold; 100k^2 is out of reach).

@@ -30,7 +30,15 @@
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers),
 #  9. SQL front end (tokens start at their positions, render -> parse
 #     round trips over the battery corpus, exact lexer-error positions,
-#     fuzzing, expression precedence and `?` marker numbering).
+#     fuzzing, expression precedence and `?` marker numbering),
+# 10. row-mode kernels (specialised comparisons equal `_align` plus the
+#     operator, value for value and error for error; cached coercers
+#     equal `coerce_into` in value and type; IN/BETWEEN and index probes
+#     follow `=`/`<=` in every mode under both optimizers).
+#
+# The merge-join wall gate in section 6 times each strategy with the
+# cyclic collector held off (collect, disable, run, re-enable) over
+# alternating repeats, so a full collection cannot land on one side.
 #
 # Usage: scripts/check_parity.sh
 
@@ -161,5 +169,8 @@ python -m pytest -q tests/test_calibration_regression.py
 echo "== SQL front end =="
 python -m pytest -q tests/test_sql_frontend.py tests/test_fdbs_lexer.py \
     tests/test_fdbs_parser.py tests/test_property_sql.py
+
+echo "== row-mode kernels =="
+python -m pytest -q tests/test_row_kernels.py
 
 echo "parity checks passed"

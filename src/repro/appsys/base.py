@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.fdbs.engine import Database
 from repro.fdbs.functions import normalize_rows
-from repro.fdbs.types import SqlType, coerce_into
+from repro.fdbs.types import SqlType, coercer
 from repro.simtime.trace import TraceRecorder, maybe_span
 from repro.sysmodel.faults import SITE_LOCAL_FUNCTION
 from repro.sysmodel.machine import Machine
@@ -134,7 +134,7 @@ class ApplicationSystem:
                 f"argument(s), got {len(args)}"
             )
         coerced = [
-            coerce_into(value, param_type)
+            coercer(param_type)(value)
             for value, (_, param_type) in zip(args, function.params)
         ]
         machine = self.machine
@@ -188,20 +188,17 @@ class ApplicationSystem:
         return rows
 
     def _coerce_rows(self, function: LocalFunction, rows: Sequence[tuple]) -> list[tuple]:
+        coercers = [coercer(column_type) for _, column_type in function.returns]
+        width = len(coercers)
         coerced: list[tuple] = []
         for row in rows:
-            if len(row) != len(function.returns):
+            if len(row) != width:
                 raise SignatureError(
                     f"{self.name}.{function.name} declared "
-                    f"{len(function.returns)} result column(s) but produced a "
+                    f"{width} result column(s) but produced a "
                     f"row of width {len(row)}"
                 )
-            coerced.append(
-                tuple(
-                    coerce_into(value, column_type)
-                    for value, (_, column_type) in zip(row, function.returns)
-                )
-            )
+            coerced.append(tuple([coerce(value) for coerce, value in zip(coercers, row)]))
         return coerced
 
     def catalog_summary(self) -> str:

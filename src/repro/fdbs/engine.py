@@ -69,7 +69,7 @@ from repro.fdbs.storage import (
     TableVersion,
     UndoLog,
 )
-from repro.fdbs.types import coerce_into
+from repro.fdbs.types import coercer
 from repro.simtime.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -913,10 +913,7 @@ class Database:
     def _invoke_table_function(
         self, function: TableFunction, args: list[object], ctx: EvalContext
     ) -> list[tuple]:
-        coerced = [
-            coerce_into(value, param.type)
-            for value, param in zip(args, function.params)
-        ]
+        coerced = [coercer(param.type)(value) for value, param in zip(args, function.params)]
         try:
             rows = self.function_runtime.invoke(function, coerced, ctx)
         except TransientFaultError as exc:
@@ -939,12 +936,9 @@ class Database:
         """Batched invocation for UDTF bind joins: one runtime call for
         all distinct argument tuples (the fenced runtime amortizes its
         fixed prepare/RMI/finish overheads across the batch)."""
+        coercers = [coercer(param.type) for param in function.params]
         coerced_lists = [
-            [
-                coerce_into(value, param.type)
-                for value, param in zip(args, function.params)
-            ]
-            for args in args_list
+            [coerce(value) for coerce, value in zip(coercers, args)] for args in args_list
         ]
         try:
             results = self.function_runtime.invoke_batch(
@@ -960,20 +954,16 @@ class Database:
     def _coerce_result_rows(
         self, function: TableFunction, rows: Iterable[tuple]
     ) -> list[tuple]:
-        returns = function.returns
+        coercers = [coercer(column.type) for column in function.returns]
+        width = len(coercers)
         coerced: list[tuple] = []
         for row in rows:
-            if len(row) != len(returns):
+            if len(row) != width:
                 raise ExecutionError(
-                    f"function {function.name} declared {len(returns)} result "
+                    f"function {function.name} declared {width} result "
                     f"column(s) but produced a row of width {len(row)}"
                 )
-            coerced.append(
-                tuple(
-                    coerce_into(value, column.type)
-                    for value, column in zip(row, returns)
-                )
-            )
+            coerced.append(tuple([coerce(value) for coerce, value in zip(coercers, row)]))
         if self.machine is not None and coerced:
             self.machine.clock.advance(
                 self.machine.costs.udtf_row_overhead * len(coerced)

@@ -30,6 +30,7 @@ from repro.fdbs.expr import (
     ColumnSlot,
     CompiledExpr,
     EvalContext,
+    hash_probe_exact,
     truthy,
 )
 from repro.fdbs.storage import Table
@@ -238,13 +239,15 @@ class TableScanPlan(Plan):
     ``col = <constant>`` lifted from the WHERE clause — in which case
     the scan resolves through the table's hash index instead of reading
     every row (index selection, a small classic physical optimization).
+    The probe is ``(column, value, column type, conjunct)``; see
+    :meth:`_probe_rows` for when it falls back to the conjunct.
     """
 
     def __init__(self, table: Table, schema: list[ColumnSlot], name: str):
         self._table = table
         self.schema = schema
         self._name = name
-        self.index_probe: tuple[str, CompiledExpr] | None = None
+        self.index_probe: tuple[str, CompiledExpr, object, CompiledExpr] | None = None
         #: Zone-map prune checks attached by the planner:
         #: ``(column position, bind, conjunct text)`` where
         #: ``bind(params)`` yields this execution's check (or None to
@@ -318,15 +321,28 @@ class TableScanPlan(Plan):
             if self.columnar_note is not None:
                 self.columnar_note(*outcome)
 
+    def _probe_rows(self, version, ctx: EvalContext) -> list:
+        """Rows the index probe keeps, in rid order.
+
+        The hash lookup runs only when the bound value compares under
+        ``=`` exactly as its hash key would (:func:`hash_probe_exact`).
+        Any other value scans the version through the conjunct itself,
+        so a probe never changes what ``=`` means or raises.
+        """
+        column, value_expr, column_type, conjunct = self.index_probe
+        value = value_expr.fn((), ctx)
+        if value is None:
+            return []  # col = NULL never matches
+        if hash_probe_exact(value, column_type):
+            return self._table.version_index_lookup(version, column, value)
+        keep = conjunct.fn
+        return [row for row in version.rows() if keep(row, ctx) is True]
+
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
         version = self._version(ctx)
         if self.index_probe is not None:
-            column, value_expr = self.index_probe
-            value = value_expr((), ctx)
-            if value is None:
-                return  # col = NULL never matches
-            yield from self._table.version_index_lookup(version, column, value)
+            yield from self._probe_rows(version, ctx)
             return
         if self.prune_checks:
             for chunk in self._chunks(ctx):
@@ -339,11 +355,7 @@ class TableScanPlan(Plan):
         """Yield chunks by slicing the materialised heap directly."""
         version = self._version(ctx)
         if self.index_probe is not None:
-            column, value_expr = self.index_probe
-            value = value_expr((), ctx)
-            if value is None:
-                return  # col = NULL never matches
-            data = self._table.version_index_lookup(version, column, value)
+            data = self._probe_rows(version, ctx)
         elif self.prune_checks:
             for chunk in self._chunks(ctx):
                 yield chunk.rows
@@ -585,11 +597,12 @@ class NestedLoopJoinPlan(Plan):
         """Yield the operator's result rows."""
         right_rows = list(self.right.rows(ctx))
         null_right = (None,) * len(self.right.schema)
+        predicate = None if self.predicate is None else self.predicate.fn
         for left_row in self.left.rows(ctx):
             matched = False
             for right_row in right_rows:
                 combined = left_row + right_row
-                if self.predicate is None or truthy(self.predicate(combined, ctx)):
+                if predicate is None or predicate(combined, ctx) is True:
                     matched = True
                     yield combined
             if not matched and self.kind == "LEFT OUTER":
@@ -1321,17 +1334,18 @@ class FilterPlan(Plan):
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
+        predicate = self.predicate.fn
         for row in self.input.rows(ctx):
-            if truthy(self.predicate(row, ctx)):
+            if predicate(row, ctx) is True:
                 yield row
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks filtered through the vectorized predicate."""
         batch_predicate = self.batch_predicate
         if batch_predicate is None:
-            predicate = self.predicate
+            predicate = self.predicate.fn
             for chunk in self.input.batches(ctx, size):
-                out = [row for row in chunk if truthy(predicate(row, ctx))]
+                out = [row for row in chunk if predicate(row, ctx) is True]
                 if out:
                     yield out
             return
@@ -1389,16 +1403,17 @@ class ProjectPlan(Plan):
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
+        fns = [expr.fn for expr in self.exprs]
         for row in self.input.rows(ctx):
-            yield tuple(expr(row, ctx) for expr in self.exprs)
+            yield tuple([fn(row, ctx) for fn in fns])
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks projected column-wise."""
         batch_exprs = self.batch_exprs
         if batch_exprs is None:
-            exprs = self.exprs
+            fns = [expr.fn for expr in self.exprs]
             for chunk in self.input.batches(ctx, size):
-                yield [tuple(expr(row, ctx) for expr in exprs) for row in chunk]
+                yield [tuple([fn(row, ctx) for fn in fns]) for row in chunk]
             return
         for chunk in self.input.batches(ctx, size):
             if not batch_exprs:

@@ -8,6 +8,7 @@ Three-valued logic is represented with Python ``None`` as SQL NULL.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -144,11 +145,19 @@ EvalFn = Callable[[tuple, EvalContext], object]
 
 @dataclass
 class CompiledExpr:
-    """A compiled expression: an eval closure plus its inferred type."""
+    """A compiled expression: an eval closure plus its inferred type.
+
+    Closures call their children's ``fn`` directly (one Python frame per
+    node per row); ``__call__`` is for callers outside the compiler.
+    ``leaf`` tells a comparison how to read a leaf inline: ``("row", i)``
+    for a column of the layout, ``("const", value)`` for a literal and
+    ``("param", j)`` for a ``?`` marker.
+    """
 
     fn: EvalFn
     type: SqlType | None
     source: ast.Expression
+    leaf: tuple[str, object] | None = None
 
     def __call__(self, row: tuple, ctx: EvalContext) -> object:
         return self.fn(row, ctx)
@@ -343,13 +352,13 @@ class ExpressionCompiler:
     def _compile_literal(self, expr: ast.Literal) -> CompiledExpr:
         value = expr.value
         inferred = None if value is None else infer_type(value)
-        return CompiledExpr(lambda row, ctx: value, inferred, expr)
+        return CompiledExpr(lambda row, ctx: value, inferred, expr, ("const", value))
 
     def _compile_columnref(self, expr: ast.ColumnRef) -> CompiledExpr:
         resolved = self.layout.resolve(expr.qualifier, expr.name)
         if resolved is not None:
             index, slot = resolved
-            return CompiledExpr(lambda row, ctx: row[index], slot.type, expr)
+            return CompiledExpr(lambda row, ctx: row[index], slot.type, expr, ("row", index))
         param = self.params.resolve(expr.qualifier, expr.name)
         if param is not None:
             pindex, ptype = param
@@ -369,7 +378,7 @@ class ExpressionCompiler:
                 )
             return ctx.params[index]
 
-        return CompiledExpr(fetch, None, expr)
+        return CompiledExpr(fetch, None, expr, ("param", index))
 
     def _compile_star(self, expr: ast.Star) -> CompiledExpr:
         raise PlanError("'*' is only valid in a select list or COUNT(*)")
@@ -382,12 +391,13 @@ class ExpressionCompiler:
             return self._compile_logical(expr, op)
         left = self.compile(expr.left)
         right = self.compile(expr.right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self._compile_comparison(expr, op, left, right)
+        if op in _COMPARE_OPS:
+            return CompiledExpr(_comparison(expr, op, left, right), BOOLEAN, expr)
+        left_fn, right_fn = left.fn, right.fn
         if op == "||":
             def concat(row, ctx):
-                a = left(row, ctx)
-                b = right(row, ctx)
+                a = left_fn(row, ctx)
+                b = right_fn(row, ctx)
                 if a is None or b is None:
                     return None
                 return str(a) + str(b)
@@ -397,8 +407,8 @@ class ExpressionCompiler:
             result_type = self._numeric_result(left.type, right.type)
 
             def arith(row, ctx, _op=op):
-                a = left(row, ctx)
-                b = right(row, ctx)
+                a = left_fn(row, ctx)
+                b = right_fn(row, ctx)
                 if a is None or b is None:
                     return None
                 _check_number(a, expr.left)
@@ -431,8 +441,8 @@ class ExpressionCompiler:
             ) from None
 
     def _compile_logical(self, expr: ast.BinaryOp, op: str) -> CompiledExpr:
-        left = self.compile(expr.left)
-        right = self.compile(expr.right)
+        left = self.compile(expr.left).fn
+        right = self.compile(expr.right).fn
         if op == "AND":
 
             def and_(row, ctx):
@@ -461,41 +471,19 @@ class ExpressionCompiler:
 
         return CompiledExpr(or_, BOOLEAN, expr)
 
-    def _compile_comparison(
-        self, expr: ast.BinaryOp, op: str, left: CompiledExpr, right: CompiledExpr
-    ) -> CompiledExpr:
-        def compare(row, ctx):
-            a = left(row, ctx)
-            b = right(row, ctx)
-            if a is None or b is None:
-                return None
-            a, b = _align(a, b, expr)
-            if op == "=":
-                return a == b
-            if op == "<>":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
-
-        return CompiledExpr(compare, BOOLEAN, expr)
-
     def _compile_unaryop(self, expr: ast.UnaryOp) -> CompiledExpr:
         operand = self.compile(expr.operand)
+        operand_fn = operand.fn
         if expr.op.upper() == "NOT":
 
             def not_(row, ctx):
-                value = _as_bool(operand(row, ctx))
+                value = _as_bool(operand_fn(row, ctx))
                 return None if value is None else not value
 
             return CompiledExpr(not_, BOOLEAN, expr)
 
         def negate(row, ctx):
-            value = operand(row, ctx)
+            value = operand_fn(row, ctx)
             if value is None:
                 return None
             _check_number(value, expr.operand)
@@ -506,7 +494,7 @@ class ExpressionCompiler:
     # -- predicates ------------------------------------------------------------------
 
     def _compile_isnull(self, expr: ast.IsNull) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+        operand = self.compile(expr.operand).fn
         negated = expr.negated
 
         def isnull(row, ctx):
@@ -516,9 +504,12 @@ class ExpressionCompiler:
         return CompiledExpr(isnull, BOOLEAN, expr)
 
     def _compile_inlist(self, expr: ast.InList) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        items = [self.compile(i) for i in expr.items]
+        """``x IN (a, b, ...)`` is ``x = a OR x = b OR ...``: the same
+        comparison as ``=``, under three-valued logic."""
+        operand = self.compile(expr.operand).fn
+        items = [self.compile(i).fn for i in expr.items]
         negated = expr.negated
+        eq = operator.eq
 
         def in_list(row, ctx):
             value = operand(row, ctx)
@@ -529,16 +520,14 @@ class ExpressionCompiler:
                 candidate = item(row, ctx)
                 if candidate is None:
                     saw_null = True
-                elif candidate == value:
+                elif _compare_values(eq, value, candidate, expr):
                     return not negated
-            if saw_null:
-                return None
-            return negated
+            return None if saw_null else negated
 
         return CompiledExpr(in_list, BOOLEAN, expr)
 
     def _compile_insubquery(self, expr: ast.InSubquery) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+        operand = self.compile(expr.operand).fn
         runner = self._compile_subquery(expr.subquery)
         negated = expr.negated
 
@@ -596,8 +585,8 @@ class ExpressionCompiler:
         return runtime
 
     def _compile_like(self, expr: ast.Like) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        pattern = self.compile(expr.pattern)
+        operand = self.compile(expr.operand).fn
+        pattern = self.compile(expr.pattern).fn
         negated = expr.negated
         static: re.Pattern | None = None
         if isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str):
@@ -620,32 +609,40 @@ class ExpressionCompiler:
         return CompiledExpr(like, BOOLEAN, expr)
 
     def _compile_between(self, expr: ast.Between) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
+        """``x BETWEEN lo AND hi`` is ``lo <= x AND x <= hi`` with the
+        comparison ``<=`` uses; ``x`` is evaluated once, and ``hi`` only
+        when the low test is not already FALSE."""
+        operand = self.compile(expr.operand).fn
+        low = self.compile(expr.low).fn
+        high = self.compile(expr.high).fn
         negated = expr.negated
+        le = operator.le
 
         def between(row, ctx):
             value = operand(row, ctx)
             lo = low(row, ctx)
+            above = None if value is None or lo is None else _compare_values(le, lo, value, expr)
+            if above is False:
+                return negated
             hi = high(row, ctx)
-            if value is None or lo is None or hi is None:
+            below = None if value is None or hi is None else _compare_values(le, value, hi, expr)
+            if below is False:
+                return negated
+            if above is None or below is None:
                 return None
-            result = lo <= value <= hi
-            return not result if negated else result
+            return not negated
 
         return CompiledExpr(between, BOOLEAN, expr)
 
     def _compile_case(self, expr: ast.Case) -> CompiledExpr:
-        operand = self.compile(expr.operand) if expr.operand is not None else None
-        whens = [
-            (self.compile(w.condition), self.compile(w.result)) for w in expr.whens
-        ]
+        operand = self.compile(expr.operand).fn if expr.operand is not None else None
+        compiled = [(self.compile(w.condition), self.compile(w.result)) for w in expr.whens]
+        whens = [(condition.fn, result.fn) for condition, result in compiled]
         else_result = (
-            self.compile(expr.else_result) if expr.else_result is not None else None
+            self.compile(expr.else_result).fn if expr.else_result is not None else None
         )
         result_type: SqlType | None = None
-        for _, result in whens:
+        for _, result in compiled:
             if result.type is not None:
                 result_type = result.type
                 break
@@ -673,7 +670,7 @@ class ExpressionCompiler:
             raise PlanError(f"cannot cast {operand.type} to {target}")
 
         def cast(row, ctx):
-            value = operand(row, ctx)
+            value = operand.fn(row, ctx)
             source = operand.type if operand.type is not None else (
                 infer_type(value) if value is not None else target
             )
@@ -709,7 +706,7 @@ class ExpressionCompiler:
                 f"function {expr.name} expects {min_args}..{max_args} arguments, "
                 f"got {len(expr.args)}"
             )
-        args = [self.compile(a) for a in expr.args]
+        args = [self.compile(a).fn for a in expr.args]
 
         def call(row, ctx):
             return fn(*[a(row, ctx) for a in args])
@@ -1024,7 +1021,7 @@ class BatchCompiler:
     def _batch_between(self, expr: ast.Between) -> tuple[BatchFn | None, bool]:
         """``operand [NOT] BETWEEN scalar AND scalar`` over a plain
         numeric operand, bounds read once per chunk (gated like
-        :meth:`_compare_scalar`)."""
+        :meth:`_compare_scalar`; a NULL bound runs row-at-a-time)."""
         low, high = self._scalar(expr.low), self._scalar(expr.high)
         if low is None or high is None or not _plain_numeric(self._type_of(expr.operand)):
             return None, False
@@ -1034,8 +1031,6 @@ class BatchCompiler:
 
         def between(chunk, ctx):
             lo, hi = low(ctx), high(ctx)
-            if lo is None or hi is None:
-                return [None] * len(values_of(chunk, ctx))
             if not (_plain_value(lo) and _plain_value(hi)):
                 return per_row(chunk, ctx)
             values = values_of(chunk, ctx)
@@ -1066,24 +1061,37 @@ class BatchCompiler:
         return fn, True
 
     def _batch_inlist(self, expr: ast.InList) -> tuple[BatchFn | None, bool]:
+        """``operand [NOT] IN (scalar, ...)`` as hashed membership, which
+        is row mode's ``=`` for plain numbers (NaN aside) against a plain
+        numeric operand and for pad-stripped strings against a character
+        one; any other binding runs row-at-a-time."""
         scalars = [self._scalar(item) for item in expr.items]
-        if None in scalars:
+        operand_type = self._type_of(expr.operand)
+        if None in scalars or not (
+            _plain_numeric(operand_type)
+            or (operand_type is not None and is_character(operand_type))
+        ):
             return None, False
+        strip = is_character(operand_type)
         operand = self._value(expr.operand)
+        per_row = self._per_row(expr)
         negated = expr.negated
 
         def in_list(chunk, ctx):
-            # Hashed membership is row mode's ``==`` scan for any value
-            # type; an unhashable binding raises into the guard.
             values = [scalar(ctx) for scalar in scalars]
             has_null = None in values
-            members = frozenset(v for v in values if v is not None)
+            members = [v for v in values if v is not None]
+            if strip and all(isinstance(v, str) for v in members):
+                members = frozenset(v.rstrip() for v in members)
+                column = [None if v is None else v.rstrip() for v in operand(chunk, ctx)]
+            elif not strip and all(_plain_value(v) and v == v for v in members):
+                members = frozenset(members)
+                column = operand(chunk, ctx)
+            else:
+                return per_row(chunk, ctx)
             miss = None if has_null else False
             hit, miss = (False, None if has_null else True) if negated else (True, miss)
-            return [
-                None if v is None else (hit if v in members else miss)
-                for v in operand(chunk, ctx)
-            ]
+            return [None if v is None else (hit if v in members else miss) for v in column]
 
         return in_list, True
 
@@ -1230,6 +1238,23 @@ def order_join_compatible(a: SqlType | None, b: SqlType | None) -> bool:
     return True
 
 
+def hash_probe_exact(value: object, column_type: SqlType) -> bool:
+    """True when a hash-index lookup of ``value`` on a numeric column of
+    ``column_type`` (ints, floats, or ints and Decimals for DECIMAL) finds
+    exactly the rows ``col = value`` keeps.  Python's exact ``==`` and
+    ``hash`` are :func:`_align`'s, except that it compares a Decimal with
+    a float through ``Decimal(str(x))`` and that NaN never equals itself
+    while a dict lookup matches it by identity."""
+    kind = type(value)
+    if kind is int:
+        return True
+    if kind is float:
+        return column_type.name != "DECIMAL" and value == value
+    if kind is Decimal:
+        return column_type.name != "DOUBLE" and not value.is_nan()
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Runtime helpers
 # ---------------------------------------------------------------------------
@@ -1248,6 +1273,91 @@ def _check_number(value: object, node: ast.Expression) -> None:
         raise ExecutionError(
             f"expected a numeric value from {node.render()}, got {value!r}"
         )
+
+
+#: The six comparison operators, picked once when a comparison compiles.
+_COMPARE_OPS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compare_values(compare: Callable, a: object, b: object, node: ast.Expression) -> bool:
+    """``compare`` two non-NULL operands with SQL comparison semantics.
+
+    Operands of one exact type ``int`` or ``float`` compare directly and
+    two ``str`` compare pad-stripped, which is what :func:`_align` hands
+    back for them; every other pair goes through :func:`_align`.
+    """
+    kind = type(a)
+    if kind is type(b):
+        if kind is int or kind is float:
+            return compare(a, b)
+        if kind is str:
+            return compare(a.rstrip(), b.rstrip())
+    a, b = _align(a, b, node)
+    return compare(a, b)
+
+
+def _comparison(
+    node: ast.Expression, op: str, left: CompiledExpr, right: CompiledExpr
+) -> EvalFn:
+    """The row closure for ``left <op> right``: :func:`_compare_values`
+    inlined, with the operator function chosen here, once.
+
+    When one side is a column and the other a literal or ``?`` (see
+    :attr:`CompiledExpr.leaf`), the closure reads ``row[i]`` and
+    the constant or ``ctx.params[j]`` itself instead of calling the leaf
+    closures.  A scalar on the left compares through the flipped
+    operator on the fast paths and in the original order through
+    :func:`_align`, so values and error messages are unchanged.
+    """
+    compare = _COMPARE_OPS[op]
+    kinds = (left.leaf and left.leaf[0], right.leaf and right.leaf[0])
+    if kinds in (("row", "const"), ("row", "param")):
+        index, (scalar, value), fast, column_first = left.leaf[1], right.leaf, compare, True
+    elif kinds in (("const", "row"), ("param", "row")):
+        index, (scalar, value) = right.leaf[1], left.leaf
+        fast, column_first = _COMPARE_OPS[_FLIPPED[op]], False
+    else:
+        left_fn, right_fn = left.fn, right.fn
+
+        def compare_general(row, ctx):
+            a = left_fn(row, ctx)
+            b = right_fn(row, ctx)
+            if a is None or b is None:
+                return None
+            return _compare_values(compare, a, b, node)
+
+        return compare_general
+
+    param = value if scalar == "param" else None
+
+    def compare_column(row, ctx):
+        c = row[index]
+        if param is None:
+            s = value
+        else:
+            params = ctx.params
+            if param >= len(params):
+                raise ExecutionError(f"statement parameter ?{param + 1} was not bound")
+            s = params[param]
+        if c is None or s is None:
+            return None
+        kind = type(c)
+        if kind is type(s):
+            if kind is int or kind is float:
+                return fast(c, s)
+            if kind is str:
+                return fast(c.rstrip(), s.rstrip())
+        a, b = _align(c, s, node) if column_first else _align(s, c, node)
+        return compare(a, b)
+
+    return compare_column
 
 
 def _align(a: object, b: object, node: ast.Expression) -> tuple[object, object]:

@@ -853,7 +853,10 @@ class Planner:
 
         Restricted to numeric columns (character comparisons ignore CHAR
         padding, which an exact-match hash probe would not) and one
-        probe per scan.
+        probe per scan.  The probe keeps the conjunct compiled over the
+        scan's own rows: an execution whose bound value would hash
+        differently from how ``=`` compares it filters through that
+        instead (see ``TableScanPlan._probe_rows``).
         """
         from repro.fdbs.pushdown import recombine, split_conjuncts
 
@@ -863,8 +866,7 @@ class Planner:
             if probe is None:
                 remaining.append(conjunct)
                 continue
-            scan, column, value_expr = probe
-            scan.index_probe = (column, value_expr)
+            scan, scan.index_probe = probe
         return recombine(remaining)
 
     def _as_index_probe(self, conjunct, layout, local_scans):
@@ -899,7 +901,8 @@ class Planner:
             value_expr = ExpressionCompiler(RowLayout([]), params=self.params).compile(
                 value
             )
-            return scan, slot.name, value_expr
+            on_scan = ExpressionCompiler(RowLayout(scan.schema), params=self.params)
+            return scan, (slot.name, value_expr, slot.type, on_scan.compile(conjunct))
         return None
 
     def _plan_from_item(

@@ -289,7 +289,15 @@ def _compare_check(op: str, value: object) -> "ZoneCheck | None":
 
 
 def _between_check(negated: bool, low: object, high: object) -> "ZoneCheck | None":
-    """Check for ``col [NOT] BETWEEN low AND high``."""
+    """Check for ``col [NOT] BETWEEN low AND high``.
+
+    ``BETWEEN`` is ``low <= col AND col <= high``, so a NULL bound makes
+    it never TRUE, while ``NOT BETWEEN NULL AND high`` is TRUE exactly
+    where ``col > high`` (and ``NOT BETWEEN low AND NULL`` where
+    ``col < low``).
+    """
+    if negated and (low is None) != (high is None):
+        return _compare_check(">", high) if low is None else _compare_check("<", low)
     if low is None or high is None:
         return _prune_all
     if not (_zone_value(low) and _zone_value(high)):

@@ -12,6 +12,7 @@ import datetime
 import enum
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import Callable
 
 from repro.errors import TypeError_
 
@@ -323,6 +324,42 @@ def coerce_into(value: object, t: SqlType) -> object:
     if implicitly_castable(inferred, t):
         return cast_value(value, inferred, t)
     raise TypeError_(f"value {value!r} ({inferred}) does not fit column type {t}")
+
+
+#: One coercer per SQL type, keyed by the fields that decide equality
+#: (a tuple of plain values hashes far cheaper than the dataclass).
+_COERCERS: dict[tuple, Callable[[object], object]] = {}
+
+
+def coercer(t: SqlType) -> Callable[[object], object]:
+    """``coercer(t)(value)`` is ``coerce_into(value, t)``, made cheap for
+    values that already inhabit ``t``.
+
+    The fast path hands back ``value`` itself when its exact type fits:
+    an in-range ``int`` for the integer types, a ``float`` for DOUBLE, a
+    ``str`` within the length for VARCHAR or of exactly the length for
+    CHAR (``coerce_into`` returns the same object for those).  Anything
+    else, NULL, subclasses and other types included, goes through
+    :func:`coerce_into`.
+    """
+    key = (t.name, t.length, t.precision, t.scale)
+    coerce = _COERCERS.get(key)
+    if coerce is not None:
+        return coerce
+    length = t.length
+    if t.name in _INT_RANGES:
+        low, high = _INT_RANGES[t.name]
+        coerce = lambda v: v if type(v) is int and low <= v <= high else coerce_into(v, t)
+    elif t.name == "DOUBLE":
+        coerce = lambda v: v if type(v) is float else coerce_into(v, t)
+    elif t.name == "VARCHAR" and length is not None:
+        coerce = lambda v: v if type(v) is str and len(v) <= length else coerce_into(v, t)
+    elif t.name == "CHAR" and length is not None:
+        coerce = lambda v: v if type(v) is str and len(v) == length else coerce_into(v, t)
+    else:
+        coerce = lambda v: coerce_into(v, t)
+    _COERCERS[key] = coerce
+    return coerce
 
 
 def infer_type(value: object) -> SqlType:
