@@ -21,7 +21,9 @@
 #  6. optimizer parity (cost-based mode => bit-identical rows across
 #     architectures and execution modes; statistics absent =>
 #     bit-identical rows AND simulated times; join strategies —
-#     hash/merge/indexnlj/nlj — bit-identical rows and times, with the
+#     hash/merge/indexnlj/nlj — bit-identical rows and times; hash
+#     joins onto unbound nicknames equal forced nlj and the syntactic
+#     plan in rows, per-source requests and simulated time, with the
 #     merge-join and adaptive-feedback benchmark gates),
 #  7. columnar parity (row vs batch vs columnar => bit-identical rows
 #     AND simulated times; zone-map pruning on/off => same rows;
@@ -129,7 +131,7 @@ python -m pytest -q -m proc tests/test_process_parity.py \
 
 echo "== optimizer parity (cost-based vs syntactic) =="
 python -m pytest -q tests/test_optimizer_parity.py tests/test_optimizer.py \
-    tests/test_join_strategies.py
+    tests/test_join_strategies.py tests/test_remote_hash_join.py
 
 echo "== optimizer benchmark gate (merge join + adaptive feedback) =="
 python benchmarks/bench_optimizer.py > /dev/null

@@ -410,6 +410,18 @@ class RemoteScanPlan(Plan):
         """Yield the operator's result rows."""
         yield from self.fetcher.fetch(ctx, self.pushed_predicates)
 
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Yield chunks by slicing the fetched row list (the fetch runs
+        at the first chunk, exactly when ``rows`` would run it)."""
+        data = self.fetcher.fetch(ctx, self.pushed_predicates)
+        for start in range(0, len(data), size):
+            yield data[start : start + size]
+
+    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
+        """Yield the fetched slices as row-major column batches."""
+        for chunk in self.batches(ctx, size):
+            yield ColumnBatch(len(chunk), rows=chunk)
+
     def _describe(self) -> str:
         if self.pushed_predicates:
             pushed = " AND ".join(self.pushed_predicates)
@@ -629,12 +641,22 @@ def _join_key_part(value: object) -> object:
 class HashJoinPlan(Plan):
     """INNER / LEFT OUTER equi-join through an in-memory hash table.
 
-    The planner selects this operator (batch mode only) when the ON
-    clause carries at least one hash-compatible equi-conjunct; remaining
-    conjuncts become the ``residual`` predicate, evaluated against the
-    combined row exactly as the nested-loop join would.  Output order
-    matches the nested-loop join: left rows in input order, matching
-    right rows in right-input order.
+    The planner selects this operator for an explicit ``JOIN ... ON``
+    with at least one hash-compatible equi-conjunct (batch and columnar
+    modes), and for a cost-chosen comma join onto a base table or an
+    unbound nickname (every mode).  Remaining ON conjuncts become the
+    ``residual`` predicate, evaluated against the combined row exactly
+    as the nested-loop join would.  Output order matches the
+    nested-loop join: left rows in input order, matching right rows in
+    right-input order.
+
+    An explicit join builds its table first, like
+    :class:`NestedLoopJoinPlan`.  A comma join sets ``lazy_build``: the
+    table is built when the first outer row (or non-empty chunk)
+    arrives and never for an empty outer side, which is exactly when
+    :class:`StaticRightSide` pulls its plan, so a remote build side is
+    fetched at the same simulated time as under the cross-apply fold.
+    The table lives in locals: cached plans are shared across threads.
     """
 
     def __init__(
@@ -664,6 +686,8 @@ class HashJoinPlan(Plan):
         self.batch_left_keys: list[BatchFn] | None = None
         #: Column-batch closures for the left key columns (columnar mode).
         self.columnar_left_keys: list[BatchFn] | None = None
+        #: Build at the first outer row instead of up front (comma joins).
+        self.lazy_build = False
 
     def _build(self, ctx: EvalContext) -> dict[tuple, list[tuple]]:
         """Materialise the right side into key buckets (NULLs never match)."""
@@ -710,19 +734,25 @@ class HashJoinPlan(Plan):
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        table = self._build(ctx)
+        table = None if self.lazy_build else self._build(ctx)
         null_right = (None,) * len(self.right.schema)
         for left_row in self.left.rows(ctx):
+            if table is None:
+                table = self._build(ctx)
             out: list[tuple] = []
             self._probe(left_row, self._left_key(left_row, ctx), table, null_right, ctx, out)
             yield from out
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks by probing the hash table with left chunks."""
-        table = self._build(ctx)
+        table = None if self.lazy_build else self._build(ctx)
         null_right = (None,) * len(self.right.schema)
         batch_keys = self.batch_left_keys
         for chunk in self.left.batches(ctx, size):
+            if table is None:
+                if not chunk:
+                    continue
+                table = self._build(ctx)
             out: list[tuple] = []
             if batch_keys is not None:
                 columns = [fn(chunk, ctx) for fn in batch_keys]
@@ -744,10 +774,14 @@ class HashJoinPlan(Plan):
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Probe with left column batches; key columns are read straight
         from the batch, row tuples materialise only for emitted matches."""
-        table = self._build(ctx)
+        table = None if self.lazy_build else self._build(ctx)
         null_right = (None,) * len(self.right.schema)
         columnar_keys = self.columnar_left_keys
         for batch in self.left.column_batches(ctx, size):
+            if table is None:
+                if not len(batch):
+                    continue
+                table = self._build(ctx)
             out: list[tuple] = []
             left_rows = batch.rows_view()
             if columnar_keys is not None:
@@ -1384,7 +1418,12 @@ class FilterPlan(Plan):
 
 
 class ProjectPlan(Plan):
-    """Computes the select list (plus hidden sort keys, if any)."""
+    """Computes the select list (plus hidden sort keys, if any).
+
+    A projection that reads every input column in order (``SELECT *``
+    over one source) is an identity: ``rows`` then passes the input
+    tuples straight through instead of rebuilding equal ones.
+    """
 
     def __init__(
         self,
@@ -1400,9 +1439,15 @@ class ProjectPlan(Plan):
         self.batch_exprs: list[BatchFn] | None = None
         #: Column-batch closures (columnar mode); one per expression.
         self.columnar_exprs: list[BatchFn] | None = None
+        self._identity = len(exprs) == len(input_plan.schema) and all(
+            expr.leaf == ("row", index) for index, expr in enumerate(exprs)
+        )
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
+        if self._identity:
+            yield from self.input.rows(ctx)
+            return
         fns = [expr.fn for expr in self.exprs]
         for row in self.input.rows(ctx):
             yield tuple([fn(row, ctx) for fn in fns])

@@ -527,9 +527,12 @@ class ExpressionCompiler:
         return CompiledExpr(in_list, BOOLEAN, expr)
 
     def _compile_insubquery(self, expr: ast.InSubquery) -> CompiledExpr:
+        """``x IN (SELECT ...)`` compares each subquery value like ``=``,
+        under three-valued logic (as ``IN`` over a list does)."""
         operand = self.compile(expr.operand).fn
         runner = self._compile_subquery(expr.subquery)
         negated = expr.negated
+        eq = operator.eq
 
         def in_subquery(row, ctx):
             value = operand(row, ctx)
@@ -542,7 +545,7 @@ class ExpressionCompiler:
                     raise ExecutionError("IN subquery must return one column")
                 if candidate[0] is None:
                     saw_null = True
-                elif candidate[0] == value:
+                elif _compare_values(eq, value, candidate[0], expr):
                     return not negated
             if saw_null:
                 return None
@@ -635,7 +638,10 @@ class ExpressionCompiler:
         return CompiledExpr(between, BOOLEAN, expr)
 
     def _compile_case(self, expr: ast.Case) -> CompiledExpr:
+        """Searched and simple ``CASE``; ``CASE x WHEN v`` matches when
+        ``x = v`` is true (so a NULL on either side never matches)."""
         operand = self.compile(expr.operand).fn if expr.operand is not None else None
+        eq = operator.eq
         compiled = [(self.compile(w.condition), self.compile(w.result)) for w in expr.whens]
         whens = [(condition.fn, result.fn) for condition, result in compiled]
         else_result = (
@@ -650,9 +656,11 @@ class ExpressionCompiler:
         def case(row, ctx):
             if operand is not None:
                 needle = operand(row, ctx)
-                for condition, result in whens:
-                    if needle is not None and condition(row, ctx) == needle:
-                        return result(row, ctx)
+                if needle is not None:
+                    for condition, result in whens:
+                        value = condition(row, ctx)
+                        if value is not None and _compare_values(eq, needle, value, expr):
+                            return result(row, ctx)
             else:
                 for condition, result in whens:
                     if _as_bool(condition(row, ctx)) is True:

@@ -83,7 +83,8 @@ JOIN_STRATEGIES = ("auto", "hash", "merge", "indexnlj", "nlj")
 
 @dataclass
 class LocalJoin:
-    """One local join-strategy decision for a comma-joined base table."""
+    """One local join-strategy decision for a comma-joined base table
+    or unbound nickname."""
 
     conjunct: ast.Expression
     """The consumed ``outer.col = inner.col`` equi-conjunct (matched by
@@ -93,7 +94,8 @@ class LocalJoin:
     outer_column: str
     inner_column: str
     strategy: str
-    """``hash`` | ``merge`` | ``indexnlj`` (``nlj`` means no entry)."""
+    """``hash`` | ``merge`` | ``indexnlj`` | ``nlj`` (cross-apply fold
+    step filtered by ``conjunct`` directly above it)."""
 
     est_match_per_key: float
     """Estimated matching inner rows per outer key (card / ndv)."""
@@ -120,7 +122,8 @@ class Decisions:
     """Combined selectivity of the conjuncts evaluated locally."""
 
     local_join: dict[int, LocalJoin] = field(default_factory=dict)
-    """Original index of a comma-joined base table -> join strategy."""
+    """Original index of a comma-joined base table or unbound nickname
+    -> join strategy."""
 
     adaptive_remote: dict[int, BindRemote] = field(default_factory=dict)
     """Original index -> rejected-bind decision armed with the
@@ -200,7 +203,8 @@ def plan_decisions(
         info.index for info in infos if info.kind == "function" and info.deps
     )
     local_join = _choose_local_joins(
-        infos, conjuncts, by_alias, position, consumed, join_strategy, catalog
+        infos, conjuncts, by_alias, position, consumed, join_strategy, catalog,
+        bind_remote, nicknames=adaptive_factor is None,
     )
     adaptive_remote: dict[int, BindRemote] = {}
     if adaptive_factor is not None:
@@ -405,22 +409,43 @@ def _choose_bind_joins(infos, conjuncts, by_alias, position, costs):
 
 
 def _choose_local_joins(
-    infos, conjuncts, by_alias, position, consumed, join_strategy, catalog
+    infos, conjuncts, by_alias, position, consumed, join_strategy, catalog,
+    bind_remote, nicknames: bool = True,
 ) -> dict[int, LocalJoin]:
-    """Price a physical join strategy per comma-joined base table.
+    """Price a physical join strategy per comma-joined base table or
+    unbound nickname.
 
     For every base table placed after at least one other FROM item, the
     first unconsumed orientable equi-conjunct joining it to an
     earlier-placed item is a local-join candidate; the cost model then
     picks the cheapest of nested-loop, hash, merge (sort charged unless
     RUNSTATS saw the key presorted) and index nested-loop (numeric keys
-    only).  Winning conjuncts are appended to ``consumed`` in place so
-    they leave the residual WHERE estimate, exactly like bind joins.
+    only).  A nickname the bind-join pass left unbound is priced the
+    same way but only as nested-loop vs. hash: its ship-all fetch is the
+    same SQL text either way.  Nicknames are skipped when ``nicknames``
+    is False (the adaptive join keeps them) and after any table
+    function, whose per-row clock charges would make a chunked outer
+    side pull the remote source at a different simulated time.
+
+    Winning conjuncts are appended to ``consumed`` in place so they
+    leave the residual WHERE estimate, exactly like bind joins.  When
+    every candidate conjunct stays on nested-loop, the first is still
+    recorded (strategy ``nlj``): the planner filters by it directly
+    above the item's fold step.
     """
     local_join: dict[int, LocalJoin] = {}
+    after_function = False
     for info in sorted(infos, key=lambda item: position[item.index]):
-        if info.kind != "table" or position[info.index] == 0:
+        if info.kind == "function":
+            after_function = True
             continue
+        if position[info.index] == 0:
+            continue
+        if info.kind == "nickname" and (
+            not nicknames or after_function or info.index in bind_remote
+        ):
+            continue
+        fallback = None
         for conjunct in conjuncts:
             if any(conjunct is used for used in consumed):
                 continue
@@ -431,24 +456,23 @@ def _choose_local_joins(
             outer = by_alias[outer_alias]
             if position[outer.index] >= position[info.index]:
                 continue  # outer side not materialised yet
-            choice = _pick_local_strategy(
+            strategy, per_key, sorted_hint = _pick_local_strategy(
                 info, outer, inner_column, outer_column,
                 position, join_strategy, catalog,
             )
-            if choice is None:
-                continue
-            strategy, per_key, sorted_hint = choice
-            local_join[info.index] = LocalJoin(
-                conjunct,
-                outer_alias,
-                outer_column,
-                inner_column,
-                strategy,
-                per_key,
-                sorted_hint,
+            decision = LocalJoin(
+                conjunct, outer_alias, outer_column, inner_column,
+                strategy, per_key, sorted_hint,
             )
-            consumed.append(conjunct)
-            break
+            if strategy != "nlj":
+                break
+            if fallback is None:
+                fallback = decision
+        else:
+            decision = fallback
+        if decision is not None:
+            local_join[info.index] = decision
+            consumed.append(decision.conjunct)
     return local_join
 
 
@@ -459,7 +483,7 @@ def _log2(value: float) -> float:
 def _pick_local_strategy(
     info, outer, inner_column, outer_column, position, join_strategy, catalog
 ):
-    """``(strategy, est_match_per_key, inner_sorted)`` or None (= NLJ).
+    """``(strategy, est_match_per_key, inner_sorted)`` for one candidate.
 
     Cost formulas (units: rows touched; L = outer effective
     cardinality, R = inner cardinality, see DESIGN.md):
@@ -470,42 +494,42 @@ def _pick_local_strategy(
                                            else N x (1 + log2 N)
     * indexnlj  L x (1 + R/ndv) + R        (index build amortised;
                                            numeric key columns only)
+
+    A nickname is offered nlj and hash only; a forced strategy that
+    does not apply leaves the join on nlj.
     """
-    if info.stats is None:
-        return None
     inner_rows = float(info.stats.card)
     column = info.stats.column(inner_column)
     ndv = column.ndv if column is not None and column.ndv > 0 else 0
     per_key = inner_rows / ndv if ndv else inner_rows
     outer_rows = max(outer.eff_card, 1.0)
     inner_sorted = bool(column is not None and column.sorted_asc)
-    # The left input preserves the first-placed table's scan order
-    # (every operator above it is left-major), so merge's outer sort is
-    # free only when the outer is the position-0 table and RUNSTATS saw
-    # its key column presorted.
-    outer_stats = outer.stats.column(outer_column) if outer.stats else None
-    outer_sorted = (
-        outer.kind == "table"
-        and position[outer.index] == 0
-        and bool(outer_stats is not None and outer_stats.sorted_asc)
-    )
     costs = {
         "nlj": outer_rows * inner_rows,
         "hash": outer_rows + 2.0 * inner_rows,
-        "merge": (
+    }
+    if info.kind == "table":
+        # The left input preserves the first-placed table's scan order
+        # (every operator above it is left-major), so merge's outer sort
+        # is free only when the outer is the position-0 table and
+        # RUNSTATS saw its key column presorted.
+        outer_stats = outer.stats.column(outer_column) if outer.stats else None
+        outer_sorted = (
+            outer.kind == "table"
+            and position[outer.index] == 0
+            and bool(outer_stats is not None and outer_stats.sorted_asc)
+        )
+        costs["merge"] = (
             (outer_rows if outer_sorted else outer_rows * (1.0 + _log2(outer_rows)))
             + (inner_rows if inner_sorted else inner_rows * (1.0 + _log2(inner_rows)))
-        ),
-    }
-    if _numeric_table_column(catalog, info.name, inner_column):
-        costs["indexnlj"] = outer_rows * (1.0 + per_key) + inner_rows
+        )
+        if _numeric_table_column(catalog, info.name, inner_column):
+            costs["indexnlj"] = outer_rows * (1.0 + per_key) + inner_rows
     if join_strategy != "auto":
-        if join_strategy == "nlj" or join_strategy not in costs:
-            return None  # forced NLJ, or forced indexnlj on non-numeric keys
-        return join_strategy, per_key, inner_sorted
-    best = min(costs, key=lambda name: (costs[name], name))
-    if best == "nlj":
-        return None
+        # Forced NLJ, or a forced strategy this item cannot run.
+        best = join_strategy if join_strategy in costs else "nlj"
+    else:
+        best = min(costs, key=lambda name: (costs[name], name))
     return best, per_key, inner_sorted
 
 

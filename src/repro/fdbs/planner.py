@@ -491,11 +491,11 @@ class Planner:
             if (
                 bind_built is None
                 and local_spec is not None
+                and local_spec.strategy != "nlj"
                 and isinstance(item, ast.TableRef)
-                and self.catalog.has_table(item.name)
             ):
                 scan = self._plan_table_ref(item)
-                if isinstance(scan, TableScanPlan):
+                if isinstance(scan, (TableScanPlan, RemoteScanPlan)):
                     join_plan = self._try_local_join(plan, layout, scan, local_spec)
                     if join_plan is not None:
                         local_built = (scan, join_plan)
@@ -559,7 +559,12 @@ class Planner:
                 continue
             if local_built is not None:
                 scan, join_plan = local_built
-                if local_spec.strategy in ("hash", "merge"):
+                if isinstance(scan, RemoteScanPlan):
+                    # A hash-joined nickname still ships its pushed-down
+                    # subquery; it is never a local or prunable scan.
+                    for alias in alias_names:
+                        remote_candidates[alias] = scan
+                elif local_spec.strategy in ("hash", "merge"):
                     # Hash and merge joins pull the inner side through
                     # ``scan.rows()``, so index probes and zone checks
                     # still apply.  IndexNLJ bypasses the scan protocol
@@ -613,6 +618,7 @@ class Planner:
                 plan = UdtfBindJoinPlan(plan, right, self.batch_invoker)
             else:
                 plan = CrossApplyPlan(plan, right)
+            outer_est = running_est
             if decisions is not None:
                 item_est = decisions.est_scan.get(original_index)
                 inner = getattr(right, "plan", None)
@@ -628,7 +634,39 @@ class Planner:
                 else:
                     running_est = None
             layout = layout.extend(right_schema)
+            if local_spec is not None:
+                # The join stayed on nested-loop (chosen, forced, or the
+                # chosen operator did not apply): filter by its conjunct
+                # right here, so later items never see the unmatched
+                # cross product.
+                filtered = self._fold_filter(plan, layout, local_spec.conjunct)
+                if filtered is not None:
+                    plan = filtered
+                    consumed.append(local_spec.conjunct)
+                    if running_est is not None and outer_est is not None:
+                        running_est = outer_est * local_spec.est_match_per_key
+                        plan.est_rows = _round_est(running_est)
         return plan, layout, remote_candidates, local_scans, consumed, prunable
+
+    def _fold_filter(
+        self, plan: Plan, layout: RowLayout, conjunct: ast.Expression
+    ) -> FilterPlan | None:
+        """Filter a nested-loop fold step by its join conjunct.
+
+        A lazily pulled inner side further right (a remote fetch) then
+        runs exactly when it would under the other join strategies.
+        None when the conjunct does not compile here; it then stays in
+        the WHERE clause, which reports the error.
+        """
+        compiler = self._compiler(layout)
+        try:
+            predicate = compiler.compile(conjunct)
+        except (PlanError, TypeError_):
+            return None
+        filtered = FilterPlan(plan, predicate, f"Filter(on {conjunct.render()})")
+        filtered.batch_predicate = self._batch(compiler, conjunct)
+        filtered.columnar_predicate = self._columnar(compiler, conjunct)
+        return filtered
 
     def _register_prunable(
         self,
@@ -732,13 +770,18 @@ class Planner:
         self,
         left: Plan,
         layout: RowLayout,
-        scan: TableScanPlan,
+        scan: "TableScanPlan | RemoteScanPlan",
         spec,
     ) -> Plan | None:
         """Build the cost-selected local join operator (hash, merge or
         index nested-loop) when the outer key compiles against the
         running layout and the key types are compatible with the chosen
-        strategy; None falls back to the syntactic cross-apply fold."""
+        strategy; None falls back to the syntactic cross-apply fold.
+
+        A nickname's scan (the optimizer offers it hash only) becomes
+        the build side as is.  The hash join builds when the first outer
+        row arrives, which is when the cross-apply fold would have
+        pulled the remote source."""
         inner_index = None
         for index, slot in enumerate(scan.schema):
             if slot.name.upper() == spec.inner_column.upper():
@@ -795,6 +838,7 @@ class Planner:
         plan = HashJoinPlan(
             left, scan, "INNER", [left_key], [right_key], None, [key_name]
         )
+        plan.lazy_build = True
         plan.batch_left_keys = [BatchCompiler(left_compiler).compile(key_ast)]
         if self.execution_mode == "columnar":
             plan.columnar_left_keys = [
