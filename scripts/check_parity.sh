@@ -28,7 +28,9 @@
 #  7. columnar parity (row vs batch vs columnar => bit-identical rows
 #     AND simulated times; zone-map pruning on/off => same rows;
 #     COW-rebuild, all-NULL and pinned-snapshot edge cases; `?`-bound
-#     predicates identical to their literal-inlined queries),
+#     predicates identical to their literal-inlined queries; columnar
+#     grouped-aggregate and hash-join probe kernels bit-identical to
+#     row mode at chunk sizes 1/3/1024, DOUBLE sums bit for bit),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers),
 #  9. SQL front end (tokens start at their positions, render -> parse
 #     round trips over the battery corpus, exact lexer-error positions,
@@ -163,7 +165,8 @@ print(f"OK: merge join {merge['speedup_wall']}x wall over hash; "
 EOF
 
 echo "== columnar parity (row vs batch vs columnar, zone maps on/off) =="
-python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py
+python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
+    tests/test_columnar_kernels.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py

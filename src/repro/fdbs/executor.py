@@ -20,6 +20,9 @@ the simulated cost accounting.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
+from itertools import chain, repeat
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import ExecutionError
@@ -126,6 +129,50 @@ class SelectionBatch:
             source = self.parent.rows_view()
             rows = [source[index] for index in self.indices]
             self._rows = rows
+        return rows
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.rows_view())
+
+
+class JoinBatch:
+    """One batch of hash-join output, materialised late.
+
+    ``left`` views the probe batch's matched positions, one per output
+    row (the probe batch itself when every row matched once), and
+    ``right`` holds the matching build rows, pair for pair.  A column is
+    gathered only when read, and row tuples are built only on
+    ``rows_view()``.
+    """
+
+    __slots__ = ("left", "right", "width", "count", "_columns", "_rows")
+
+    def __init__(self, left, right: list[tuple], width: int):
+        self.left = left
+        self.right = right
+        self.width = width
+        self.count = len(right)
+        self._columns: dict[int, list] = {}
+        self._rows: list[tuple] | None = None
+
+    def column(self, position: int) -> list:
+        """Values of one output column (left ones through ``left``)."""
+        if position < self.width:
+            return self.left.column(position)
+        column = self._columns.get(position)
+        if column is None:
+            column = list(map(itemgetter(position - self.width), self.right))
+            self._columns[position] = column
+        return column
+
+    def rows_view(self) -> list[tuple]:
+        """The joined rows as tuples (cached)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(map(add, self.left.rows_view(), self.right))
         return rows
 
     def __len__(self) -> int:
@@ -771,35 +818,51 @@ class HashJoinPlan(Plan):
             if out:
                 yield out
 
+    def _probe_keys(self, batch, ctx: EvalContext) -> Iterable:
+        """Normalised key tuples of one left column batch, in row order
+        (None or a tuple holding None where a key is NULL)."""
+        fns = self.columnar_left_keys
+        if fns is None:
+            return [self._left_key(row, ctx) for row in batch]
+        return zip(*[map(_join_key_part, fn(batch, ctx)) for fn in fns])
+
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Probe with left column batches; key columns are read straight
-        from the batch, row tuples materialise only for emitted matches."""
+        """Probe with the key columns of left column batches.
+
+        Without a residual, each batch becomes a :class:`JoinBatch` of
+        (left position, right row) pairs, so row tuples materialise only
+        if a downstream operator asks for them.  A residual join
+        evaluates it against combined rows, as in row mode.
+        """
         table = None if self.lazy_build else self._build(ctx)
         null_right = (None,) * len(self.right.schema)
-        columnar_keys = self.columnar_left_keys
+        unmatched = [null_right] if self.kind == "LEFT OUTER" else ()
+        width = len(self.left.schema)
         for batch in self.left.column_batches(ctx, size):
             if table is None:
                 if not len(batch):
                     continue
                 table = self._build(ctx)
-            out: list[tuple] = []
-            left_rows = batch.rows_view()
-            if columnar_keys is not None:
-                columns = [fn(batch, ctx) for fn in columnar_keys]
-                for index, left_row in enumerate(left_rows):
-                    values = [column[index] for column in columns]
-                    if any(value is None for value in values):
-                        key = None
-                    else:
-                        key = tuple(_join_key_part(value) for value in values)
+            keys = self._probe_keys(batch, ctx)
+            if self.residual is not None:
+                out: list[tuple] = []
+                for left_row, key in zip(batch.rows_view(), keys):
                     self._probe(left_row, key, table, null_right, ctx, out)
-            else:
-                for left_row in left_rows:
-                    self._probe(
-                        left_row, self._left_key(left_row, ctx), table, null_right, ctx, out
-                    )
-            if out:
-                yield ColumnBatch(len(out), rows=out)
+                if out:
+                    yield ColumnBatch(len(out), rows=out)
+                continue
+            # A NULL key misses the table (the build skips NULL keys) and
+            # takes the ``unmatched`` default, like a missing one.
+            buckets = list(map(table.get, keys, repeat(unmatched)))
+            matches = list(chain.from_iterable(buckets))
+            if not matches:
+                continue
+            lengths = list(map(len, buckets))
+            left = batch
+            if lengths.count(1) != len(lengths):
+                positions = chain.from_iterable(map(repeat, range(len(lengths)), lengths))
+                left = SelectionBatch(batch, list(positions))
+            yield JoinBatch(left, matches, width)
 
     def _describe(self) -> str:
         keys = ", ".join(self.key_names) if self.key_names else f"{len(self.left_keys)} key(s)"
@@ -1546,10 +1609,11 @@ class _AggState:
         """Fold a whole chunk of argument values at once.
 
         ``values`` is None for COUNT(*) (``count`` rows, no argument).
-        MIN/MAX and all-integer SUM chunks use the C-level builtins;
-        other sums fold value by value in row order, so float totals
-        are bit-identical to row mode.  Anything the builtins cannot
-        fold (mixed or exotic operand types) falls back to the exact
+        MIN/MAX fold from the running best in row order and all-integer
+        SUM chunks pre-sum, both through the C-level builtins; other
+        sums fold value by value in row order, so float totals are
+        bit-identical to row mode.  Anything the builtins cannot fold
+        (mixed or exotic operand types) falls back to the exact
         per-value path, keeping row-mode semantics.
         """
         if self.spec.arg is None:
@@ -1565,38 +1629,33 @@ class _AggState:
             return
         name = self.spec.name
         try:
-            if name in ("SUM", "AVG"):
+            if name in ("MIN", "MAX"):
+                # ``min``/``max`` keep a candidate unless a later value
+                # compares below/above it, exactly as ``update_value``
+                # does, so a NaN stays where row mode would keep it.
+                fold = min if name == "MIN" else max
+                best = self.best
+                self.best = fold(live if best is None else chain((best,), live))
+            elif name in ("SUM", "AVG"):
                 folded = sum(live)
-                if type(folded) is not int or type(self.total) not in (int, type(None)):
+                total = self.total
+                if len(live) > 1 and type(folded) is int and type(total) in (int, type(None)):
+                    self.total = folded if total is None else total + folded
+                else:
                     # Float addition is not associative: fold in row
                     # order from the running total, as row mode does
                     # (``sum(live, total)`` would not do: from 3.12 it
                     # compensates float rounding).  Only an all-int
-                    # chunk into an int total may be pre-summed.
-                    total = self.total
+                    # chunk into an int total may be pre-summed, and
+                    # not a lone value (a lone BOOLEAN stays a bool).
                     for value in live:
                         total = value if total is None else total + value
                     self.total = total
-                    self.count += len(live)
-                    return
-            elif name == "MIN":
-                folded = min(live)
-            elif name == "MAX":
-                folded = max(live)
-            else:  # COUNT(expr)
-                self.count += len(live)
-                return
         except TypeError:
             for value in live:
                 self.update_value(value)
             return
         self.count += len(live)
-        if name in ("SUM", "AVG"):
-            self.total = folded if self.total is None else self.total + folded
-        elif name == "MIN":
-            self.best = folded if self.best is None or folded < self.best else self.best
-        elif name == "MAX":
-            self.best = folded if self.best is None or folded > self.best else self.best
 
     def result(self) -> object:
         name = self.spec.name
@@ -1605,14 +1664,9 @@ class _AggState:
         if name == "SUM":
             return self.total
         if name == "AVG":
-            if self.count == 0:
-                return None
-            total = self.total
-            if isinstance(total, int):
-                # SQL: AVG over integers keeps integer semantics in DB2;
-                # we return a float for usability and document it.
-                return total / self.count
-            return total / self.count  # type: ignore[operator]
+            # Division, also over integers: DB2 would truncate an integer
+            # AVG, this engine returns the quotient.
+            return None if self.count == 0 else self.total / self.count  # type: ignore[operator]
         if name in ("MIN", "MAX"):
             return self.best
         raise ExecutionError(f"unknown aggregate {name}")  # pragma: no cover
@@ -1663,102 +1717,95 @@ class AggregatePlan(Plan):
         for key in order:
             yield key + tuple(state.result() for state in groups[key])
 
-    def _argument_columns(self, chunk: list[tuple], ctx: EvalContext) -> list[list | None]:
+    def _argument_columns(self, chunk, ctx: EvalContext, columnar: bool) -> list[list | None]:
         """One evaluated value column per aggregate (None for COUNT(*))."""
         columns: list[list | None] = []
         for spec in self.aggregates:
+            fn = spec.columnar_arg if columnar else spec.batch_arg
             if spec.arg is None:
                 columns.append(None)
-            elif spec.batch_arg is not None:
-                columns.append(spec.batch_arg(chunk, ctx))
+            elif fn is not None:
+                columns.append(fn(chunk, ctx))
             else:
-                columns.append([spec.arg(row, ctx) for row in chunk])
+                arg = spec.arg
+                columns.append([arg(row, ctx) for row in chunk])
         return columns
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks of aggregated rows, folding input chunk-wise."""
+    def _group_keys(self, chunk, ctx: EvalContext, columnar: bool) -> list:
+        """Group keys of one chunk: bare values for a single group
+        expression, tuples otherwise."""
+        fns = self.columnar_group if columnar else self.batch_group
+        if fns is None:
+            columns = [[expr(row, ctx) for row in chunk] for expr in self.group_exprs]
+        else:
+            columns = [fn(chunk, ctx) for fn in fns]
+        return columns[0] if len(columns) == 1 else list(zip(*columns))
+
+    def _aggregate(
+        self, chunks: Iterable, ctx: EvalContext, size: int, columnar: bool
+    ) -> Iterator[list[tuple]]:
+        """Aggregate input chunks (row lists or column batches) into
+        chunks of output rows.
+
+        Grouped input is collected, then folded: each row is appended to
+        its group's list (as its argument value, or as its input position
+        when there are several arguments), groups keyed in
+        first-occurrence order; when the input ends, each group folds its
+        values once per aggregate through :meth:`_AggState.update_chunk`.
+        A group thus sees the same values in the same row order as
+        :meth:`rows`, so float sums stay bit-identical, and groups come
+        out in first-occurrence order.
+        """
         if not self.group_exprs:
             states = [spec.new_state() for spec in self.aggregates]
-            for chunk in self.input.batches(ctx, size):
-                columns = self._argument_columns(chunk, ctx)
+            for chunk in chunks:
+                columns = self._argument_columns(chunk, ctx, columnar)
                 for state, column in zip(states, columns):
                     state.update_chunk(column, len(chunk))
             yield [tuple(state.result() for state in states)]
             return
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        batch_group = self.batch_group
-        for chunk in self.input.batches(ctx, size):
-            if batch_group is not None:
-                key_columns = [fn(chunk, ctx) for fn in batch_group]
-                keys = list(zip(*key_columns))
+        # Per group key, in first-occurrence order, its rows' argument
+        # value (one argument) or input positions into ``values`` (none or
+        # several: per-row tuples would cost the collector far more).
+        width = sum(spec.arg is not None for spec in self.aggregates)
+        values: list[list] = [[] for _ in range(width)] if width > 1 else []
+        groups: defaultdict = defaultdict(list)
+        total = 0
+        for chunk in chunks:
+            columns = [c for c in self._argument_columns(chunk, ctx, columnar) if c is not None]
+            if width == 1:
+                items = columns[0]
             else:
-                keys = [
-                    tuple(expr(row, ctx) for expr in self.group_exprs) for row in chunk
-                ]
-            columns = self._argument_columns(chunk, ctx)
-            for index, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.new_state() for spec in self.aggregates]
-                    groups[key] = states
-                    order.append(key)
-                for state, column in zip(states, columns):
-                    state.update_value(column[index] if column is not None else None)
-        out = [key + tuple(state.result() for state in groups[key]) for key in order]
+                items = range(total, total + len(chunk))
+                total += len(chunk)
+                for column, chunk_column in zip(values, columns):
+                    column.extend(chunk_column)
+            for key, item in zip(self._group_keys(chunk, ctx, columnar), items):
+                groups[key].append(item)
+        single = len(self.group_exprs) == 1
+        out = []
+        for key, items in groups.items():
+            if width == 1:
+                arguments = iter([items])
+            else:
+                arguments = iter([list(map(column.__getitem__, items)) for column in values])
+            results = []
+            for spec in self.aggregates:
+                state = spec.new_state()
+                state.update_chunk(None if spec.arg is None else next(arguments), len(items))
+                results.append(state.result())
+            out.append(((key,) if single else key) + tuple(results))
         for start in range(0, len(out), size):
             yield out[start : start + size]
 
-    def _argument_columns_columnar(self, batch, ctx: EvalContext) -> list[list | None]:
-        """Columnar twin of :meth:`_argument_columns`."""
-        columns: list[list | None] = []
-        for spec in self.aggregates:
-            if spec.arg is None:
-                columns.append(None)
-            elif spec.columnar_arg is not None:
-                columns.append(spec.columnar_arg(batch, ctx))
-            else:
-                arg = spec.arg
-                columns.append([arg(row, ctx) for row in batch.rows_view()])
-        return columns
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Yield chunks of aggregated rows, folding input chunk-wise."""
+        yield from self._aggregate(self.input.batches(ctx, size), ctx, size, False)
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Fold input column batches; argument and group-key columns are
         read without materialising input row tuples."""
-        if not self.group_exprs:
-            states = [spec.new_state() for spec in self.aggregates]
-            for batch in self.input.column_batches(ctx, size):
-                columns = self._argument_columns_columnar(batch, ctx)
-                for state, column in zip(states, columns):
-                    state.update_chunk(column, len(batch))
-            yield ColumnBatch(
-                1, rows=[tuple(state.result() for state in states)]
-            )
-            return
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        columnar_group = self.columnar_group
-        for batch in self.input.column_batches(ctx, size):
-            if columnar_group is not None:
-                key_columns = [fn(batch, ctx) for fn in columnar_group]
-                keys = list(zip(*key_columns))
-            else:
-                keys = [
-                    tuple(expr(row, ctx) for expr in self.group_exprs)
-                    for row in batch.rows_view()
-                ]
-            columns = self._argument_columns_columnar(batch, ctx)
-            for index, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.new_state() for spec in self.aggregates]
-                    groups[key] = states
-                    order.append(key)
-                for state, column in zip(states, columns):
-                    state.update_value(column[index] if column is not None else None)
-        out = [key + tuple(state.result() for state in groups[key]) for key in order]
-        for start in range(0, len(out), size):
-            chunk = out[start : start + size]
+        for chunk in self._aggregate(self.input.column_batches(ctx, size), ctx, size, True):
             yield ColumnBatch(len(chunk), rows=chunk)
 
     def _describe(self) -> str:
