@@ -12,7 +12,9 @@
 #  4. concurrency parity (same seeded multi-session workload under 1
 #     worker vs K workers => bit-identical per-session rows and
 #     simulated times; serving layer == bare single-caller stack;
-#     thread-safety regression suite),
+#     thread-safety regression suite; MVCC snapshot isolation and
+#     set-oriented DML: one published version per statement, atomic
+#     statements, end-state key checks, execute_many == row-by-row),
 #  5. process-sharded parity (same workload at 1/2/4 OS worker
 #     processes => bit-identical per-session rows and simulated times
 #     to the bare stack and to thread-mode serving; worker-kill fault
@@ -66,8 +68,8 @@ echo "== concurrency parity + thread-safety regressions =="
 python -m pytest -q tests/test_concurrent_parity.py \
     tests/test_thread_safety_regressions.py
 
-echo "== MVCC snapshot-isolation suite =="
-python -m pytest -q tests/test_mvcc_snapshot_isolation.py
+echo "== MVCC snapshot-isolation + set-oriented DML suites =="
+python -m pytest -q tests/test_mvcc_snapshot_isolation.py tests/test_set_dml.py
 
 echo "== concurrency benchmark parity gate =="
 python benchmarks/bench_concurrency.py > /dev/null

@@ -56,6 +56,16 @@ class LocalFunction:
         return f"{self.name}({inner}) -> ({outer})"
 
 
+def load_table(
+    database: Database, table: str, rows: Sequence[Sequence[object]]
+) -> None:
+    """Load full-width ``rows`` into ``table`` with one set-oriented
+    ``INSERT`` (one statement, one published table version)."""
+    width = len(database.catalog.get_table(table).columns)
+    markers = ", ".join(["?"] * width)
+    database.execute_many(f"INSERT INTO {table} VALUES ({markers})", rows)
+
+
 class ApplicationSystem:
     """Base class of encapsulated application systems."""
 

@@ -14,7 +14,7 @@ Sect. 3).  Exported local functions:
 
 from __future__ import annotations
 
-from repro.appsys.base import ApplicationSystem, LocalFunction
+from repro.appsys.base import ApplicationSystem, LocalFunction, load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.fdbs.engine import Database
 from repro.fdbs.types import INTEGER, VARCHAR
@@ -41,15 +41,12 @@ class ProductDataManagementSystem(ApplicationSystem):
             "CREATE TABLE bom (comp_no INT, sub_comp_no INT, "
             "PRIMARY KEY (comp_no, sub_comp_no))"
         )
-        for component in self._data.components:
-            database.execute(
-                "INSERT INTO components VALUES (?, ?)",
-                params=[component.comp_no, component.name],
-            )
-        for comp_no, sub_comp_no in self._data.bom:
-            database.execute(
-                "INSERT INTO bom VALUES (?, ?)", params=[comp_no, sub_comp_no]
-            )
+        load_table(
+            database,
+            "components",
+            [(c.comp_no, c.name) for c in self._data.components],
+        )
+        load_table(database, "bom", self._data.bom)
         self._register_functions(database)
 
     def _register_functions(self, database: Database) -> None:

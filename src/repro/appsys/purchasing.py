@@ -19,7 +19,7 @@ scenario.  Exported local functions:
 
 from __future__ import annotations
 
-from repro.appsys.base import ApplicationSystem, LocalFunction
+from repro.appsys.base import ApplicationSystem, LocalFunction, load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.fdbs.engine import Database
 from repro.fdbs.types import INTEGER, VARCHAR
@@ -67,16 +67,16 @@ class PurchasingSystem(ApplicationSystem):
             "CREATE TABLE discounts (comp_no INT, supplier_no INT, discount INT, "
             "PRIMARY KEY (comp_no, supplier_no))"
         )
-        for supplier in self._data.suppliers:
-            database.execute(
-                "INSERT INTO suppliers VALUES (?, ?, ?)",
-                params=[supplier.supplier_no, supplier.name, supplier.reliability],
-            )
-        for offer in self._data.discounts:
-            database.execute(
-                "INSERT INTO discounts VALUES (?, ?, ?)",
-                params=[offer.comp_no, offer.supplier_no, offer.discount],
-            )
+        load_table(
+            database,
+            "suppliers",
+            [(s.supplier_no, s.name, s.reliability) for s in self._data.suppliers],
+        )
+        load_table(
+            database,
+            "discounts",
+            [(d.comp_no, d.supplier_no, d.discount) for d in self._data.discounts],
+        )
         self._register_functions(database)
 
     def _register_functions(self, database: Database) -> None:

@@ -19,7 +19,7 @@ Sect. 3).  Exported local functions:
 
 from __future__ import annotations
 
-from repro.appsys.base import ApplicationSystem, LocalFunction
+from repro.appsys.base import ApplicationSystem, LocalFunction, load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.fdbs.engine import Database
 from repro.fdbs.types import INTEGER
@@ -45,16 +45,16 @@ class StockKeepingSystem(ApplicationSystem):
         database.execute(
             "CREATE TABLE supplier_quality (supplier_no INT PRIMARY KEY, qual INT)"
         )
-        for record in self._data.stock:
-            database.execute(
-                "INSERT INTO stock VALUES (?, ?, ?)",
-                params=[record.comp_no, record.supplier_no, record.number],
-            )
-        for supplier in self._data.suppliers:
-            database.execute(
-                "INSERT INTO supplier_quality VALUES (?, ?)",
-                params=[supplier.supplier_no, supplier.quality],
-            )
+        load_table(
+            database,
+            "stock",
+            [(r.comp_no, r.supplier_no, r.number) for r in self._data.stock],
+        )
+        load_table(
+            database,
+            "supplier_quality",
+            [(s.supplier_no, s.quality) for s in self._data.suppliers],
+        )
         self._register_functions(database)
 
     def _register_functions(self, database: Database) -> None:

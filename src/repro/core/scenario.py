@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 
+from repro.appsys.base import load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture, supports
 from repro.core.federated_function import FederatedFunction
@@ -461,59 +462,60 @@ def attach_heterogeneous_sources(fdbs, data: EnterpriseData | None = None, seed:
     )
     reviewers = ["auditor", "field", "panel", None]
     notes = ["prompt", "late", "damaged", "spotless", None, None]
+    rows = []
     for _ in range(120):
         score = (
             None
             if rng.random() < 0.2
             else Decimal(rng.randint(0, 1000)) / Decimal(100)
         )
-        ratings.execute(
-            "INSERT INTO ratings VALUES (?, ?, ?, ?)",
-            params=[
+        rows.append(
+            (
                 rng.choice(supplier_nos),
                 score,
                 rng.choice(reviewers),
                 rng.choice(notes),
-            ],
+            )
         )
+    load_table(ratings, "ratings", rows)
 
     archive = Database("remote-order-archive")
     archive.execute(
         "CREATE TABLE orders_hist (order_no INT PRIMARY KEY, supplier_no INT, "
         "comp_no INT, qty INT, price DECIMAL(8,2))"
     )
+    rows = []
     for order_no in range(1, 241):
         price = (
             None
             if rng.random() < 0.1
             else Decimal(rng.randint(100, 999999)) / Decimal(100)
         )
-        archive.execute(
-            "INSERT INTO orders_hist VALUES (?, ?, ?, ?, ?)",
-            params=[
+        rows.append(
+            (
                 order_no,
                 rng.choice(supplier_nos),
                 rng.choice(data.components).comp_no,
                 rng.randint(1, 500),
                 price,
-            ],
+            )
         )
+    load_table(archive, "orders_hist", rows)
 
     catalog = Database("remote-comp-catalog")
     catalog.execute(
         "CREATE TABLE catalog_comp (comp_no INT PRIMARY KEY, "
         "name VARCHAR(30), weight DECIMAL(7,3))"
     )
+    rows = []
     for component in data.components:
         weight = (
             None
             if rng.random() < 0.1
             else Decimal(rng.randint(1, 500000)) / Decimal(1000)
         )
-        catalog.execute(
-            "INSERT INTO catalog_comp VALUES (?, ?, ?)",
-            params=[component.comp_no, component.name, weight],
-        )
+        rows.append((component.comp_no, component.name, weight))
+    load_table(catalog, "catalog_comp", rows)
 
     remotes = {
         "RATINGS_API": ratings,

@@ -16,7 +16,7 @@ costs.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import (
     CatalogError,
@@ -422,17 +422,21 @@ class Database:
         snapshot isolation); passing ``snapshot`` explicitly lets tests
         and the serving layer hold a statement against an older epoch.
         """
-        with self._stats_lock:
-            self.statements_executed += 1
-        if self.machine is not None:
-            self.machine.ensure_base_services()
-            self.machine.clock.advance(self.machine.costs.fdbs_query_base)
+        self._count_statement()
         statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
         return self._dispatch(
             statement, sql, params or [], trace, snapshot, cached
         )
+
+    def _count_statement(self) -> None:
+        """Count one client statement and charge its base cost."""
+        with self._stats_lock:
+            self.statements_executed += 1
+        if self.machine is not None:
+            self.machine.ensure_base_services()
+            self.machine.clock.advance(self.machine.costs.fdbs_query_base)
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a ';'-separated script; returns one Result per statement."""
@@ -1243,50 +1247,100 @@ class Database:
         snapshot: Snapshot,
     ) -> Result:
         table = self._require_writable_target(statement.table)
-        assert table.storage is not None
-        if statement.columns is not None:
-            positions = [table.column_index(c) for c in statement.columns]
+        positions = self._insert_positions(table, statement)
+        if statement.source is None:
+            incoming = self._values_rows(
+                statement, len(positions), [params], trace, snapshot
+            )
         else:
-            positions = list(range(len(table.columns)))
-
-        if statement.source is not None:
             source_result = self._execute_select(
                 statement.source, params, trace, snapshot
             )
-            incoming = source_result.rows
             width = len(source_result.columns)
-        else:
-            assert statement.rows is not None
-            compiler = ExpressionCompiler(RowLayout([]))
-            ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-            incoming = []
-            width = len(positions)
-            for row_exprs in statement.rows:
-                if len(row_exprs) != len(positions):
-                    raise ExecutionError(
-                        f"INSERT expects {len(positions)} values per row, "
-                        f"got {len(row_exprs)}"
-                    )
-                incoming.append(
-                    tuple(compiler.compile(e)((), ctx) for e in row_exprs)
+            if width != len(positions):
+                raise ExecutionError(
+                    f"INSERT column count {len(positions)} does not match "
+                    f"source width {width}"
                 )
-        if width != len(positions):
+            incoming = source_result.rows
+        return self._insert_rows(table, positions, incoming)
+
+    def execute_many(self, sql: str, param_rows: Iterable[Sequence[object]]) -> Result:
+        """Execute a one-row ``INSERT … VALUES (?, …)`` template once per
+        parameter row, as one statement (DB-API ``executemany``).
+
+        The template is parsed and compiled once; every parameter row is
+        bound and evaluated before one set-oriented insert, so the rows
+        land in one published version or, on any error, not at all.  It
+        is charged as one statement.
+        """
+        self._count_statement()
+        statement, _ = self._parse_cached(sql)
+        if (
+            not isinstance(statement, ast.Insert)
+            or statement.rows is None
+            or len(statement.rows) != 1
+        ):
             raise ExecutionError(
-                f"INSERT column count {len(positions)} does not match source "
-                f"width {width}"
+                "execute_many expects a one-row INSERT ... VALUES template"
             )
-        count = 0
-        # Appends never first-writer-conflict (expected=None): concurrent
-        # inserters interleave safely under the latch, and genuine
-        # collisions surface as the primary-key ConstraintError they are.
-        with table.storage.write_transaction():
+        self._enforce_authorization(statement)
+        table = self._require_writable_target(statement.table)
+        positions = self._insert_positions(table, statement)
+        incoming = self._values_rows(
+            statement, len(positions), param_rows, None, self.pin_snapshot()
+        )
+        return self._insert_rows(table, positions, incoming)
+
+    def _insert_positions(self, table: TableDef, statement: ast.Insert) -> list[int]:
+        if statement.columns is None:
+            return list(range(len(table.columns)))
+        return [table.column_index(c) for c in statement.columns]
+
+    def _values_rows(
+        self,
+        statement: ast.Insert,
+        width: int,
+        param_rows: Iterable[Sequence[object]],
+        trace: TraceRecorder | None,
+        snapshot: Snapshot,
+    ) -> list[tuple]:
+        """Evaluate an INSERT's VALUES rows once per parameter row."""
+        assert statement.rows is not None
+        compiler = ExpressionCompiler(RowLayout([]))
+        compiled = []
+        for row_exprs in statement.rows:
+            if len(row_exprs) != width:
+                raise ExecutionError(
+                    f"INSERT expects {width} values per row, got {len(row_exprs)}"
+                )
+            compiled.append([compiler.compile(e).fn for e in row_exprs])
+        incoming = []
+        for params in param_rows:
+            ctx = EvalContext(params=list(params), trace=trace, snapshot=snapshot)
+            for fns in compiled:
+                incoming.append(tuple([fn((), ctx) for fn in fns]))
+        return incoming
+
+    def _insert_rows(
+        self, table: TableDef, positions: list[int], incoming: list[tuple]
+    ) -> Result:
+        """Scatter evaluated rows into full table rows and insert them
+        with one storage call (one published version)."""
+        assert table.storage is not None
+        if positions != list(range(len(table.columns))):
+            scattered = []
             for incoming_row in incoming:
                 full_row: list[object] = [None] * len(table.columns)
                 for position, value in zip(positions, incoming_row):
                     full_row[position] = value
-                table.storage.insert(full_row, undo=self._undo)
-                count += 1
-        return Result(rowcount=count, statement_type="INSERT")
+                scattered.append(full_row)
+            incoming = scattered
+        # Appends never first-writer-conflict: concurrent inserters
+        # interleave safely under the latch, and genuine collisions
+        # surface as the primary-key ConstraintError they are.
+        table.storage.insert_many(incoming, undo=self._undo)
+        return Result(rowcount=len(incoming), statement_type="INSERT")
 
     def _dml_layout(self, table: TableDef) -> RowLayout:
         return RowLayout(
@@ -1310,10 +1364,11 @@ class Database:
         layout = self._dml_layout(table)
         compiler = ExpressionCompiler(layout, subquery_compiler=self._subquery_for_dml)
         # No snapshot in the DML context: predicate and assignment
-        # evaluation (including subqueries) read the latest published
-        # state so they observe this statement's own earlier writes,
-        # exactly as under the serialized engine.  The pinned snapshot
-        # is the statement's *validation* point, not its read point.
+        # subqueries read the latest published state.  Every new row is
+        # evaluated before the one set-oriented write, so under the
+        # write latch that state is the statement's pinned version: the
+        # statement never reads its own writes.  The pinned snapshot is
+        # the statement's *validation* point (first writer wins).
         ctx = EvalContext(params=params)
         try:
             with self._write_transaction(table.storage, snapshot):
@@ -1326,15 +1381,18 @@ class Database:
                     if statement.where is not None
                     else None
                 )
-                touched: list[tuple[int, tuple]] = []
-                for rid, row in table.storage.scan():
-                    if predicate is None or predicate(row, ctx) is True:
-                        touched.append((rid, row))
+                touched = [
+                    (rid, row)
+                    for rid, row in table.storage.scan()
+                    if predicate is None or predicate(row, ctx) is True
+                ]
+                updates = []
                 for rid, row in touched:
                     new_row = list(row)
                     for position, expr in assignments:
                         new_row[position] = expr(row, ctx)
-                    table.storage.update_rid(rid, new_row, undo=self._undo)
+                    updates.append((rid, new_row))
+                table.storage.update_many(updates, undo=self._undo)
         except WriteConflictError:
             with self._mvcc_lock:
                 self._mvcc["write_conflicts"] += 1
@@ -1361,8 +1419,7 @@ class Database:
                     for rid, row in table.storage.scan()
                     if predicate is None or predicate(row, ctx) is True
                 ]
-                for rid in doomed:
-                    table.storage.delete_rid(rid, undo=self._undo)
+                table.storage.delete_many(doomed, undo=self._undo)
         except WriteConflictError:
             with self._mvcc_lock:
                 self._mvcc["write_conflicts"] += 1

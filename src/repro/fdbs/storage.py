@@ -13,13 +13,17 @@ Concurrency model (MVCC snapshot isolation at statement granularity):
   Readers pin the table's current version **lock-free** (one attribute
   read) and iterate it without ever blocking, or being blocked by,
   writers.
+* Mutations are set-oriented: one call (one DML statement) checks all
+  its rows, then publishes **one** successor version, or nothing if a
+  check fails.  Primary keys are checked against the statement's end
+  state.
 * Inserts are append-only: they extend the current arena in place and
-  publish a successor version whose ``row_limit`` covers the new rid.
+  publish a successor version whose ``row_limit`` covers the new rids.
   A version pinned earlier keeps its smaller ``row_limit`` and simply
-  never sees the appended rows — O(1) per insert, no copying.
-* Updates and deletes build a **copy-on-write successor arena** (rids
-  preserved, tombstones kept) and publish it; versions pinned against
-  the old arena keep reading it untouched.
+  never sees the appended rows — no copying.
+* Updates and deletes build one **copy-on-write successor arena** per
+  call (rids preserved, tombstones kept) and publish it; versions
+  pinned against the old arena keep reading it untouched.
 * All mutations run under the table's **write latch** (a re-entrant
   per-table lock); writers on different tables never contend.  A DML
   statement wraps its mutations in :meth:`Table.write_transaction`,
@@ -31,19 +35,19 @@ Concurrency model (MVCC snapshot isolation at statement granularity):
   the owning database) so a catalog-level snapshot map can advance
   atomically — the short commit-time visibility critical section.
 
-Single-threaded behaviour — rows, rids, constraint errors and their
-ordering — is bit-identical to the pre-MVCC heap.
+Single-threaded behaviour — rows and rids — is bit-identical to the
+pre-MVCC heap.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConstraintError, ExecutionError, WriteConflictError
 from repro.fdbs.catalog import ColumnDef
 from repro.fdbs.stats import zone_bounds
-from repro.fdbs.types import coerce_into
+from repro.fdbs.types import coercer
 
 
 Row = tuple
@@ -151,11 +155,14 @@ class UndoLog:
 class HashIndex:
     """A non-unique hash index over one column position.
 
-    Buckets are rid lists in insertion order.  Within one arena rids are
-    only ever *appended* (removals happen by rebuilding the arena), so a
-    concurrent reader taking ``sorted(bucket)`` sees a consistent
-    prefix; appended rids beyond the reader's ``row_limit`` are filtered
-    by the version doing the lookup.
+    Buckets are rid lists; :meth:`lookup` sorts them, so bucket order
+    never shows.  The current arena's buckets only ever grow (INSERT
+    appends rids); UPDATE, DELETE and their undo remove rids from a
+    statement's copy-on-write clone before it is published, never from
+    an arena a reader may hold.  A concurrent reader taking
+    ``sorted(bucket)`` therefore sees a consistent prefix, and appended
+    rids beyond its ``row_limit`` are filtered by the version doing the
+    lookup.
     """
 
     def __init__(self, position: int):
@@ -166,14 +173,21 @@ class HashIndex:
         """Index one row under its key value."""
         self._buckets.setdefault(row[self.position], []).append(rid)
 
-    def remove(self, rid: int, row: Row) -> None:
-        """Drop one row from its key bucket (rebuild-only; never called
-        on an arena that concurrent readers may hold)."""
-        bucket = self._buckets.get(row[self.position])
-        if bucket is not None and rid in bucket:
-            bucket.remove(rid)
-            if not bucket:
-                del self._buckets[row[self.position]]
+    def remove_many(self, entries: Iterable[tuple[int, Row]]) -> None:
+        """Drop ``(rid, row)`` entries from their key buckets (clone-only;
+        never called on an arena that concurrent readers may hold)."""
+        doomed: dict[object, set[int]] = {}
+        for rid, row in entries:
+            doomed.setdefault(row[self.position], set()).add(rid)
+        for key, rids in doomed.items():
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                continue
+            kept = [rid for rid in bucket if rid not in rids]
+            if kept:
+                self._buckets[key] = kept
+            else:
+                del self._buckets[key]
 
     def lookup(self, value: object) -> list[int]:
         """Rids whose key equals ``value``, in ascending rid order."""
@@ -281,9 +295,9 @@ class TableVersion:
 class Table:
     """One heap table with optional primary key and secondary indexes.
 
-    The public mutation/read API is unchanged from the single-version
-    heap; reads go through the current :class:`TableVersion` and
-    mutations through the write latch.
+    Reads go through the current :class:`TableVersion`; mutations are
+    set-oriented (``insert_many``, ``update_many``, ``delete_many``,
+    each publishing one version) and run under the write latch.
     """
 
     def __init__(
@@ -297,6 +311,7 @@ class Table:
         self.columns = list(columns)
         self.primary_key = [k for k in primary_key]
         self._pk_positions = [self._position(k) for k in self.primary_key]
+        self._coercers = [coercer(column.type) for column in self.columns]
         #: Per-table write latch: every mutation (and a DML statement's
         #: whole write_transaction) holds it; readers never take it.
         self._latch = threading.RLock()
@@ -355,68 +370,176 @@ class Table:
                 f"table {self.name!r} expects {len(self.columns)} values, "
                 f"got {len(values)}"
             )
-        row = []
-        for value, column in zip(values, self.columns):
-            coerced = coerce_into(value, column.type)
-            if coerced is None and column.not_null:
-                raise ConstraintError(
-                    f"column {column.name!r} of table {self.name!r} is NOT NULL"
-                )
-            row.append(coerced)
-        return tuple(row)
+        row = tuple([coerce(value) for coerce, value in zip(self._coercers, values)])
+        if None in row:
+            for value, column in zip(row, self.columns):
+                if value is None and column.not_null:
+                    raise ConstraintError(
+                        f"column {column.name!r} of table {self.name!r} is NOT NULL"
+                    )
+        return row
 
     # -- mutations -------------------------------------------------------------------
+    #
+    # Every mutation is set-oriented: one call checks all its rows first,
+    # then publishes exactly one successor version and records at most
+    # one undo entry.  A failed check publishes nothing.  The single-row
+    # methods are thin wrappers over the set-oriented ones.
 
     def insert(self, values: Sequence[object], undo: UndoLog | None = None) -> int:
-        """Insert one row; returns its rid.
+        """Insert one row; returns its rid (see :meth:`insert_many`)."""
+        return self.insert_many((values,), undo)[0]
 
-        Append-only fast path: the current arena is extended in place
-        and a successor version published; earlier versions keep their
-        smaller ``row_limit`` and never see the new row.
+    def insert_many(
+        self, rows: Iterable[Sequence[object]], undo: UndoLog | None = None
+    ) -> range:
+        """Insert rows as one statement; returns their rids.
+
+        Every row is coerced and its primary key checked (NULL parts,
+        duplicates against the current version and within the batch)
+        before anything is written.  Then the current arena is extended
+        in place and one successor version published: earlier versions
+        keep their smaller ``row_limit`` and never see the new rows.
+        An empty batch publishes nothing.
         """
-        row = self._coerce(values)
         with self._latch:
             current = self._current
             arena = current.arena
-            if self._pk_positions:
-                key = self._pk_key(row)
-                if any(part is None for part in key):
-                    raise ConstraintError(
-                        f"primary key of table {self.name!r} cannot contain NULL"
-                    )
-                existing = arena.pk_index.get(key)
-                if existing is not None and existing < current.row_limit:
-                    raise ConstraintError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
-            rid = current.row_limit
-            arena.rows.append(row)
-            if self._pk_positions:
-                arena.pk_index[self._pk_key(row)] = rid
+            start = current.row_limit
+            coerced = [self._coerce(values) for values in rows]
+            keys = self._checked_keys(coerced, current)
+            count = len(coerced)
+            if not count:
+                return range(start, start)
+            arena.rows.extend(coerced)
+            if keys:
+                arena.pk_index.update(zip(keys, range(start, start + count)))
             for index in arena.indexes.values():
-                index.add(rid, row)
+                for rid, row in enumerate(coerced, start):
+                    index.add(rid, row)
             self._publish(
                 TableVersion(
-                    current.version_id + 1, arena, rid + 1, current.live + 1
+                    current.version_id + 1,
+                    arena,
+                    start + count,
+                    current.live + count,
                 )
             )
         if undo is not None:
-            undo.record(lambda: self._undo_insert(rid))
-        return rid
+            added = [(rid, row, None) for rid, row in enumerate(coerced, start)]
+            undo.record(lambda: self._replace(added, live_delta=-count))
+        return range(start, start + count)
 
-    def _undo_insert(self, rid: int) -> None:
-        row = self._current.row_at(rid)
-        if row is None:  # pragma: no cover - defensive
+    def delete_rid(self, rid: int, undo: UndoLog | None = None) -> None:
+        """Delete the row at ``rid`` (see :meth:`delete_many`)."""
+        self.delete_many((rid,), undo)
+
+    def delete_many(self, rids: Iterable[int], undo: UndoLog | None = None) -> None:
+        """Delete the rows at ``rids`` with one copy-on-write rebuild."""
+        with self._latch:
+            changes = [(rid, self._row_at(rid), None) for rid in rids]
+            self._replace(changes, live_delta=-len(changes))
+        if undo is not None and changes:
+            restore = [(rid, None, old) for rid, old, _ in changes]
+            undo.record(lambda: self._replace(restore, live_delta=len(restore)))
+
+    def update_rid(
+        self, rid: int, values: Sequence[object], undo: UndoLog | None = None
+    ) -> None:
+        """Replace the row at ``rid`` with new values (see
+        :meth:`update_many`)."""
+        self.update_many(((rid, values),), undo)
+
+    def update_many(
+        self,
+        updates: Iterable[tuple[int, Sequence[object]]],
+        undo: UndoLog | None = None,
+    ) -> None:
+        """Replace the rows at the given rids with one copy-on-write rebuild.
+
+        Primary keys are checked against the statement's *end* state:
+        a key may move onto a key another updated row is moving off
+        (``SET k = k + 1``), but two rows may not end on the same key.
+        """
+        with self._latch:
+            changes = [
+                (rid, self._row_at(rid), self._coerce(values))
+                for rid, values in updates
+            ]
+            self._checked_keys(
+                [new for _, _, new in changes],
+                self._current,
+                moving={rid for rid, _, _ in changes},
+            )
+            self._replace(changes, live_delta=0)
+        if undo is not None and changes:
+            revert = [(rid, new, old) for rid, old, new in changes]
+            undo.record(lambda: self._replace(revert, live_delta=0))
+
+    def _checked_keys(
+        self,
+        rows: list[Row],
+        current: TableVersion,
+        moving: frozenset[int] | set[int] = frozenset(),
+    ) -> list[tuple]:
+        """The primary keys of a statement's new ``rows``, checked against
+        its end state: no NULL part, no two rows on one key, and no key
+        held in ``current`` by a row outside ``moving`` (the rids the
+        statement rewrites).  Empty without a primary key."""
+        if not self._pk_positions:
+            return []
+        pk_index = current.arena.pk_index
+        keys = [self._pk_key(row) for row in rows]
+        seen: set[tuple] = set()
+        for key in keys:
+            if None in key:
+                raise ConstraintError(
+                    f"primary key of table {self.name!r} cannot contain NULL"
+                )
+            existing = pk_index.get(key)
+            if key in seen or (
+                existing is not None
+                and existing < current.row_limit
+                and existing not in moving
+            ):
+                raise ConstraintError(
+                    f"duplicate primary key {key!r} in table {self.name!r}"
+                )
+            seen.add(key)
+        return keys
+
+    def _replace(
+        self, changes: list[tuple[int, Row | None, Row | None]], live_delta: int
+    ) -> None:
+        """Publish one copy-on-write successor arena in which each
+        ``(rid, old, new)`` slot holds ``new`` instead of ``old`` (either
+        may be None: an insert or a delete).  No-op for no changes."""
+        if not changes:
             return
-        self._detach(rid, row)
-
-    def _rebuild(self, mutate: Callable[[_Arena], None], live_delta: int) -> None:
-        """Publish a copy-on-write successor arena with ``mutate`` applied."""
         with self._latch:
             current = self._current
             arena = current.arena.copy()
             del arena.rows[current.row_limit :]  # drop rids beyond this version
-            mutate(arena)
+            rows = arena.rows
+            if self._pk_positions:
+                # Drop every old key before adding any new one, so keys
+                # that shift between rows of one statement survive.
+                pk_index = arena.pk_index
+                for _, old, _ in changes:
+                    if old is not None:
+                        pk_index.pop(self._pk_key(old), None)
+                for rid, _, new in changes:
+                    if new is not None:
+                        pk_index[self._pk_key(new)] = rid
+            for index in arena.indexes.values():
+                index.remove_many(
+                    (rid, old) for rid, old, _ in changes if old is not None
+                )
+                for rid, _, new in changes:
+                    if new is not None:
+                        index.add(rid, new)
+            for rid, _, new in changes:
+                rows[rid] = new
             self._publish(
                 TableVersion(
                     current.version_id + 1,
@@ -425,78 +548,6 @@ class Table:
                     current.live + live_delta,
                 )
             )
-
-    def _detach(self, rid: int, row: Row) -> None:
-        def mutate(arena: _Arena) -> None:
-            arena.rows[rid] = None
-            if self._pk_positions:
-                arena.pk_index.pop(self._pk_key(row), None)
-            for index in arena.indexes.values():
-                index.remove(rid, row)
-
-        self._rebuild(mutate, live_delta=-1)
-
-    def _attach(self, rid: int, row: Row) -> None:
-        def mutate(arena: _Arena) -> None:
-            while len(arena.rows) <= rid:  # pragma: no cover - defensive
-                arena.rows.append(None)
-            arena.rows[rid] = row
-            if self._pk_positions:
-                arena.pk_index[self._pk_key(row)] = rid
-            for index in arena.indexes.values():
-                index.add(rid, row)
-
-        self._rebuild(mutate, live_delta=1)
-
-    def delete_rid(self, rid: int, undo: UndoLog | None = None) -> None:
-        """Delete the row at ``rid``."""
-        with self._latch:
-            row = self._row_at(rid)
-            self._detach(rid, row)
-        if undo is not None:
-            undo.record(lambda: self._attach(rid, row))
-
-    def update_rid(
-        self, rid: int, values: Sequence[object], undo: UndoLog | None = None
-    ) -> None:
-        """Replace the row at ``rid`` with new values."""
-        with self._latch:
-            old = self._row_at(rid)
-            new = self._coerce(values)
-            if self._pk_positions:
-                new_key = self._pk_key(new)
-                if any(part is None for part in new_key):
-                    raise ConstraintError(
-                        f"primary key of table {self.name!r} cannot contain NULL"
-                    )
-                current = self._current
-                existing = current.arena.pk_index.get(new_key)
-                if (
-                    existing is not None
-                    and existing < current.row_limit
-                    and existing != rid
-                ):
-                    raise ConstraintError(
-                        f"duplicate primary key {new_key!r} in table {self.name!r}"
-                    )
-
-            def mutate(arena: _Arena) -> None:
-                arena.rows[rid] = new
-                if self._pk_positions:
-                    arena.pk_index.pop(self._pk_key(old), None)
-                    arena.pk_index[self._pk_key(new)] = rid
-                for index in arena.indexes.values():
-                    index.remove(rid, old)
-                    index.add(rid, new)
-
-            self._rebuild(mutate, live_delta=0)
-        if undo is not None:
-
-            def revert() -> None:
-                self._detach(rid, new)
-                self._attach(rid, old)
-
-            undo.record(revert)
 
     def _row_at(self, rid: int) -> Row:
         current = self._current
