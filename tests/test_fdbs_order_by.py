@@ -99,3 +99,31 @@ def test_union_order_by_output_only(db):
         "WHERE relia = 3 ORDER BY name DESC"
     )
     assert result.rows == [("b",), ("a",)]
+
+
+@pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+def test_grouped_order_by_survives_the_first_cache_hit(mode):
+    """Planning rewrote the ORDER BY of a grouped block inside the
+    parsed statement, so the statement cache's first hit, which plans
+    that statement again, lost its hidden aggregate key."""
+    database = Database("ob2", execution_mode=mode)
+    database.execute("CREATE TABLE t (name VARCHAR(10), relia INT, qual INT)")
+    database.execute_many(
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [("a", 3, 9), ("b", 1, 7), ("c", 2, 7), ("d", 2, 1)],
+    )
+    sql = "SELECT qual, COUNT(*) FROM t GROUP BY qual ORDER BY MAX(relia) DESC"
+    runs = [database.execute(sql).rows for _ in range(3)]
+    assert runs == [[(9, 1), (7, 2), (1, 1)]] * 3
+
+
+def test_union_order_by_name_over_a_grouped_first_branch(db):
+    """The first branch's aggregation used to rewrite the union's ORDER
+    BY onto its own synthetic columns (``cannot resolve '$g0'``)."""
+    sql = (
+        "SELECT qual, COUNT(*) AS n FROM t GROUP BY qual "
+        "UNION ALL SELECT relia, 0 FROM t ORDER BY qual, n"
+    )
+    expected = [(1, 0), (1, 1), (2, 0), (2, 0), (3, 0), (7, 2), (9, 1)]
+    assert db.execute(sql).rows == expected
+    assert db.execute(sql).rows == expected
