@@ -37,7 +37,9 @@
 #     mode runs, and a columnar plan pulled through the batch protocol
 #     returns the same rows; ORDER BY equals a comparison-function
 #     reference in every mode, NaN above every number and below NULL;
-#     layout name lookups equal the linear scan),
+#     layout name lookups equal the linear scan; each table version's
+#     column chunks, tail included, are built once and reproduce its
+#     rows and zone maps after any DML),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers),
 #  9. SQL front end (tokens start at their positions, render -> parse
 #     round trips over the battery corpus, exact lexer-error positions,
@@ -173,7 +175,8 @@ EOF
 
 echo "== columnar parity (row vs batch vs columnar, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
-    tests/test_columnar_kernels.py tests/test_compile_once.py
+    tests/test_columnar_kernels.py tests/test_compile_once.py \
+    tests/test_version_chunks.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py

@@ -57,6 +57,11 @@ Row = tuple
 DEFAULT_CHUNK_SIZE = 1024
 
 
+def _live(rows: list[Row | None], start: int, stop: int) -> list[Row]:
+    """The live (non-tombstoned) rows of rids ``[start, stop)``."""
+    return [row for row in rows[start:stop] if row is not None]
+
+
 class ColumnChunk:
     """One chunk of a table's rows in columnar form, with zone maps.
 
@@ -247,13 +252,16 @@ class TableVersion:
     version is published.
     """
 
-    __slots__ = ("version_id", "arena", "row_limit", "live")
+    __slots__ = ("version_id", "arena", "row_limit", "live", "chunks")
 
     def __init__(self, version_id: int, arena: _Arena, row_limit: int, live: int):
         self.version_id = version_id
         self.arena = arena
         self.row_limit = row_limit
         self.live = live
+        #: ``(chunk_size, chunks)`` stored by the first
+        #: :meth:`Table.columnar_chunks` call at that chunk size.
+        self.chunks: tuple[int, list[ColumnChunk]] | None = None
 
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Yield (rid, row) for every live row of this version."""
@@ -579,19 +587,31 @@ class Table:
         path never touches sealed chunks, it merely makes new rid ranges
         eligible for sealing, while a copy-on-write UPDATE/DELETE arena
         starts with an empty cache and rebuilds on first access.  The
-        rid range straddling ``row_limit`` becomes a fresh, uncached
-        tail chunk so versions pinned at different limits never share
-        mutable state.
+        rid range straddling ``row_limit`` becomes the version's own
+        tail chunk, so versions pinned at different limits never share
+        it.
+
+        The first call for a version and chunk size stores the list
+        (shared sealed chunks plus the tail) on the version; every later
+        call returns that same list without taking the latch, so readers
+        of an already-chunked version never block on a writer.  Callers
+        must not mutate it.
 
         Concatenating the chunks' rows reproduces ``version.rows()``
         exactly (live rows in rid order) — the bit-identity anchor for
         the columnar execution mode.
         """
         size = self.chunk_size
+        stored = version.chunks
+        if stored is not None and stored[0] == size:
+            return stored[1]
         arena = version.arena
         width = len(self.columns)
         full = version.row_limit // size
         with self._latch:
+            stored = version.chunks
+            if stored is not None and stored[0] == size:
+                return stored[1]
             state = arena.chunk_state
             if state is None or state[0] != size:
                 if self._chunks_built:
@@ -602,25 +622,16 @@ class Table:
             sealed = state[1]
             while len(sealed) < full:
                 start = len(sealed) * size
-                live = [
-                    row
-                    for row in arena.rows[start : start + size]
-                    if row is not None
-                ]
-                chunk = ColumnChunk(start, live, width)
+                chunk = ColumnChunk(start, _live(arena.rows, start, start + size), width)
                 chunk.seal()
                 self.chunks_sealed += 1
                 sealed.append(chunk)
-        chunks = sealed[:full]
-        tail_start = full * size
-        if tail_start < version.row_limit:
-            live = [
-                row
-                for row in arena.rows[tail_start : version.row_limit]
-                if row is not None
-            ]
-            if live:
-                chunks.append(ColumnChunk(tail_start, live, width))
+            chunks = sealed[:full]
+            tail_start = full * size
+            tail = _live(arena.rows, tail_start, version.row_limit)
+            if tail:
+                chunks.append(ColumnChunk(tail_start, tail, width))
+            version.chunks = (size, chunks)
         return chunks
 
     def lookup_pk(self, key: tuple) -> Row | None:

@@ -306,6 +306,8 @@ def coerce_into(value: object, t: SqlType) -> object:
     if value is None:
         return None
     if python_value_matches(value, t):
+        if isinstance(value, Decimal) and value.is_snan():
+            raise TypeError_(f"signalling NaN {value!r} does not fit column type {t}")
         if t.family is TypeFamily.CHARACTER and t.length is not None:
             text = str(value)
             if len(text) > t.length:

@@ -182,3 +182,39 @@ class TestCoerceAndInfer:
         assert not python_value_matches(True, INTEGER)
         assert not python_value_matches("x", INTEGER)
         assert python_value_matches(1.5, DOUBLE)
+
+
+class TestSignallingNaN:
+    """A signalling-NaN Decimal is rejected on entry with a typed error:
+    stored, it made every later comparison or ORDER BY over its column
+    raise a bare ``decimal.InvalidOperation``."""
+
+    @pytest.mark.parametrize("column_type", [DECIMAL(8, 2), DECIMAL(), DOUBLE])
+    def test_coerce_into_rejects_snan(self, column_type):
+        with pytest.raises(TypeError_, match="signalling NaN"):
+            coerce_into(Decimal("sNaN"), column_type)
+
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
+    def test_insert_of_snan_raises_typed_and_stores_nothing(self, mode):
+        from repro.fdbs.engine import Database
+
+        db = Database("snan", execution_mode=mode)
+        db.execute("CREATE TABLE t (m DECIMAL(8,2), d DOUBLE)")
+        for sql in ("INSERT INTO t VALUES (?, 1.0)", "INSERT INTO t VALUES (1, ?)"):
+            with pytest.raises(TypeError_, match="signalling NaN"):
+                db.execute(sql, (Decimal("sNaN"),))
+        assert db.execute("SELECT m, d FROM t").rows == []
+
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
+    def test_quiet_nan_still_stores_and_sorts(self, mode):
+        from repro.fdbs.engine import Database
+
+        db = Database("qnan", execution_mode=mode)
+        db.execute("CREATE TABLE t (m DECIMAL(8,2))")
+        db.execute_many(
+            "INSERT INTO t VALUES (?)",
+            [(Decimal("NaN"),), (None,), (Decimal("2.50"),), (1,)],
+        )
+        got = [row[0] for row in db.execute("SELECT m FROM t ORDER BY m").rows]
+        assert got[:2] == [1, Decimal("2.50")]
+        assert got[2].is_qnan() and got[3] is None
