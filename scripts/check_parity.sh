@@ -47,7 +47,15 @@
 # 10. row-mode kernels (specialised comparisons equal `_align` plus the
 #     operator, value for value and error for error; cached coercers
 #     equal `coerce_into` in value and type; IN/BETWEEN and index probes
-#     follow `=`/`<=` in every mode under both optimizers).
+#     follow `=`/`<=` in every mode under both optimizers; a `?`-bound
+#     signalling NaN raises the typed entry error in every predicate),
+# 11. WfMS process templates (every hot federated-function call of every
+#     architecture equals the committed golden table in rows, simulated
+#     ms and WfMS audit events; hot calls never validate a process;
+#     build_scenario validates each federated function once; deployed
+#     templates ignore later edits of their definition; container
+#     lookups equal the first-match linear scan; A-UDTF rows are
+#     coerced once and bad rows fail with the same errors).
 #
 # The merge-join wall gate in section 6 times each strategy with the
 # cyclic collector held off (collect, disable, run, re-enable) over
@@ -186,6 +194,10 @@ python -m pytest -q tests/test_sql_frontend.py tests/test_fdbs_lexer.py \
     tests/test_fdbs_parser.py tests/test_property_sql.py
 
 echo "== row-mode kernels =="
-python -m pytest -q tests/test_row_kernels.py
+python -m pytest -q tests/test_row_kernels.py \
+    "tests/test_fdbs_types.py::TestSignallingNaN"
+
+echo "== WfMS process templates and the coupling hot path =="
+python -m pytest -q tests/test_wfms_templates.py
 
 echo "parity checks passed"

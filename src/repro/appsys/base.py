@@ -15,7 +15,7 @@ per-row cost) and, when tracing, accounts under the Fig. 6 step name
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import (
@@ -48,6 +48,14 @@ class LocalFunction:
     mutates: bool = False
     """The function writes the system's private database; invoking it
     invalidates every cached result owned by this system."""
+    arg_coercers: tuple = field(init=False, repr=False, compare=False)
+    """One :func:`~repro.fdbs.types.coercer` per parameter, resolved once."""
+    row_coercers: tuple = field(init=False, repr=False, compare=False)
+    """One coercer per result column, resolved once."""
+
+    def __post_init__(self) -> None:
+        self.arg_coercers = tuple(coercer(t) for _, t in self.params)
+        self.row_coercers = tuple(coercer(t) for _, t in self.returns)
 
     def signature(self) -> str:
         """Human-readable signature text."""
@@ -143,18 +151,16 @@ class ApplicationSystem:
                 f"{self.name}.{function.name} expects {len(function.params)} "
                 f"argument(s), got {len(args)}"
             )
-        coerced = [
-            coercer(param_type)(value)
-            for value, (_, param_type) in zip(args, function.params)
-        ]
+        coerced = [coerce(value) for coerce, value in zip(function.arg_coercers, args)]
         machine = self.machine
-        cache_key = f"{self.name}.{function.name}"
+        cache_key = None
         if (
             machine is not None
             and machine.result_cache.enabled
             and function.deterministic
             and not function.mutates
         ):
+            cache_key = f"{self.name}.{function.name}"
             cached = machine.result_cache.get(
                 machine.result_cache_namespace(), cache_key, tuple(coerced)
             )
@@ -187,7 +193,7 @@ class ApplicationSystem:
         if machine is not None:
             if function.mutates:
                 machine.result_cache.invalidate_owner(self.name)
-            elif function.deterministic:
+            elif cache_key is not None:
                 machine.result_cache.put(
                     machine.result_cache_namespace(),
                     cache_key,
@@ -198,7 +204,7 @@ class ApplicationSystem:
         return rows
 
     def _coerce_rows(self, function: LocalFunction, rows: Sequence[tuple]) -> list[tuple]:
-        coercers = [coercer(column_type) for _, column_type in function.returns]
+        coercers = function.row_coercers
         width = len(coercers)
         coerced: list[tuple] = []
         for row in rows:

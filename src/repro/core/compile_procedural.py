@@ -31,10 +31,12 @@ ProceduralBody = Callable[..., list[tuple]]
 
 
 def compile_procedural(
-    fed: FederatedFunction, resolver: FunctionResolver
+    fed: FederatedFunction, resolver: FunctionResolver, validate: bool = True
 ) -> ProceduralBody:
-    """Compile a federated function into a procedural I-UDTF body."""
-    fed.validate()
+    """Compile a federated function into a procedural I-UDTF body
+    (``validate=False``: the caller has just validated ``fed``)."""
+    if validate:
+        fed.validate()
     graph = fed.mapping
     param_names = [n for n, _ in fed.params]
     order = graph.topological_order()

@@ -67,8 +67,10 @@ class _SqlRenderer:
         fed: FederatedFunction,
         resolver: FunctionResolver,
         param_style: str,  # "qualified" (I-UDTF body) or "marker" (app SQL)
+        validate: bool = True,
     ):
-        fed.validate()
+        if validate:
+            fed.validate()
         self.fed = fed
         self.resolver = resolver
         self.param_style = param_style
@@ -128,9 +130,12 @@ class _SqlRenderer:
         return sql
 
 
-def compile_sql_udtf(fed: FederatedFunction, resolver: FunctionResolver) -> str:
-    """CREATE FUNCTION text for the enhanced SQL UDTF architecture."""
-    renderer = _SqlRenderer(fed, resolver, param_style="qualified")
+def compile_sql_udtf(
+    fed: FederatedFunction, resolver: FunctionResolver, validate: bool = True
+) -> str:
+    """CREATE FUNCTION text for the enhanced SQL UDTF architecture
+    (``validate=False``: the caller has just validated ``fed``)."""
+    renderer = _SqlRenderer(fed, resolver, "qualified", validate)
     body = renderer.render_select()
     params = ", ".join(f"{n} {t.render()}" for n, t in fed.params)
     returns = ", ".join(f"{n} {t.render()}" for n, t in fed.returns)
@@ -141,13 +146,14 @@ def compile_sql_udtf(fed: FederatedFunction, resolver: FunctionResolver) -> str:
 
 
 def compile_simple_select(
-    fed: FederatedFunction, resolver: FunctionResolver
+    fed: FederatedFunction, resolver: FunctionResolver, validate: bool = True
 ) -> tuple[str, list[str]]:
     """The simple-UDTF-architecture application query.
 
     Returns ``(sql, binding_order)``: the SELECT text with ``?`` markers
-    and the federated-parameter name for each marker in order.
+    and the federated-parameter name for each marker in order
+    (``validate=False``: the caller has just validated ``fed``).
     """
-    renderer = _SqlRenderer(fed, resolver, param_style="marker")
+    renderer = _SqlRenderer(fed, resolver, "marker", validate)
     sql = renderer.render_select()
     return sql, renderer.param_order

@@ -54,9 +54,12 @@ def compile_workflow(
     fed: FederatedFunction,
     resolver: FunctionResolver,
     registry: ProgramRegistry,
+    validate: bool = True,
 ) -> ProcessDefinition:
-    """Compile a federated function into a deployable process."""
-    fed.validate()
+    """Compile a federated function into a deployable process
+    (``validate=False``: the caller has just validated ``fed``)."""
+    if validate:
+        fed.validate()
     compiler = _WorkflowCompiler(fed, resolver, registry)
     return compiler.compile()
 

@@ -251,9 +251,11 @@ class MappingGraph:
         return False
 
 
-def classify(graph: MappingGraph) -> HeterogeneityCase:
-    """Derive the paper's heterogeneity case for a mapping graph."""
-    graph.validate()
+def classify(graph: MappingGraph, validate: bool = True) -> HeterogeneityCase:
+    """Derive the paper's heterogeneity case for a mapping graph
+    (``validate=False``: the caller has just validated it)."""
+    if validate:
+        graph.validate()
     if graph.has_loop():
         return HeterogeneityCase.DEPENDENT_CYCLIC
     if len(graph.nodes) == 1:

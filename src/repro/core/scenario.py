@@ -39,6 +39,7 @@ from repro.core.mapping import (
     MappingGraph,
     NodeOutput,
     OutputSpec,
+    classify,
 )
 from repro.core.server import IntegrationServer
 from repro.fdbs.federation import (
@@ -402,14 +403,15 @@ def build_scenario(
     if heterogeneous:
         attach_heterogeneous_sources(server.fdbs, data=server.data)
     scenario = Scenario(server)
-    for fed in scenario_functions():
-        if not supports(architecture, fed.case):
+    for fed in scenario_functions():  # validates each function once
+        case = classify(fed.mapping, validate=False)
+        if not supports(architecture, case):
             scenario.skipped[fed.name.upper()] = (
-                f"{fed.case.value} is not supported by the "
+                f"{case.value} is not supported by the "
                 f"{architecture.value} architecture"
             )
             continue
-        server.deploy(fed)
+        server.deploy(fed, validate=False)
         scenario.functions[fed.name.upper()] = fed
     return scenario
 

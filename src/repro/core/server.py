@@ -138,28 +138,32 @@ class IntegrationServer:
             raise MappingError(f"unknown application system {system!r}") from None
         return appsys.function(function)
 
-    def deploy(self, fed: FederatedFunction) -> None:
+    def deploy(self, fed: FederatedFunction, validate: bool = True) -> None:
         """Compile and register a federated function for the selected
-        architecture.  Raises
+        architecture (``validate=False``: the caller has just validated
+        ``fed``).  Raises
         :class:`~repro.errors.UnsupportedMappingError` where the paper's
         Sect. 3 table says 'not supported'."""
-        fed.validate()
+        if validate:
+            fed.validate()
         if self.architecture is Architecture.WFMS:
-            definition = compile_workflow(fed, self.resolver, self.registry)
+            definition = compile_workflow(
+                fed, self.resolver, self.registry, validate=False
+            )
             self.wfms_wrapper.register_federated_function(
                 definition, fed.params, fed.returns
             )
         elif self.architecture is Architecture.ENHANCED_SQL_UDTF:
-            ddl = compile_sql_udtf(fed, self.resolver)
+            ddl = compile_sql_udtf(fed, self.resolver, validate=False)
             create_sql_iudtf(self.fdbs, ddl)
         elif self.architecture is Architecture.ENHANCED_JAVA_UDTF:
-            body = compile_procedural(fed, self.resolver)
+            body = compile_procedural(fed, self.resolver, validate=False)
             register_procedural_iudtf(
                 self.fdbs, fed.name, fed.params, fed.returns, body
             )
         elif self.architecture is Architecture.SIMPLE_UDTF:
             self._simple_queries[fed.name.upper()] = compile_simple_select(
-                fed, self.resolver
+                fed, self.resolver, validate=False
             )
         else:  # pragma: no cover - enum is closed
             raise MappingError(f"unknown architecture {self.architecture!r}")

@@ -123,6 +123,12 @@ class ExternalTableFunction:
     caching semantics): it only marks the function as eligible for the
     machine-level result cache when that feature is switched on."""
 
+    rows_typed: bool = False
+    """The implementation returns a list of row tuples already coerced
+    into ``returns`` (an A-UDTF whose local function declares the same
+    result types), so the engine skips its own normalisation and
+    coercion pass; it still charges the per-row UDTF overhead."""
+
     kind: str = FunctionKind.EXTERNAL_TABLE
 
 

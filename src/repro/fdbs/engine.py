@@ -69,7 +69,7 @@ from repro.fdbs.storage import (
     TableVersion,
     UndoLog,
 )
-from repro.fdbs.types import coercer
+from repro.fdbs.types import coercer, reject_signalling_nan
 from repro.simtime.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -423,12 +423,12 @@ class Database:
         and the serving layer hold a statement against an older epoch.
         """
         self._count_statement()
+        params = params or []
+        reject_signalling_nan(params)
         statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
-        return self._dispatch(
-            statement, sql, params or [], trace, snapshot, cached
-        )
+        return self._dispatch(statement, sql, params, trace, snapshot, cached)
 
     def _count_statement(self) -> None:
         """Count one client statement and charge its base cost."""
@@ -958,16 +958,21 @@ class Database:
     def _coerce_result_rows(
         self, function: TableFunction, rows: Iterable[tuple]
     ) -> list[tuple]:
-        coercers = [coercer(column.type) for column in function.returns]
-        width = len(coercers)
-        coerced: list[tuple] = []
-        for row in rows:
-            if len(row) != width:
-                raise ExecutionError(
-                    f"function {function.name} declared {width} result "
-                    f"column(s) but produced a row of width {len(row)}"
+        if isinstance(function, ExternalTableFunction) and function.rows_typed:
+            coerced = rows  # already a list of tuples of the declared types
+        else:
+            coercers = [coercer(column.type) for column in function.returns]
+            width = len(coercers)
+            coerced = []
+            for row in rows:
+                if len(row) != width:
+                    raise ExecutionError(
+                        f"function {function.name} declared {width} result "
+                        f"column(s) but produced a row of width {len(row)}"
+                    )
+                coerced.append(
+                    tuple([coerce(value) for coerce, value in zip(coercers, row)])
                 )
-            coerced.append(tuple([coerce(value) for coerce, value in zip(coercers, row)]))
         if self.machine is not None and coerced:
             self.machine.clock.advance(
                 self.machine.costs.udtf_row_overhead * len(coerced)
@@ -1117,6 +1122,8 @@ class Database:
             raise ExecutionError(
                 f"external function {function.name} failed: {exc}"
             ) from exc
+        if function.rows_typed:
+            return result
         return normalize_rows(result, function.name)
 
     def bind_external(
@@ -1127,6 +1134,7 @@ class Database:
         if not isinstance(function, ExternalTableFunction):
             raise CatalogError(f"{name!r} is not an external function")
         function.implementation = implementation
+        function.rows_typed = False
 
     # ------------------------------------------------------------------
     # DDL

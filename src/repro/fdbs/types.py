@@ -12,7 +12,7 @@ import datetime
 import enum
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import TypeError_
 
@@ -326,6 +326,18 @@ def coerce_into(value: object, t: SqlType) -> object:
     if implicitly_castable(inferred, t):
         return cast_value(value, inferred, t)
     raise TypeError_(f"value {value!r} ({inferred}) does not fit column type {t}")
+
+
+def reject_signalling_nan(params: Sequence[object]) -> None:
+    """Raise :class:`TypeError_` for a signalling-NaN ``Decimal`` among a
+    statement's bound parameters, as :func:`coerce_into` does on entry:
+    comparing one would raise a bare ``decimal.InvalidOperation``."""
+    for index, value in enumerate(params):
+        if isinstance(value, Decimal) and value.is_snan():
+            raise TypeError_(
+                f"signalling NaN {value!r} bound to parameter ?{index + 1} "
+                "is not a SQL value"
+            )
 
 
 #: One coercer per SQL type, keyed by the fields that decide equality

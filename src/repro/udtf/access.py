@@ -17,11 +17,19 @@ from repro.fdbs.engine import Database
 def make_access_udtf(
     appsys: ApplicationSystem, function: LocalFunction, name: str | None = None
 ) -> ExternalTableFunction:
-    """Build the A-UDTF for one local function."""
+    """Build the A-UDTF for one local function.
+
+    ``appsys.call`` returns rows coerced into the types of the local
+    function it resolves by name; when those equal the types declared
+    here, the A-UDTF is marked ``rows_typed`` and the FDBS does not
+    coerce its rows a second time.
+    """
 
     def implementation(*args: object):
         return appsys.call(function.name, *args)
 
+    declared = [t for _, t in function.returns]
+    served = [t for _, t in appsys.function(function.name).returns]
     return ExternalTableFunction(
         name=name or function.name,
         params=[FunctionParam(n, t) for n, t in function.params],
@@ -32,6 +40,7 @@ def make_access_udtf(
         implementation=implementation,
         owner_system=appsys.name,
         source_deterministic=function.deterministic and not function.mutates,
+        rows_typed=declared == served,
     )
 
 

@@ -18,6 +18,7 @@ from repro.wfms.engine import WorkflowEngine
 from repro.wfms.instance import ProcessInstance, ProcessState
 from repro.wfms.model import ProcessDefinition
 from repro.wfms.programs import ProgramRegistry
+from repro.wfms.template import ProcessTemplate
 
 
 class WfmsClient:
@@ -27,17 +28,26 @@ class WfmsClient:
         self.machine = machine
         self.registry = registry if registry is not None else ProgramRegistry()
         self.engine = WorkflowEngine(self.registry, machine)
-        self._templates: dict[str, ProcessDefinition] = {}
+        self._templates: dict[str, ProcessTemplate] = {}
 
     # -- deployment ------------------------------------------------------------
 
     def deploy(self, definition: ProcessDefinition) -> None:
-        """Deploy (or replace) a process template."""
-        definition.validate()
-        self._templates[definition.name.upper()] = definition
+        """Deploy (or replace) a process template.
+
+        Like MQSeries Workflow's FDL import, deploying validates the
+        definition once and compiles a private template from it: later
+        edits to ``definition`` do not reach the deployed process until
+        it is deployed again.
+        """
+        self._templates[definition.name.upper()] = ProcessTemplate.build(definition)
 
     def template(self, name: str) -> ProcessDefinition:
-        """Look up a deployed process template by name."""
+        """The deployed process (the template's private snapshot, which
+        callers should treat as read-only) of that name."""
+        return self._template(name).definition
+
+    def _template(self, name: str) -> ProcessTemplate:
         try:
             return self._templates[name.upper()]
         except KeyError:
@@ -45,7 +55,7 @@ class WfmsClient:
 
     def templates(self) -> list[str]:
         """Names of all deployed templates."""
-        return [d.name for d in self._templates.values()]
+        return [t.name for t in self._templates.values()]
 
     # -- execution --------------------------------------------------------------
 
@@ -56,16 +66,16 @@ class WfmsClient:
         trace: TraceRecorder | None = None,
     ) -> ProcessInstance:
         """Start a process instance and navigate it to completion."""
-        definition = self.template(name)
+        template = self._template(name)
         if self.machine is not None:
             self.machine.ensure_wfms()
             with maybe_span(trace, "Start workflows and Java environment"):
                 self.machine.clock.advance(self.machine.costs.wf_env_start)
-                key = definition.name.upper()
+                key = name.upper()
                 if not self.machine.warmth.template_is_hot(key):
                     self.machine.clock.advance(self.machine.costs.wf_template_load)
                     self.machine.warmth.note_template(key)
-        return self.engine.run_process(definition, inputs, trace)
+        return self.engine.run_process(template, inputs, trace)
 
     def run_to_output(
         self,

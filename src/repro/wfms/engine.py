@@ -52,6 +52,7 @@ from repro.wfms.model import (
     ProgramActivity,
 )
 from repro.wfms.programs import ProgramRegistry
+from repro.wfms.template import ActivityStep, ProcessTemplate
 
 
 class WorkflowEngine:
@@ -77,12 +78,20 @@ class WorkflowEngine:
 
     def run_process(
         self,
-        definition: ProcessDefinition,
+        definition: ProcessDefinition | ProcessTemplate,
         inputs: dict[str, object],
         trace: TraceRecorder | None = None,
     ) -> ProcessInstance:
-        """Create and navigate one process instance to completion."""
-        definition.validate()
+        """Create and navigate one process instance to completion.
+
+        A deployed :class:`~repro.wfms.template.ProcessTemplate` runs as
+        is; a raw definition is validated and compiled on every call.
+        """
+        if isinstance(definition, ProcessTemplate):
+            template = definition
+        else:
+            template = ProcessTemplate.build(definition)
+        definition = template.definition
         input_container = definition.input_type.new_container().fill(inputs)
         with self._instances_lock:
             self.processes_run += 1
@@ -97,7 +106,7 @@ class WorkflowEngine:
         instance.start_time = self._now()
         self.audit.record(self._now(), definition.name, "process started")
         try:
-            self._navigate(instance, trace)
+            self._navigate(instance, template, trace)
         except WorkflowError as exc:
             # Any workflow-level failure — a failed activity, but also a
             # container or navigation error — must leave the instance in
@@ -122,21 +131,26 @@ class WorkflowEngine:
     def _now(self) -> float:
         return self.machine.clock.now if self.machine is not None else 0.0
 
-    def _navigate(self, instance: ProcessInstance, trace: TraceRecorder | None) -> None:
-        definition = instance.definition
+    def _navigate(
+        self,
+        instance: ProcessInstance,
+        template: ProcessTemplate,
+        trace: TraceRecorder | None,
+    ) -> None:
+        name = template.name
+        activities = instance.activities
         parallel = self.machine is not None and not self.machine.clock.capturing
         t0 = self._now()
         finish_times: dict[str, float] = {}
 
-        order = definition.topological_order()
-        durations: dict[str, float] = {}
-        for activity in order:
+        for step in template.steps:
+            activity = step.activity
             ai = ActivityInstance(activity.name)
-            instance.activities[activity.name.upper()] = ai
-            if self._on_dead_path(instance, activity):
+            activities[step.key] = ai
+            if step.inbound and self._on_dead_path(activities, step):
                 ai.state = ActivityState.SKIPPED
                 self.audit.record(
-                    self._now(), definition.name, "activity skipped", activity.name
+                    self._now(), name, "activity skipped", activity.name
                 )
                 continue
 
@@ -145,35 +159,30 @@ class WorkflowEngine:
                 self._charge(self._nav_cost())
             ai.input = self._build_input(instance, activity)
             ai.state = ActivityState.RUNNING
-            self.audit.record(
-                self._now(), definition.name, "activity started", activity.name
-            )
+            self.audit.record(self._now(), name, "activity started", activity.name)
             try:
-                output, cost = self._execute_activity(activity, ai)
+                output, cost = self._execute_activity(step, ai)
             except ActivityFailedError as exc:
-                output, cost = self._forward_recover(
-                    instance, activity, ai, trace, exc
-                )
+                output, cost = self._forward_recover(instance, step, ai, trace, exc)
             ai.output = output
             ai.state = ActivityState.FINISHED
-            durations[activity.name.upper()] = cost
 
             if parallel:
                 start = t0
-                for connector in definition.predecessors(activity.name):
-                    pred = instance.activity(connector.source)
+                for source_key, _ in step.inbound:
+                    pred = activities[source_key]
                     if pred.state is ActivityState.FINISHED:
                         assert pred.finish_time is not None
                         start = max(start, pred.finish_time)
                 ai.start_time = start
                 ai.finish_time = start + cost
-                finish_times[activity.name.upper()] = ai.finish_time
+                finish_times[step.key] = ai.finish_time
             else:
                 ai.start_time = self._now() - cost
                 ai.finish_time = self._now()
             self.audit.record(
                 ai.finish_time if ai.finish_time is not None else self._now(),
-                definition.name,
+                name,
                 "activity finished",
                 activity.name,
             )
@@ -192,7 +201,7 @@ class WorkflowEngine:
     def _forward_recover(
         self,
         instance: ProcessInstance,
-        activity: Activity,
+        step: ActivityStep,
         ai: ActivityInstance,
         trace: TraceRecorder | None,
         exc: ActivityFailedError,
@@ -206,6 +215,7 @@ class WorkflowEngine:
         statement.  When forward recovery is off — the default — the
         failure propagates exactly as before.
         """
+        activity = step.activity
         machine = self.machine
         if (
             machine is not None
@@ -224,7 +234,7 @@ class WorkflowEngine:
                     detail=f"restart {restart} from input container",
                 )
                 try:
-                    output, cost = self._execute_activity(activity, ai)
+                    output, cost = self._execute_activity(step, ai)
                 except ActivityFailedError as retry_exc:
                     exc = retry_exc
                     continue
@@ -248,26 +258,24 @@ class WorkflowEngine:
         if self.machine is not None and amount:
             self.machine.clock.advance(amount)
 
-    def _on_dead_path(self, instance: ProcessInstance, activity: Activity) -> bool:
-        """Whether the activity sits on a dead path.
+    def _on_dead_path(
+        self, activities: dict[str, ActivityInstance], step: ActivityStep
+    ) -> bool:
+        """Whether an activity with inbound connectors sits on a dead path.
 
         AND-join (default): any dead inbound connector kills it.
         OR-join: it runs as long as at least one inbound path is alive —
-        the merge side of conditional routing.
+        the merge side of conditional routing.  Sources precede their
+        targets in the template's order, so each has its instance.
         """
-        connectors = instance.definition.predecessors(activity.name)
-        if not connectors:
-            return False
         alive = 0
-        for connector in connectors:
-            source = instance.activity(connector.source)
+        for source_key, condition in step.inbound:
+            source = activities[source_key]
             dead = source.state in (ActivityState.SKIPPED, ActivityState.FAILED)
-            if not dead and connector.condition is not None:
-                dead = source.output is None or not connector.condition.evaluate(
-                    source.output
-                )
+            if not dead and condition is not None:
+                dead = source.output is None or not condition.evaluate(source.output)
             if dead:
-                if activity.join == "AND":
+                if step.activity.join == "AND":
                     return True
             else:
                 alive += 1
@@ -345,25 +353,27 @@ class WorkflowEngine:
     # ------------------------------------------------------------------
 
     def _execute_activity(
-        self, activity: Activity, ai: ActivityInstance
+        self, step: ActivityStep, ai: ActivityInstance
     ) -> tuple[Container, float]:
         """Run one activity; returns (output container, virtual cost)."""
         assert ai.input is not None
+        activity = step.activity
         if self.machine is None:
-            outputs = self._run_body(activity, ai)
+            outputs = self._run_body(step, ai)
             return self._as_output(activity, outputs), 0.0
         clock = self.machine.clock
         if clock.capturing:
             # Nested (inside a block iteration): charge straight through.
             before = clock.capture_total()
-            outputs = self._run_body(activity, ai)
+            outputs = self._run_body(step, ai)
             return self._as_output(activity, outputs), clock.capture_total() - before
         with clock.capture() as captured:
-            outputs = self._run_body(activity, ai)
+            outputs = self._run_body(step, ai)
         return self._as_output(activity, outputs), captured.total
 
-    def _run_body(self, activity: Activity, ai: ActivityInstance) -> dict[str, object]:
+    def _run_body(self, step: ActivityStep, ai: ActivityInstance) -> dict[str, object]:
         assert ai.input is not None
+        activity = step.activity
         inputs = ai.input.as_dict()
         if ai.input.attachments:
             inputs.update(ai.input.attachments)
@@ -449,7 +459,7 @@ class WorkflowEngine:
             helper = self.registry.helper(activity.helper)
             return self._invoke(helper, activity.name, inputs)
         if isinstance(activity, BlockActivity):
-            return self._run_block(activity, ai, inputs)
+            return self._run_block(step, ai, inputs)
         raise NavigationError(f"unsupported activity kind {type(activity).__name__}")
 
     def _invoke(self, fn, activity_name: str, inputs: dict[str, object]) -> dict[str, object]:
@@ -461,17 +471,18 @@ class WorkflowEngine:
             raise ActivityFailedError(activity_name, exc) from exc
 
     def _run_block(
-        self, activity: BlockActivity, ai: ActivityInstance, inputs: dict[str, object]
+        self, step: ActivityStep, ai: ActivityInstance, inputs: dict[str, object]
     ) -> dict[str, object]:
-        """Do-until loop: iterate the sub-process until the condition
-        holds on its output (at least one iteration)."""
-        assert activity.subprocess is not None
+        """Do-until loop: iterate the sub-process template until the
+        condition holds on its output (at least one iteration)."""
+        activity = step.activity
+        assert isinstance(activity, BlockActivity) and step.sub is not None
         sub_inputs = dict(inputs)
         last_output: Container | None = None
         collected: list[tuple] = []
         iterations = 0
         while True:
-            sub_instance = self.run_process(activity.subprocess, sub_inputs)
+            sub_instance = self.run_process(step.sub, sub_inputs)
             iterations += 1
             last_output = sub_instance.output
             assert last_output is not None

@@ -22,15 +22,42 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 from repro.errors import ContainerError, ProcessDefinitionError
-from repro.fdbs.types import SqlType, coerce_into
+from repro.fdbs.types import SqlType, coercer
 
 
 @dataclass(frozen=True)
 class ContainerType:
-    """A typed record schema: ordered (name, type) members."""
+    """A typed record schema: ordered (name, type) members.
+
+    Member names are case-insensitive and the first declared member of
+    a name wins.  One name -> (storage key, type, coercer) map is built
+    with the type, so every member lookup is a dict read.
+    """
 
     name: str
     members: tuple[tuple[str, SqlType], ...]
+
+    def __post_init__(self) -> None:
+        lookup: dict[str, tuple[str, SqlType, Callable[[object], object]]] = {}
+        for member_name, member_type in self.members:
+            key = member_name.upper()
+            lookup.setdefault(key, (key, member_type, coercer(member_type)))
+        # Exact-case aliases let the usual spelling skip ``upper()``.
+        for member_name, _ in self.members:
+            lookup.setdefault(member_name, lookup[member_name.upper()])
+        object.__setattr__(self, "_lookup", lookup)
+
+    def __reduce__(self):
+        # The map holds closures; rebuild it on unpickling instead.
+        return (ContainerType, (self.name, self.members))
+
+    def _entry(self, name: str) -> tuple[str, SqlType, Callable[[object], object]]:
+        entry = self._lookup.get(name) or self._lookup.get(name.upper())
+        if entry is None:
+            raise ContainerError(
+                f"container type {self.name!r} has no member {name!r}"
+            )
+        return entry
 
     def member_names(self) -> list[str]:
         """Member names in declaration order."""
@@ -38,18 +65,11 @@ class ContainerType:
 
     def member_type(self, name: str) -> SqlType:
         """The declared type of a member (raises if unknown)."""
-        target = name.upper()
-        for member_name, member_type in self.members:
-            if member_name.upper() == target:
-                return member_type
-        raise ContainerError(
-            f"container type {self.name!r} has no member {name!r}"
-        )
+        return self._entry(name)[1]
 
     def has_member(self, name: str) -> bool:
         """True if a member of that name is declared."""
-        target = name.upper()
-        return any(m.upper() == target for m, _ in self.members)
+        return name in self._lookup or name.upper() in self._lookup
 
     def new_container(self) -> "Container":
         """A fresh, empty container of this type."""
@@ -71,18 +91,18 @@ class Container:
 
     def set(self, name: str, value: object) -> None:
         """Assign a member (value coerced into the member type)."""
-        member_type = self.type.member_type(name)
-        self._values[name.upper()] = coerce_into(value, member_type)
+        key, _, coerce = self.type._entry(name)
+        self._values[key] = coerce(value)
 
     def get(self, name: str) -> object:
         """Read a member (raises ContainerError when unset)."""
-        self.type.member_type(name)  # validate the member exists
-        key = name.upper()
-        if key not in self._values:
+        key = self.type._entry(name)[0]
+        try:
+            return self._values[key]
+        except KeyError:
             raise ContainerError(
                 f"member {name!r} of container {self.type.name!r} is unset"
-            )
-        return self._values[key]
+            ) from None
 
     def is_set(self, name: str) -> bool:
         """True if the member has been assigned."""
@@ -327,11 +347,6 @@ class ProcessDefinition:
         """True if an activity of that name exists."""
         target = name.upper()
         return any(a.name.upper() == target for a in self.activities)
-
-    def predecessors(self, name: str) -> list[ControlConnector]:
-        """Inbound control connectors of an activity."""
-        target = name.upper()
-        return [c for c in self.connectors if c.target.upper() == target]
 
     def successors(self, name: str) -> list[ControlConnector]:
         """Outbound control connectors of an activity."""

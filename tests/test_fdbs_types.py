@@ -218,3 +218,40 @@ class TestSignallingNaN:
         got = [row[0] for row in db.execute("SELECT m FROM t ORDER BY m").rows]
         assert got[:2] == [1, Decimal("2.50")]
         assert got[2].is_qnan() and got[3] is None
+
+    PREDICATES = [
+        "SELECT m FROM t WHERE m = ?",
+        "SELECT m FROM t WHERE m < ?",
+        "SELECT d FROM t WHERE d > ?",
+        "SELECT m FROM t WHERE m IN (?, 1)",
+        "SELECT d FROM t WHERE d IN (2.0, ?)",
+        "SELECT m FROM t WHERE m BETWEEN ? AND 5",
+        "SELECT d FROM t WHERE d BETWEEN 0 AND ?",
+        "SELECT m FROM t WHERE m IS NULL OR m = ?",
+    ]
+
+    @staticmethod
+    def nan_table(mode):
+        from repro.fdbs.engine import Database
+
+        db = Database("snan-pred", execution_mode=mode)
+        db.execute("CREATE TABLE t (m DECIMAL(8,2), d DOUBLE)")
+        db.execute_many(
+            "INSERT INTO t VALUES (?, ?)",
+            [(1, 1.0), (Decimal("NaN"), float("nan")), (Decimal("2.0"), 2.0)],
+        )
+        return db
+
+    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("sql", PREDICATES)
+    def test_bound_snan_in_predicate_raises_typed(self, mode, sql):
+        db = self.nan_table(mode)
+        with pytest.raises(TypeError_, match="signalling NaN"):
+            db.execute(sql, [Decimal("sNaN")])
+
+    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    def test_bound_quiet_nan_keeps_equality_semantics(self, mode):
+        db = self.nan_table(mode)
+        assert db.execute("SELECT m FROM t WHERE m = ?", [Decimal("NaN")]).rows == []
+        got = db.execute("SELECT m FROM t WHERE m <> ? ORDER BY m", [Decimal("NaN")]).rows
+        assert got[:2] == [(1,), (Decimal("2.0"),)] and got[2][0].is_qnan()
