@@ -19,7 +19,10 @@
 #     processes => bit-identical per-session rows and simulated times
 #     to the bare stack and to thread-mode serving; worker-kill fault
 #     battery; battery-through-serving differential slice; serving
-#     teardown/accounting regressions; wire + hash-ring unit suite),
+#     teardown/accounting regressions; wire + hash-ring unit suite;
+#     session templates: sessions stamped one after another from one
+#     template, threads or shards, equal bare builds in rows and
+#     per-call simulated ms, and shared parsed statements never change),
 #  6. optimizer parity (cost-based mode => bit-identical rows across
 #     architectures and execution modes; statistics absent =>
 #     bit-identical rows AND simulated times; join strategies —
@@ -144,9 +147,11 @@ print(f"OK: process scaling gate holds; speedup by shards: {proc_speedup}")
 EOF
 
 echo "== process-sharded parity + fault battery + serving regressions =="
-python -m pytest -q tests/test_serving_wire.py tests/test_serving_shutdown.py
+python -m pytest -q tests/test_serving_wire.py tests/test_serving_shutdown.py \
+    tests/test_session_template.py
 python -m pytest -q -m proc tests/test_process_parity.py \
-    tests/test_process_faults.py tests/sql_battery/test_battery_serving.py
+    tests/test_process_faults.py tests/sql_battery/test_battery_serving.py \
+    tests/test_session_template.py
 
 echo "== optimizer parity (cost-based vs syntactic) =="
 python -m pytest -q tests/test_optimizer_parity.py tests/test_optimizer.py \

@@ -15,6 +15,7 @@ per-row cost) and, when tracing, accounts under the Fig. 6 step name
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +27,7 @@ from repro.errors import (
 )
 from repro.fdbs.engine import Database
 from repro.fdbs.functions import normalize_rows
+from repro.fdbs.session import ParseMap
 from repro.fdbs.types import SqlType, coercer
 from repro.simtime.trace import TraceRecorder, maybe_span
 from repro.sysmodel.faults import SITE_LOCAL_FUNCTION
@@ -92,7 +94,38 @@ class ApplicationSystem:
     # -- subclass hooks ------------------------------------------------------------
 
     def _populate(self, database: Database) -> None:
-        """Create and fill the private schema (subclass hook)."""
+        """Create and fill the private schema, then export the local
+        functions through :meth:`_register_functions` (subclass hook)."""
+
+    def _register_functions(self, database: Database) -> None:
+        """Export the local functions, bound to ``database`` (subclass
+        hook; :meth:`fork` calls it for the copied database)."""
+
+    def fork(
+        self, machine: Machine | None = None, parses: ParseMap | None = None
+    ) -> "ApplicationSystem":
+        """A system of the same kind on ``machine``, over a private copy
+        of this one's loaded tables.
+
+        It holds what constructing the system again would, without the
+        load: each table is copied (see
+        :meth:`~repro.fdbs.engine.Database.copy_table`) and the local
+        functions are registered again against the copy.  The new
+        private database reads statements from ``parses``.  Writes
+        through either system never reach the other.
+        """
+        clone = copy.copy(self)
+        database = Database(f"{self.name}-internal", machine=None, parses=parses)
+        for table in self._db().catalog.tables():
+            database.copy_table(table)
+        clone.machine = machine
+        clone._ApplicationSystem__database = database  # type: ignore[attr-defined]
+        clone._functions = {}
+        clone.call_count = 0
+        if machine is not None:
+            machine.register_appsys(clone.name)
+        clone._register_functions(database)
+        return clone
 
     # -- encapsulation --------------------------------------------------------------
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import Callable
 
-from repro.appsys.base import load_table
+from repro.appsys.base import ApplicationSystem, load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture, supports
 from repro.core.federated_function import FederatedFunction
@@ -49,9 +50,11 @@ from repro.fdbs.federation import (
     DatabaseEndpoint,
     SourceProfile,
 )
+from repro.fdbs.session import ParseMap
 from repro.fdbs.types import BIGINT, INTEGER, VARCHAR
 from repro.simtime.costs import CostModel
 from repro.simtime.rng import JitterSource
+from repro.sysmodel.machine import Machine
 
 
 def scenario_functions() -> list[FederatedFunction]:
@@ -374,6 +377,9 @@ def build_scenario(
     optimizer: str = "syntactic",
     chunk_size: int | None = None,
     heterogeneous: bool = False,
+    system_factories: list[Callable[[Machine], ApplicationSystem]] | None = None,
+    parses: ParseMap | None = None,
+    functions: list[FederatedFunction] | None = None,
 ) -> Scenario:
     """Stand up an integration server and deploy every federated
     function the architecture supports; unsupported ones (the cyclic
@@ -386,7 +392,11 @@ def build_scenario(
     ``"cost"``); ``chunk_size`` overrides the FDBS rows-per-chunk knob
     for batch/columnar execution; ``heterogeneous`` additionally
     federates the three heterogeneous source profiles (see
-    :func:`attach_heterogeneous_sources`)."""
+    :func:`attach_heterogeneous_sources`); ``system_factories`` and
+    ``parses`` go to :class:`~repro.core.server.IntegrationServer`, and
+    ``functions`` replaces a fresh :func:`scenario_functions` list (the
+    serving layer's session templates pass forked application systems,
+    their shared parse map and one validated list, never mutated)."""
     server = IntegrationServer(
         architecture,
         costs=costs,
@@ -397,13 +407,17 @@ def build_scenario(
         result_cache=result_cache,
         optimizer=optimizer,
         chunk_size=chunk_size,
+        system_factories=system_factories,
+        parses=parses,
     )
     if faults:
         server.configure_faults(**faults)
     if heterogeneous:
         attach_heterogeneous_sources(server.fdbs, data=server.data)
     scenario = Scenario(server)
-    for fed in scenario_functions():  # validates each function once
+    if functions is None:
+        functions = scenario_functions()  # validates each function once
+    for fed in functions:
         case = classify(fed.mapping, validate=False)
         if not supports(architecture, case):
             scenario.skipped[fed.name.upper()] = (
@@ -457,7 +471,7 @@ def attach_heterogeneous_sources(fdbs, data: EnterpriseData | None = None, seed:
     rng = random.Random(seed)
     supplier_nos = [supplier.supplier_no for supplier in data.suppliers]
 
-    ratings = Database("remote-ratings-api")
+    ratings = Database("remote-ratings-api", parses=fdbs.parses)
     ratings.execute(
         "CREATE TABLE ratings (supplier_no INT, score DECIMAL(6,2), "
         "reviewer VARCHAR(12), note VARCHAR(20))"
@@ -481,7 +495,7 @@ def attach_heterogeneous_sources(fdbs, data: EnterpriseData | None = None, seed:
         )
     load_table(ratings, "ratings", rows)
 
-    archive = Database("remote-order-archive")
+    archive = Database("remote-order-archive", parses=fdbs.parses)
     archive.execute(
         "CREATE TABLE orders_hist (order_no INT PRIMARY KEY, supplier_no INT, "
         "comp_no INT, qty INT, price DECIMAL(8,2))"
@@ -504,7 +518,7 @@ def attach_heterogeneous_sources(fdbs, data: EnterpriseData | None = None, seed:
         )
     load_table(archive, "orders_hist", rows)
 
-    catalog = Database("remote-comp-catalog")
+    catalog = Database("remote-comp-catalog", parses=fdbs.parses)
     catalog.execute(
         "CREATE TABLE catalog_comp (comp_no INT PRIMARY KEY, "
         "name VARCHAR(30), weight DECIMAL(7,3))"

@@ -25,6 +25,7 @@ from repro.core.compile_workflow import compile_workflow, program_id
 from repro.core.federated_function import FederatedFunction
 from repro.errors import MappingError
 from repro.fdbs.engine import Database
+from repro.fdbs.session import ParseMap
 from repro.simtime.costs import CostModel
 from repro.simtime.rng import JitterSource
 from repro.simtime.trace import TraceRecorder
@@ -37,6 +38,18 @@ from repro.wfms.programs import LocalFunctionProgram, ProgramRegistry
 from repro.wrapper.med import MedRegistry
 from repro.wrapper.udtf_runtime import FencedFunctionRuntime
 from repro.wrapper.wfms_wrapper import WfmsWrapper
+
+
+def scenario_systems(
+    machine: Machine | None, data: EnterpriseData
+) -> list[ApplicationSystem]:
+    """The purchasing scenario's three application systems, loaded with
+    ``data``, in the order the server registers them."""
+    return [
+        StockKeepingSystem(machine, data),
+        PurchasingSystem(machine, data),
+        ProductDataManagementSystem(machine, data),
+    ]
 
 
 class IntegrationServer:
@@ -54,6 +67,7 @@ class IntegrationServer:
         result_cache: bool = False,
         optimizer: str = "syntactic",
         chunk_size: int | None = None,
+        parses: ParseMap | None = None,
     ):
         """``system_factories`` replaces the paper's three application
         systems with custom ones (each factory receives the machine);
@@ -63,7 +77,8 @@ class IntegrationServer:
         configuration).  ``optimizer`` selects the FDBS planning mode
         (``"syntactic"`` or the RUNSTATS-fed ``"cost"``); ``chunk_size``
         overrides the FDBS rows-per-chunk knob for batch/columnar
-        execution."""
+        execution; ``parses`` is a parse map the FDBS shares with other
+        databases (see :class:`~repro.fdbs.session.ParseMap`)."""
         self.architecture = architecture
         self.machine = Machine(
             costs=costs, controller_enabled=controller_enabled, jitter=jitter
@@ -73,17 +88,17 @@ class IntegrationServer:
 
         # Bottom tier: the encapsulated application systems.
         if system_factories is None:
-            self.stock = StockKeepingSystem(self.machine, self.data)
-            self.purchasing = PurchasingSystem(self.machine, self.data)
-            self.pdm = ProductDataManagementSystem(self.machine, self.data)
-            systems: list[ApplicationSystem] = [
-                self.stock, self.purchasing, self.pdm
-            ]
+            systems = scenario_systems(self.machine, self.data)
         else:
             systems = [factory(self.machine) for factory in system_factories]
         self.systems: dict[str, ApplicationSystem] = {
             system.name: system for system in systems
         }
+        # The scenario trio by attribute (None where a factory list
+        # leaves one out).
+        self.stock = self.systems.get("stock")
+        self.purchasing = self.systems.get("purchasing")
+        self.pdm = self.systems.get("pdm")
 
         # Middle tier: FDBS with the fenced runtime.
         self.fdbs = Database(
@@ -93,6 +108,7 @@ class IntegrationServer:
             result_cache=result_cache,
             optimizer=optimizer,
             chunk_size=chunk_size,
+            parses=parses,
         )
         self.fdbs.function_runtime = FencedFunctionRuntime(self.fdbs, self.machine)
 

@@ -61,7 +61,7 @@ from repro.fdbs.functions import normalize_rows
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.planner import Planner
 from repro.fdbs.procedures import ProcedureInterpreter
-from repro.fdbs.session import CachedStatement, Result, StatementCache
+from repro.fdbs.session import CachedStatement, ParseMap, Result, StatementCache
 from repro.fdbs.storage import (
     DEFAULT_CHUNK_SIZE,
     Snapshot,
@@ -148,11 +148,15 @@ class Database:
         result_cache: bool = False,
         optimizer: str = "syntactic",
         chunk_size: int | None = None,
+        parses: ParseMap | None = None,
     ):
         self.name = name
         self.machine = machine
         self.catalog = Catalog()
         self.statement_cache = StatementCache()
+        #: Shared text -> AST map consulted on a statement-cache miss
+        #: (None: parse every miss here; see ParseMap).
+        self.parses = parses
         self.catalog.runtime_stats_provider = self.runtime_stats
         if machine is not None:
             # The machine-attached database is the integration FDBS: its
@@ -616,7 +620,9 @@ class Database:
         again under the same :meth:`_plan_namespace`) may keep a plan.
         The simulated plan-compile charge is keyed separately, by the
         bare statement text: its warmth survives namespace changes, so
-        switching modes or settings never re-charges it.
+        switching modes or settings never re-charges it.  The parse on a
+        miss goes through :meth:`parse`, so a shared parse map saves the
+        wall-clock parse but never that charge.
         """
         namespace = self._plan_namespace()
         cached = self.statement_cache.get(sql, namespace=namespace)
@@ -627,11 +633,17 @@ class Database:
             if not self.machine.warmth.statement_is_hot(key):
                 self.machine.clock.advance(self.machine.costs.plan_compile)
                 self.machine.warmth.note_statement(key)
-        statement = parse_statement(sql)
+        statement = self.parse(sql)
         self.statement_cache.put(
             sql, CachedStatement(statement), namespace=namespace
         )
         return statement, None
+
+    def parse(self, sql: str) -> ast.Statement:
+        """Parse one statement, through the shared parse map if the
+        database has one (the AST may then be shared: never mutate it)."""
+        parses = self.parses
+        return parse_statement(sql) if parses is None else parses.parse(sql)
 
     def set_current_user(self, name: str) -> None:
         """Switch the session user (must exist; SYSTEM is built in)."""
@@ -1165,6 +1177,20 @@ class Database:
         self._track_storage(table.storage)
         self._invalidate_plans()
         return Result(statement_type="CREATE TABLE")
+
+    def copy_table(self, table: TableDef) -> None:
+        """Create ``table`` (another database's) here, rows included.
+
+        The new table starts from a private copy of the source's current
+        version (:meth:`~repro.fdbs.storage.Table.fork`), as though its
+        CREATE TABLE and load had run here; later writes on either side
+        stay on that side."""
+        storage = table.storage.fork()
+        self.catalog.add_table(
+            TableDef(table.name, list(table.columns), list(table.primary_key), storage)
+        )
+        self._track_storage(storage)
+        self._invalidate_plans()
 
     def _execute_create_sql_function(self, statement: ast.CreateSqlFunction) -> Result:
         function = SqlTableFunction(

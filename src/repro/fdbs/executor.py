@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from decimal import InvalidOperation
 from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -1601,9 +1602,15 @@ class _AggState:
         if name in ("SUM", "AVG"):
             self.total = value if self.total is None else self.total + value
         elif name == "MIN":
-            self.best = value if self.best is None or value < self.best else self.best
+            try:
+                self.best = value if self.best is None or value < self.best else self.best
+            except InvalidOperation:  # a Decimal NaN compares false, as over DOUBLE
+                pass
         elif name == "MAX":
-            self.best = value if self.best is None or value > self.best else self.best
+            try:
+                self.best = value if self.best is None or value > self.best else self.best
+            except InvalidOperation:
+                pass
 
     def update_chunk(self, values: list | None, count: int) -> None:
         """Fold a whole chunk of argument values at once.
@@ -1651,7 +1658,7 @@ class _AggState:
                     for value in live:
                         total = value if total is None else total + value
                     self.total = total
-        except TypeError:
+        except (TypeError, InvalidOperation):
             for value in live:
                 self.update_value(value)
             return

@@ -1420,7 +1420,12 @@ def _align(a: object, b: object, node: ast.Expression) -> tuple[object, object]:
     numeric_b = isinstance(b, (int, float, Decimal))
     if numeric_a and numeric_b:
         if isinstance(a, Decimal) or isinstance(b, Decimal):
-            return Decimal(str(a)), Decimal(str(b))
+            a, b = Decimal(str(a)), Decimal(str(b))
+            if a.is_nan() or b.is_nan():
+                # Decimal raises on ordering a NaN; as floats, every
+                # comparison is false but <>, as it is over DOUBLE.
+                return float(a), float(b)
+            return a, b
         return a, b
     if isinstance(a, str) and isinstance(b, str):
         # CHAR padding is ignored in comparisons, DB2-style.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import ExecutionError
+from repro.fdbs.parser import parse_statement
 
 
 @dataclass
@@ -172,3 +173,42 @@ class StatementCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class ParseMap:
+    """A bounded text -> parsed-statement map that databases share.
+
+    A :class:`~repro.fdbs.engine.Database` given one asks it for the AST
+    of each statement text its own :class:`StatementCache` misses, so
+    databases built alike (the session servers of one serving worker)
+    parse each text once between them.  Statements are never mutated
+    after parsing, so one AST may serve any number of databases and
+    threads.  Only wall-clock time changes: the simulated plan-compile
+    charge and the cache counters stay with each database.
+
+    Lookups are lock-free dict reads; stores take a lock.  Past
+    ``capacity`` texts the oldest stored text is dropped, so a stream of
+    one-off statements cannot grow the map without bound.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("parse map capacity must be positive")
+        self.capacity = capacity
+        self._statements: dict[str, object] = {}
+        self._lock = threading.Lock()
+
+    def parse(self, sql: str) -> object:
+        """The parsed statement for ``sql``, parsing it on a miss."""
+        statement = self._statements.get(sql)
+        if statement is None:
+            statement = parse_statement(sql)
+            with self._lock:
+                if sql not in self._statements:
+                    if len(self._statements) >= self.capacity:
+                        del self._statements[next(iter(self._statements))]
+                    self._statements[sql] = statement
+        return statement
+
+    def __len__(self) -> int:
+        return len(self._statements)

@@ -24,6 +24,7 @@ systems — until EXPLAIN ANALYZE observes the drift and records a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import InvalidOperation
 from typing import Sequence
 
 from repro.fdbs.catalog import ColumnDef
@@ -79,7 +80,7 @@ def zone_bounds(
         return None, None, nulls
     try:
         return min(live), max(live), nulls
-    except TypeError:  # mixed/unorderable values: bounds unknown
+    except (TypeError, InvalidOperation):  # unorderable, or a Decimal NaN
         return None, None, nulls
 
 
@@ -107,7 +108,7 @@ def collect_stats(
                     if previous is not None and value < previous:
                         ordered = False
                     previous = value
-                except TypeError:  # unorderable mix: not sorted
+                except (TypeError, InvalidOperation):  # unorderable: not sorted
                     ordered = False
             try:
                 distinct.add(value)
@@ -121,7 +122,7 @@ def collect_stats(
                     low = value
                 if high is None or value > high:
                     high = value
-            except TypeError:  # mixed/unorderable values: drop min/max
+            except (TypeError, InvalidOperation):  # unorderable: drop min/max
                 comparable = False
                 low = high = None
         stats.columns[column.name.upper()] = ColumnStats(

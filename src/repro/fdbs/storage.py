@@ -337,6 +337,23 @@ class Table:
         self.chunks_sealed = 0
         self._chunks_built = False
 
+    def fork(self) -> "Table":
+        """A new table of this schema over a private copy of the current
+        version: the arena copied (see :meth:`_Arena.copy`) and cut at
+        the version's ``row_limit``.  It holds what creating the table
+        and loading the same rows would, without coercing and key-checking
+        each row again; writes to either table never reach the other."""
+        with self._latch:
+            current = self._current
+            arena = current.arena.copy()
+        del arena.rows[current.row_limit :]
+        clone = Table(self.name, self.columns, self.primary_key, self.chunk_size)
+        clone._current = TableVersion(
+            current.version_id, arena, current.row_limit, current.live
+        )
+        clone.versions_published = self.versions_published
+        return clone
+
     # -- version plumbing ------------------------------------------------------------
 
     @property

@@ -15,9 +15,12 @@ of the single-caller :class:`~repro.core.server.IntegrationServer`:
   benchmark and the stress/parity suites;
 * :class:`~repro.serving.router.ShardedIntegrationServer` — the
   scale-out mode: sessions consistent-hashed onto N OS worker
-  processes (:mod:`~repro.serving.shard`), each building isolated
+  processes (:mod:`~repro.serving.shard`), each stamping isolated
   per-session shards, framed over the wire protocol of
-  :mod:`~repro.serving.wire` with crash detection and respawn.
+  :mod:`~repro.serving.wire` with crash detection and respawn;
+* :class:`~repro.serving.template.SessionTemplate` — the per-worker
+  template isolated session servers are stamped from (shared parses,
+  application systems loaded once).
 """
 
 from repro.serving.hashring import ConsistentHashRing
@@ -29,7 +32,7 @@ from repro.serving.server import (
     WorkloadRunResult,
 )
 from repro.serving.session import CallRecord, ClientSession
-from repro.serving.shard import ShardConfig
+from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import (
     SessionScript,
     WorkloadCall,
@@ -45,6 +48,7 @@ __all__ = [
     "ConsistentHashRing",
     "SessionManager",
     "SessionScript",
+    "SessionTemplate",
     "ShardConfig",
     "ShardedIntegrationServer",
     "WorkloadCall",

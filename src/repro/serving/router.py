@@ -47,7 +47,8 @@ from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError, WireProtocolError
 from repro.serving.hashring import DEFAULT_REPLICAS, ConsistentHashRing
 from repro.serving.server import AdmissionController, WorkloadRunResult
-from repro.serving.shard import ShardConfig, shard_worker_main
+from repro.serving.shard import shard_worker_main
+from repro.serving.template import ShardConfig
 from repro.serving.wire import (
     Hello,
     Pong,

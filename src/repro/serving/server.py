@@ -15,12 +15,13 @@ Two sharing modes:
 
 ``"isolated"`` (default)
     Every session gets its *own* integration-server shard (own machine,
-    own virtual clock, pools, caches, fault injector) built over one
-    shared read-only :class:`~repro.appsys.datagen.EnterpriseData`.
-    Each application system copies the enterprise data into its private
-    database at construction, so concurrent shards never touch shared
-    mutable state.  Because a session's simulated time depends only on
-    its own call sequence, per-session results and simulated times are
+    own virtual clock, pools, caches, fault injector), stamped from the
+    server's :class:`~repro.serving.template.SessionTemplate`.  Each
+    shard's application systems work on private copies of the template's
+    loaded tables, and parsed statements are never mutated, so
+    concurrent shards never touch shared mutable state.  Because a
+    session's simulated time depends only on its own call sequence,
+    per-session results and simulated times are
     **bit-identical for any worker count** — the concurrency parity
     gate relies on this.
 
@@ -43,10 +44,10 @@ from dataclasses import dataclass, field
 
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture
-from repro.core.scenario import build_scenario
 from repro.core.server import IntegrationServer
 from repro.errors import AdmissionError, ServingError
 from repro.serving.session import ClientSession, SessionSummary
+from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import SessionScript
 from repro.simtime.costs import CostModel
 
@@ -271,27 +272,31 @@ class ConcurrentIntegrationServer:
             )
         self.workers = workers
         self.mode = mode
-        self.pooling = pooling
-        self.result_cache = result_cache
-        self.costs = costs
-        self.controller_enabled = controller_enabled
-        self.optimizer = optimizer
-        #: Attach the three heterogeneous source profiles to every shard
-        #: (the battery-through-serving suite needs the nicknames).
-        self.heterogeneous = heterogeneous
-        #: Execution mode applied to every shard after setup (None keeps
-        #: the engine default); ``setup_sql`` statements run on each
-        #: fresh shard before its script — DDL, loads, RUNSTATS.
-        self.execution_mode = execution_mode
-        self.setup_sql = tuple(setup_sql)
-        #: Real wall-clock seconds per RMI hop (simulated time is never
-        #: touched); 0.0 keeps wall-clock behaviour identical to a
-        #: server without the knob.  See Machine.configure_wall_latency.
-        self.rmi_wall_latency_s = rmi_wall_latency_s
         # One read-only enterprise universe shared by every shard: each
         # application system copies it into its private database, so the
         # shared object is never mutated after generation.
         self.data = data if data is not None else generate_enterprise_data()
+        #: Stamps every session server.  ``heterogeneous`` attaches the
+        #: three heterogeneous source profiles (the battery-through-
+        #: serving suite needs the nicknames); ``setup_sql`` runs on each
+        #: fresh server before its script, then ``execution_mode`` (None
+        #: keeps the engine default) is applied.  ``rmi_wall_latency_s``
+        #: is real wall-clock seconds per RMI hop (simulated time is never
+        #: touched; see Machine.configure_wall_latency).
+        self.template = SessionTemplate(
+            ShardConfig(
+                data=self.data,
+                costs=costs,
+                controller_enabled=controller_enabled,
+                pooling=pooling,
+                result_cache=result_cache,
+                optimizer=optimizer,
+                heterogeneous=heterogeneous,
+                execution_mode=execution_mode,
+                rmi_wall_latency_s=rmi_wall_latency_s,
+                setup_sql=tuple(setup_sql),
+            )
+        )
         self.sessions = SessionManager(max_sessions=max_sessions)
         self.admission = AdmissionController(
             capacity=workers,
@@ -308,46 +313,12 @@ class ConcurrentIntegrationServer:
 
     # -- session plumbing ---------------------------------------------------
 
-    def _build_isolated_server(
-        self, architecture: Architecture, faults: dict | None
-    ) -> IntegrationServer:
-        scenario = build_scenario(
-            architecture,
-            costs=self.costs,
-            controller_enabled=self.controller_enabled,
-            data=self.data,
-            pooling=self.pooling,
-            result_cache=self.result_cache,
-            faults=faults,
-            optimizer=self.optimizer,
-            heterogeneous=self.heterogeneous,
-        )
-        self._prepare_server(scenario.server)
-        return scenario.server
-
-    def _prepare_server(self, server: IntegrationServer) -> None:
-        """Apply the serving-level knobs to a freshly built server."""
-        server.machine.configure_wall_latency(self.rmi_wall_latency_s)
-        for statement in self.setup_sql:
-            server.fdbs.execute(statement)
-        if self.execution_mode is not None:
-            server.fdbs.set_execution_mode(self.execution_mode)
-
     def _shared_server(self, architecture: Architecture) -> IntegrationServer:
         with self._shared_lock:
             if architecture not in self._shared_servers:
-                scenario = build_scenario(
-                    architecture,
-                    costs=self.costs,
-                    controller_enabled=self.controller_enabled,
-                    data=self.data,
-                    pooling=self.pooling,
-                    result_cache=self.result_cache,
-                    optimizer=self.optimizer,
-                    heterogeneous=self.heterogeneous,
+                self._shared_servers[architecture] = self.template.stamp(
+                    architecture
                 )
-                self._prepare_server(scenario.server)
-                self._shared_servers[architecture] = scenario.server
             return self._shared_servers[architecture]
 
     def open_session(
@@ -358,14 +329,14 @@ class ConcurrentIntegrationServer:
     ) -> ClientSession:
         """Open one client session (sequential, in the caller's thread).
 
-        Isolated mode builds the session's private server shard here, so
+        Isolated mode stamps the session's private server shard here, so
         construction order — and therefore every shard's initial state —
         is deterministic regardless of worker count.
         """
         if self._closed:
             raise ServingError("server is shut down")
         if self.mode == "isolated":
-            server = self._build_isolated_server(architecture, faults)
+            server = self.template.stamp(architecture, faults)
             session = ClientSession(
                 session_id, architecture, server, isolated=True
             )

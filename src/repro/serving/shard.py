@@ -2,18 +2,20 @@
 
 Each worker process runs :func:`shard_worker_main`: a receive loop over
 the wire protocol of :mod:`repro.serving.wire`.  For every
-:class:`~repro.serving.wire.RunScript` frame it stands up a *fresh*
+:class:`~repro.serving.wire.RunScript` frame it stamps a *fresh*
 isolated :class:`~repro.core.server.IntegrationServer` (own Database,
-Machine and VirtualClock) via :func:`~repro.core.scenario
-.build_scenario`, drives the script through a
-:class:`~repro.serving.session.ClientSession` — the same containment
-and MVCC-retry semantics as the thread-mode serving layer — and ships
-the picklable outcome back as a :class:`~repro.serving.wire.ScriptDone`.
+Machine and VirtualClock) from the worker's
+:class:`~repro.serving.template.SessionTemplate`, drives the script
+through a :class:`~repro.serving.session.ClientSession` — the same
+containment and MVCC-retry semantics as the thread-mode serving layer —
+and ships the picklable outcome back as a
+:class:`~repro.serving.wire.ScriptDone`.
 
-Because every session gets its own shard server built from the same
-:class:`ShardConfig`, a session's rows and simulated times depend only
-on its own call sequence: the cross-process parity suite demands they
-match the bare single-process stack bit-for-bit at any shard count.
+Because every session gets its own shard server stamped from the same
+:class:`~repro.serving.template.ShardConfig`, a session's rows and
+simulated times depend only on its own call sequence: the
+cross-process parity suite demands they match the bare single-process
+stack bit-for-bit at any shard count.
 
 A script that raises is answered with ``ScriptFailed`` and the worker
 keeps serving; only a hard kill (the fault battery's SIGKILL) or a
@@ -25,12 +27,9 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
 
-from repro.appsys.datagen import EnterpriseData
-from repro.core.scenario import build_scenario
-from repro.core.server import IntegrationServer
 from repro.serving.session import ClientSession
+from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.wire import (
     Hello,
     Ping,
@@ -44,62 +43,11 @@ from repro.serving.wire import (
     send_frame,
 )
 from repro.serving.workload import SessionScript
-from repro.simtime.costs import CostModel
 
 
-@dataclass(frozen=True)
-class ShardConfig:
-    """Everything a worker needs to bootstrap session shards.
-
-    The whole object crosses the process boundary once, at worker
-    start, so every field must pickle: the enterprise universe, the
-    cost model and the plain scenario knobs all do.  ``setup_sql``
-    statements run on each fresh shard server before its script (the
-    battery-through-serving suite uses this for DDL/loads/RUNSTATS);
-    ``execution_mode`` selects row/batch/columnar after setup.
-    """
-
-    data: EnterpriseData | None = None
-    costs: CostModel | None = None
-    controller_enabled: bool = True
-    pooling: bool = False
-    result_cache: bool = False
-    optimizer: str = "syntactic"
-    chunk_size: int | None = None
-    heterogeneous: bool = False
-    execution_mode: str | None = None
-    rmi_wall_latency_s: float = 0.0
-    setup_sql: tuple[str, ...] = field(default_factory=tuple)
-
-
-def build_shard_server(
-    config: ShardConfig, script: SessionScript
-) -> IntegrationServer:
-    """Stand up one isolated server shard for one session script."""
-    scenario = build_scenario(
-        script.architecture,
-        costs=config.costs,
-        controller_enabled=config.controller_enabled,
-        data=config.data,
-        pooling=config.pooling,
-        result_cache=config.result_cache,
-        faults=script.faults,
-        optimizer=config.optimizer,
-        chunk_size=config.chunk_size,
-        heterogeneous=config.heterogeneous,
-    )
-    server = scenario.server
-    server.machine.configure_wall_latency(config.rmi_wall_latency_s)
-    for statement in config.setup_sql:
-        server.fdbs.execute(statement)
-    if config.execution_mode is not None:
-        server.fdbs.set_execution_mode(config.execution_mode)
-    return server
-
-
-def run_script(config: ShardConfig, script: SessionScript) -> ClientSession:
-    """Run one script on a fresh shard server; returns the session."""
-    server = build_shard_server(config, script)
+def run_script(template: SessionTemplate, script: SessionScript) -> ClientSession:
+    """Run one script on a fresh stamped server; returns the session."""
+    server = template.stamp(script.architecture, script.faults)
     session = ClientSession(
         script.session_id, script.architecture, server, isolated=True
     )
@@ -137,6 +85,8 @@ def shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
     the router must not tear workers out from under the drain path.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Loads nothing yet: the first script's stamp builds what it shares.
+    template = SessionTemplate(config)
     completed = 0
     send_frame(conn, Hello(shard_id=shard_id, pid=os.getpid()))
     while True:
@@ -146,7 +96,7 @@ def shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
             break
         if isinstance(message, RunScript):
             try:
-                session = run_script(config, message.script)
+                session = run_script(template, message.script)
             except Exception as exc:  # noqa: BLE001 - contained per script
                 send_frame(
                     conn,
@@ -171,9 +121,4 @@ def shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
     conn.close()
 
 
-__all__ = [
-    "ShardConfig",
-    "build_shard_server",
-    "run_script",
-    "shard_worker_main",
-]
+__all__ = ["run_script", "shard_worker_main"]

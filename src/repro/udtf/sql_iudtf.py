@@ -14,7 +14,6 @@ from repro.errors import ParseError
 from repro.fdbs import ast
 from repro.fdbs.catalog import SqlTableFunction
 from repro.fdbs.engine import Database
-from repro.fdbs.parser import parse_statement
 
 
 def create_sql_iudtf(database: Database, ddl: str) -> SqlTableFunction:
@@ -25,7 +24,7 @@ def create_sql_iudtf(database: Database, ddl: str) -> SqlTableFunction:
     current catalog (so forward references, nesting and cycles fail at
     definition time, like DB2's bind-time checking).
     """
-    statement = parse_statement(ddl)
+    statement = database.parse(ddl)
     if not isinstance(statement, ast.CreateSqlFunction):
         raise ParseError(
             "create_sql_iudtf expects a CREATE FUNCTION ... LANGUAGE SQL "

@@ -255,3 +255,81 @@ class TestSignallingNaN:
         assert db.execute("SELECT m FROM t WHERE m = ?", [Decimal("NaN")]).rows == []
         got = db.execute("SELECT m FROM t WHERE m <> ? ORDER BY m", [Decimal("NaN")]).rows
         assert got[:2] == [(1,), (Decimal("2.0"),)] and got[2][0].is_qnan()
+
+
+class TestQuietDecimalNaN:
+    """A stored quiet ``Decimal('NaN')`` answers what a DOUBLE NaN does:
+    ordering predicates on it are not true and MIN/MAX fold past it,
+    where Python's ``Decimal`` raised ``decimal.InvalidOperation``."""
+
+    QUERIES = [
+        ("SELECT {c} FROM t WHERE {c} < 5", []),
+        ("SELECT {c} FROM t WHERE {c} >= 0", []),
+        ("SELECT {c} FROM t WHERE {c} BETWEEN 0 AND 5", []),
+        ("SELECT {c} FROM t WHERE NOT ({c} BETWEEN 0 AND 5)", []),
+        ("SELECT {c} FROM t WHERE {c} > 0.5", []),
+        ("SELECT {c} FROM t WHERE {c} <= ?", [Decimal("NaN")]),
+        ("SELECT {c} FROM t WHERE {c} IN (1, 7)", []),
+        ("SELECT {c} FROM t WHERE {c} <> 1", []),
+        ("SELECT MAX({c}), MIN({c}) FROM t", []),
+        ("SELECT g, MAX({c}), MIN({c}) FROM t GROUP BY g ORDER BY g", []),
+        ("SELECT COUNT(*) FROM t WHERE {c} < ?", [3]),
+    ]
+
+    @staticmethod
+    def table(mode, chunk_size=None):
+        from repro.fdbs.engine import Database
+
+        db = Database("qnan-pred", execution_mode=mode, chunk_size=chunk_size)
+        db.execute("CREATE TABLE t (g INT, m DECIMAL(8,2), d DOUBLE)")
+        db.execute_many(
+            "INSERT INTO t VALUES (?, ?, ?)",
+            [(1, 1, 1.0), (1, Decimal("NaN"), float("nan")), (2, 2, 2.0), (2, None, None)],
+        )
+        return db
+
+    @staticmethod
+    def plain(rows):
+        """Rows with every number as a float and NaN as a marker."""
+        return [
+            tuple(
+                "NaN" if isinstance(v, (Decimal, float)) and v != v
+                else float(v) if isinstance(v, (Decimal, float)) else v
+                for v in row
+            )
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("query,params", QUERIES)
+    def test_decimal_nan_answers_as_double_nan(self, mode, chunk_size, query, params):
+        db = self.table(mode, chunk_size)
+        decimal = db.execute(query.format(c="m"), params).rows
+        double = db.execute(query.format(c="d"), params).rows
+        assert self.plain(decimal) == self.plain(double)
+
+    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    def test_expected_answers(self, mode):
+        db = self.table(mode)
+        assert db.execute("SELECT m FROM t WHERE m < 5").rows == [(1,), (2,)]
+        assert db.execute("SELECT m FROM t WHERE m BETWEEN 0 AND 5").rows == [(1,), (2,)]
+        assert db.execute("SELECT MAX(m), MIN(m) FROM t WHERE g = 1").rows == [(1, 1)]
+        got = db.execute("SELECT m FROM t WHERE NOT (m BETWEEN 0 AND 5)").rows
+        assert len(got) == 1 and got[0][0].is_qnan()
+
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
+    def test_nan_first_in_a_chunk_keeps_matching_rows(self, mode):
+        from repro.fdbs.engine import Database
+
+        db = Database("qnan-first", execution_mode=mode)
+        db.execute("CREATE TABLE t (m DECIMAL(8,2))")
+        db.execute_many("INSERT INTO t VALUES (?)", [(Decimal("NaN"),), (1,)])
+        assert db.execute("SELECT m FROM t WHERE m < 5").rows == [(1,)]
+
+    def test_runstats_skips_bounds_over_a_nan(self):
+        db = self.table("row")
+        db.execute("RUNSTATS t")
+        stats = db.catalog.get_statistics("t").columns["M"]
+        assert stats.min_value is None and stats.max_value is None
+        assert stats.null_count == 1
