@@ -131,7 +131,7 @@ MERGE_SAMPLE_SQL = (
 
 def build_merge_workload(optimizer: str, n_rows: int):
     """Two base tables bulk-loaded in ascending key order (presorted)."""
-    db = Database("merge", execution_mode="batch", optimizer=optimizer)
+    db = Database("merge", execution_mode="columnar", optimizer=optimizer)
     db.execute("CREATE TABLE fact (k INTEGER, v INTEGER)")
     db.execute("CREATE TABLE dim (k INTEGER, w INTEGER)")
     fact = db.catalog.get_table("fact").storage

@@ -1,21 +1,21 @@
-"""Wall-clock microbenchmark — row vs batch vs columnar execution.
+"""Wall-clock microbenchmark — row vs columnar execution.
 
 Unlike the E4–E8 / X1–X4 benchmarks, which reproduce the paper's
 *virtual-time* figures, this bench measures **real elapsed seconds** of
 the FDBS executor on two workloads over a synthetic star schema:
 
 * the original scan → filter → join → aggregate query (100k-row fact
-  table by default), timed in all three execution modes, and
+  table by default), timed in both execution modes, and
 * a selective scan-aggregate over a 1M-row fact table (``id BETWEEN``
   on the monotonically increasing key), where columnar mode's zone-map
   chunk pruning skips almost every chunk.  The pruning speedup is the
   zone-maps-off ablation's time over the same columnar scan with zone
-  maps on; batch timings and a batch-vs-columnar selectivity sweep are
-  reported alongside.
+  maps on; a selectivity sweep of the same comparison is reported
+  alongside.
 
-Row mode runs the Volcano engine with a nested-loop join; batch mode
-the vectorized operators with a hash equi-join; columnar mode the
-column-batch operators over storage chunks with zone-map pruning.
+Row mode runs the Volcano engine with a nested-loop join; columnar mode
+the column-batch operators over storage chunks with a hash equi-join
+and zone-map pruning.
 Results are written to ``BENCH_executor.json`` in the repository root.
 
 Run standalone::
@@ -39,7 +39,7 @@ from repro.fdbs.engine import Database
 DEFAULT_FACT_ROWS = 100_000
 DEFAULT_PRUNE_ROWS = 1_000_000
 DIM_ROWS = 64
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 QUERY = (
     "SELECT d.region, COUNT(*), SUM(f.amount) "
     "FROM fact AS f JOIN dim AS d ON f.dim_id = d.dim_id "
@@ -84,7 +84,7 @@ def time_query(db: Database, query: str) -> tuple[float, list[tuple]]:
 
 
 def run_join(fact_rows: int) -> dict:
-    """Time the join query in all three modes and summarize."""
+    """Time the join query in both modes and summarize."""
     seconds: dict[str, float] = {}
     rows: dict[str, list[tuple]] = {}
     for mode in MODES:
@@ -95,43 +95,46 @@ def run_join(fact_rows: int) -> dict:
         "fact_rows": fact_rows,
         "dim_rows": DIM_ROWS,
         "row_seconds": round(seconds["row"], 6),
-        "batch_seconds": round(seconds["batch"], 6),
         "columnar_seconds": round(seconds["columnar"], 6),
-        "speedup": round(seconds["row"] / seconds["batch"], 3),
-        "columnar_speedup": round(seconds["row"] / seconds["columnar"], 3),
-        "parity": rows["row"] == rows["batch"] == rows["columnar"],
+        "speedup": round(seconds["row"] / seconds["columnar"], 3),
+        "parity": rows["row"] == rows["columnar"],
         "result_groups": len(rows["row"]),
     }
 
 
 def run_pruning(fact_rows: int) -> dict:
     """Selective scan-aggregate: columnar with zone maps on vs off (the
-    pruning speedup), plus batch timings and the selectivity sweep."""
+    pruning speedup), plus the same comparison over a selectivity sweep."""
     lo = fact_rows // 2
     hi = lo + max(1, fact_rows // 1000) - 1
     query = PRUNE_QUERY.format(lo=lo, hi=hi)
 
-    databases = {mode: build(mode, fact_rows) for mode in ("batch", "columnar")}
-    batch_seconds, batch_rows = time_query(databases["batch"], query)
-    columnar_seconds, columnar_rows = time_query(databases["columnar"], query)
-    databases["columnar"].set_zone_maps(False)
-    ablation_seconds, ablation_rows = time_query(databases["columnar"], query)
-    databases["columnar"].set_zone_maps(True)
-    counters = databases["columnar"].columnar_stats()
+    db = build("columnar", fact_rows)
+
+    def zones_on_and_off(sql: str) -> tuple[float, float, bool]:
+        """Seconds with zone maps on, then off, and whether rows agree."""
+        on_seconds, on_rows = time_query(db, sql)
+        db.set_zone_maps(False)
+        off_seconds, off_rows = time_query(db, sql)
+        db.set_zone_maps(True)
+        return on_seconds, off_seconds, on_rows == off_rows
+
+    columnar_seconds, ablation_seconds, parity = zones_on_and_off(query)
+    counters = db.columnar_stats()
 
     sweep = []
     for selectivity in SWEEP_SELECTIVITIES:
         span = max(1, int(fact_rows * selectivity))
-        sweep_query = PRUNE_QUERY.format(lo=0, hi=span - 1)
-        sweep_batch, rows_b = time_query(databases["batch"], sweep_query)
-        sweep_columnar, rows_c = time_query(databases["columnar"], sweep_query)
+        on_seconds, off_seconds, sweep_parity = zones_on_and_off(
+            PRUNE_QUERY.format(lo=0, hi=span - 1)
+        )
         sweep.append(
             {
                 "selectivity": selectivity,
-                "batch_seconds": round(sweep_batch, 6),
-                "columnar_seconds": round(sweep_columnar, 6),
-                "speedup": round(sweep_batch / sweep_columnar, 3),
-                "parity": rows_b == rows_c,
+                "columnar_seconds": round(on_seconds, 6),
+                "columnar_no_zone_maps_seconds": round(off_seconds, 6),
+                "speedup": round(off_seconds / on_seconds, 3),
+                "parity": sweep_parity,
             }
         )
 
@@ -139,11 +142,10 @@ def run_pruning(fact_rows: int) -> dict:
         "benchmark": "wallclock_pruning",
         "query": query,
         "fact_rows": fact_rows,
-        "batch_seconds": round(batch_seconds, 6),
         "columnar_seconds": round(columnar_seconds, 6),
         "columnar_no_zone_maps_seconds": round(ablation_seconds, 6),
         "pruning_speedup": round(ablation_seconds / columnar_seconds, 3),
-        "parity": batch_rows == columnar_rows == ablation_rows,
+        "parity": parity,
         "chunks_scanned": counters["chunks_scanned"],
         "chunks_pruned": counters["chunks_pruned"],
         "selectivity_sweep": sweep,
@@ -164,7 +166,7 @@ def write_report(summary: dict, path: Path = REPORT_PATH) -> None:
 
 @pytest.mark.perf
 def test_wallclock_executor_speedup():
-    """Batch is >= 3x over row on the join; on the selective 1M-row
+    """Columnar is >= 3x over row on the join; on the selective 1M-row
     scan-aggregate, columnar with zone maps is >= 5x over columnar
     without them."""
     summary = run(DEFAULT_FACT_ROWS, DEFAULT_PRUNE_ROWS)
@@ -173,7 +175,7 @@ def test_wallclock_executor_speedup():
     print(json.dumps(summary, indent=2))
     assert summary["parity"], "execution modes disagree on result rows"
     assert summary["speedup"] >= 3.0, (
-        f"batch speedup {summary['speedup']}x below the 3x acceptance bar"
+        f"columnar speedup {summary['speedup']}x below the 3x acceptance bar"
     )
     pruning = summary["pruning"]
     assert pruning["parity"], "pruning workload modes disagree on result rows"

@@ -2,7 +2,7 @@
 # Parity gate: one command proving that optimizations never change
 # results or baseline timings.
 #
-#  1. row/batch executor parity suite (same rows either mode),
+#  1. row/columnar executor parity suite (same rows either mode),
 #  2. pooling/caching ablation parity tests (flags off => simulated
 #     timings bit-identical to the calibrated anchors; flags on =>
 #     same result rows, paper's architecture ranking preserved),
@@ -30,15 +30,16 @@
 #     joins onto unbound nicknames equal forced nlj and the syntactic
 #     plan in rows, per-source requests and simulated time, with the
 #     merge-join and adaptive-feedback benchmark gates),
-#  7. columnar parity (row vs batch vs columnar => bit-identical rows
+#  7. columnar parity (row vs columnar => bit-identical rows
 #     AND simulated times; zone-map pruning on/off => same rows;
 #     COW-rebuild, all-NULL and pinned-snapshot edge cases; `?`-bound
 #     predicates identical to their literal-inlined queries; columnar
 #     grouped-aggregate and hash-join probe kernels bit-identical to
-#     row mode at chunk sizes 1/3/1024, DOUBLE sums bit for bit;
-#     planning compiles each expression once and only in the forms its
-#     mode runs, and a columnar plan pulled through the batch protocol
-#     returns the same rows; ORDER BY equals a comparison-function
+#     row mode at chunk sizes 1/3/1024, DOUBLE sums bit for bit; the
+#     merge join's column path equal to its rows and the hash join's at
+#     chunk sizes 1/3/1024; planning compiles each expression once and
+#     only in the forms its mode runs, and a columnar plan run through
+#     the row protocol returns the same rows; ORDER BY equals a comparison-function
 #     reference in every mode, NaN above every number and below NULL;
 #     layout name lookups equal the linear scan; each table version's
 #     column chunks, tail included, are built once and reproduce its
@@ -72,7 +73,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== row/batch parity suite =="
+echo "== row/columnar parity suite =="
 python -m pytest -q tests/test_fdbs_batch_parity.py
 
 echo "== pooling/caching ablation parity =="
@@ -186,10 +187,10 @@ print(f"OK: merge join {merge['speedup_wall']}x wall over hash; "
       f"(q-error {adaptive['observed_q_error']})")
 EOF
 
-echo "== columnar parity (row vs batch vs columnar, zone maps on/off) =="
+echo "== columnar parity (row vs columnar, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
-    tests/test_columnar_kernels.py tests/test_compile_once.py \
-    tests/test_version_chunks.py
+    tests/test_columnar_kernels.py tests/test_merge_column_path.py \
+    tests/test_compile_once.py tests/test_version_chunks.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py

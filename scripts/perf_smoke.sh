@@ -25,7 +25,7 @@ python - <<'EOF'
 import json
 
 summary = json.load(open("BENCH_executor_smoke.json"))
-assert summary["parity"], "row/batch/columnar parity violated"
+assert summary["parity"], "row/columnar parity violated"
 assert summary["speedup"] >= 3.0, f"speedup {summary['speedup']}x < 3x"
 pruning = summary["pruning"]
 assert pruning["parity"], "pruning workload parity violated"
@@ -35,7 +35,7 @@ assert pruning["pruning_speedup"] >= 5.0, (
 )
 assert pruning["chunks_pruned"] > 0, "zone maps pruned no chunks"
 assert all(s["parity"] for s in pruning["selectivity_sweep"])
-print(f"OK: {summary['speedup']}x batch speedup, "
+print(f"OK: {summary['speedup']}x columnar speedup over row, "
       f"{pruning['pruning_speedup']}x zone-map pruning speedup "
       "(columnar, zone maps off vs on), "
       f"{pruning['chunks_pruned']}/{pruning['chunks_scanned'] + pruning['chunks_pruned']}"

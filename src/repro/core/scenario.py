@@ -390,7 +390,7 @@ def build_scenario(
     :meth:`~repro.core.server.IntegrationServer.configure_faults`;
     ``optimizer`` selects the FDBS planning mode (``"syntactic"`` or
     ``"cost"``); ``chunk_size`` overrides the FDBS rows-per-chunk knob
-    for batch/columnar execution; ``heterogeneous`` additionally
+    for columnar execution; ``heterogeneous`` additionally
     federates the three heterogeneous source profiles (see
     :func:`attach_heterogeneous_sources`); ``system_factories`` and
     ``parses`` go to :class:`~repro.core.server.IntegrationServer`, and

@@ -76,7 +76,7 @@ class IntegrationServer:
         result cache (both off by default: the paper's measured
         configuration).  ``optimizer`` selects the FDBS planning mode
         (``"syntactic"`` or the RUNSTATS-fed ``"cost"``); ``chunk_size``
-        overrides the FDBS rows-per-chunk knob for batch/columnar
+        overrides the FDBS rows-per-chunk knob for columnar
         execution; ``parses`` is a parse map the FDBS shares with other
         databases (see :class:`~repro.fdbs.session.ParseMap`)."""
         self.architecture = architecture

@@ -169,11 +169,11 @@ class Database:
                 machine.configure_runtime(
                     pooling=pooling, result_cache=result_cache
                 )
-        #: "row" (Volcano), "batch" (vectorized chunks + hash joins) or
-        #: "columnar" (storage column chunks + zone-map pruning).
+        #: "row" (Volcano) or "columnar" (storage column chunks,
+        #: vectorized expressions, hash joins and zone-map pruning).
         self.execution_mode = "row"
         self.set_execution_mode(execution_mode)
-        #: Rows per storage chunk / execution batch (columnar + batch).
+        #: Rows per storage chunk / column batch (columnar mode).
         self.chunk_size = DEFAULT_CHUNK_SIZE
         if chunk_size is not None:
             self.set_chunk_size(chunk_size)
@@ -288,21 +288,20 @@ class Database:
     # ------------------------------------------------------------------
 
     def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``"row"``, ``"batch"`` and ``"columnar"``.
+        """Switch between ``"row"`` and ``"columnar"``.
 
         Cached statement plans are mode-specific, so the statement cache
         is keyed per mode (see :meth:`_plan_namespace`); switching modes
         never invalidates the other mode's entries.
         """
-        if mode not in ("row", "batch", "columnar"):
+        if mode not in ("row", "columnar"):
             raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected 'row', 'batch' "
-                "or 'columnar'"
+                f"unknown execution mode {mode!r}; expected 'row' or 'columnar'"
             )
         self.execution_mode = mode
 
     def set_chunk_size(self, size: int) -> None:
-        """Set the rows-per-chunk knob for batch/columnar execution.
+        """Set the rows-per-chunk knob for columnar execution.
 
         Applies to new scans immediately: storage zone maps are keyed by
         the chunk size that sealed them, so a change triggers a lazy
@@ -1022,10 +1021,6 @@ class Database:
                 row
                 for batch in plan.column_batches(ctx, self.chunk_size)
                 for row in batch.rows_view()
-            ]
-        elif self.execution_mode == "batch":
-            rows = [
-                row for chunk in plan.batches(ctx, self.chunk_size) for row in chunk
             ]
         else:
             rows = list(plan.rows(ctx))

@@ -1,4 +1,4 @@
-"""Volcano-style plan operators, with an optional batch protocol.
+"""Volcano-style plan operators, with a columnar protocol.
 
 Every operator exposes ``schema`` (a list of
 :class:`~repro.fdbs.expr.ColumnSlot`) and ``rows(ctx)`` yielding flat
@@ -6,15 +6,16 @@ tuples.  Plans are built by :mod:`repro.fdbs.planner` and executed by
 the engine, which supplies the :class:`~repro.fdbs.expr.EvalContext`
 and the table-function invoker.
 
-Operators additionally expose ``batches(ctx)`` yielding *chunks* (lists)
-of tuples.  The default implementation chunks ``rows(ctx)``, so every
-operator is batch-capable; the hot relational operators (scan, filter,
-project, hash join, aggregate, sort, distinct, union, limit) override it
-with vectorized implementations that evaluate whole chunks per
-Python-level call.  Row mode and batch mode produce identical rows — the
-batch forms only change *how often Python dispatches*, never the
-relational semantics, the lateral (left-to-right) evaluation order, or
-the simulated cost accounting.
+Operators additionally expose ``column_batches(ctx)`` yielding *column
+batches* (chunks of rows that also answer ``column(position)``).  The
+default implementation chunks ``rows(ctx)``, so every operator runs in
+columnar mode; the hot relational operators (scan, filter, project,
+hash and merge join, aggregate, sort, distinct, union, limit) override
+it with implementations that evaluate whole columns per Python-level
+call.  Row mode and columnar mode produce identical rows — the columnar
+forms only change *how often Python dispatches*, never the relational
+semantics, the lateral (left-to-right) evaluation order, or the
+simulated cost accounting.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from decimal import InvalidOperation
-from itertools import chain, repeat
-from operator import add, itemgetter
+from itertools import chain, groupby, islice, repeat
+from operator import add, itemgetter, le, lt
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import ExecutionError
 from repro.fdbs import ast
 from repro.fdbs.catalog import TableFunction
 from repro.fdbs.expr import (
-    BatchFn,
+    ColumnFn,
     ColumnSlot,
     CompiledExpr,
     EvalContext,
@@ -39,7 +40,7 @@ from repro.fdbs.expr import (
 )
 from repro.fdbs.storage import Table
 
-#: Default number of rows per chunk in batch execution.
+#: Default number of rows per chunk in columnar execution.
 BATCH_SIZE = 1024
 
 
@@ -207,36 +208,30 @@ class Plan:
         """Yield the operator's result rows."""
         raise NotImplementedError
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks of result rows (default: chunked ``rows``)."""
+    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
+        """Yield column batches (default: chunked ``rows``).
+
+        The columnar execution mode runs the same operator tree through
+        this protocol; an operator without a columnar form has its rows
+        wrapped ``size`` at a time in :class:`ColumnBatch`, so any plan
+        is columnar-capable and produces the exact rows of row mode.
+        """
         chunk: list[tuple] = []
         append = chunk.append
         for row in self.rows(ctx):
             append(row)
             if len(chunk) >= size:
-                yield chunk
+                yield ColumnBatch(size, rows=chunk)
                 chunk = []
                 append = chunk.append
         if chunk:
-            yield chunk
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield column batches (default: wrapped row chunks).
-
-        The columnar execution mode runs the same operator tree through
-        this protocol; operators without a columnar form fall back to
-        their ``batches`` output wrapped in :class:`ColumnBatch`, so any
-        plan is columnar-capable and produces the exact rows of batch
-        mode.
-        """
-        for chunk in self.batches(ctx, size):
             yield ColumnBatch(len(chunk), rows=chunk)
 
     def explain(self, indent: int = 0, mode: str | None = None) -> str:
         """Human-readable plan tree (EXPLAIN-style).
 
         ``mode`` (when given) prepends an ``Execution(mode=...)`` header
-        so EXPLAIN output shows whether the plan runs row- or batch-wise.
+        so EXPLAIN output shows whether the plan runs row- or column-wise.
         """
         pad = "  " * indent
         lines = []
@@ -399,24 +394,11 @@ class TableScanPlan(Plan):
         for row in version.rows():
             yield row
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks by slicing the materialised heap directly."""
-        version = self._version(ctx)
-        if self.index_probe is not None:
-            data = self._probe_rows(version, ctx)
-        elif self.prune_checks:
-            for chunk in self._chunks(ctx):
-                yield chunk.rows
-            return
-        else:
-            data = version.rows()
-        for start in range(0, len(data), size):
-            yield data[start : start + size]
-
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield the storage's column chunks directly (zone-map pruned)."""
+        """Yield the storage's column chunks directly (zone-map pruned),
+        or slices of an index probe's row list."""
         if self.index_probe is not None:
-            yield from super().column_batches(ctx, size)
+            yield from _sliced(self._probe_rows(self._version(ctx), ctx), size)
             return
         yield from self._chunks(ctx)
 
@@ -458,23 +440,24 @@ class RemoteScanPlan(Plan):
         """Yield the operator's result rows."""
         yield from self.fetcher.fetch(ctx, self.pushed_predicates)
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks by slicing the fetched row list (the fetch runs
-        at the first chunk, exactly when ``rows`` would run it)."""
-        data = self.fetcher.fetch(ctx, self.pushed_predicates)
-        for start in range(0, len(data), size):
-            yield data[start : start + size]
-
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield the fetched slices as row-major column batches."""
-        for chunk in self.batches(ctx, size):
-            yield ColumnBatch(len(chunk), rows=chunk)
+        """Yield slices of the fetched row list as row-major column
+        batches (the fetch runs at the first pull, exactly when ``rows``
+        would run it)."""
+        yield from _sliced(self.fetcher.fetch(ctx, self.pushed_predicates), size)
 
     def _describe(self) -> str:
         if self.pushed_predicates:
             pushed = " AND ".join(self.pushed_predicates)
             return f"RemoteScan({self._name}, pushed: {pushed})"
         return f"RemoteScan({self._name})"
+
+
+def _sliced(data: list[tuple], size: int) -> Iterator[ColumnBatch]:
+    """Row-major column batches over ``size``-row slices of a list."""
+    for start in range(0, len(data), size):
+        chunk = data[start : start + size]
+        yield ColumnBatch(len(chunk), rows=chunk)
 
 
 class SyscatScanPlan(Plan):
@@ -512,17 +495,6 @@ class CrossApplyPlan(Plan):
         for left_row in self.left.rows(ctx):
             for right_row in self.right.rows_for(left_row, ctx):
                 yield left_row + right_row
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks.  The degenerate first fold step (Unit seed on
-        the left, a static plan on the right) forwards the right side's
-        batches unchanged; lateral folds keep row-at-a-time semantics
-        (chunked), preserving the left-to-right invocation order that
-        the cost accounting and fenced UDTF semantics depend on."""
-        if isinstance(self.left, UnitPlan) and isinstance(self.right, StaticRightSide):
-            yield from self.right.plan.batches(ctx, size)
-            return
-        yield from super().batches(ctx, size)
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Forward the degenerate first fold step columnar; lateral
@@ -690,8 +662,8 @@ class HashJoinPlan(Plan):
     """INNER / LEFT OUTER equi-join through an in-memory hash table.
 
     The planner selects this operator for an explicit ``JOIN ... ON``
-    with at least one hash-compatible equi-conjunct (batch and columnar
-    modes), and for a cost-chosen comma join onto a base table or an
+    with at least one hash-compatible equi-conjunct (columnar mode),
+    and for a cost-chosen comma join onto a base table or an
     unbound nickname (every mode).  Remaining ON conjuncts become the
     ``residual`` predicate, evaluated against the combined row exactly
     as the nested-loop join would.  Output order matches the
@@ -729,11 +701,9 @@ class HashJoinPlan(Plan):
         self.residual = residual
         self.key_names = key_names or []
         self.schema = left.schema + right.schema
-        #: Chunk-at-a-time closures for the left key columns (attached by
-        #: the planner in batch mode; evaluated against left rows only).
-        self.batch_left_keys: list[BatchFn] | None = None
-        #: Column-batch closures for the left key columns (columnar mode).
-        self.columnar_left_keys: list[BatchFn] | None = None
+        #: Column-batch closures for the left key columns (attached by
+        #: the planner in columnar mode; evaluated against left columns).
+        self.columnar_left_keys: list[ColumnFn] | None = None
         #: Build at the first outer row instead of up front (comma joins).
         self.lazy_build = False
 
@@ -791,34 +761,6 @@ class HashJoinPlan(Plan):
             self._probe(left_row, self._left_key(left_row, ctx), table, null_right, ctx, out)
             yield from out
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks by probing the hash table with left chunks."""
-        table = None if self.lazy_build else self._build(ctx)
-        null_right = (None,) * len(self.right.schema)
-        batch_keys = self.batch_left_keys
-        for chunk in self.left.batches(ctx, size):
-            if table is None:
-                if not chunk:
-                    continue
-                table = self._build(ctx)
-            out: list[tuple] = []
-            if batch_keys is not None:
-                columns = [fn(chunk, ctx) for fn in batch_keys]
-                for index, left_row in enumerate(chunk):
-                    values = [column[index] for column in columns]
-                    if any(value is None for value in values):
-                        key = None
-                    else:
-                        key = tuple(_join_key_part(value) for value in values)
-                    self._probe(left_row, key, table, null_right, ctx, out)
-            else:
-                for left_row in chunk:
-                    self._probe(
-                        left_row, self._left_key(left_row, ctx), table, null_right, ctx, out
-                    )
-            if out:
-                yield out
-
     def _probe_keys(self, batch, ctx: EvalContext) -> Iterable:
         """Normalised key tuples of one left column batch, in row order
         (None or a tuple holding None where a key is NULL)."""
@@ -854,16 +796,7 @@ class HashJoinPlan(Plan):
                 continue
             # A NULL key misses the table (the build skips NULL keys) and
             # takes the ``unmatched`` default, like a missing one.
-            buckets = list(map(table.get, keys, repeat(unmatched)))
-            matches = list(chain.from_iterable(buckets))
-            if not matches:
-                continue
-            lengths = list(map(len, buckets))
-            left = batch
-            if lengths.count(1) != len(lengths):
-                positions = chain.from_iterable(map(repeat, range(len(lengths)), lengths))
-                left = SelectionBatch(batch, list(positions))
-            yield JoinBatch(left, matches, width)
+            yield from _join_batch(batch, list(map(table.get, keys, repeat(unmatched))), width)
 
     def _describe(self) -> str:
         keys = ", ".join(self.key_names) if self.key_names else f"{len(self.left_keys)} key(s)"
@@ -922,77 +855,78 @@ class MergeJoinPlan(Plan):
     def _prepare(self, ctx: EvalContext):
         """Materialise the right side into ``(group_keys, group_rows,
         buckets)``: sorted distinct keys with their row groups, or a
-        plain dict (``buckets``) when the keys defeat ordering."""
+        plain dict (``buckets``) when the keys defeat ordering.
+
+        Rows whose key is NULL or NaN are dropped: ``=`` matches neither,
+        and a NaN, unordered against every key, would leave the sorted
+        keys out of order for the cursor and the bisection.
+        """
         index = self.right_key_index
+        rows = [
+            row
+            for row in self.right.rows(ctx)
+            if row[index] is not None and row[index] == row[index]
+        ]
+        keys = list(map(itemgetter(index), rows))
         if self.normalise:
-            pairs = [
-                (_join_key_part(row[index]), row)
-                for row in self.right.rows(ctx)
-                if row[index] is not None
-            ]
-        else:
-            pairs = [
-                (row[index], row)
-                for row in self.right.rows(ctx)
-                if row[index] is not None
-            ]
-        keys = [pair[0] for pair in pairs]
-        comparable = True
+            keys = list(map(_join_key_part, keys))
         try:
-            presorted = all(a <= b for a, b in zip(keys, keys[1:]))
-        except TypeError:
-            comparable = False
-            presorted = False
-        if presorted:
-            self.presorted_inputs += 1
-        elif comparable:
-            try:
-                pairs.sort(key=_first_of_pair)  # stable: groups keep scan order
+            distinct = all(map(lt, keys, islice(keys, 1, None)))
+            if distinct or all(map(le, keys, islice(keys, 1, None))):
+                self.presorted_inputs += 1
+            else:
+                # Stable: equal keys keep their rows in scan order.
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                keys = [keys[position] for position in order]
+                rows = [rows[position] for position in order]
                 self.sorts_applied += 1
-            except TypeError:
-                comparable = False
-        if not comparable:
-            buckets: dict[object, list[tuple]] = {}
-            for key, row in pairs:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
+        except TypeError:
+            buckets: dict[object, list[tuple]] = defaultdict(list)
+            for key, row in zip(keys, rows):
+                buckets[key].append(row)
             return None, None, buckets
+        if distinct:  # presorted, one row per key: 1-tuples as groups
+            return keys, list(zip(rows)), None
         group_keys: list = []
         group_rows: list[list[tuple]] = []
-        for key, row in pairs:
-            if group_keys and key == group_keys[-1]:
-                group_rows[-1].append(row)
-            else:
-                group_keys.append(key)
-                group_rows.append([row])
+        for key, group in groupby(zip(keys, rows), itemgetter(0)):
+            group_keys.append(key)
+            group_rows.append(list(map(itemgetter(1), group)))
         return group_keys, group_rows, None
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows (row-protocol probe, so
-        EXPLAIN ANALYZE instrumentation sees the left subtree)."""
+    def _matcher(self, ctx: EvalContext) -> Callable[[object], Sequence[tuple]]:
+        """Materialise the right side and return ``match(value)``: the
+        right rows whose key equals one left key value, in right-scan
+        order (empty for NULL and NaN).
+
+        ``match`` keeps a forward-merging cursor across calls while the
+        left keys arrive in non-decreasing order and bisects when the
+        order regresses; a key unorderable against the grouped keys can
+        still match by equality, through a lazy dict view.  The state
+        lives in the closure, one per execution: cached plans are shared
+        across threads.
+        """
         group_keys, group_rows, buckets = self._prepare(ctx)
-        left_key = self.left_key
+        empty: tuple = ()
         if buckets is not None:
-            for left_row in self.left.rows(ctx):
-                value = left_key(left_row, ctx)
+
+            def match_bucket(value: object) -> Sequence[tuple]:
                 if value is None:
-                    continue
-                for right_row in buckets.get(_join_key_part(value), ()):
-                    yield left_row + right_row
-            return
+                    return empty
+                return buckets.get(_join_key_part(value), empty)
+
+            return match_bucket
         n = len(group_keys)
+        normalise = self.normalise
         cursor = 0
         previous: object = None
         first = True
         lookup: dict | None = None
-        normalise = self.normalise
-        for left_row in self.left.rows(ctx):
-            key = left_key(left_row, ctx)
-            if key is None:
-                continue
+
+        def match(key: object) -> Sequence[tuple]:
+            nonlocal cursor, previous, first, lookup
+            if key is None or key != key:  # NULL and NaN equal nothing
+                return empty
             if normalise:
                 key = _join_key_part(key)
             try:
@@ -1006,75 +940,39 @@ class MergeJoinPlan(Plan):
             except TypeError:
                 if lookup is None:
                     lookup = dict(zip(group_keys, group_rows))
-                for right_row in lookup.get(key, ()):
-                    yield left_row + right_row
-                continue
+                return lookup.get(key, empty)
             if cursor < n and group_keys[cursor] == key:
-                for right_row in group_rows[cursor]:
-                    yield left_row + right_row
+                return group_rows[cursor]
+            return empty
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks by merging left chunks against the grouped right."""
-        group_keys, group_rows, buckets = self._prepare(ctx)
+        return match
+
+    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
+        """Yield the operator's result rows (row-protocol probe, so
+        EXPLAIN ANALYZE instrumentation sees the left subtree)."""
+        match = self._matcher(ctx)
+        left_key = self.left_key
+        for left_row in self.left.rows(ctx):
+            for right_row in match(left_key(left_row, ctx)):
+                yield left_row + right_row
+
+    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
+        """Merge the key column of left column batches.
+
+        A bare-column key is read with ``batch.column``, any other key
+        through the ``left_key`` closure per row.  Each batch becomes a
+        :class:`JoinBatch`, as in :meth:`HashJoinPlan.column_batches`.
+        """
+        match = self._matcher(ctx)
         left_index = self.left_key_index
         left_key = self.left_key
-        normalise = self.normalise
-        if buckets is not None:
-            empty: tuple = ()
-            for chunk in self.left.batches(ctx, size):
-                out: list[tuple] = []
-                for left_row in chunk:
-                    value = (
-                        left_row[left_index]
-                        if left_index is not None
-                        else left_key(left_row, ctx)
-                    )
-                    if value is None:
-                        continue
-                    for right_row in buckets.get(_join_key_part(value), empty):
-                        out.append(left_row + right_row)
-                if out:
-                    yield out
-            return
-        n = len(group_keys)
-        cursor = 0
-        previous: object = None
-        first = True
-        lookup: dict | None = None
-        for chunk in self.left.batches(ctx, size):
-            out = []
-            append = out.append
-            for left_row in chunk:
-                key = (
-                    left_row[left_index]
-                    if left_index is not None
-                    else left_key(left_row, ctx)
-                )
-                if key is None:
-                    continue
-                if normalise:
-                    key = _join_key_part(key)
-                try:
-                    if first or key >= previous:
-                        while cursor < n and group_keys[cursor] < key:
-                            cursor += 1
-                    else:  # left order regressed: bisect instead of rewind
-                        cursor = bisect_left(group_keys, key)
-                    first = False
-                    previous = key
-                except TypeError:
-                    # A left key unorderable against the grouped keys can
-                    # still match by equality — probe a lazy dict view.
-                    if lookup is None:
-                        lookup = dict(zip(group_keys, group_rows))
-                    for right_row in lookup.get(key, ()):
-                        append(left_row + right_row)
-                    continue
-                if cursor < n and group_keys[cursor] == key:
-                    for right_row in group_rows[cursor]:
-                        append(left_row + right_row)
-            if out:
-                yield out
+        width = len(self.left.schema)
+        for batch in self.left.column_batches(ctx, size):
+            if left_index is not None:
+                keys = batch.column(left_index)
+            else:
+                keys = [left_key(row, ctx) for row in batch.rows_view()]
+            yield from _join_batch(batch, list(map(match, keys)), width)
 
     def _describe(self) -> str:
         order = "presorted" if self.sorted_hint else "sort"
@@ -1086,9 +984,19 @@ class MergeJoinPlan(Plan):
         return [self.left, self.right]
 
 
-def _first_of_pair(pair: tuple) -> object:
-    """Sort key for (key, row) pairs — rows themselves never compare."""
-    return pair[0]
+def _join_batch(batch, buckets: list[Sequence[tuple]], width: int) -> Iterator[JoinBatch]:
+    """The join output of one left batch as a :class:`JoinBatch` (none
+    when nothing matched): ``buckets`` holds each left row's matching
+    right rows, in left order."""
+    matches = list(chain.from_iterable(buckets))
+    if not matches:
+        return
+    lengths = list(map(len, buckets))
+    left = batch
+    if lengths.count(1) != len(lengths):
+        positions = chain.from_iterable(map(repeat, range(len(lengths)), lengths))
+        left = SelectionBatch(batch, list(positions))
+    yield JoinBatch(left, matches, width)
 
 
 class IndexNestedLoopJoinPlan(Plan):
@@ -1421,10 +1329,8 @@ class FilterPlan(Plan):
         self.predicate = predicate
         self.schema = input_plan.schema
         self._label = label
-        #: Chunk-at-a-time predicate (attached by the planner in batch mode).
-        self.batch_predicate: BatchFn | None = None
         #: Column-batch predicate (attached by the planner in columnar mode).
-        self.columnar_predicate: BatchFn | None = None
+        self.columnar_predicate: ColumnFn | None = None
         #: Rendered texts of the conjuncts this filter evaluates locally
         #: after predicate pushdown split some off (attached by the
         #: planner so EXPLAIN shows the residual set explicitly).
@@ -1436,22 +1342,6 @@ class FilterPlan(Plan):
         for row in self.input.rows(ctx):
             if predicate(row, ctx) is True:
                 yield row
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks filtered through the vectorized predicate."""
-        batch_predicate = self.batch_predicate
-        if batch_predicate is None:
-            predicate = self.predicate.fn
-            for chunk in self.input.batches(ctx, size):
-                out = [row for row in chunk if predicate(row, ctx) is True]
-                if out:
-                    yield out
-            return
-        for chunk in self.input.batches(ctx, size):
-            mask = batch_predicate(chunk, ctx)
-            out = [row for row, keep in zip(chunk, mask) if keep is True]
-            if out:
-                yield out
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield selection views over input batches — fully-passing
@@ -1498,11 +1388,9 @@ class ProjectPlan(Plan):
         self.input = input_plan
         self.exprs = exprs
         self.schema = schema
-        #: Chunk-at-a-time column closures (attached by the planner in
-        #: batch mode); one per select-list expression.
-        self.batch_exprs: list[BatchFn] | None = None
-        #: Column-batch closures (columnar mode); one per expression.
-        self.columnar_exprs: list[BatchFn] | None = None
+        #: Column-batch closures (attached by the planner in columnar
+        #: mode); one per select-list expression.
+        self.columnar_exprs: list[ColumnFn] | None = None
         self._identity = len(exprs) == len(input_plan.schema) and all(
             expr.leaf == ("row", index) for index, expr in enumerate(exprs)
         )
@@ -1515,21 +1403,6 @@ class ProjectPlan(Plan):
         fns = [expr.fn for expr in self.exprs]
         for row in self.input.rows(ctx):
             yield tuple([fn(row, ctx) for fn in fns])
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks projected column-wise."""
-        batch_exprs = self.batch_exprs
-        if batch_exprs is None:
-            fns = [expr.fn for expr in self.exprs]
-            for chunk in self.input.batches(ctx, size):
-                yield [tuple([fn(row, ctx) for fn in fns]) for row in chunk]
-            return
-        for chunk in self.input.batches(ctx, size):
-            if not batch_exprs:
-                yield [()] * len(chunk)
-                continue
-            columns = [fn(chunk, ctx) for fn in batch_exprs]
-            yield list(zip(*columns))
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield column-major output batches; row tuples are only zipped
@@ -1560,10 +1433,8 @@ class AggregateSpec:
         self.name = name.upper()
         self.arg = arg  # None means COUNT(*)
         self.distinct = distinct
-        #: Chunk-at-a-time closure for ``arg`` (attached in batch mode).
-        self.batch_arg: BatchFn | None = None
         #: Column-batch closure for ``arg`` (attached in columnar mode).
-        self.columnar_arg: BatchFn | None = None
+        self.columnar_arg: ColumnFn | None = None
 
     def new_state(self) -> "_AggState":
         """Fresh running state for one group."""
@@ -1698,10 +1569,8 @@ class AggregatePlan(Plan):
         self.group_exprs = group_exprs
         self.aggregates = aggregates
         self.schema = schema
-        #: Chunk-at-a-time closures for the group keys (batch mode).
-        self.batch_group: list[BatchFn] | None = None
         #: Column-batch closures for the group keys (columnar mode).
-        self.columnar_group: list[BatchFn] | None = None
+        self.columnar_group: list[ColumnFn] | None = None
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -1724,11 +1593,11 @@ class AggregatePlan(Plan):
         for key in order:
             yield key + tuple(state.result() for state in groups[key])
 
-    def _argument_columns(self, chunk, ctx: EvalContext, columnar: bool) -> list[list | None]:
+    def _argument_columns(self, chunk, ctx: EvalContext) -> list[list | None]:
         """One evaluated value column per aggregate (None for COUNT(*))."""
         columns: list[list | None] = []
         for spec in self.aggregates:
-            fn = spec.columnar_arg if columnar else spec.batch_arg
+            fn = spec.columnar_arg
             if spec.arg is None:
                 columns.append(None)
             elif fn is not None:
@@ -1738,21 +1607,18 @@ class AggregatePlan(Plan):
                 columns.append([arg(row, ctx) for row in chunk])
         return columns
 
-    def _group_keys(self, chunk, ctx: EvalContext, columnar: bool) -> list:
+    def _group_keys(self, chunk, ctx: EvalContext) -> list:
         """Group keys of one chunk: bare values for a single group
         expression, tuples otherwise."""
-        fns = self.columnar_group if columnar else self.batch_group
+        fns = self.columnar_group
         if fns is None:
             columns = [[expr(row, ctx) for row in chunk] for expr in self.group_exprs]
         else:
             columns = [fn(chunk, ctx) for fn in fns]
         return columns[0] if len(columns) == 1 else list(zip(*columns))
 
-    def _aggregate(
-        self, chunks: Iterable, ctx: EvalContext, size: int, columnar: bool
-    ) -> Iterator[list[tuple]]:
-        """Aggregate input chunks (row lists or column batches) into
-        chunks of output rows.
+    def _aggregate(self, chunks: Iterable, ctx: EvalContext, size: int) -> Iterator[list[tuple]]:
+        """Aggregate input column batches into chunks of output rows.
 
         Grouped input is collected, then folded: each row is appended to
         its group's list (as its argument value, or as its input position
@@ -1766,7 +1632,7 @@ class AggregatePlan(Plan):
         if not self.group_exprs:
             states = [spec.new_state() for spec in self.aggregates]
             for chunk in chunks:
-                columns = self._argument_columns(chunk, ctx, columnar)
+                columns = self._argument_columns(chunk, ctx)
                 for state, column in zip(states, columns):
                     state.update_chunk(column, len(chunk))
             yield [tuple(state.result() for state in states)]
@@ -1779,7 +1645,7 @@ class AggregatePlan(Plan):
         groups: defaultdict = defaultdict(list)
         total = 0
         for chunk in chunks:
-            columns = [c for c in self._argument_columns(chunk, ctx, columnar) if c is not None]
+            columns = [c for c in self._argument_columns(chunk, ctx) if c is not None]
             if width == 1:
                 items = columns[0]
             else:
@@ -1787,7 +1653,7 @@ class AggregatePlan(Plan):
                 total += len(chunk)
                 for column, chunk_column in zip(values, columns):
                     column.extend(chunk_column)
-            for key, item in zip(self._group_keys(chunk, ctx, columnar), items):
+            for key, item in zip(self._group_keys(chunk, ctx), items):
                 groups[key].append(item)
         single = len(self.group_exprs) == 1
         out = []
@@ -1805,14 +1671,10 @@ class AggregatePlan(Plan):
         for start in range(0, len(out), size):
             yield out[start : start + size]
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks of aggregated rows, folding input chunk-wise."""
-        yield from self._aggregate(self.input.batches(ctx, size), ctx, size, False)
-
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Fold input column batches; argument and group-key columns are
         read without materialising input row tuples."""
-        for chunk in self._aggregate(self.input.column_batches(ctx, size), ctx, size, True):
+        for chunk in self._aggregate(self.input.column_batches(ctx, size), ctx, size):
             yield ColumnBatch(len(chunk), rows=chunk)
 
     def _describe(self) -> str:
@@ -1854,15 +1716,6 @@ class SortPlan(Plan):
                 extractor = lambda row, _fn=key: _sort_key(_fn(row, ctx))
             materialised.sort(key=extractor, reverse=not ascending)
         return materialised
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Materialise input chunks, sort once, re-chunk the output."""
-        materialised: list[tuple] = []
-        for chunk in self.input.batches(ctx, size):
-            materialised.extend(chunk)
-        ordered = self._sorted(materialised, ctx)
-        for start in range(0, len(ordered), size):
-            yield ordered[start : start + size]
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Sorting genuinely needs row tuples: materialise, sort once,
@@ -1917,12 +1770,6 @@ class CutPlan(Plan):
         for row in self.input.rows(ctx):
             yield row[: self.width]
 
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks with hidden sort-key columns trimmed."""
-        width = self.width
-        for chunk in self.input.batches(ctx, size):
-            yield [row[:width] for row in chunk]
-
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Trim by keeping the leading columns — no per-row slicing."""
         width = self.width
@@ -1952,19 +1799,6 @@ class DistinctPlan(Plan):
             if row not in seen:
                 seen.add(row)
                 yield row
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks with duplicates removed (first occurrence wins)."""
-        seen: set[tuple] = set()
-        add = seen.add
-        for chunk in self.input.batches(ctx, size):
-            out = []
-            for row in chunk:
-                if row not in seen:
-                    add(row)
-                    out.append(row)
-            if out:
-                yield out
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Dedup needs hashable row tuples; consume the input columnar
@@ -2005,18 +1839,6 @@ class LimitPlan(Plan):
             produced += 1
             if produced >= self.limit:
                 return
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks until the row budget is spent."""
-        remaining = self.limit
-        if remaining <= 0:
-            return
-        for chunk in self.input.batches(ctx, size):
-            if len(chunk) >= remaining:
-                yield chunk[:remaining]
-                return
-            remaining -= len(chunk)
-            yield chunk
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield input batches until the row budget is spent."""
@@ -2063,24 +1885,6 @@ class UnionPlan(Plan):
                 if row not in seen:
                     seen.add(row)
                     yield row
-
-    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield each branch's chunks in turn (deduplicated unless ALL)."""
-        if self.all:
-            for branch in self.branches:
-                yield from branch.batches(ctx, size)
-            return
-        seen: set[tuple] = set()
-        add = seen.add
-        for branch in self.branches:
-            for chunk in branch.batches(ctx, size):
-                out = []
-                for row in chunk:
-                    if row not in seen:
-                        add(row)
-                        out.append(row)
-                if out:
-                    yield out
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield each branch's column batches in turn (deduplicated

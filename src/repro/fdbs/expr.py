@@ -766,27 +766,34 @@ class MemoCompiler(ExpressionCompiler):
 
 
 # ---------------------------------------------------------------------------
-# Batch (chunk-at-a-time) compilation
+# Columnar (chunk-at-a-time) compilation
 # ---------------------------------------------------------------------------
 
-#: A batch-compiled expression: evaluates a whole chunk of rows with one
-#: Python-level call, returning one value per input row.
-BatchFn = Callable[[list, EvalContext], list]
+#: A columnar-compiled expression: evaluates a whole column batch with
+#: one Python-level call, returning one value per row of the batch.
+ColumnFn = Callable[[object, EvalContext], list]
 
 #: Integer ladders of the exact (non-DECIMAL) numeric types; DOUBLE sits
 #: above them.  Used for hash-join key compatibility checks.
 _INT_LADDERS = frozenset({1, 2, 3})
 
 
-class BatchCompiler:
-    """Compiles AST expressions into chunk-at-a-time closures.
+class ColumnarCompiler:
+    """Compiles AST expressions into closures over *column batches*.
 
     The row compiler produces one closure call *per row per node*; for
     hot predicates and projections that dispatch dominates wall-clock
     time.  This compiler emits closures that evaluate an entire chunk
-    per Python-level call (a list comprehension over the chunk), falling
-    back to per-row evaluation of the row-compiled closure for node
-    types without a vectorized form.
+    per Python-level call, falling back to per-row evaluation of the
+    row-compiled closure for node types without a vectorized form.
+
+    A column batch (a storage :class:`~repro.fdbs.storage.ColumnChunk`
+    or an executor ``ColumnBatch``) exposes ``column(index)`` returning
+    the decomposed values of one column, plus ``len``/iteration over row
+    tuples for the fallback.  A layout column is read as the batch's
+    cached column, so repeated predicates over sealed chunks touch no
+    tuples at all; every other vectorized node operates on its
+    children's value lists.
 
     Fast paths are *guarded*: if a vectorized evaluation raises, the
     chunk is transparently re-evaluated row-at-a-time, so error
@@ -801,7 +808,7 @@ class BatchCompiler:
     def __init__(self, row_compiler: "ExpressionCompiler"):
         self.row = row_compiler
 
-    def compile(self, expr: ast.Expression) -> BatchFn:
+    def compile(self, expr: ast.Expression) -> ColumnFn:
         """Compile one expression into a guarded chunk closure."""
         per_row = self._per_row(expr)  # raises on invalid expressions
         fast, _ = self._compile(expr)
@@ -820,21 +827,21 @@ class BatchCompiler:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _compile(self, expr: ast.Expression) -> tuple[BatchFn | None, bool]:
+    def _compile(self, expr: ast.Expression) -> tuple[ColumnFn | None, bool]:
         """(fast chunk closure or None, closure is known boolean/NULL)."""
         method = getattr(self, "_batch_" + type(expr).__name__.lower(), None)
         if method is None:
             return None, False
         return method(expr)
 
-    def _value(self, expr: ast.Expression) -> BatchFn:
+    def _value(self, expr: ast.Expression) -> ColumnFn:
         """A chunk closure for a value column, vectorized or fallback."""
         fast, _ = self._compile(expr)
         if fast is not None:
             return fast
         return self._per_row(expr)
 
-    def _per_row(self, expr: ast.Expression) -> BatchFn:
+    def _per_row(self, expr: ast.Expression) -> ColumnFn:
         """The row-compiled closure applied to each row of a chunk."""
         row_fn = self.row.compile(expr).fn
         return lambda chunk, ctx: [row_fn(row, ctx) for row in chunk]
@@ -863,14 +870,14 @@ class BatchCompiler:
 
     # -- leaves -----------------------------------------------------------------
 
-    def _batch_literal(self, expr: ast.Literal) -> tuple[BatchFn | None, bool]:
+    def _batch_literal(self, expr: ast.Literal) -> tuple[ColumnFn | None, bool]:
         value = expr.value
         return (
             lambda chunk, ctx: [value] * len(chunk),
             isinstance(value, bool) or value is None,
         )
 
-    def _batch_columnref(self, expr: ast.ColumnRef) -> tuple[BatchFn | None, bool]:
+    def _batch_columnref(self, expr: ast.ColumnRef) -> tuple[ColumnFn | None, bool]:
         """A layout column (the row form's ``("row", i)`` leaf) or a
         parameter of the enclosing function, one value per chunk."""
         compiled = self.row.compile(expr)
@@ -879,13 +886,10 @@ class BatchCompiler:
             return lambda chunk, ctx: [fetch((), ctx)] * len(chunk), False
         column_type = compiled.type
         boolean = column_type is not None and column_type.name == "BOOLEAN"
-        return self._column(compiled.leaf[1]), boolean
+        index = compiled.leaf[1]
+        return lambda chunk, ctx: chunk.column(index), boolean
 
-    def _column(self, index: int) -> BatchFn:
-        """The values of layout column ``index`` in a chunk."""
-        return lambda chunk, ctx: [row[index] for row in chunk]
-
-    def _batch_parameter(self, expr: ast.Parameter) -> tuple[BatchFn | None, bool]:
+    def _batch_parameter(self, expr: ast.Parameter) -> tuple[ColumnFn | None, bool]:
         index = expr.index
 
         def fetch(chunk: list, ctx: EvalContext) -> list:
@@ -897,7 +901,7 @@ class BatchCompiler:
 
     # -- operators --------------------------------------------------------------
 
-    def _batch_binaryop(self, expr: ast.BinaryOp) -> tuple[BatchFn | None, bool]:
+    def _batch_binaryop(self, expr: ast.BinaryOp) -> tuple[ColumnFn | None, bool]:
         op = expr.op.upper()
         if op in ("AND", "OR"):
             return self._batch_logical(expr, op)
@@ -944,7 +948,7 @@ class BatchCompiler:
             return fn, False
         return None, False
 
-    def _batch_logical(self, expr: ast.BinaryOp, op: str) -> tuple[BatchFn | None, bool]:
+    def _batch_logical(self, expr: ast.BinaryOp, op: str) -> tuple[ColumnFn | None, bool]:
         left, left_bool = self._compile(expr.left)
         right, right_bool = self._compile(expr.right)
         # Only fuse children that provably yield three-valued booleans;
@@ -971,7 +975,7 @@ class BatchCompiler:
             True,
         )
 
-    def _batch_comparison(self, expr: ast.BinaryOp, op: str) -> tuple[BatchFn | None, bool]:
+    def _batch_comparison(self, expr: ast.BinaryOp, op: str) -> tuple[ColumnFn | None, bool]:
         for column, other, column_op in (
             (expr.left, expr.right, op),
             (expr.right, expr.left, _FLIPPED[op]),
@@ -1012,7 +1016,7 @@ class BatchCompiler:
 
     def _compare_scalar(
         self, expr: ast.BinaryOp, op: str, column: ast.Expression, scalar
-    ) -> BatchFn | None:
+    ) -> ColumnFn | None:
         """``column <op> scalar`` with the scalar read once per chunk.
 
         The kernel runs when the bound value has the column's raw Python
@@ -1046,7 +1050,7 @@ class BatchCompiler:
 
         return compare
 
-    def _batch_unaryop(self, expr: ast.UnaryOp) -> tuple[BatchFn | None, bool]:
+    def _batch_unaryop(self, expr: ast.UnaryOp) -> tuple[ColumnFn | None, bool]:
         if expr.op.upper() == "NOT":
             operand, operand_bool = self._compile(expr.operand)
             if operand is None or not operand_bool:
@@ -1067,7 +1071,7 @@ class BatchCompiler:
 
     # -- predicates -------------------------------------------------------------
 
-    def _batch_isnull(self, expr: ast.IsNull) -> tuple[BatchFn | None, bool]:
+    def _batch_isnull(self, expr: ast.IsNull) -> tuple[ColumnFn | None, bool]:
         operand = self._value(expr.operand)
         if expr.negated:
             return (
@@ -1076,7 +1080,7 @@ class BatchCompiler:
             )
         return lambda chunk, ctx: [v is None for v in operand(chunk, ctx)], True
 
-    def _batch_between(self, expr: ast.Between) -> tuple[BatchFn | None, bool]:
+    def _batch_between(self, expr: ast.Between) -> tuple[ColumnFn | None, bool]:
         """``operand [NOT] BETWEEN scalar AND scalar`` over a plain
         numeric operand, bounds read once per chunk (gated like
         :meth:`_compare_scalar`; a NULL bound runs row-at-a-time)."""
@@ -1098,7 +1102,7 @@ class BatchCompiler:
 
         return between, True
 
-    def _batch_like(self, expr: ast.Like) -> tuple[BatchFn | None, bool]:
+    def _batch_like(self, expr: ast.Like) -> tuple[ColumnFn | None, bool]:
         if not (
             isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str)
         ):
@@ -1118,7 +1122,7 @@ class BatchCompiler:
             ]
         return fn, True
 
-    def _batch_inlist(self, expr: ast.InList) -> tuple[BatchFn | None, bool]:
+    def _batch_inlist(self, expr: ast.InList) -> tuple[ColumnFn | None, bool]:
         """``operand [NOT] IN (scalar, ...)`` as hashed membership, which
         is row mode's ``=`` for plain numbers (NaN aside) against a plain
         numeric operand and for pad-stripped strings against a character
@@ -1155,7 +1159,7 @@ class BatchCompiler:
 
     # -- calls ------------------------------------------------------------------
 
-    def _batch_functioncall(self, expr: ast.FunctionCall) -> tuple[BatchFn | None, bool]:
+    def _batch_functioncall(self, expr: ast.FunctionCall) -> tuple[ColumnFn | None, bool]:
         name = expr.name.upper()
         if name not in _BUILTINS:
             return None, False
@@ -1172,24 +1176,6 @@ class BatchCompiler:
             ],
             False,
         )
-
-
-class ColumnarCompiler(BatchCompiler):
-    """Batch compiler whose chunks are *column batches*, not row lists.
-
-    A column batch (a storage :class:`~repro.fdbs.storage.ColumnChunk`
-    or an executor ``ColumnBatch``) exposes ``column(index)`` returning
-    the decomposed values of one column, plus ``len``/iteration over row
-    tuples for the guarded fallback.  Only the read of a layout column
-    differs from :class:`BatchCompiler`: it takes the cached column
-    directly instead of rebuilding it from row tuples, so repeated
-    predicates over sealed chunks touch no tuples at all.  Every other
-    vectorized node already operates on its children's value lists.
-    """
-
-    def _column(self, index: int) -> BatchFn:
-        """The cached values of layout column ``index`` in a batch."""
-        return lambda chunk, ctx: chunk.column(index)
 
 
 def _plain_numeric(t: SqlType | None) -> bool:

@@ -51,9 +51,8 @@ from repro.fdbs.executor import (
     UnitPlan,
 )
 from repro.fdbs.expr import (
-    BatchCompiler,
-    BatchFn,
     ColumnarCompiler,
+    ColumnFn,
     ColumnSlot,
     CompiledExpr,
     EvalContext,
@@ -111,10 +110,9 @@ class Planner:
         self.pushdown_counter = pushdown_counter
         #: Index selection for local equality conjuncts.
         self.enable_index_selection = enable_index_selection
-        #: "row" (Volcano, per-row dispatch), "batch" (chunked execution
-        #: with vectorized expressions and hash equi-joins) or "columnar"
-        #: (batch semantics over storage column chunks with zone-map
-        #: chunk pruning).
+        #: "row" (Volcano, per-row dispatch) or "columnar" (chunked
+        #: execution over storage column chunks with vectorized
+        #: expressions, hash equi-joins and zone-map chunk pruning).
         self.execution_mode = execution_mode
         #: "syntactic" (FROM order as written) or "cost" (statistics-fed
         #: join reordering and bind joins; see repro.fdbs.optimizer).
@@ -150,26 +148,21 @@ class Planner:
 
     def _chunk_forms(
         self, compiler: ExpressionCompiler, exprs: list[ast.Expression]
-    ) -> tuple[list[BatchFn] | None, list[BatchFn] | None]:
-        """``(batch forms, columnar forms)`` of already row-compiled
-        ``exprs``, built only in the mode that runs them: batch mode
-        builds batch forms, columnar mode columnar forms, row mode
-        neither.  An operator without them (a columnar plan pulled
-        through the batch protocol) evaluates its row forms per row."""
-        if self.execution_mode == "batch":
-            batch = BatchCompiler(compiler)
-            return [batch.compile(expr) for expr in exprs], None
-        if self.execution_mode == "columnar":
-            columnar = ColumnarCompiler(compiler)
-            return None, [columnar.compile(expr) for expr in exprs]
-        return None, None
+    ) -> list[ColumnFn] | None:
+        """The columnar forms of already row-compiled ``exprs``, built
+        only in columnar mode (None in row mode, which never runs
+        them)."""
+        if self.execution_mode != "columnar":
+            return None
+        columnar = ColumnarCompiler(compiler)
+        return [columnar.compile(expr) for expr in exprs]
 
     def _chunk_form(
         self, compiler: ExpressionCompiler, expr: ast.Expression
-    ) -> tuple[BatchFn | None, BatchFn | None]:
+    ) -> ColumnFn | None:
         """:meth:`_chunk_forms` of one expression."""
-        batch, columnar = self._chunk_forms(compiler, [expr])
-        return batch and batch[0], columnar and columnar[0]
+        forms = self._chunk_forms(compiler, [expr])
+        return forms and forms[0]
 
     # -- public API -----------------------------------------------------------
 
@@ -246,9 +239,7 @@ class Planner:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
             plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
-            plan.batch_predicate, plan.columnar_predicate = self._chunk_form(
-                compiler, where
-            )
+            plan.columnar_predicate = self._chunk_form(compiler, where)
             if had_remote and self.enable_pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
@@ -281,9 +272,7 @@ class Planner:
             compiler = self._compiler(layout)
             if having is not None:
                 plan = FilterPlan(plan, compiler.compile(having), "Filter(HAVING)")
-                plan.batch_predicate, plan.columnar_predicate = self._chunk_form(
-                    compiler, having
-                )
+                plan.columnar_predicate = self._chunk_form(compiler, having)
 
         exprs: list[CompiledExpr] = []
         schema: list[ColumnSlot] = []
@@ -306,7 +295,7 @@ class Planner:
             )
         else:
             plan = ProjectPlan(plan, exprs, schema)
-            plan.batch_exprs, plan.columnar_exprs = self._chunk_forms(
+            plan.columnar_exprs = self._chunk_forms(
                 compiler, [item.expr for item in items]
             )
 
@@ -380,7 +369,7 @@ class Planner:
             plan = ProjectPlan(plan, exprs + hidden, extended_schema)
         else:
             plan = ProjectPlan(plan, exprs, schema)
-        plan.batch_exprs, plan.columnar_exprs = self._chunk_forms(compiler, item_asts)
+        plan.columnar_exprs = self._chunk_forms(compiler, item_asts)
         plan = SortPlan(plan, keys)
         return CutPlan(plan, width, schema) if hidden else plan
 
@@ -672,9 +661,7 @@ class Planner:
         except (PlanError, TypeError_):
             return None
         filtered = FilterPlan(plan, predicate, f"Filter(on {conjunct.render()})")
-        filtered.batch_predicate, filtered.columnar_predicate = self._chunk_form(
-            compiler, conjunct
-        )
+        filtered.columnar_predicate = self._chunk_form(compiler, conjunct)
         return filtered
 
     def _register_prunable(
@@ -848,9 +835,7 @@ class Planner:
             left, scan, "INNER", [left_key], [right_key], None, [key_name]
         )
         plan.lazy_build = True
-        plan.batch_left_keys, plan.columnar_left_keys = self._chunk_forms(
-            left_compiler, [key_ast]
-        )
+        plan.columnar_left_keys = self._chunk_forms(left_compiler, [key_ast])
         return plan
 
     def _try_adaptive_bind(
@@ -1070,7 +1055,7 @@ class Planner:
         elif item.kind != "CROSS":
             raise PlanError(f"{item.kind} JOIN requires an ON condition")
         if (
-            self.execution_mode in ("batch", "columnar")
+            self.execution_mode == "columnar"
             and item.on is not None
             and item.kind in ("INNER", "LEFT OUTER")
         ):
@@ -1120,9 +1105,7 @@ class Planner:
         plan = HashJoinPlan(
             left, right, item.kind, left_keys, right_keys, residual_compiled, key_names
         )
-        plan.batch_left_keys, plan.columnar_left_keys = self._chunk_forms(
-            left_compiler, key_asts
-        )
+        plan.columnar_left_keys = self._chunk_forms(left_compiler, key_asts)
         return plan
 
     def _equi_key(
@@ -1349,9 +1332,7 @@ class Planner:
                 if contains_aggregate(call.args[0]):
                     raise PlanError("aggregates cannot be nested")
                 spec = AggregateSpec(name, compiler.compile(call.args[0]), call.distinct)
-                spec.batch_arg, spec.columnar_arg = self._chunk_form(
-                    compiler, call.args[0]
-                )
+                spec.columnar_arg = self._chunk_form(compiler, call.args[0])
                 agg_specs.append(spec)
             else:
                 raise PlanError(f"aggregate {call.name} takes exactly one argument")
@@ -1364,9 +1345,7 @@ class Planner:
         ]
         agg_plan = AggregatePlan(plan, group_compiled, agg_specs, post_schema)
         if select.group_by:
-            agg_plan.batch_group, agg_plan.columnar_group = self._chunk_forms(
-                compiler, select.group_by
-            )
+            agg_plan.columnar_group = self._chunk_forms(compiler, select.group_by)
         post_layout = RowLayout(post_schema)
 
         replacement: dict[str, ast.Expression] = {}
@@ -1423,9 +1402,7 @@ class Planner:
                 for index, expr in enumerate(extra_exprs)
             ]
             plan = ProjectPlan(plan, identity + extra_exprs, extended_schema)
-            batch, columnar = self._chunk_forms(compiler, extra_asts)
-            if batch is not None:
-                plan.batch_exprs = [_slot_batch(index) for index in range(width)] + batch
+            columnar = self._chunk_forms(compiler, extra_asts)
             if columnar is not None:
                 plan.columnar_exprs = [
                     _slot_columnar(index) for index in range(width)
@@ -1466,12 +1443,7 @@ def _slot_ref(index: int, slot: ColumnSlot) -> CompiledExpr:
     )
 
 
-def _slot_batch(index: int) -> BatchFn:
-    """Batch identity extractor for one output slot position."""
-    return lambda chunk, ctx, _i=index: [row[_i] for row in chunk]
-
-
-def _slot_columnar(index: int) -> BatchFn:
+def _slot_columnar(index: int) -> ColumnFn:
     """Column-batch identity extractor for one output slot position."""
     return lambda batch, ctx, _i=index: batch.column(_i)
 

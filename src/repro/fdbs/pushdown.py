@@ -198,7 +198,7 @@ ZoneBinder = "Callable[[list], ZoneCheck | None]"
 def _zone_value(value: object) -> bool:
     """True when a bound value is safe for raw min/max comparison.
 
-    The batch kernels' gate (``_plain_value``: a plain int or float, not
+    The columnar kernels' gate (``_plain_value``: a plain int or float, not
     a bool, not a Decimal, not a string — CHAR values pad-strip in
     comparisons and DECIMAL operands are re-aligned through
     ``Decimal(str(x))``, neither of which raw bounds comparisons

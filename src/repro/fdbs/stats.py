@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import InvalidOperation
+from operator import ne
 from typing import Sequence
 
 from repro.fdbs.catalog import ColumnDef
@@ -72,13 +73,18 @@ def zone_bounds(
     Mirrors the RUNSTATS min/max collection but per chunk: NULLs are
     counted separately, and mutually incomparable values degrade the
     bounds to ``(None, None)`` (meaning *unknown*, never *empty*) so a
-    pruning check built on them must keep the chunk.
+    pruning check built on them must keep the chunk.  So does a NaN,
+    float or Decimal: it compares false both ways, so ``min``/``max``
+    would return it from the front of the chunk and skip it elsewhere,
+    and bounds that miss it would prune rows a predicate keeps.
     """
     live = [value for value in values if value is not None]
     nulls = len(values) - len(live)
     if not live:
         return None, None, nulls
     try:
+        if any(map(ne, live, live)):  # a NaN is unequal to itself
+            return None, None, nulls
         return min(live), max(live), nulls
     except (TypeError, InvalidOperation):  # unorderable, or a Decimal NaN
         return None, None, nulls

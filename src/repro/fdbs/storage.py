@@ -52,8 +52,8 @@ from repro.fdbs.types import coercer
 
 Row = tuple
 
-#: Default number of rids per column chunk (also the batch size of the
-#: vectorized executor; configurable per database via ``chunk_size``).
+#: Default number of rids per column chunk (also the column-batch size
+#: of the columnar executor; configurable per database via ``chunk_size``).
 DEFAULT_CHUNK_SIZE = 1024
 
 
@@ -72,9 +72,9 @@ class ColumnChunk:
     immutable rid range, so the cache is safe to share across versions
     and threads (filling a cache slot is idempotent).
 
-    The chunk also satisfies the executor's batch protocol (``len``,
-    iteration, ``rows_view``) so vectorized operators can consume it
-    directly without re-materialising row lists.
+    The chunk also satisfies the executor's column-batch protocol
+    (``len``, iteration, ``column``, ``rows_view``) so columnar operators
+    can consume it directly without re-materialising row lists.
     """
 
     __slots__ = ("start", "rows", "count", "_width", "_columns", "_zones")

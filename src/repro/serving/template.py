@@ -54,7 +54,7 @@ class ShardConfig:
     the plain scenario knobs all do.  ``setup_sql`` statements run on
     each fresh session server before its script (the
     battery-through-serving suite uses this for DDL/loads/RUNSTATS);
-    ``execution_mode`` selects row/batch/columnar after setup.
+    ``execution_mode`` selects row or columnar execution after setup.
     """
 
     data: EnterpriseData | None = None

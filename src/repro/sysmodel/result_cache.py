@@ -9,7 +9,7 @@ application-system costs again.
 
 Entries are keyed on the function identity plus *normalized* arguments
 and namespaced per architecture and per execution mode, so a row-mode
-run never serves a batch-mode run (mirroring the statement cache's
+run never serves a columnar-mode run (mirroring the statement cache's
 per-mode namespacing).  Each entry is tagged with the *owner*
 application system; any DML write through one system's local function
 invalidates exactly that system's entries — across all namespaces — and
@@ -173,7 +173,7 @@ class ResultCache:
         """Drop every entry owned by one application system.
 
         Spans *all* namespaces: a write through the row-mode path must
-        not leave stale batch-mode (or other-architecture) entries
+        not leave stale columnar-mode (or other-architecture) entries
         behind.  Returns the number of entries dropped.
         """
         target = owner.upper()

@@ -49,10 +49,9 @@ def test_nightly_full_grid_parity(nightly_corpus, nightly_outcomes):
         for architecture in ARCHITECTURES:
             for optimizer in OPTIMIZERS:
                 base = nightly_outcomes[(architecture, "row", optimizer)][i]
-                for mode in ("batch", "columnar"):
-                    o = nightly_outcomes[(architecture, mode, optimizer)][i]
-                    if o.rows != base.rows or o.elapsed != base.elapsed:
-                        failures.append((i, "mode", architecture.name, mode, optimizer))
+                o = nightly_outcomes[(architecture, "columnar", optimizer)][i]
+                if o.rows != base.rows or o.elapsed != base.elapsed:
+                    failures.append((i, "mode", architecture.name, "columnar", optimizer))
         for mode in MODES:
             for optimizer in OPTIMIZERS:
                 base = nightly_outcomes[(ARCHITECTURES[0], mode, optimizer)][i]

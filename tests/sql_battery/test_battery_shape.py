@@ -29,7 +29,7 @@ Divergences this battery surfaced (fixed at root, pinned below)
   pruning used to run only in columnar mode, so a predicate that
   provably empties the outer side of a join suppressed the lazy pull
   of a remote inner side (one web-API/archive request + its simulated
-  latency) under columnar but not under row/batch.  Fixed by attaching
+  latency) under columnar but not under row mode.  Fixed by attaching
   zone checks in every execution mode (planner ``_plan_from``); the
   follow-on lateral-query divergences were cascades of the shifted
   clock (process-pool warmth decays with absolute virtual time).
@@ -135,7 +135,7 @@ class TestCorpusShape:
 
 
 class TestModeParity:
-    """row / batch / columnar: bit-identical rows and simulated times."""
+    """row / columnar: bit-identical rows and simulated times."""
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -143,16 +143,12 @@ class TestModeParity:
         self, architecture, optimizer
     ):
         base = combo(architecture, "row", optimizer)
-        for mode in ("batch", "columnar"):
-            other = combo(architecture, mode, optimizer)
-            for i, query in enumerate(corpus()):
-                assert other[i].rows == base[i].rows, (
-                    f"[{mode}] rows diverge: {query.sql}"
-                )
-                assert other[i].elapsed == base[i].elapsed, (
-                    f"[{mode}] time diverges "
-                    f"({other[i].elapsed} != {base[i].elapsed}): {query.sql}"
-                )
+        other = combo(architecture, "columnar", optimizer)
+        for i, query in enumerate(corpus()):
+            assert other[i].rows == base[i].rows, f"rows diverge: {query.sql}"
+            assert other[i].elapsed == base[i].elapsed, (
+                f"time diverges ({other[i].elapsed} != {base[i].elapsed}): {query.sql}"
+            )
 
 
 class TestArchitectureParity:
@@ -244,8 +240,9 @@ class TestPinnedDivergences:
     # Minimized from battery seed 20260809, query #40: the IS NULL
     # conjunct provably empties bat_watch (no NULL supplier_no), so the
     # lazily-pulled archive fetch must be skipped in *every* execution
-    # mode — pre-fix, only columnar pruned the outer side, and row and
-    # batch mode each paid one extra archive request (+48.59 su).
+    # mode — pre-fix, only columnar pruned the outer side, and row mode
+    # (and the since-deleted batch mode) paid one extra archive request
+    # (+48.59 su).
     PINNED_SQL = (
         "SELECT l.grade, r.qty FROM bat_watch AS l, arch_orders AS r "
         "WHERE l.supplier_no = r.supplier_no AND l.supplier_no IS NULL"

@@ -24,7 +24,7 @@ ARCHITECTURES = [
     Architecture.ENHANCED_JAVA_UDTF,
 ]
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 
 WATCH_SUPPLIERS = [1234, 5001, 1234, 5002, 5001, 5003, 1234, 5004, 5002, 1234]
 
@@ -75,7 +75,6 @@ class TestScenarioParity:
             rows, elapsed = scenario.server.elapsed(fdbs.execute, FEDERATED_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
         assert outcomes["columnar"] == outcomes["row"]
-        assert outcomes["columnar"] == outcomes["batch"]
         assert len(outcomes["row"][0]) == len(WATCH_SUPPLIERS)
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -89,7 +88,6 @@ class TestScenarioParity:
             rows, elapsed = scenario.server.elapsed(fdbs.execute, LOCAL_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
         assert outcomes["columnar"] == outcomes["row"]
-        assert outcomes["columnar"] == outcomes["batch"]
 
 
 def fill(db, rows):
@@ -107,7 +105,6 @@ def all_modes(rows, queries, chunk_size=None, mutate=None):
             mutate(db)
         results[mode] = [db.execute(q).rows for q in queries]
     assert results["columnar"] == results["row"], "columnar vs row rows differ"
-    assert results["batch"] == results["row"], "batch vs row rows differ"
     return results["row"]
 
 
@@ -283,7 +280,6 @@ class TestDoubleAggregates:
     )
     def test_bit_identical_across_modes(self, sql):
         results = {mode: self._db(mode).execute(sql).rows for mode in MODES}
-        assert results["batch"] == results["row"]
         assert results["columnar"] == results["row"]
         assert repr(results["columnar"]) == repr(results["row"])
 

@@ -2,15 +2,14 @@
 native keys; layouts resolve names through an index.
 
 The planner hands one ``MemoCompiler`` every form it needs of an
-expression: the row form, then the chunk form of the plan's mode only
-(batch mode batch forms, columnar mode columnar forms, row mode none),
-whose types and row-at-a-time fallbacks reuse the row forms already
+expression: the row form, then, in columnar mode only, the columnar
+form, whose types and row-at-a-time fallbacks reuse the row forms already
 built.  An INSERT's ``VALUES`` markers compile through the plain
 ``ExpressionCompiler``.  ``SortPlan`` sorts every key on ``(0, value)``
 keys, with fixed keys above every value for NaN and, above that, NULL;
 the properties here check it against a comparison-function reference in
-every mode.  A columnar plan pulled through the batch protocol falls back
-to its row forms and returns the same rows.
+every mode.  A columnar plan run through ``rows`` (as EXPLAIN ANALYZE
+runs it) evaluates its row forms and returns the same rows.
 ``RowLayout.resolve`` reads a name index; its reference is the linear
 scan it replaced.
 """
@@ -37,7 +36,7 @@ from repro.fdbs.executor import (
     SortPlan,
 )
 from repro.fdbs.expr import (
-    BatchCompiler,
+    ColumnarCompiler,
     ColumnSlot,
     EvalContext,
     ExpressionCompiler,
@@ -48,7 +47,7 @@ from repro.fdbs.expr import (
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.types import INTEGER, VARCHAR
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 
 
 def canon(rows):
@@ -250,7 +249,7 @@ MIXED_NUMBERS = st.one_of(
     size=st.sampled_from([1, 3, 1024]),
 )
 def test_sort_plan_protocols_equal_reference(values, directions, callable_key, size):
-    """``rows``, ``batches`` and ``column_batches`` of a two-key sort on
+    """``rows`` and ``column_batches`` of a two-key sort on
     mixed int/float/Decimal columns (the third column numbers the input,
     so ties must keep it ascending); the first key is a position or a
     ``(row, ctx)`` closure."""
@@ -260,7 +259,6 @@ def test_sort_plan_protocols_equal_reference(values, directions, callable_key, s
     expected = canon(reference_sorted(rows, [(0, directions[0]), (1, directions[1])]))
     ctx = EvalContext()
     assert canon(plan.rows(ctx)) == expected
-    assert canon(row for chunk in plan.batches(ctx, size) for row in chunk) == expected
     assert canon(
         row for batch in plan.column_batches(ctx, size) for row in batch.rows_view()
     ) == expected
@@ -326,7 +324,7 @@ def planned(db, sql, monkeypatch):
     chunk_compilers: Counter = Counter()
     alive = []  # keeps compilers and nodes alive, so ids stay unique
     compile_ = ExpressionCompiler.compile
-    init = BatchCompiler.__init__
+    init = ColumnarCompiler.__init__
 
     def counted_compile(self, node):
         alive.append((self, node))
@@ -339,7 +337,7 @@ def planned(db, sql, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ExpressionCompiler, "compile", counted_compile)
-        patch.setattr(BatchCompiler, "__init__", counted_init)
+        patch.setattr(ColumnarCompiler, "__init__", counted_init)
         rows = db.execute(sql).rows
     return rows, compiles, chunk_compilers
 
@@ -361,12 +359,10 @@ class TestCompileOnce:
             assert max(compiles.values()) == 1, (mode, compiles.most_common(3))
             if mode == "row":
                 assert not chunk_compilers
-            elif mode == "batch":
-                assert set(chunk_compilers) == {"BatchCompiler"}
             else:
                 assert set(chunk_compilers) == {"ColumnarCompiler"}
         assert results["row"], name
-        assert results["batch"] == results["columnar"] == results["row"]
+        assert results["columnar"] == results["row"]
 
     def test_cast_function_reuses_its_form(self, monkeypatch):
         """``BIGINT(x)`` compiles as a cast of its argument; its memoised
@@ -401,7 +397,7 @@ class TestCompileOnce:
 
 
 # ---------------------------------------------------------------------------
-# Columnar plans pulled through the batch protocol
+# Columnar plans run through the row protocol
 # ---------------------------------------------------------------------------
 
 
@@ -418,37 +414,34 @@ def walk(plan):
         yield from walk(child)
 
 
-class TestColumnarPlansOnTheBatchProtocol:
-    """A columnar plan carries columnar forms only.  An operator that
-    pulls its input through ``batches`` (a merge join's left side, the
-    default ``column_batches`` of an operator without a columnar form)
-    makes those operators evaluate their row forms per row, with the
-    same rows as every other protocol."""
+class TestColumnarPlansOnTheRowProtocol:
+    """A columnar plan carries columnar forms next to its row forms.
+    Run through ``rows`` (EXPLAIN ANALYZE does), or pulled row by row
+    through the default ``column_batches`` of an operator without a
+    columnar form, it evaluates its row forms per row, with the same
+    rows as the columnar protocol."""
 
     @pytest.mark.parametrize("optimizer", ["syntactic", "cost"])
     @pytest.mark.parametrize("name", sorted(PLANNED_QUERIES))
-    def test_batches_equal_rows_and_column_batches(self, name, optimizer):
+    def test_rows_equal_column_batches(self, name, optimizer):
         db = planning_db("columnar", optimizer)
         plan, ctx = columnar_plan(db, PLANNED_QUERIES[name])
         forms = [
-            (node.batch_predicate, node.columnar_predicate)
-            if isinstance(node, FilterPlan)
-            else (node.batch_exprs, node.columnar_exprs)
+            node.columnar_predicate if isinstance(node, FilterPlan) else node.columnar_exprs
             for node in walk(plan)
             if isinstance(node, (FilterPlan, ProjectPlan))
         ]
-        assert forms and all(batch is None for batch, _ in forms)
-        assert any(columnar is not None for _, columnar in forms)
+        assert any(form is not None for form in forms)
         rows = list(plan.rows(ctx))
         assert rows
-        assert [row for chunk in plan.batches(ctx, 7) for row in chunk] == rows
         assert [
             row for batch in plan.column_batches(ctx, 7) for row in batch.rows_view()
         ] == rows
 
     def test_merge_join_left_side_returns_the_row_mode_rows(self):
         """A columnar Filter + Project under a merge join's left side:
-        the join pulls it through ``batches`` and merges on its output."""
+        the join pulls it through ``column_batches`` and merges on the
+        key column of its output."""
         db = planning_db("columnar", "syntactic")
         left, ctx = columnar_plan(db, "SELECT id, g FROM f WHERE x > 1 AND h <> 'b'")
         right, _ = columnar_plan(db, "SELECT k, label FROM dim")
@@ -457,9 +450,7 @@ class TestColumnarPlansOnTheBatchProtocol:
             for node in walk(left)
             if isinstance(node, (FilterPlan, ProjectPlan))
         }
-        assert chunk_forms["FilterPlan"].batch_predicate is None
         assert chunk_forms["FilterPlan"].columnar_predicate is not None
-        assert chunk_forms["ProjectPlan"].batch_exprs is None
         assert chunk_forms["ProjectPlan"].columnar_exprs is not None
         left_key = ExpressionCompiler(RowLayout(left.schema)).compile(
             ast.ColumnRef(None, "g")

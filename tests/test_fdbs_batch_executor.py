@@ -1,4 +1,4 @@
-"""Batch execution mode: planner selection, EXPLAIN, and satellites.
+"""Chunked (columnar) execution: planner selection, EXPLAIN, satellites.
 
 Covers the execution-mode plumbing (validation, per-mode statement
 cache namespacing), hash-join selection and fallback in EXPLAIN output,
@@ -31,17 +31,26 @@ class TestExecutionMode:
             db.set_execution_mode("vector")
         assert db.execution_mode == "row"
 
+    def test_deleted_batch_mode_rejected(self):
+        """Batch mode was folded into columnar; its name is unknown."""
+        with pytest.raises(ExecutionError, match="expected 'row' or 'columnar'"):
+            Database("gone", execution_mode="batch")
+        db = Database("ok", execution_mode="columnar")
+        with pytest.raises(ExecutionError):
+            db.set_execution_mode("batch")
+        assert db.execution_mode == "columnar"
+
     def test_set_execution_mode_switches(self):
         db = make_join_db("row")
-        db.set_execution_mode("batch")
-        assert db.execution_mode == "batch"
+        db.set_execution_mode("columnar")
+        assert db.execution_mode == "columnar"
         assert "HashJoin" in db.explain("SELECT * FROM l JOIN r ON a = b")
 
     def test_statement_cache_is_namespaced_per_mode(self):
         db = make_join_db("row")
         db.execute("SELECT * FROM l")
         assert len(db.statement_cache) == 1  # DDL invalidated earlier entries
-        db.set_execution_mode("batch")
+        db.set_execution_mode("columnar")
         db.execute("SELECT * FROM l")
         assert len(db.statement_cache) == 2  # row entry not reused
 
@@ -49,12 +58,12 @@ class TestExecutionMode:
 class TestExplainOutput:
     def test_explain_shows_mode_header(self):
         row_db = make_join_db("row")
-        batch_db = make_join_db("batch")
+        columnar_db = make_join_db("columnar")
         sql = "SELECT * FROM l"
         # Line 0 is the MVCC Snapshot(epoch=...) header; the mode header
         # follows it.
         assert row_db.explain(sql).splitlines()[1] == "Execution(mode=row)"
-        assert batch_db.explain(sql).splitlines()[1] == "Execution(mode=batch)"
+        assert columnar_db.explain(sql).splitlines()[1] == "Execution(mode=columnar)"
 
     def test_explain_leads_with_snapshot_epoch(self):
         db = make_join_db("row")
@@ -62,13 +71,13 @@ class TestExplainOutput:
         assert first.startswith("Snapshot(epoch=")
 
     def test_explain_statement_carries_mode(self):
-        db = make_join_db("batch")
+        db = make_join_db("columnar")
         rows = db.execute("EXPLAIN SELECT * FROM l").rows
         assert rows[0][0].startswith("Snapshot(epoch=")
-        assert rows[1] == ("Execution(mode=batch)",)
+        assert rows[1] == ("Execution(mode=columnar)",)
 
-    def test_batch_equi_join_uses_hash_join(self):
-        db = make_join_db("batch")
+    def test_columnar_equi_join_uses_hash_join(self):
+        db = make_join_db("columnar")
         text = db.explain("SELECT * FROM l JOIN r ON l.a = r.b")
         assert "HashJoin(INNER, on (l.a = r.b), join=hash)" in text
         assert "NestedLoopJoin" not in text
@@ -80,24 +89,24 @@ class TestExplainOutput:
         assert "HashJoin" not in text
 
     def test_non_equi_join_falls_back_to_nlj(self):
-        db = make_join_db("batch")
+        db = make_join_db("columnar")
         text = db.explain("SELECT * FROM l JOIN r ON l.a < r.b")
         assert "NestedLoopJoin(INNER, join=nlj)" in text
 
     def test_residual_conjunct_marked(self):
-        db = make_join_db("batch")
+        db = make_join_db("columnar")
         text = db.explain(
             "SELECT * FROM l JOIN r ON l.a = r.b AND l.a + r.b > 3"
         )
         assert "HashJoin(INNER, on (l.a = r.b), residual, join=hash)" in text
 
     def test_left_outer_equi_join_hashes(self):
-        db = make_join_db("batch")
+        db = make_join_db("columnar")
         text = db.explain("SELECT * FROM l LEFT JOIN r ON l.a = r.b")
         assert "HashJoin(LEFT OUTER" in text
 
     def test_bad_on_clause_errors_match_row_mode(self):
-        for mode in ("row", "batch"):
+        for mode in ("row", "columnar"):
             db = make_join_db(mode)
             with pytest.raises(PlanError):
                 db.explain("SELECT * FROM l JOIN r ON l.nope = r.b")
@@ -125,9 +134,9 @@ class TestStatementCacheCounters:
     def test_namespaces_do_not_collide(self):
         cache = StatementCache()
         cache.put("SELECT 1", "row-plan", namespace="row")
-        cache.put("SELECT 1", "batch-plan", namespace="batch")
+        cache.put("SELECT 1", "columnar-plan", namespace="columnar")
         assert cache.get("SELECT 1", namespace="row") == "row-plan"
-        assert cache.get("SELECT 1", namespace="batch") == "batch-plan"
+        assert cache.get("SELECT 1", namespace="columnar") == "columnar-plan"
 
     def test_lru_refresh_protects_hot_entries(self):
         cache = StatementCache(capacity=2)

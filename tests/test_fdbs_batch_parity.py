@@ -1,12 +1,12 @@
-"""Row-mode vs batch-mode parity across the SQL corpus.
+"""Row-mode vs chunked (columnar) parity across the SQL corpus.
 
 Every query runs against two identically-loaded databases — one in
-``"row"`` mode (Volcano + nested-loop joins), one in ``"batch"`` mode
-(vectorized chunks + hash equi-joins) — and must produce identical rows:
-same order where the query orders, same multiset otherwise.  Lateral
-TABLE() correlation and DETERMINISTIC UDTF caching are included because
-their fenced/cost semantics are exactly what the batch mode must not
-disturb.
+``"row"`` mode (Volcano + nested-loop joins), one in ``"columnar"`` mode
+(column batches, vectorized expressions + hash equi-joins) — and must
+produce identical rows: same order where the query orders, same
+multiset otherwise.  Lateral TABLE() correlation and DETERMINISTIC UDTF
+caching are included because their fenced/cost semantics are exactly
+what chunked execution must not disturb.
 """
 
 from decimal import Decimal
@@ -107,24 +107,24 @@ def load(db: Database) -> None:
 @pytest.fixture(scope="module")
 def twins():
     row_db = Database("row_twin", execution_mode="row")
-    batch_db = Database("batch_twin", execution_mode="batch")
+    columnar_db = Database("columnar_twin", execution_mode="columnar")
     load(row_db)
-    load(batch_db)
-    return row_db, batch_db
+    load(columnar_db)
+    return row_db, columnar_db
 
 
 @pytest.mark.parametrize("sql", ORDERED_QUERIES)
 def test_ordered_parity(twins, sql):
-    row_db, batch_db = twins
-    assert row_db.execute(sql).rows == batch_db.execute(sql).rows
+    row_db, columnar_db = twins
+    assert row_db.execute(sql).rows == columnar_db.execute(sql).rows
 
 
 @pytest.mark.parametrize("sql", UNORDERED_QUERIES)
 def test_unordered_parity(twins, sql):
-    row_db, batch_db = twins
+    row_db, columnar_db = twins
     row_result = row_db.execute(sql).rows
-    batch_result = batch_db.execute(sql).rows
-    assert sorted(map(repr, row_result)) == sorted(map(repr, batch_result))
+    columnar_result = columnar_db.execute(sql).rows
+    assert sorted(map(repr, row_result)) == sorted(map(repr, columnar_result))
 
 
 def _udtf_db(mode: str, deterministic: bool):
@@ -149,19 +149,19 @@ def _udtf_db(mode: str, deterministic: bool):
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_lateral_udtf_parity_and_invocation_counts(deterministic):
     row_db, row_calls = _udtf_db("row", deterministic)
-    batch_db, batch_calls = _udtf_db("batch", deterministic)
+    columnar_db, columnar_calls = _udtf_db("columnar", deterministic)
     sql = "SELECT s, r.y FROM seeds, TABLE (F(s)) AS r"
-    assert row_db.execute(sql).rows == batch_db.execute(sql).rows
-    # The lateral fold stays row-at-a-time in batch mode, so the UDTF is
+    assert row_db.execute(sql).rows == columnar_db.execute(sql).rows
+    # The lateral fold stays row-at-a-time in columnar mode, so the UDTF is
     # invoked (and its DETERMINISTIC cache hit) exactly as often.
-    assert row_calls["n"] == batch_calls["n"]
+    assert row_calls["n"] == columnar_calls["n"]
     expected = 3 if deterministic else 5
-    assert batch_calls["n"] == expected
+    assert columnar_calls["n"] == expected
 
 
 def test_sql_udtf_lateral_correlation_parity():
     results = []
-    for mode in ("row", "batch"):
+    for mode in ("row", "columnar"):
         db = Database(f"sqludtf_{mode}", execution_mode=mode)
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1), (2), (3)")
@@ -182,7 +182,7 @@ def test_simulated_costs_identical_across_modes():
     from repro.sysmodel.machine import Machine
 
     elapsed = []
-    for mode in ("row", "batch"):
+    for mode in ("row", "columnar"):
         machine = Machine()
         db = Database(f"cost_{mode}", machine=machine, execution_mode=mode)
         load(db)

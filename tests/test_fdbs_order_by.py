@@ -101,7 +101,7 @@ def test_union_order_by_output_only(db):
     assert result.rows == [("b",), ("a",)]
 
 
-@pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+@pytest.mark.parametrize("mode", ["row", "columnar"])
 def test_grouped_order_by_survives_the_first_cache_hit(mode):
     """Planning rewrote the ORDER BY of a grouped block inside the
     parsed statement, so the statement cache's first hit, which plans

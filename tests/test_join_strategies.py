@@ -42,7 +42,7 @@ def make_local_pair(optimizer="cost", mode="row", machine=None, runstats=True):
 
 
 class TestStrategySweep:
-    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_bit_identical_across_strategies(self, mode, strategy):
         baseline = make_local_pair("syntactic", mode).execute(JOIN_SQL).rows
@@ -334,7 +334,7 @@ class TestRuntimeCounters:
         ) >= 1
 
     def test_explicit_joins_counted_too(self):
-        db = Database("explicit", execution_mode="batch")
+        db = Database("explicit", execution_mode="columnar")
         db.execute("CREATE TABLE l (a INTEGER)")
         db.execute("CREATE TABLE r (b INTEGER)")
         db.execute("INSERT INTO l VALUES (1)")

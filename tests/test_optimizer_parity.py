@@ -40,7 +40,7 @@ def prepare(architecture, optimizer="syntactic", runstats=True):
 
 class TestRowParity:
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
-    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
     def test_rows_bit_identical(self, architecture, mode):
         scenario = prepare(architecture)
         fdbs = scenario.server.fdbs

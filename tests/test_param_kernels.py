@@ -1,7 +1,7 @@
 """``?``-bound predicates share the literal path: kernels and zone maps.
 
 A statement parameter is one value per execution, exactly like a
-literal.  The batch/columnar kernels read it once per chunk and the
+literal.  The columnar kernels read it once per chunk and the
 zone-map checks bind it per execution, so a ``?`` query must be
 indistinguishable from the same query with its values inlined as
 literals — rows *and* simulated time — in every execution mode with zone
@@ -32,7 +32,7 @@ JOIN_TIMEOUT = 60.0
 
 CONFIGS = [
     (mode, zone_maps)
-    for mode in ("row", "batch", "columnar")
+    for mode in ("row", "columnar")
     for zone_maps in (True, False)
 ]
 REFERENCE = ("row", False)

@@ -116,7 +116,7 @@ class TestPlanReuse:
         assert rows == [(2,)]
 
     def test_join_counters_count_built_plans(self):
-        db = Database("built", execution_mode="batch")
+        db = Database("built", execution_mode="columnar")
         db.execute("CREATE TABLE l (a INTEGER)")
         db.execute("CREATE TABLE r (b INTEGER)")
         db.execute("INSERT INTO l VALUES (1)")

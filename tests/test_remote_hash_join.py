@@ -30,7 +30,7 @@ from repro.fdbs.federation import (
 from repro.sysmodel.machine import Machine
 from tests.sql_battery.runner import build_battery_scenario
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 
 #: Counter key of the archive-profiled source in ``federation.stats()``.
 ARCHIVE = "source:s_n_arch"
@@ -239,7 +239,6 @@ class TestParity:
             for mode in MODES
         }
         assert results["row"][0]
-        assert results["batch"] == results["row"]
         assert results["columnar"] == results["row"]
 
 
@@ -287,9 +286,6 @@ class _Chunks(Plan):
         for chunk in self.chunks:
             yield from chunk
 
-    def batches(self, ctx, size=1024):
-        yield from self.chunks
-
     def column_batches(self, ctx, size=1024):
         for chunk in self.chunks:
             yield ColumnBatch(len(chunk), rows=chunk)
@@ -318,13 +314,13 @@ class TestLazyBuildOperator:
             return list(stream), right.pulls
         return [row for part in stream for row in part], right.pulls
 
-    @pytest.mark.parametrize("method", ["rows", "batches", "column_batches"])
+    @pytest.mark.parametrize("method", ["rows", "column_batches"])
     def test_no_build_without_an_outer_row(self, method):
         for chunks in ([], [[]], [[], []]):
             assert self.run(chunks, method) == ([], 0)
         assert self.run([[], [(1,)], [(2,)]], method) == ([(1, 1)], 1)
 
-    @pytest.mark.parametrize("method", ["rows", "batches", "column_batches"])
+    @pytest.mark.parametrize("method", ["rows", "column_batches"])
     def test_explicit_join_builds_first(self, method):
         assert self.run([], method, lazy=False) == ([], 1)
 

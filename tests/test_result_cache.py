@@ -28,7 +28,7 @@ class TestCacheUnit:
     def test_namespaces_are_disjoint(self):
         cache = ResultCache(enabled=True)
         cache.put("A:row", "f", (1,), [(7,)], owner="s")
-        assert cache.get("A:batch", "f", (1,)) is None
+        assert cache.get("A:columnar", "f", (1,)) is None
 
     def test_lru_eviction_at_capacity(self):
         cache = ResultCache(capacity=2, enabled=True)
@@ -43,12 +43,12 @@ class TestCacheUnit:
     def test_invalidate_owner_is_selective_across_namespaces(self):
         cache = ResultCache(enabled=True)
         cache.put("A:row", "stock.f", (1,), [(1,)], owner="stock")
-        cache.put("A:batch", "stock.f", (1,), [(1,)], owner="stock")
+        cache.put("A:columnar", "stock.f", (1,), [(1,)], owner="stock")
         cache.put("A:row", "purchasing.g", (1,), [(2,)], owner="purchasing")
         dropped = cache.invalidate_owner("stock")
         assert dropped == 2
         assert cache.get("A:row", "stock.f", (1,)) is None
-        assert cache.get("A:batch", "stock.f", (1,)) is None
+        assert cache.get("A:columnar", "stock.f", (1,)) is None
         assert cache.get("A:row", "purchasing.g", (1,)) == [(2,)]
 
     def test_disabled_cache_is_inert(self):
@@ -136,7 +136,7 @@ class TestCacheUnit:
         assert cache.get("ns", "f", (1,)) == [("old",)]
 
 
-@pytest.fixture(params=["row", "batch"])
+@pytest.fixture(params=["row", "columnar"])
 def cached_server(request, data):
     """A UDTF-architecture server with the result cache on, per mode."""
     scenario = build_scenario(
@@ -149,7 +149,7 @@ def cached_server(request, data):
 class TestOwnerInvalidation:
     def test_dml_invalidates_only_owning_system(self, cached_server):
         """A write through stock's local function drops stock's cached
-        entries only; purchasing's survive.  Runs in row and batch mode
+        entries only; purchasing's survive.  Runs in row and columnar mode
         (the cache namespace includes the execution mode)."""
         server = cached_server
         cache = server.machine.result_cache

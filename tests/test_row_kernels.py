@@ -204,7 +204,7 @@ class TestCoercerMatchesCoerceInto:
         assert coercer(DECIMAL(5, 2)) is not coercer(DECIMAL(5, 3))
 
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 OPTIMIZERS = ("syntactic", "cost")
 CONFIGS = [(mode, optimizer) for mode in MODES for optimizer in OPTIMIZERS]
 

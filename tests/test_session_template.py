@@ -223,7 +223,7 @@ class TestParseMap:
         with pytest.raises(ValueError):
             ParseMap(capacity=0)
 
-    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
     def test_execution_leaves_shared_asts_unchanged(self, template, mode):
         statements = [
             "CREATE TABLE m (k INT PRIMARY KEY, g INT, v DECIMAL(8,2), d DOUBLE)",

@@ -82,9 +82,9 @@ class TestOneChunkListPerVersion:
 
     @pytest.mark.parametrize("size,count", SIZES_AND_COUNTS)
     def test_scans_reuse_the_tail_and_its_zone_cache(self, size, count):
-        """Columnar, batch and zone-pruned row scans all read the list the
+        """Columnar and zone-pruned row scans both read the list the
         version stores, so the tail's zones are computed once."""
-        for mode in ("columnar", "batch", "row"):
+        for mode in ("columnar", "row"):
             db = make_db(size, count, mode)
             table = storage(db)
             sql = "SELECT k FROM t WHERE k >= ?"
