@@ -190,7 +190,7 @@ EOF
 echo "== columnar parity (row vs columnar, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
     tests/test_columnar_kernels.py tests/test_merge_column_path.py \
-    tests/test_compile_once.py tests/test_version_chunks.py
+    tests/test_compile_once.py tests/test_version_chunks.py tests/test_value_key.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py

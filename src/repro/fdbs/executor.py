@@ -39,6 +39,7 @@ from repro.fdbs.expr import (
     truthy,
 )
 from repro.fdbs.storage import Table
+from repro.fdbs.types import join_key, row_key, sort_key, value_key
 
 #: Default number of rows per chunk in columnar execution.
 BATCH_SIZE = 1024
@@ -647,17 +648,6 @@ class NestedLoopJoinPlan(Plan):
         return [self.left, self.right]
 
 
-def _join_key_part(value: object) -> object:
-    """Normalise one join-key value for hashing.
-
-    Strings drop trailing blanks so CHAR-padded keys match exactly like
-    the row-mode ``=`` comparison (see ``expr._align``); everything else
-    hashes natively (Python guarantees ``hash(1) == hash(1.0)`` wherever
-    ``1 == 1.0``).
-    """
-    return value.rstrip() if isinstance(value, str) else value
-
-
 class HashJoinPlan(Plan):
     """INNER / LEFT OUTER equi-join through an in-memory hash table.
 
@@ -677,6 +667,8 @@ class HashJoinPlan(Plan):
     :class:`StaticRightSide` pulls its plan, so a remote build side is
     fetched at the same simulated time as under the cross-apply fold.
     The table lives in locals: cached plans are shared across threads.
+    Each key pair matches by its :func:`~repro.fdbs.types.join_key`, so
+    a NULL or NaN key matches nothing.
     """
 
     def __init__(
@@ -701,6 +693,11 @@ class HashJoinPlan(Plan):
         self.residual = residual
         self.key_names = key_names or []
         self.schema = left.schema + right.schema
+        self._keys = [
+            join_key(left_key.type) or join_key(right_key.type)
+            for left_key, right_key in zip(left_keys, right_keys)
+        ]
+        self._row_key = row_key(self._keys)
         #: Column-batch closures for the left key columns (attached by
         #: the planner in columnar mode; evaluated against left columns).
         self.columnar_left_keys: list[ColumnFn] | None = None
@@ -708,14 +705,13 @@ class HashJoinPlan(Plan):
         self.lazy_build = False
 
     def _build(self, ctx: EvalContext) -> dict[tuple, list[tuple]]:
-        """Materialise the right side into key buckets (NULLs never match)."""
+        """Materialise the right side into key buckets (NULL and NaN keys
+        never match)."""
         table: dict[tuple, list[tuple]] = {}
-        right_keys = self.right_keys
         for right_row in self.right.rows(ctx):
-            values = [key(right_row, ctx) for key in right_keys]
-            if any(value is None for value in values):
+            key = self._key(right_row, self.right_keys, ctx)
+            if None in key:
                 continue
-            key = tuple(_join_key_part(value) for value in values)
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [right_row]
@@ -726,7 +722,7 @@ class HashJoinPlan(Plan):
     def _probe(
         self,
         left_row: tuple,
-        key: tuple | None,
+        key: tuple,
         table: dict[tuple, list[tuple]],
         null_right: tuple,
         ctx: EvalContext,
@@ -734,21 +730,20 @@ class HashJoinPlan(Plan):
     ) -> None:
         """Emit join results for one left row into ``out``."""
         matched = False
-        if key is not None:
-            residual = self.residual
-            for right_row in table.get(key, ()):
-                combined = left_row + right_row
-                if residual is None or truthy(residual(combined, ctx)):
-                    matched = True
-                    out.append(combined)
+        residual = self.residual
+        for right_row in table.get(key, ()):
+            combined = left_row + right_row
+            if residual is None or truthy(residual(combined, ctx)):
+                matched = True
+                out.append(combined)
         if not matched and self.kind == "LEFT OUTER":
             out.append(left_row + null_right)
 
-    def _left_key(self, left_row: tuple, ctx: EvalContext) -> tuple | None:
-        values = [key(left_row, ctx) for key in self.left_keys]
-        if any(value is None for value in values):
-            return None
-        return tuple(_join_key_part(value) for value in values)
+    def _key(self, row: tuple, keys: list[CompiledExpr], ctx: EvalContext) -> tuple:
+        """The join key of one row (a NULL or NaN key holds None, which
+        the build skips and the probe misses)."""
+        key = tuple([key(row, ctx) for key in keys])
+        return key if self._row_key is None else self._row_key(key)
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -758,16 +753,17 @@ class HashJoinPlan(Plan):
             if table is None:
                 table = self._build(ctx)
             out: list[tuple] = []
-            self._probe(left_row, self._left_key(left_row, ctx), table, null_right, ctx, out)
+            key = self._key(left_row, self.left_keys, ctx)
+            self._probe(left_row, key, table, null_right, ctx, out)
             yield from out
 
     def _probe_keys(self, batch, ctx: EvalContext) -> Iterable:
-        """Normalised key tuples of one left column batch, in row order
-        (None or a tuple holding None where a key is NULL)."""
+        """Key tuples of one left column batch, in row order."""
         fns = self.columnar_left_keys
         if fns is None:
-            return [self._left_key(row, ctx) for row in batch]
-        return zip(*[map(_join_key_part, fn(batch, ctx)) for fn in fns])
+            return [self._key(row, self.left_keys, ctx) for row in batch]
+        columns = [fn(batch, ctx) for fn in fns]
+        return zip(*[c if k is None else map(k, c) for c, k in zip(columns, self._keys)])
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Probe with the key columns of left column batches.
@@ -794,8 +790,8 @@ class HashJoinPlan(Plan):
                 if out:
                     yield ColumnBatch(len(out), rows=out)
                 continue
-            # A NULL key misses the table (the build skips NULL keys) and
-            # takes the ``unmatched`` default, like a missing one.
+            # A NULL or NaN key misses the table and takes the
+            # ``unmatched`` default, like a missing one.
             yield from _join_batch(batch, list(map(table.get, keys, repeat(unmatched))), width)
 
     def _describe(self) -> str:
@@ -819,9 +815,10 @@ class MergeJoinPlan(Plan):
     with a forward-merging cursor while the left keys arrive in
     non-decreasing order and by bisection otherwise.  Output is
     therefore left-major with matches in right-scan order —
-    bit-identical rows to the nested-loop and hash plans.  NULL keys
-    never match; mutually unorderable key values degrade to hashed
-    grouping (same rows, the sort saving is simply lost).
+    bit-identical rows to the nested-loop and hash plans.  Keys match by
+    their :func:`~repro.fdbs.types.join_key`, so NULL and NaN keys never
+    match; mutually unorderable key values degrade to hashed grouping
+    (same rows, the sort saving is simply lost).
     """
 
     def __init__(
@@ -832,7 +829,6 @@ class MergeJoinPlan(Plan):
         right_key_index: int,
         key_name: str = "",
         left_key_index: int | None = None,
-        normalise: bool = True,
         sorted_hint: bool = False,
     ):
         self.left = left
@@ -843,8 +839,7 @@ class MergeJoinPlan(Plan):
         #: Direct left-row position of the outer key (attached by the
         #: planner for bare column refs; enables the no-closure probe).
         self.left_key_index = left_key_index
-        #: False for numeric keys, where ``_join_key_part`` is identity.
-        self.normalise = normalise
+        self._key = join_key(left_key.type) or join_key(right.schema[right_key_index].type)
         #: True when RUNSTATS saw the inner key column presorted (the
         #: cost model then charged no explicit sort).
         self.sorted_hint = sorted_hint
@@ -852,24 +847,29 @@ class MergeJoinPlan(Plan):
         self.sorts_applied = 0
         self.presorted_inputs = 0
 
-    def _prepare(self, ctx: EvalContext):
+    def _prepare(self, ctx: EvalContext, columnar: bool):
         """Materialise the right side into ``(group_keys, group_rows,
         buckets)``: sorted distinct keys with their row groups, or a
-        plain dict (``buckets``) when the keys defeat ordering.
+        plain dict (``buckets``) when the keys defeat ordering.  The
+        column path reads it through ``column_batches``.
 
-        Rows whose key is NULL or NaN are dropped: ``=`` matches neither,
-        and a NaN, unordered against every key, would leave the sorted
-        keys out of order for the cursor and the bisection.
+        Rows whose key is None (NULL or NaN) are dropped: they match
+        nothing.
         """
         index = self.right_key_index
-        rows = [
-            row
-            for row in self.right.rows(ctx)
-            if row[index] is not None and row[index] == row[index]
-        ]
-        keys = list(map(itemgetter(index), rows))
-        if self.normalise:
-            keys = list(map(_join_key_part, keys))
+        if columnar:
+            rows, keys = [], []
+            for batch in self.right.column_batches(ctx):
+                rows += batch.rows_view()
+                keys += batch.column(index)
+        else:
+            rows = list(self.right.rows(ctx))
+            keys = list(map(itemgetter(index), rows))
+        if self._key is not None:
+            keys = list(map(self._key, keys))
+        if None in keys:
+            rows = [row for row, key in zip(rows, keys) if key is not None]
+            keys = [key for key in keys if key is not None]
         try:
             distinct = all(map(lt, keys, islice(keys, 1, None)))
             if distinct or all(map(le, keys, islice(keys, 1, None))):
@@ -894,56 +894,64 @@ class MergeJoinPlan(Plan):
             group_rows.append(list(map(itemgetter(1), group)))
         return group_keys, group_rows, None
 
-    def _matcher(self, ctx: EvalContext) -> Callable[[object], Sequence[tuple]]:
-        """Materialise the right side and return ``match(value)``: the
-        right rows whose key equals one left key value, in right-scan
-        order (empty for NULL and NaN).
+    def _matcher(
+        self, ctx: EvalContext, columnar: bool = False
+    ) -> Callable[[Iterable], list[Sequence[tuple]]]:
+        """Materialise the right side and return ``match(values)``: for
+        each left key value, the right rows whose key equals it, in
+        right-scan order (empty for NULL and NaN).
 
-        ``match`` keeps a forward-merging cursor across calls while the
-        left keys arrive in non-decreasing order and bisects when the
-        order regresses; a key unorderable against the grouped keys can
-        still match by equality, through a lazy dict view.  The state
-        lives in the closure, one per execution: cached plans are shared
-        across threads.
+        ``match`` keeps a forward-merging cursor across values and calls
+        while the left keys arrive in non-decreasing order and bisects
+        when the order regresses; a key unorderable against the grouped
+        keys can still match by equality, through a lazy dict view.  The
+        state lives in the closure, one per execution: cached plans are
+        shared across threads.
         """
-        group_keys, group_rows, buckets = self._prepare(ctx)
+        group_keys, group_rows, buckets = self._prepare(ctx, columnar)
+        key_of = self._key
         empty: tuple = ()
         if buckets is not None:
 
-            def match_bucket(value: object) -> Sequence[tuple]:
-                if value is None:
-                    return empty
-                return buckets.get(_join_key_part(value), empty)
+            def match_buckets(values: Iterable) -> list[Sequence[tuple]]:
+                if key_of is not None:
+                    values = map(key_of, values)
+                # No bucket holds the None of a NULL or NaN key.
+                return [buckets.get(value, empty) for value in values]
 
-            return match_bucket
+            return match_buckets
         n = len(group_keys)
-        normalise = self.normalise
-        cursor = 0
-        previous: object = None
-        first = True
+        state: list = [0, None, True]  # cursor, previous key, first call
         lookup: dict | None = None
 
-        def match(key: object) -> Sequence[tuple]:
-            nonlocal cursor, previous, first, lookup
-            if key is None or key != key:  # NULL and NaN equal nothing
-                return empty
-            if normalise:
-                key = _join_key_part(key)
-            try:
-                if first or key >= previous:
-                    while cursor < n and group_keys[cursor] < key:
-                        cursor += 1
-                else:  # left order regressed: bisect instead of rewind
-                    cursor = bisect_left(group_keys, key)
-                first = False
-                previous = key
-            except TypeError:
-                if lookup is None:
-                    lookup = dict(zip(group_keys, group_rows))
-                return lookup.get(key, empty)
-            if cursor < n and group_keys[cursor] == key:
-                return group_rows[cursor]
-            return empty
+        def match(values: Iterable) -> list[Sequence[tuple]]:
+            nonlocal lookup
+            cursor, previous, first = state
+            out: list[Sequence[tuple]] = []
+            append = out.append
+            for key in values if key_of is None else map(key_of, values):
+                if key is None:  # NULL and NaN equal nothing
+                    append(empty)
+                    continue
+                try:
+                    if first or key >= previous:
+                        while cursor < n and group_keys[cursor] < key:
+                            cursor += 1
+                    else:  # left order regressed: bisect instead of rewind
+                        cursor = bisect_left(group_keys, key)
+                    first = False
+                    previous = key
+                except TypeError:
+                    if lookup is None:
+                        lookup = dict(zip(group_keys, group_rows))
+                    append(lookup.get(key, empty))
+                    continue
+                if cursor < n and group_keys[cursor] == key:
+                    append(group_rows[cursor])
+                else:
+                    append(empty)
+            state[:] = cursor, previous, first
+            return out
 
         return match
 
@@ -953,7 +961,7 @@ class MergeJoinPlan(Plan):
         match = self._matcher(ctx)
         left_key = self.left_key
         for left_row in self.left.rows(ctx):
-            for right_row in match(left_key(left_row, ctx)):
+            for right_row in match((left_key(left_row, ctx),))[0]:
                 yield left_row + right_row
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
@@ -963,7 +971,7 @@ class MergeJoinPlan(Plan):
         through the ``left_key`` closure per row.  Each batch becomes a
         :class:`JoinBatch`, as in :meth:`HashJoinPlan.column_batches`.
         """
-        match = self._matcher(ctx)
+        match = self._matcher(ctx, columnar=True)
         left_index = self.left_key_index
         left_key = self.left_key
         width = len(self.left.schema)
@@ -972,7 +980,7 @@ class MergeJoinPlan(Plan):
                 keys = batch.column(left_index)
             else:
                 keys = [left_key(row, ctx) for row in batch.rows_view()]
-            yield from _join_batch(batch, list(map(match, keys)), width)
+            yield from _join_batch(batch, match(keys), width)
 
     def _describe(self) -> str:
         order = "presorted" if self.sorted_hint else "sort"
@@ -1009,9 +1017,10 @@ class IndexNestedLoopJoinPlan(Plan):
     away for repeatedly-joined tables.  Lookups return matches in rid
     (scan) order, making the output left-major with inner matches in
     scan order — bit-identical to the nested-loop / hash / merge plans.
-    Numeric key columns only (CHAR keys would need padding-normalised
-    index entries), and the planner never attaches index probes or zone
-    checks to the inner scan: this operator replaces its access path.
+    Numeric key columns only (the index holds raw values, not CHAR
+    keys), and the planner never attaches index probes or zone checks to
+    the inner scan: this operator replaces its access path.  A NULL or
+    NaN outer key probes nothing.
     """
 
     def __init__(
@@ -1029,6 +1038,7 @@ class IndexNestedLoopJoinPlan(Plan):
         self.key_name = key_name
         self.schema = left.schema + scan.schema
         self.index_probes = 0
+        self._key = join_key(left_key.type)  # the index holds raw values
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -1037,12 +1047,14 @@ class IndexNestedLoopJoinPlan(Plan):
         lookup = table.version_index_lookup
         column = self.column
         left_key = self.left_key
+        key_of = self._key
         cache: dict[object, list[tuple]] = {}
         for left_row in self.left.rows(ctx):
-            value = left_key(left_row, ctx)
-            if value is None:
+            value = key = left_key(left_row, ctx)
+            if key_of is not None:
+                key = key_of(value)
+            if key is None:
                 continue
-            key = _join_key_part(value)
             matches = cache.get(key)
             if matches is None:
                 matches = lookup(version, column, value)
@@ -1081,7 +1093,9 @@ class RemoteBindJoinPlan(Plan):
     When the outer side produces more than ``max_keys`` distinct keys the
     fetch degrades gracefully to the unbound scan (same rows, no bind
     predicate); with zero non-NULL outer keys the fetch is skipped
-    entirely — an inner equality cannot match.
+    entirely — an inner equality cannot match.  Keys match by their
+    :func:`~repro.fdbs.types.join_key`: a NaN key is neither shipped
+    nor matched.
     """
 
     def __init__(
@@ -1100,6 +1114,7 @@ class RemoteBindJoinPlan(Plan):
         self.remote_key_index = remote_key_index
         self.max_keys = max_keys
         self.schema = left.schema + scan.schema
+        self._key = join_key(left_key.type) or join_key(scan.schema[remote_key_index].type)
         self.bound_fetches = 0
         self.unbound_fetches = 0
 
@@ -1111,18 +1126,20 @@ class RemoteBindJoinPlan(Plan):
         return ast.InList(column, items).render()
 
     def _distinct_keys(self, left_rows: list[tuple], ctx: EvalContext) -> list[object]:
-        """Distinct non-NULL outer key values in first-occurrence order."""
+        """Distinct outer key values that can match (not NULL, not NaN),
+        in first-occurrence order."""
         key_values: list[object] = []
         seen: set = set()
         for left_row in left_rows:
             value = self.left_key(left_row, ctx)
-            if value is None:
-                continue
-            normalised = _join_key_part(value)
-            if normalised not in seen:
-                seen.add(normalised)
+            key = self._join_key(value)
+            if key is not None and key not in seen:
+                seen.add(key)
                 key_values.append(value)
         return key_values
+
+    def _join_key(self, value: object) -> object:
+        return value if self._key is None else self._key(value)
 
     def _emit(
         self, left_rows: list[tuple], ctx: EvalContext, predicates: list[str]
@@ -1132,16 +1149,12 @@ class RemoteBindJoinPlan(Plan):
         buckets: dict[object, list[tuple]] = {}
         key_index = self.remote_key_index
         for remote_row in self.scan.fetcher.fetch(ctx, predicates):
-            value = remote_row[key_index]
-            if value is None:
-                continue
-            bucket = buckets.setdefault(_join_key_part(value), [])
-            bucket.append(remote_row)
+            key = self._join_key(remote_row[key_index])
+            if key is not None:
+                buckets.setdefault(key, []).append(remote_row)
         for left_row in left_rows:
-            value = self.left_key(left_row, ctx)
-            if value is None:
-                continue
-            for remote_row in buckets.get(_join_key_part(value), ()):
+            key = self._join_key(self.left_key(left_row, ctx))
+            for remote_row in buckets.get(key, ()) if key is not None else ():
                 yield left_row + remote_row
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
@@ -1433,6 +1446,8 @@ class AggregateSpec:
         self.name = name.upper()
         self.arg = arg  # None means COUNT(*)
         self.distinct = distinct
+        #: DISTINCT compares argument values by this key (None: as is).
+        self.key = value_key(arg.type) if distinct and arg is not None else None
         #: Column-batch closure for ``arg`` (attached in columnar mode).
         self.columnar_arg: ColumnFn | None = None
 
@@ -1465,9 +1480,11 @@ class _AggState:
         if value is None:
             return
         if self.seen is not None:
-            if value in self.seen:
+            key = self.spec.key
+            seen_key = value if key is None else key(value)
+            if seen_key in self.seen:
                 return
-            self.seen.add(value)
+            self.seen.add(seen_key)
         self.count += 1
         name = self.spec.name
         if name in ("SUM", "AVG"):
@@ -1555,7 +1572,9 @@ class AggregatePlan(Plan):
 
     Output rows are ``group_values + aggregate_results`` matching the
     synthetic post-aggregate layout the planner compiles select items
-    against.
+    against.  Rows group by the :func:`~repro.fdbs.types.value_key` of
+    each group value, and a group shows the values of its first row in
+    input order.
     """
 
     def __init__(
@@ -1571,27 +1590,29 @@ class AggregatePlan(Plan):
         self.schema = schema
         #: Column-batch closures for the group keys (columnar mode).
         self.columnar_group: list[ColumnFn] | None = None
+        self._keys = [value_key(expr.type) for expr in group_exprs]
+        self._row_key = row_key(self._keys)
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
+        # Group key -> (its first row's group values, aggregate states).
+        groups: dict[tuple, tuple[tuple, list[_AggState]]] = {}
+        keyed = self._row_key
         for row in self.input.rows(ctx):
-            key = tuple(expr(row, ctx) for expr in self.group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = [spec.new_state() for spec in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for state in states:
+            values = tuple([expr(row, ctx) for expr in self.group_exprs])
+            key = values if keyed is None else keyed(values)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (values, [spec.new_state() for spec in self.aggregates])
+            for state in group[1]:
                 state.update(row, ctx)
         if not groups and not self.group_exprs:
             # Global aggregate over an empty input still yields one row.
             states = [spec.new_state() for spec in self.aggregates]
             yield tuple(state.result() for state in states)
             return
-        for key in order:
-            yield key + tuple(state.result() for state in groups[key])
+        for values, states in groups.values():
+            yield values + tuple(state.result() for state in states)
 
     def _argument_columns(self, chunk, ctx: EvalContext) -> list[list | None]:
         """One evaluated value column per aggregate (None for COUNT(*))."""
@@ -1627,7 +1648,7 @@ class AggregatePlan(Plan):
         values once per aggregate through :meth:`_AggState.update_chunk`.
         A group thus sees the same values in the same row order as
         :meth:`rows`, so float sums stay bit-identical, and groups come
-        out in first-occurrence order.
+        out in first-occurrence order with their first row's values.
         """
         if not self.group_exprs:
             states = [spec.new_state() for spec in self.aggregates]
@@ -1643,6 +1664,9 @@ class AggregatePlan(Plan):
         width = sum(spec.arg is not None for spec in self.aggregates)
         values: list[list] = [[] for _ in range(width)] if width > 1 else []
         groups: defaultdict = defaultdict(list)
+        single = len(self.group_exprs) == 1
+        key_of = self._keys[0] if single else self._row_key
+        firsts: dict = {}  # group key -> its first group values (keyed only)
         total = 0
         for chunk in chunks:
             columns = [c for c in self._argument_columns(chunk, ctx) if c is not None]
@@ -1653,9 +1677,12 @@ class AggregatePlan(Plan):
                 total += len(chunk)
                 for column, chunk_column in zip(values, columns):
                     column.extend(chunk_column)
-            for key, item in zip(self._group_keys(chunk, ctx), items):
+            keys = self._group_keys(chunk, ctx)
+            if key_of is not None:
+                chunk_values, keys = keys, list(map(key_of, keys))
+                list(map(firsts.setdefault, keys, chunk_values))
+            for key, item in zip(keys, items):
                 groups[key].append(item)
-        single = len(self.group_exprs) == 1
         out = []
         for key, items in groups.items():
             if width == 1:
@@ -1667,6 +1694,8 @@ class AggregatePlan(Plan):
                 state = spec.new_state()
                 state.update_chunk(None if spec.arg is None else next(arguments), len(items))
                 results.append(state.result())
+            if key_of is not None:
+                key = firsts[key]
             out.append(((key,) if single else key) + tuple(results))
         for start in range(0, len(out), size):
             yield out[start : start + size]
@@ -1690,8 +1719,8 @@ class SortPlan(Plan):
     Keys are either integer positions or callables ``(row, ctx) ->
     value`` (used for ORDER BY expressions compiled against the output
     schema).  Each key is one stable sort pass, applied right to left,
-    on the native :func:`_sort_key` of each value, so Python compares
-    keys without calling back into Python code.
+    on the native :func:`~repro.fdbs.types.sort_key` of each value, so
+    Python compares keys without calling back into Python code.
     """
 
     def __init__(
@@ -1711,9 +1740,9 @@ class SortPlan(Plan):
         # Stable multi-key sort: apply keys right-to-left.
         for key, ascending in reversed(self.keys):
             if isinstance(key, int):
-                extractor = lambda row, _pos=key: _sort_key(row[_pos])
+                extractor = lambda row, _pos=key: sort_key(row[_pos])
             else:
-                extractor = lambda row, _fn=key: _sort_key(_fn(row, ctx))
+                extractor = lambda row, _fn=key: sort_key(_fn(row, ctx))
             materialised.sort(key=extractor, reverse=not ascending)
         return materialised
 
@@ -1733,28 +1762,6 @@ class SortPlan(Plan):
 
     def _children(self) -> list[Plan]:
         return [self.input]
-
-
-#: Sort keys of the two values that do not order as themselves.
-_NAN_KEY = (1,)
-_NULL_KEY = (2,)
-
-
-def _sort_key(value: object) -> tuple:
-    """The native ORDER BY key of one value.
-
-    Values compare as themselves (``(0, value)``).  NaN, float or
-    Decimal, sorts above every number and NULL above NaN, so ascending
-    order ends ``..., NaN, NULL`` and descending order (the same keys,
-    reversed) starts ``NULL, NaN, ...``.  Both are fixed keys that never
-    compare the value itself: NaN compares false both ways, so it would
-    leave its neighbours unsorted, and a Decimal NaN raises on ``<``.
-    """
-    if value is None:
-        return _NULL_KEY
-    if value != value:
-        return _NAN_KEY
-    return (0, value)
 
 
 class CutPlan(Plan):
@@ -1786,31 +1793,32 @@ class CutPlan(Plan):
 
 
 class DistinctPlan(Plan):
-    """Removes duplicate rows, preserving first occurrence."""
+    """Removes duplicate rows, keeping each row whose key (the
+    :func:`~repro.fdbs.types.value_key` of every column) comes first."""
 
     def __init__(self, input_plan: Plan):
         self.input = input_plan
         self.schema = input_plan.schema
+        self._row_key = row_key([value_key(slot.type) for slot in self.schema])
+
+    def _first(self, rows: Iterable[tuple], seen: set) -> Iterator[tuple]:
+        """The rows whose key ``seen`` does not hold yet (adding it)."""
+        for row in rows:
+            key = row if self._row_key is None else self._row_key(row)
+            if key not in seen:
+                seen.add(key)
+                yield row
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        seen: set[tuple] = set()
-        for row in self.input.rows(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
+        yield from self._first(self.input.rows(ctx), set())
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Dedup needs hashable row tuples; consume the input columnar
         and re-wrap the survivors."""
-        seen: set[tuple] = set()
-        add = seen.add
+        seen: set = set()
         for batch in self.input.column_batches(ctx, size):
-            out = []
-            for row in batch.rows_view():
-                if row not in seen:
-                    add(row)
-                    out.append(row)
+            out = list(self._first(batch.rows_view(), seen))
             if out:
                 yield ColumnBatch(len(out), rows=out)
 
@@ -1861,52 +1869,40 @@ class LimitPlan(Plan):
 
 
 class UnionPlan(Plan):
-    """UNION / UNION ALL of equally wide branches."""
+    """UNION ALL of equally wide branches: their rows, branch by branch
+    (UNION is a :class:`DistinctPlan` over this).
 
-    def __init__(self, branches: Sequence[Plan], all_: bool):
+    A column keeps the first branch's type where every branch agrees on
+    it and is of unknown type (``None``) otherwise, so a DISTINCT above
+    keys it by every rule.
+    """
+
+    def __init__(self, branches: Sequence[Plan]):
         if not branches:
             raise ExecutionError("UNION requires at least one branch")
         widths = {len(b.schema) for b in branches}
         if len(widths) != 1:
             raise ExecutionError("UNION branches must have the same column count")
         self.branches = list(branches)
-        self.all = all_
-        self.schema = self.branches[0].schema
+        self.schema = [
+            slot
+            if all(branch.schema[index].type == slot.type for branch in self.branches)
+            else ColumnSlot(slot.alias, slot.name, None)
+            for index, slot in enumerate(self.branches[0].schema)
+        ]
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        if self.all:
-            for branch in self.branches:
-                yield from branch.rows(ctx)
-            return
-        seen: set[tuple] = set()
         for branch in self.branches:
-            for row in branch.rows(ctx):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
+            yield from branch.rows(ctx)
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield each branch's column batches in turn (deduplicated
-        through row tuples unless ALL)."""
-        if self.all:
-            for branch in self.branches:
-                yield from branch.column_batches(ctx, size)
-            return
-        seen: set[tuple] = set()
-        add = seen.add
+        """Yield each branch's column batches in turn."""
         for branch in self.branches:
-            for batch in branch.column_batches(ctx, size):
-                out = []
-                for row in batch.rows_view():
-                    if row not in seen:
-                        add(row)
-                        out.append(row)
-                if out:
-                    yield ColumnBatch(len(out), rows=out)
+            yield from branch.column_batches(ctx, size)
 
     def _describe(self) -> str:
-        return f"Union(all={self.all})"
+        return "Union"
 
     def _children(self) -> list[Plan]:
         return self.branches

@@ -24,12 +24,16 @@ from repro.fdbs.types import (
     SqlType,
     VARCHAR,
     cast_value,
+    char_key,
     common_supertype,
+    decimal_operands,
     explicitly_castable,
     infer_type,
     is_character,
     is_numeric,
+    join_key,
     parse_type,
+    value_key,
 )
 
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
@@ -988,30 +992,25 @@ class ColumnarCompiler:
         left_type = self._type_of(expr.left)
         right_type = self._type_of(expr.right)
         if _plain_numeric(left_type) and _plain_numeric(right_type):
-            normalize = None
+            key = None
         elif (
             left_type is not None
             and right_type is not None
             and is_character(left_type)
             and is_character(right_type)
         ):
-            normalize = "strip"  # CHAR padding is ignored in comparisons
+            key = value_key(left_type)  # strings compare by their key
         else:
             return None, False
         left = self._value(expr.left)
         right = self._value(expr.right)
-        if normalize == "strip":
-            pairs = lambda chunk, ctx: (
-                (
-                    None if a is None else a.rstrip(),
-                    None if b is None else b.rstrip(),
-                )
-                for a, b in zip(left(chunk, ctx), right(chunk, ctx))
-            )
-        else:
-            pairs = lambda chunk, ctx: zip(left(chunk, ctx), right(chunk, ctx))
         kernel = _PAIR_KERNELS[op]
-        fn = lambda chunk, ctx: kernel(pairs(chunk, ctx))
+        if key is None:
+            fn = lambda chunk, ctx: kernel(zip(left(chunk, ctx), right(chunk, ctx)))
+        else:
+            fn = lambda chunk, ctx: kernel(
+                zip(map(key, left(chunk, ctx)), map(key, right(chunk, ctx)))
+            )
         return fn, True
 
     def _compare_scalar(
@@ -1021,16 +1020,16 @@ class ColumnarCompiler:
 
         The kernel runs when the bound value has the column's raw Python
         semantics: a plain int/float against a plain numeric column, or
-        a string against a character column (both sides pad-stripped, as
-        :func:`_align` does).  A NULL yields an all-NULL column; any
-        other value runs this node row-at-a-time.  None when the
-        column's type has no kernel at all.
+        a string against a character column (both sides by their key, as
+        :func:`_align` compares them).  A NULL yields an all-NULL
+        column; any other value runs this node row-at-a-time.  None when
+        the column's type has no kernel at all.
         """
         column_type = self._type_of(column)
         if _plain_numeric(column_type):
-            strip = False
+            key = None
         elif column_type is not None and is_character(column_type):
-            strip = True
+            key = value_key(column_type)
         else:
             return None
         values_of = self._value(column)
@@ -1041,10 +1040,9 @@ class ColumnarCompiler:
             value = scalar(ctx)
             if value is None:
                 return [None] * len(values_of(chunk, ctx))
-            if strip and isinstance(value, str):
-                values = [None if v is None else v.rstrip() for v in values_of(chunk, ctx)]
-                return kernel(values, value.rstrip())
-            if not strip and _plain_value(value):
+            if key is not None and isinstance(value, str):
+                return kernel(map(key, values_of(chunk, ctx)), key(value))
+            if key is None and _plain_value(value):
                 return kernel(values_of(chunk, ctx), value)
             return per_row(chunk, ctx)
 
@@ -1124,9 +1122,11 @@ class ColumnarCompiler:
 
     def _batch_inlist(self, expr: ast.InList) -> tuple[ColumnFn | None, bool]:
         """``operand [NOT] IN (scalar, ...)`` as hashed membership, which
-        is row mode's ``=`` for plain numbers (NaN aside) against a plain
-        numeric operand and for pad-stripped strings against a character
-        one; any other binding runs row-at-a-time."""
+        is row mode's ``=`` for plain numbers against a plain numeric
+        operand and for strings against a character one: members go
+        through the join key (a NaN member matches nothing) and a
+        character operand through its key.  Any other binding runs
+        row-at-a-time."""
         scalars = [self._scalar(item) for item in expr.items]
         operand_type = self._type_of(expr.operand)
         if None in scalars or not (
@@ -1134,7 +1134,12 @@ class ColumnarCompiler:
             or (operand_type is not None and is_character(operand_type))
         ):
             return None, False
-        strip = is_character(operand_type)
+        character = is_character(operand_type)
+        member_key = join_key(operand_type)
+        # A NaN operand misses members that hold no NaN: only strings
+        # need their key on the operand side.
+        operand_key = member_key if character else None
+        plain = (lambda v: isinstance(v, str)) if character else _plain_value
         operand = self._value(expr.operand)
         per_row = self._per_row(expr)
         negated = expr.negated
@@ -1143,14 +1148,14 @@ class ColumnarCompiler:
             values = [scalar(ctx) for scalar in scalars]
             has_null = None in values
             members = [v for v in values if v is not None]
-            if strip and all(isinstance(v, str) for v in members):
-                members = frozenset(v.rstrip() for v in members)
-                column = [None if v is None else v.rstrip() for v in operand(chunk, ctx)]
-            elif not strip and all(_plain_value(v) and v == v for v in members):
-                members = frozenset(members)
-                column = operand(chunk, ctx)
-            else:
+            if not all(map(plain, members)):
                 return per_row(chunk, ctx)
+            column = operand(chunk, ctx)
+            if member_key is not None:
+                members = map(member_key, members)
+            if operand_key is not None:
+                column = map(operand_key, column)
+            members = frozenset(members)
             miss = None if has_null else False
             hit, miss = (False, None if has_null else True) if negated else (True, miss)
             return [None if v is None else (hit if v in members else miss) for v in column]
@@ -1233,10 +1238,11 @@ def hash_join_compatible(a: SqlType | None, b: SqlType | None) -> bool:
     Python hash table with the same semantics as the row-mode ``=``
     comparison (see :func:`_align`).
 
-    CHAR padding is handled by the join's key normalisation; DECIMAL
-    keys only pair with exact (integer) types because row mode aligns
-    ``DECIMAL = DOUBLE`` through ``Decimal(str(x))``, which changes
-    which values compare equal.
+    CHAR padding and NaN are handled by the join's key
+    (:func:`~repro.fdbs.types.join_key`); DECIMAL keys only pair with
+    exact (integer) types because row mode aligns ``DECIMAL = DOUBLE``
+    through ``Decimal(str(x))``, which changes which values compare
+    equal.
     """
     if a is None or b is None:
         return False
@@ -1262,7 +1268,7 @@ def order_join_compatible(a: SqlType | None, b: SqlType | None) -> bool:
     for a sort-merge join with the row-mode comparison semantics.
 
     A superset check on :func:`hash_join_compatible`: the merge join
-    sorts and bisects normalised key values, so beyond hashability the
+    sorts and bisects join keys, so beyond hashability the
     keys must compare with ``<`` exactly as ``=`` aligns them.  BOOLEAN
     keys are excluded — they hash fine but carry no useful sort order,
     and keeping them on the hash path avoids pricing a two-value sort.
@@ -1326,15 +1332,16 @@ def _compare_values(compare: Callable, a: object, b: object, node: ast.Expressio
     """``compare`` two non-NULL operands with SQL comparison semantics.
 
     Operands of one exact type ``int`` or ``float`` compare directly and
-    two ``str`` compare pad-stripped, which is what :func:`_align` hands
-    back for them; every other pair goes through :func:`_align`.
+    two ``str`` compare by their :func:`~repro.fdbs.types.char_key`,
+    which is what :func:`_align` hands back for them; every other pair
+    goes through :func:`_align`.
     """
     kind = type(a)
     if kind is type(b):
         if kind is int or kind is float:
             return compare(a, b)
         if kind is str:
-            return compare(a.rstrip(), b.rstrip())
+            return compare(char_key(a), char_key(b))
     a, b = _align(a, b, node)
     return compare(a, b)
 
@@ -1389,7 +1396,7 @@ def _comparison(
             if kind is int or kind is float:
                 return fast(c, s)
             if kind is str:
-                return fast(c.rstrip(), s.rstrip())
+                return fast(char_key(c), char_key(s))
         a, b = _align(c, s, node) if column_first else _align(s, c, node)
         return compare(a, b)
 
@@ -1406,16 +1413,11 @@ def _align(a: object, b: object, node: ast.Expression) -> tuple[object, object]:
     numeric_b = isinstance(b, (int, float, Decimal))
     if numeric_a and numeric_b:
         if isinstance(a, Decimal) or isinstance(b, Decimal):
-            a, b = Decimal(str(a)), Decimal(str(b))
-            if a.is_nan() or b.is_nan():
-                # Decimal raises on ordering a NaN; as floats, every
-                # comparison is false but <>, as it is over DOUBLE.
-                return float(a), float(b)
-            return a, b
+            return decimal_operands(a, b)
         return a, b
     if isinstance(a, str) and isinstance(b, str):
-        # CHAR padding is ignored in comparisons, DB2-style.
-        return a.rstrip(), b.rstrip()
+        # Blank padding is ignored in comparisons, DB2-style.
+        return char_key(a), char_key(b)
     if type(a) is type(b):
         return a, b
     raise ExecutionError(

@@ -179,7 +179,9 @@ class Planner:
         all_ = all(is_all for is_all, _ in select.union)
         if any(is_all for is_all, _ in select.union) and not all_:
             raise PlanError("mixing UNION and UNION ALL is not supported")
-        plan = UnionPlan(branches, all_)
+        plan = UnionPlan(branches)
+        if not all_:
+            plan = DistinctPlan(plan)
         if select.order_by:
             plan = self._plan_order_by(plan, select)
         if select.limit is not None:
@@ -795,9 +797,8 @@ class Planner:
         if not hash_join_compatible(left_key.type, inner_type):
             return None
         key_name = spec.conjunct.render()
-        numeric = is_numeric(left_key.type) and is_numeric(inner_type)
         if spec.strategy == "indexnlj":
-            if not numeric:
+            if not (is_numeric(left_key.type) and is_numeric(inner_type)):
                 return None
             return IndexNestedLoopJoinPlan(
                 left, scan, left_key, scan.schema[inner_index].name, key_name
@@ -819,7 +820,6 @@ class Planner:
                 inner_index,
                 key_name,
                 left_key_index=left_pos,
-                normalise=not numeric,
                 sorted_hint=spec.sorted_hint,
             )
         if spec.strategy != "hash":

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import InvalidOperation
-from operator import ne
+from itertools import islice
+from operator import le, ne
 from typing import Sequence
 
 from repro.fdbs.catalog import ColumnDef
+from repro.fdbs.types import value_key
 
 
 @dataclass
@@ -93,51 +95,40 @@ def zone_bounds(
 def collect_stats(
     table_name: str, columns: list[ColumnDef], rows: list[tuple]
 ) -> TableStats:
-    """One full-scan statistics collection pass over materialised rows."""
+    """One full-scan statistics collection pass over materialised rows.
+
+    Values count and order by their :func:`~repro.fdbs.types.value_key`
+    (the key joins, GROUP BY and DISTINCT use): ``ndv`` counts distinct
+    keys, and a column is ``sorted_asc`` when its keys arrive in
+    non-decreasing order with no NULL and no NaN.  ``min``/``max`` follow
+    :func:`zone_bounds`: unknown over a NaN, never NaN themselves.
+    """
     stats = TableStats(table=table_name, card=len(rows))
     for index, column in enumerate(columns):
+        values = [row[index] for row in rows]
+        low, high, nulls = zone_bounds(values)
+        key = value_key(column.type)
+        keys = [value for value in values if value is not None]
+        if key is not None:
+            keys = list(map(key, keys))
         distinct: set[object] = set()
-        nulls = 0
-        low: object | None = None
-        high: object | None = None
-        comparable = True
-        ordered = True
-        previous: object | None = None
-        for row in rows:
-            value = row[index]
-            if value is None:
-                nulls += 1
-                ordered = False  # NULL breaks the sorted-scan guarantee
-                continue
-            if ordered:
-                try:
-                    if previous is not None and value < previous:
-                        ordered = False
-                    previous = value
-                except (TypeError, InvalidOperation):  # unorderable: not sorted
-                    ordered = False
+        for value in keys:
             try:
                 distinct.add(value)
             except TypeError:  # unhashable value: count conservatively
-                comparable = False
-                continue
-            if not comparable:
-                continue
-            try:
-                if low is None or value < low:
-                    low = value
-                if high is None or value > high:
-                    high = value
-            except (TypeError, InvalidOperation):  # unorderable: drop min/max
-                comparable = False
-                low = high = None
+                pass
+        try:
+            # NAN_KEY orders against nothing, so a NaN raises here too.
+            ordered = all(map(le, keys, islice(keys, 1, None)))
+        except (TypeError, InvalidOperation):  # unorderable: not sorted
+            ordered = False
         stats.columns[column.name.upper()] = ColumnStats(
             name=column.name,
             ndv=len(distinct),
             null_count=nulls,
             min_value=low,
             max_value=high,
-            sorted_asc=ordered and len(rows) > 0,
+            sorted_asc=ordered and not nulls and len(rows) > 0,
         )
     return stats
 

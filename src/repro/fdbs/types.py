@@ -393,3 +393,91 @@ def infer_type(value: object) -> SqlType:
     if isinstance(value, datetime.date):
         return DATE
     raise TypeError_(f"no SQL type for Python value {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# Value identity: one key for =, joins, GROUP BY, DISTINCT, UNION, ORDER BY
+# ---------------------------------------------------------------------------
+
+#: The key of every NaN, float or Decimal: all NaNs form one group and
+#: one distinct value (though ``NaN = NaN`` never holds).
+NAN_KEY = object()
+
+
+def char_key(value: object) -> object:
+    """A character value's key: the value without trailing blanks (any
+    other value, NULL included, is its own).  DB2 compares VARCHAR
+    blank-padded; only blanks pad (``'ab\t'`` is not ``'ab'``)."""
+    return value.rstrip(" ") if isinstance(value, str) else value
+
+
+def decimal_operands(a: object, b: object) -> tuple[object, object]:
+    """Two numbers, one a Decimal, as ``=`` and ``<`` compare them:
+    through ``Decimal(str(x))``, or as floats when either is NaN (Decimal
+    raises on ordering a NaN; over floats only ``<>`` holds)."""
+    a, b = Decimal(str(a)), Decimal(str(b))
+    if a.is_nan() or b.is_nan():
+        return float(a), float(b)
+    return a, b
+
+
+def _number_key(value: object) -> object:
+    return NAN_KEY if value != value else value
+
+
+def _any_key(value: object) -> object:
+    return char_key(value) if isinstance(value, str) else _number_key(value)
+
+
+def value_key(t: SqlType | None) -> Callable[[object], object] | None:
+    """The key values of type ``t`` group, deduplicate and compare equal
+    by: :func:`char_key` for character types, NaN to :data:`NAN_KEY` for
+    DOUBLE and DECIMAL, every rule for an unknown type (None).  None for
+    the integer types, BOOLEAN and DATE, whose values are their own key.
+    For non-NULL, non-NaN values, ``a = b`` exactly when the keys are
+    equal."""
+    if t is None:
+        return _any_key
+    if t.family is TypeFamily.CHARACTER:
+        return char_key
+    return _number_key if t.name in ("DOUBLE", "DECIMAL") else None
+
+
+def join_key(t: SqlType | None) -> Callable[[object], object] | None:
+    """The key an equi-join matches a value of type ``t`` by: its
+    :func:`value_key` with NaN mapped to None.  A NULL or NaN key
+    matches nothing, so joins drop None keys.  Both sides of a join use
+    one side's key: one that cannot hold NaN matches no NaN anyway."""
+    key = value_key(t)
+    if key is None or key is char_key:
+        return key
+    return lambda value: None if value != value else key(value)
+
+
+def row_key(keys: Sequence[Callable | None]) -> Callable[[Sequence], tuple] | None:
+    """The key of a tuple of values, position by position (None in
+    ``keys``: the value is its own key); None when the tuple is its own
+    key."""
+    if not any(keys):
+        return None
+    fns = [key or _same for key in keys]
+    return lambda values: tuple([fn(value) for fn, value in zip(fns, values)])
+
+
+def _same(value: object) -> object:
+    return value
+
+
+_NAN_SORT_KEY = (1,)
+_NULL_SORT_KEY = (2,)
+
+
+def sort_key(value: object) -> tuple:
+    """The native ORDER BY key of one value: ``(0, key)``, so strings
+    sort without trailing blanks; NaN, float or Decimal, above every
+    number and NULL above NaN (fixed keys: a NaN compares false both
+    ways, and a Decimal NaN raises on ``<``)."""
+    if value is None:
+        return _NULL_SORT_KEY
+    key = _any_key(value)
+    return _NAN_SORT_KEY if key is NAN_KEY else (0, key)

@@ -43,6 +43,7 @@ from repro.fdbs.expr import (
     MemoCompiler,
     ParamScope,
     RowLayout,
+    _align,
 )
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.types import INTEGER, VARCHAR
@@ -81,12 +82,15 @@ def _rank(value) -> int:
 def reference_sorted(rows, keys):
     """``rows`` ordered by ``keys`` (``(position, ascending)`` pairs) as
     one stable sort with a comparison function: NULL above NaN above
-    every other value, other values by ``<``; DESC reverses each key."""
+    every other value, other values by ``<`` as ``_align`` compares them
+    (strings without trailing blanks); DESC reverses each key."""
 
     def compare(a, b):
         for position, ascending in keys:
             x, y = a[position], b[position]
             rx, ry = _rank(x), _rank(y)
+            if rx == ry == 0:
+                x, y = _align(x, y, ast.Literal(None))
             if rx != ry:
                 result = -1 if rx < ry else 1
             elif rx == 0 and x != y:
@@ -455,7 +459,7 @@ class TestColumnarPlansOnTheRowProtocol:
         left_key = ExpressionCompiler(RowLayout(left.schema)).compile(
             ast.ColumnRef(None, "g")
         )
-        join = MergeJoinPlan(left, right, left_key, 0, "g", normalise=False)
+        join = MergeJoinPlan(left, right, left_key, 0, "g")
         joined = [
             row for batch in join.column_batches(ctx, 4) for row in batch.rows_view()
         ]

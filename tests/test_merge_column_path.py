@@ -62,7 +62,7 @@ BARE_KEY = _key(lambda row, ctx: row[1])
 EXPRESSION_KEY = _key(lambda row, ctx: _shifted(row[0]))
 
 
-def merge_plan(left, right, expression, normalise=True):
+def merge_plan(left, right, expression):
     """A merge join of ``left`` onto ``right.k``: the bare outer key
     (read by position) or the expression key (read through the
     closure)."""
@@ -73,7 +73,6 @@ def merge_plan(left, right, expression, normalise=True):
         0,
         "l.v = r.k",
         left_key_index=None if expression else 1,
-        normalise=normalise,
     )
 
 
@@ -96,9 +95,9 @@ def joined(plan, size):
     return rows
 
 
-def assert_paths_agree(left, right, expression, normalise=True):
+def assert_paths_agree(left, right, expression):
     """Column path at every chunk size == ``rows()`` == the hash join."""
-    plan = merge_plan(left, right, expression, normalise)
+    plan = merge_plan(left, right, expression)
     expected = list(
         HashJoinPlan(
             _Rows(left, "l"),
@@ -162,7 +161,7 @@ def test_nan_inner_keys_never_match_nor_hide_other_keys():
     nan = float("nan")
     right = [(1.0, "a"), (nan, "n"), (0.5, "b"), (2.0, "c"), (nan, "m")]
     left = [(k, k) for k in (0.5, 1.0, nan, 2.0)]
-    plan = merge_plan(left, right, False, normalise=False)
+    plan = merge_plan(left, right, False)
     expected = [(0.5, 0.5, 0.5, "b"), (1.0, 1.0, 1.0, "a"), (2.0, 2.0, 2.0, "c")]
     assert list(plan.rows(EvalContext())) == expected
     for size in CHUNK_SIZES:

@@ -26,7 +26,7 @@ class TestExecutorEdges:
 
     def test_union_requires_branches(self):
         with pytest.raises(Exception):
-            UnionPlan([], all_=True)
+            UnionPlan([])
 
     def test_explain_tree_indents_children(self):
         db = Database("g")
