@@ -814,7 +814,7 @@ def exp_fault_recovery(
             forward_recovery=True,
         )
         audit = server.wfms_client.engine.audit
-        audit_before = len(audit.events)
+        events: list[str] = []
         channel = (
             server.machine.wf_rmi
             if architecture is Architecture.WFMS
@@ -826,6 +826,9 @@ def exp_fault_recovery(
         rows_consistent = True
         start = server.now
         for _ in range(calls):
+            # Read each call's events as it ends: the trail is a ring
+            # buffer, and many calls may outgrow it.
+            mark = audit.recorded
             try:
                 rows = server.call(FIG6_FUNCTION, *args)
             except (StatementAbortedError, TransientFaultError, WorkflowError):
@@ -834,8 +837,8 @@ def exp_fault_recovery(
                 completed += 1
                 if rows != baseline_rows:
                     rows_consistent = False
+            events.extend(e.event for e in audit.since(mark))
         total = server.now - start
-        events = [e.event for e in audit.events[audit_before:]]
         injector = server.machine.fault_injector
         result.measurements.append(
             FaultRecoveryMeasurement(

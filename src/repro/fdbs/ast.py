@@ -8,6 +8,8 @@ federation layer uses to ship pushed-down subqueries to remote servers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
+from math import copysign, isfinite
 
 from repro.fdbs.lexer import KEYWORDS
 from repro.fdbs.types import SqlType
@@ -28,6 +30,21 @@ def _render_identifier(name: str) -> str:
 
 def _render_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
+
+
+def _render_number(value: object) -> str:
+    """``str(value)``, except where that text would not parse back to
+    the value and its type: an infinite or NaN float (which would read
+    as an identifier) and ``-0.0`` (a negated DECIMAL zero) become a
+    CAST of their text, and a Decimal in exponent notation (which would
+    read as a DOUBLE) is written out in plain notation."""
+    if isinstance(value, float):
+        if not isfinite(value) or (value == 0 and copysign(1.0, value) < 0):
+            return f"CAST('{value!r}' AS DOUBLE)"
+    elif isinstance(value, Decimal) and value.is_finite() and "E" in str(value):
+        plain = format(value, "f")
+        return plain if "." in plain else plain + ".0"
+    return str(value)
 
 
 # ===========================================================================
@@ -60,7 +77,7 @@ class Literal(Expression):
             return "TRUE" if self.value else "FALSE"
         if isinstance(self.value, str):
             return _render_string(self.value)
-        return str(self.value)
+        return _render_number(self.value)
 
 
 @dataclass

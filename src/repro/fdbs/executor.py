@@ -1017,10 +1017,11 @@ class IndexNestedLoopJoinPlan(Plan):
     away for repeatedly-joined tables.  Lookups return matches in rid
     (scan) order, making the output left-major with inner matches in
     scan order — bit-identical to the nested-loop / hash / merge plans.
-    Numeric key columns only (the index holds raw values, not CHAR
-    keys), and the planner never attaches index probes or zone checks to
-    the inner scan: this operator replaces its access path.  A NULL or
-    NaN outer key probes nothing.
+    The index buckets by the inner column's value key, so a padded
+    character key finds every spelling ``=`` matches.  The planner never
+    attaches index probes or zone checks to the inner scan: this
+    operator replaces its access path.  A NULL or NaN outer key probes
+    nothing.
     """
 
     def __init__(
@@ -1038,7 +1039,7 @@ class IndexNestedLoopJoinPlan(Plan):
         self.key_name = key_name
         self.schema = left.schema + scan.schema
         self.index_probes = 0
-        self._key = join_key(left_key.type)  # the index holds raw values
+        self._key = join_key(left_key.type)
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""

@@ -1281,13 +1281,22 @@ def order_join_compatible(a: SqlType | None, b: SqlType | None) -> bool:
 
 
 def hash_probe_exact(value: object, column_type: SqlType) -> bool:
-    """True when a hash-index lookup of ``value`` on a numeric column of
-    ``column_type`` (ints, floats, or ints and Decimals for DECIMAL) finds
-    exactly the rows ``col = value`` keeps.  Python's exact ``==`` and
-    ``hash`` are :func:`_align`'s, except that it compares a Decimal with
-    a float through ``Decimal(str(x))`` and that NaN never equals itself
-    while a dict lookup matches it by identity."""
+    """True when a hash-index lookup of ``value`` on a column of
+    ``column_type`` finds exactly the rows ``col = value`` keeps.
+
+    The index buckets by the column's value key (see
+    :class:`~repro.fdbs.storage.HashIndex`).  On a character column a
+    ``str`` probes: ``=`` compares two strings by
+    :func:`~repro.fdbs.types.char_key`.  On a numeric column ints,
+    floats, or ints and Decimals for DECIMAL probe: Python's exact
+    ``==`` and ``hash`` are :func:`_align`'s, except that it compares a
+    Decimal with a float through ``Decimal(str(x))``, and a NaN, which
+    the key buckets with every other NaN, never equals anything.  Every
+    other value falls back to the conjunct, which casts or raises as
+    ``=`` does."""
     kind = type(value)
+    if is_character(column_type):
+        return kind is str
     if kind is int:
         return True
     if kind is float:

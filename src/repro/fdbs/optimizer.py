@@ -50,7 +50,7 @@ from repro.fdbs.executor import (
 )
 from repro.fdbs.pushdown import referenced_qualifiers, split_conjuncts
 from repro.fdbs.stats import TableStats, q_error
-from repro.fdbs.types import is_numeric
+from repro.fdbs.types import is_character, is_numeric
 
 #: Output-cardinality guess for a table function (no statistics exist).
 DEFAULT_FUNCTION_ROWS = 10
@@ -419,10 +419,10 @@ def _choose_local_joins(
     first unconsumed orientable equi-conjunct joining it to an
     earlier-placed item is a local-join candidate; the cost model then
     picks the cheapest of nested-loop, hash, merge (sort charged unless
-    RUNSTATS saw the key presorted) and index nested-loop (numeric keys
-    only).  A nickname the bind-join pass left unbound is priced the
-    same way but only as nested-loop vs. hash: its ship-all fetch is the
-    same SQL text either way.  Nicknames are skipped when ``nicknames``
+    RUNSTATS saw the key presorted) and index nested-loop (numeric or
+    character inner keys).  A nickname the bind-join pass left unbound
+    is priced the same way but only as nested-loop vs. hash: its
+    ship-all fetch is the same SQL text either way.  Nicknames are skipped when ``nicknames``
     is False (the adaptive join keeps them) and after any table
     function, whose per-row clock charges would make a chunked outer
     side pull the remote source at a different simulated time.
@@ -493,7 +493,8 @@ def _pick_local_strategy(
     * merge     sort(L) + sort(R)          sort(N) = N if presorted
                                            else N x (1 + log2 N)
     * indexnlj  L x (1 + R/ndv) + R        (index build amortised;
-                                           numeric key columns only)
+                                           numeric or character inner
+                                           key column)
 
     A nickname is offered nlj and hash only; a forced strategy that
     does not apply leaves the join on nlj.
@@ -523,7 +524,7 @@ def _pick_local_strategy(
             (outer_rows if outer_sorted else outer_rows * (1.0 + _log2(outer_rows)))
             + (inner_rows if inner_sorted else inner_rows * (1.0 + _log2(inner_rows)))
         )
-        if _numeric_table_column(catalog, info.name, inner_column):
+        if _indexable_column(catalog, info.name, inner_column):
             costs["indexnlj"] = outer_rows * (1.0 + per_key) + inner_rows
     if join_strategy != "auto":
         # Forced NLJ, or a forced strategy this item cannot run.
@@ -533,16 +534,17 @@ def _pick_local_strategy(
     return best, per_key, inner_sorted
 
 
-def _numeric_table_column(catalog, table_name: str, column_name: str) -> bool:
-    """Whether the base-table column is numeric (index-NLJ eligible —
-    CHAR keys would need padding-normalised index entries)."""
+def _indexable_column(catalog, table_name: str, column_name: str) -> bool:
+    """Whether the base-table column is index-NLJ eligible: numeric or
+    character, the types an index probe serves (the index buckets by
+    the column's value key)."""
     if not catalog.has_table(table_name):
         return False
     table = catalog.get_table(table_name)
     target = column_name.upper()
     for column in table.columns:
         if column.name.upper() == target:
-            return is_numeric(column.type)
+            return is_numeric(column.type) or is_character(column.type)
     return False
 
 

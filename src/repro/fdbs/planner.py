@@ -65,7 +65,7 @@ from repro.fdbs.expr import (
     is_aggregate_call,
     order_join_compatible,
 )
-from repro.fdbs.types import implicitly_castable, is_numeric
+from repro.fdbs.types import implicitly_castable, is_character, is_numeric
 
 RemoteFetcher = Callable[
     [NicknameDef], tuple[Callable[[EvalContext], list[tuple]], list[ColumnDef]]
@@ -798,8 +798,6 @@ class Planner:
             return None
         key_name = spec.conjunct.render()
         if spec.strategy == "indexnlj":
-            if not (is_numeric(left_key.type) and is_numeric(inner_type)):
-                return None
             return IndexNestedLoopJoinPlan(
                 left, scan, left_key, scan.schema[inner_index].name, key_name
             )
@@ -887,12 +885,12 @@ class Planner:
     ) -> ast.Expression | None:
         """Lift ``col = <constant>`` conjuncts into hash-index probes.
 
-        Restricted to numeric columns (character comparisons ignore CHAR
-        padding, which an exact-match hash probe would not) and one
-        probe per scan.  The probe keeps the conjunct compiled over the
-        scan's own rows: an execution whose bound value would hash
-        differently from how ``=`` compares it filters through that
-        instead (see ``TableScanPlan._probe_rows``).
+        Restricted to numeric and character columns (the index buckets
+        by the column's value key, so trailing blanks match as ``=``
+        ignores them) and one probe per scan.  The probe keeps the
+        conjunct compiled over the scan's own rows: an execution whose
+        bound value would hash differently from how ``=`` compares it
+        filters through that instead (see ``TableScanPlan._probe_rows``).
         """
         from repro.fdbs.pushdown import recombine, split_conjuncts
 
@@ -906,8 +904,6 @@ class Planner:
         return recombine(remaining)
 
     def _as_index_probe(self, conjunct, layout, local_scans):
-        from repro.fdbs.types import is_numeric
-
         if not (
             isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
         ):
@@ -932,7 +928,11 @@ class Planner:
             scan = local_scans.get(alias)
             if scan is None or scan.index_probe is not None:
                 return None
-            if slot.type is None or not is_numeric(slot.type):
+            # BOOLEAN and DATE stay unprobed: ``b = 1`` must raise as
+            # ``=`` does, not find the TRUE rows a 1 hashes as.
+            if slot.type is None or not (
+                is_numeric(slot.type) or is_character(slot.type)
+            ):
                 return None
             value_expr = ExpressionCompiler(RowLayout([]), params=self.params).compile(
                 value

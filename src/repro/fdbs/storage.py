@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.errors import ConstraintError, ExecutionError, WriteConflictError
 from repro.fdbs.catalog import ColumnDef
 from repro.fdbs.stats import zone_bounds
-from repro.fdbs.types import coercer
+from repro.fdbs.types import coercer, value_key
 
 
 Row = tuple
@@ -160,6 +160,13 @@ class UndoLog:
 class HashIndex:
     """A non-unique hash index over one column position.
 
+    Buckets are keyed by the column's value key (``key``, see
+    :func:`~repro.fdbs.types.value_key`): character values without
+    trailing blanks, every NaN under one key; integer columns pass
+    ``key=None`` and bucket raw values with no call.  So a lookup finds
+    exactly the rows whose value ``=`` a probe of the column's type
+    (NULL and NaN probes aside, which callers never make).
+
     Buckets are rid lists; :meth:`lookup` sorts them, so bucket order
     never shows.  The current arena's buckets only ever grow (INSERT
     appends rids); UPDATE, DELETE and their undo remove rids from a
@@ -170,20 +177,28 @@ class HashIndex:
     lookup.
     """
 
-    def __init__(self, position: int):
+    def __init__(self, position: int, key: Callable[[object], object] | None = None):
         self.position = position
+        self.key = key
         self._buckets: dict[object, list[int]] = {}
 
     def add(self, rid: int, row: Row) -> None:
         """Index one row under its key value."""
-        self._buckets.setdefault(row[self.position], []).append(rid)
+        value = row[self.position]
+        if self.key is not None:
+            value = self.key(value)
+        self._buckets.setdefault(value, []).append(rid)
 
     def remove_many(self, entries: Iterable[tuple[int, Row]]) -> None:
         """Drop ``(rid, row)`` entries from their key buckets (clone-only;
         never called on an arena that concurrent readers may hold)."""
+        key_of = self.key
         doomed: dict[object, set[int]] = {}
         for rid, row in entries:
-            doomed.setdefault(row[self.position], set()).add(rid)
+            value = row[self.position]
+            if key_of is not None:
+                value = key_of(value)
+            doomed.setdefault(value, set()).add(rid)
         for key, rids in doomed.items():
             bucket = self._buckets.get(key)
             if bucket is None:
@@ -195,12 +210,14 @@ class HashIndex:
                 del self._buckets[key]
 
     def lookup(self, value: object) -> list[int]:
-        """Rids whose key equals ``value``, in ascending rid order."""
+        """Rids whose key equals ``value``'s key, in ascending rid order."""
+        if self.key is not None:
+            value = self.key(value)
         return sorted(self._buckets.get(value, ()))
 
     def copy(self) -> "HashIndex":
         """Deep-enough copy for a copy-on-write arena rebuild."""
-        clone = HashIndex(self.position)
+        clone = HashIndex(self.position, self.key)
         clone._buckets = {key: list(rids) for key, rids in self._buckets.items()}
         return clone
 
@@ -665,7 +682,8 @@ class Table:
             arena = self._current.arena
             if key in arena.indexes:
                 return arena.indexes[key]
-            index = HashIndex(self._position(column))
+            position = self._position(column)
+            index = HashIndex(position, value_key(self.columns[position].type))
             for rid, row in self._current.scan():
                 index.add(rid, row)
             arena.indexes[key] = index
@@ -685,16 +703,21 @@ class Table:
         current, in which case the index is created on demand), rids are
         filtered by the version's ``row_limit``; a version bound to an
         older arena without the index falls back to a linear scan — the
-        same rows in the same (rid) order, just without the probe.
+        same rows in the same (rid) order, compared by the same value key
+        the index buckets by, just without the probe.
         """
-        key = column.upper()
-        index = version.arena.indexes.get(key)
+        name = column.upper()
+        index = version.arena.indexes.get(name)
         if index is None and version.arena is self._current.arena:
             self.create_index(column)
-            index = version.arena.indexes.get(key)
+            index = version.arena.indexes.get(name)
         if index is None:
             position = self._position(column)
-            return [row for _, row in version.scan() if row[position] == value]
+            key = value_key(self.columns[position].type)
+            if key is None:
+                return [row for _, row in version.scan() if row[position] == value]
+            wanted = key(value)
+            return [row for _, row in version.scan() if key(row[position]) == wanted]
         rows = version.arena.rows
         return [
             rows[rid]

@@ -52,11 +52,46 @@ def test_remaining_conjuncts_stay_in_filter(db):
     assert rows == [(11,), (16,), (21,), (26,), (31,), (36,), (41,), (46,)]
 
 
-def test_character_columns_not_probed(db):
-    # CHAR-padding comparison semantics make exact-hash probes unsafe.
-    text = plan_text(db, "SELECT k FROM t WHERE label = 'L1'")
-    assert "IndexLookup" not in text
-    assert "TableScan(t)" in text
+@pytest.mark.parametrize("value", ["'L1'", "?"])
+def test_character_columns_probe(db, value):
+    sql = f"SELECT k FROM t WHERE label = {value}"
+    text = plan_text(db, sql)
+    assert "IndexLookup(t.label)" in text
+    assert "Filter(WHERE)" not in text
+    rows = db.execute(sql + " ORDER BY k", params=["L1"] if value == "?" else []).rows
+    assert rows == [(k,) for k in range(1, 50, 5)]
+
+
+def test_character_probe_ignores_trailing_blanks(db):
+    db.execute("INSERT INTO t VALUES (50, 1, 'L1  ')")
+    sql = "SELECT k FROM t WHERE label = ? ORDER BY k"
+    padded = db.execute(sql, params=["L1 "]).rows
+    assert padded == db.execute(sql, params=["L1"]).rows
+    assert padded == [(k,) for k in range(1, 50, 5)] + [(50,)]
+    db.index_selection_enabled = False
+    assert db.execute(sql, params=["L1 "]).rows == padded
+
+
+def test_a_tab_does_not_pad(db):
+    db.execute("INSERT INTO t VALUES (50, 1, 'L1\t')")
+    sql = "SELECT k FROM t WHERE label = ? ORDER BY k"
+    assert db.execute(sql, params=["L1\t"]).rows == [(50,)]
+    assert db.execute(sql, params=["L1"]).rows == [(k,) for k in range(1, 50, 5)]
+    db.index_selection_enabled = False
+    assert db.execute(sql, params=["L1\t"]).rows == [(50,)]
+
+
+def test_non_string_value_on_a_character_column_compares_as_equals_does(db):
+    """A bound number is not probed: the conjunct compares it, and the
+    error is the one ``=`` raises without an index."""
+    sql = "SELECT k FROM t WHERE label = ?"
+    with pytest.raises(Exception) as probed:
+        db.execute(sql, params=[5])
+    db.index_selection_enabled = False
+    with pytest.raises(Exception) as scanned:
+        db.execute(sql, params=[5])
+    assert type(probed.value) is type(scanned.value)
+    assert str(probed.value) == str(scanned.value)
 
 
 def test_null_literal_not_probed(db):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConstraintError, ExecutionError
 from repro.fdbs.catalog import ColumnDef
 from repro.fdbs.storage import Table, UndoLog
-from repro.fdbs.types import INTEGER, VARCHAR
+from repro.fdbs.types import DOUBLE, INTEGER, VARCHAR
 
 
 def make_table(primary_key=("id",)):
@@ -135,6 +135,45 @@ def test_index_maintained_across_mutations():
     table.update_rid(rid, (1, "a", 33))
     assert table.index_lookup("score", 10) == []
     assert table.index_lookup("score", 33) == [(1, "a", 33)]
+
+
+def keyed_table():
+    table = Table("k", [ColumnDef("id", INTEGER), ColumnDef("v", VARCHAR(6)),
+                        ColumnDef("m", DOUBLE)])
+    nan = float("nan")
+    table.insert_many([(1, "ab", 1.0), (2, "ab ", nan), (3, "ab\t", nan), (4, "x", -0.0)])
+    return table
+
+
+def test_index_buckets_by_the_value_key():
+    table = keyed_table()
+    assert [r[0] for r in table.index_lookup("v", "ab  ")] == [1, 2]
+    assert [r[0] for r in table.index_lookup("v", "ab\t")] == [3]
+    assert [r[0] for r in table.index_lookup("m", float("nan"))] == [2, 3]
+    assert [r[0] for r in table.index_lookup("m", 0.0)] == [4]
+    table.delete_rid(0)
+    table.update_rid(1, (2, "y", 5.0))
+    assert table.index_lookup("v", "ab") == []
+    assert [r[0] for r in table.index_lookup("v", "y ")] == [2]
+    assert [r[0] for r in table.index_lookup("m", float("nan"))] == [3]
+
+
+@pytest.mark.parametrize(
+    "column,value", [("v", "ab"), ("v", "ab "), ("v", "ab\t"), ("m", float("nan")), ("m", 0.0)]
+)
+def test_old_version_without_the_index_scans_by_the_value_key(column, value):
+    """A version pinned on an arena older than the index scans instead of
+    probing, and finds what the index finds on the current version."""
+    table = keyed_table()
+    pinned = table.current_version
+    table.delete_rid(3)
+    table.insert((4, "x", -0.0))
+    table.create_index(column)
+    assert column.upper() not in pinned.arena.indexes
+    scanned = table.version_index_lookup(pinned, column, value)
+    probed = table.version_index_lookup(table.current_version, column, value)
+    assert sorted(scanned) == sorted(probed)
+    assert scanned
 
 
 class TestUndo:

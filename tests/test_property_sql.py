@@ -1,15 +1,19 @@
 """Property-based tests for the SQL layer (hypothesis)."""
 
+import math
 import re
+from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fdbs import ast
-from repro.fdbs.expr import like_to_regex
+from repro.fdbs.expr import EvalContext, ExpressionCompiler, RowLayout, like_to_regex
 from repro.fdbs.lexer import KEYWORDS, TokenType, tokenize
 from repro.fdbs.parser import parse_expression, parse_statement
 from repro.fdbs.types import (
     BIGINT,
+    DECIMAL,
     DOUBLE,
     INTEGER,
     SMALLINT,
@@ -163,6 +167,76 @@ def test_render_parse_round_trip_quotes_keywords_and_quotes(columns, table, alia
         from_items=[ast.TableRef(table, alias)],
     )
     assert parse_statement(select.render()) == select
+
+
+def _evaluate(text):
+    """The value and SQL type of a constant expression's text."""
+    compiled = ExpressionCompiler(RowLayout([])).compile(parse_expression(text))
+    return compiled.fn((), EvalContext()), compiled.type
+
+
+def _same_value(a, b):
+    if a != a:
+        return b != b and type(a) is type(b)
+    return a == b and type(a) is type(b) and math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.mark.parametrize(
+    "value,sql_type",
+    [
+        (math.inf, DOUBLE),
+        (-math.inf, DOUBLE),
+        (math.nan, DOUBLE),
+        (-0.0, DOUBLE),
+        (1e20, DOUBLE),
+        (2.5e-7, DOUBLE),
+        (Decimal("1E+2"), DECIMAL()),
+        (Decimal("-1E+2"), DECIMAL()),
+        (Decimal("2.5E-7"), DECIMAL()),
+        (Decimal("1.50"), DECIMAL()),
+        (7, INTEGER),
+        (2**40, BIGINT),
+    ],
+    ids=repr,
+)
+def test_number_literal_survives_render_and_parse(value, sql_type):
+    """A rendered number literal parses back to its value and SQL type:
+    ``inf`` used to read as an identifier, ``-0.0`` as a negated DECIMAL
+    zero and ``Decimal('1E+2')`` as a DOUBLE."""
+    result, result_type = _evaluate(ast.Literal(value).render())
+    assert _same_value(result, value)
+    assert result_type == sql_type
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (1.5, "1.5"),
+        (1e20, "1e+20"),
+        (Decimal("1.50"), "1.50"),
+        (Decimal("-0.5"), "-0.5"),
+        (7, "7"),
+        (-3, "-3"),
+        ("it's", "'it''s'"),
+        (True, "TRUE"),
+        (None, "NULL"),
+    ],
+    ids=repr,
+)
+def test_other_literals_render_as_before(value, text):
+    """Shipped statement text keys the cache-fronted sources, so every
+    literal that already parsed back keeps its text byte for byte."""
+    assert ast.Literal(value).render() == text
+
+
+@settings(max_examples=200)
+@given(st.floats(allow_nan=False))
+def test_every_float_literal_parses_back_to_an_equal_value(value):
+    """Equal under SQL ``=``: a plain-notation float such as ``1.5``
+    still reads as a DECIMAL, whose text stays as it was."""
+    node = parse_expression(f"({ast.Literal(value).render()}) = ?")
+    compiled = ExpressionCompiler(RowLayout([])).compile(node)
+    assert compiled.fn((), EvalContext(params=[value])) is True
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,34 @@ def test_nan_self_join_matches_nothing_under_every_strategy(mode, strategy):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_padded_character_keys_join_alike_under_every_strategy(mode):
+    """A forced index nested-loop join probes the inner column's index
+    with padded and unpadded keys and finds the rows hash and merge do."""
+    db = Database("padjoin", execution_mode=mode, optimizer="cost")
+    db.execute("CREATE TABLE a (i INT, s VARCHAR(6))")
+    db.execute("CREATE TABLE b (j INT, c CHAR(4))")
+    db.execute_many(
+        "INSERT INTO a VALUES (?, ?)",
+        [(1, "ab"), (2, "ab  "), (3, "ab\t"), (4, None), (5, ""), (6, "x")],
+    )
+    db.execute_many(
+        "INSERT INTO b VALUES (?, ?)",
+        [(10, "ab "), (11, "ab"), (12, "ab\t"), (13, " "), (14, None)],
+    )
+    db.execute("RUNSTATS a")
+    db.execute("RUNSTATS b")
+    sql = "SELECT a.i, b.j FROM a, b WHERE a.s = b.c"
+    results = {}
+    for strategy in ("indexnlj", "hash", "merge", "nlj"):
+        db.set_join_strategy(strategy)
+        if strategy != "nlj":
+            assert f"join={strategy}" in db.explain(sql)
+        results[strategy] = sorted(db.execute(sql).rows)
+    expected = [(1, 10), (1, 11), (2, 10), (2, 11), (3, 12), (5, 13)]
+    assert all(rows == expected for rows in results.values()), results
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_nan_keys_are_neither_shipped_nor_matched_by_the_bind_join(mode):
     nan = float("nan")
     db = Database("fed", machine=Machine(), execution_mode=mode, optimizer="cost")
@@ -188,6 +216,33 @@ def test_nan_keys_are_neither_shipped_nor_matched_by_the_bind_join(mode):
     sql = "SELECT l.k, n.v FROM l, n WHERE l.m = n.m"
     assert "BindJoin(n, bind: m)" in db.explain(sql)
     assert db.execute(sql).rows == [(1, v) for v in range(1, 400, 50)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_infinite_and_negative_zero_keys_ship_to_the_bind_join(mode):
+    """A bind key renders as SQL text that parses back to the key: ``inf``
+    used to ship as a bare word, which the remote could not resolve."""
+    inf = float("inf")
+    db = Database("fed", machine=Machine(), execution_mode=mode, optimizer="cost")
+    db.execute("CREATE TABLE l (k INT, m DOUBLE)")
+    db.execute_many("INSERT INTO l VALUES (?, ?)", [(1, 1.0), (2, inf), (3, -0.0), (4, -inf)])
+    remote = Database("remote")
+    remote.execute("CREATE TABLE r (m DOUBLE, v INT)")
+    remote.execute_many(
+        "INSERT INTO r VALUES (?, ?)",
+        [(float(i % 50), i) for i in range(400)] + [(inf, -1), (0.0, -2)],
+    )
+    db.execute("CREATE WRAPPER w")
+    db.execute("CREATE SERVER s WRAPPER w")
+    db.attach_endpoint("s", DatabaseEndpoint(remote))
+    db.execute("CREATE NICKNAME n FOR s.r")
+    db.execute("RUNSTATS l")
+    db.execute("RUNSTATS n")
+    sql = "SELECT l.k, n.v FROM l, n WHERE l.m = n.m"
+    assert "BindJoin(n, bind: m)" in db.explain(sql)
+    expected = [(1, v) for v in range(1, 400, 50)] + [(2, -1)]
+    expected += [(3, v) for v in range(0, 400, 50)] + [(3, -2)]
+    assert db.execute(sql).rows == expected
 
 
 class TestRunstatsReadsKeys:
@@ -265,3 +320,75 @@ def test_equal_and_less_agree_with_the_keys(sql_type, data):
     key = value_key(sql_type) or (lambda value: value)
     assert compare("=", a, b) is (key(a) == key(b))
     assert compare("<", a, b) is (sort_key(a) < sort_key(b))
+
+
+# ---------------------------------------------------------------------------
+# An index probe finds what the scan finds
+# ---------------------------------------------------------------------------
+
+_STRINGS = st.sampled_from(["ab", "ab ", "ab  ", "ab\t", "", " ", "b", "AB"])
+_DOUBLES = st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5, math.nan, math.inf])
+_DECIMALS = st.sampled_from(
+    [Decimal("0"), Decimal("-0.00"), Decimal("1.00"), Decimal("0.10"), Decimal("NaN"), 1]
+)
+
+#: Per column type: the values rows hold, and the values bound against
+#: the column, which add NULL and values of other types (a probe must
+#: compare them as ``=`` does, rows or error).
+PROBE_TYPES = {
+    "CHAR(4)": (_STRINGS, st.one_of(_STRINGS, st.sampled_from([None, 5, 1.5, True]))),
+    "VARCHAR(6)": (_STRINGS, st.one_of(_STRINGS, st.sampled_from([None, 5, Decimal("1")]))),
+    "DOUBLE": (
+        _DOUBLES,
+        st.one_of(_DOUBLES, st.sampled_from([None, 1, 0, Decimal("0.1"), Decimal("NaN"), "ab", True])),
+    ),
+    "DECIMAL(8,2)": (
+        _DECIMALS,
+        st.one_of(_DECIMALS, st.sampled_from([None, 0.1, 1.0, -0.0, math.nan, "1", False])),
+    ),
+}
+
+
+def _dml(values):
+    """One statement changing ``t`` (with its parameters), or a COMMIT
+    or ROLLBACK of everything since the last COMMIT."""
+    keys = st.integers(min_value=0, max_value=7)
+    return st.one_of(
+        st.tuples(st.just("INSERT INTO t VALUES (?, ?)"), st.tuples(keys, values)),
+        st.tuples(st.just("UPDATE t SET v = ? WHERE k = ?"), st.tuples(values, keys)),
+        st.tuples(st.just("DELETE FROM t WHERE k = ?"), st.tuples(keys)),
+        st.tuples(st.sampled_from(["COMMIT", "ROLLBACK"]), st.just(())),
+    )
+
+
+def _outcome(db, sql, params):
+    try:
+        return db.execute(sql, params=list(params)).rows
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("column_type", list(PROBE_TYPES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_index_probe_finds_what_the_scan_finds(column_type, mode, data):
+    """``v = ?`` through the hash index (index selection on) gives the
+    rows, or the error, of the scan (off), after any mix of INSERT,
+    UPDATE, DELETE, COMMIT and ROLLBACK between probes."""
+    values, bound = PROBE_TYPES[column_type]
+    db = Database("probe", execution_mode=mode)
+    db.execute(f"CREATE TABLE t (k INT, v {column_type})")
+    rows = data.draw(st.lists(values, max_size=6))
+    db.execute_many("INSERT INTO t VALUES (?, ?)", list(enumerate(rows)))
+    db.execute("COMMIT")
+    probe = "SELECT k, v FROM t WHERE v = ?"
+    assert "IndexLookup(t.v)" in db.explain(probe)
+    steps = data.draw(st.lists(st.tuples(_dml(values), bound), min_size=1, max_size=6))
+    for (statement, params), value in steps:
+        _outcome(db, statement, params)
+        db.index_selection_enabled = True
+        probed = _outcome(db, probe, [value])
+        db.index_selection_enabled = False
+        scanned = _outcome(db, probe, [value])
+        assert probed == scanned, (statement, params, value)

@@ -7,6 +7,7 @@ from repro.fdbs.types import INTEGER
 from repro.simtime.costs import DEFAULT_COSTS
 from repro.sysmodel.machine import Machine
 from repro.wfms.api import WfmsClient
+from repro.wfms import audit
 from repro.wfms.audit import AuditTrail
 from repro.wfms.builder import ProcessBuilder
 from repro.wfms.programs import LocalFunctionProgram, ProgramRegistry
@@ -142,6 +143,40 @@ class TestAuditTrail:
         trail.record(0.0, "P", "x")
         trail.clear()
         assert len(trail) == 0
+
+    def test_ring_buffer_keeps_the_newest_events(self, monkeypatch):
+        monkeypatch.setattr(audit, "AUDIT_CAPACITY", 3)
+        trail = AuditTrail()
+        mark = trail.recorded
+        for index in range(5):
+            trail.record(float(index), "P", f"e{index}")
+        assert len(trail) == 3 and trail.recorded == 5
+        assert [e.event for e in trail.events] == ["e2", "e3", "e4"]
+        assert [e.event for e in trail.since(mark)] == ["e2", "e3", "e4"]
+        assert [e.event for e in trail.since(4)] == ["e4"]
+        assert trail.since(5) == []
+        assert [e.event for e in trail.for_process("p")] == ["e2", "e3", "e4"]
+
+    def test_since_counts_across_clear(self):
+        trail = AuditTrail()
+        trail.record(0.0, "P", "old")
+        mark = trail.recorded
+        trail.clear()
+        trail.record(1.0, "P", "new")
+        assert [e.event for e in trail.since(mark)] == ["new"]
+
+    def test_engine_trail_stays_within_capacity(self):
+        client = make_client()
+        trail = client.engine.audit
+        per_run = 0
+        while trail.recorded <= audit.AUDIT_CAPACITY:
+            client.run_process("P", {"X": 1})
+            per_run = per_run or trail.recorded
+        assert len(trail) == audit.AUDIT_CAPACITY
+        assert trail.events[-1].event == "process finished"
+        assert [e.event for e in trail.since(trail.recorded - per_run)] == [
+            e.event for e in list(trail.events)[-per_run:]
+        ]
 
 
 class TestInstanceAdministration:

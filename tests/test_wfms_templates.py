@@ -68,10 +68,10 @@ def parity_table() -> dict[str, list[dict]]:
             ]
             for name, args in calls:  # warm every process, JVM and plan
                 server.call(name, *args)
-            audit = server.wfms_client.engine.audit.events
+            audit = server.wfms_client.engine.audit
             entries = []
             for name, args in calls:
-                first_event = len(audit)
+                first_event = audit.recorded
                 start = server.machine.clock.now
                 rows = server.call(name, *args)
                 entry = {
@@ -89,7 +89,7 @@ def parity_table() -> dict[str, list[dict]]:
                             event.event,
                             event.detail,
                         ]
-                        for event in audit[first_event:]
+                        for event in audit.since(first_event)
                     ]
                 entries.append(entry)
             table[f"{label}/{architecture.name}"] = entries
