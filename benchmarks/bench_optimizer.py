@@ -169,12 +169,12 @@ def run_merge_join(n_rows: int = 100_000, repeats: int = 5) -> dict:
     db = build_merge_workload("cost", n_rows)
     strategies = ("hash", "merge")
     for strategy in strategies:
-        db.set_join_strategy(strategy)
+        db.configure(join_strategy=strategy)
         db.execute(MERGE_COUNT_SQL)  # warm the statement cache + plan
     walls: dict[str, float] = {}
     for _ in range(repeats):
         for strategy in strategies:
-            db.set_join_strategy(strategy)
+            db.configure(join_strategy=strategy)
             elapsed, count = _timed_without_gc(
                 lambda: db.execute(MERGE_COUNT_SQL).scalar()
             )
@@ -189,7 +189,7 @@ def run_merge_join(n_rows: int = 100_000, repeats: int = 5) -> dict:
     sample_db = build_merge_workload("cost", sample_rows)
     rows_identical = True
     for strategy in ("hash", "merge", "indexnlj", "nlj"):
-        sample_db.set_join_strategy(strategy)
+        sample_db.configure(join_strategy=strategy)
         if sample_db.execute(MERGE_SAMPLE_SQL).rows != baseline:
             rows_identical = False
     return {

@@ -114,9 +114,9 @@ def run_pruning(fact_rows: int) -> dict:
     def zones_on_and_off(sql: str) -> tuple[float, float, bool]:
         """Seconds with zone maps on, then off, and whether rows agree."""
         on_seconds, on_rows = time_query(db, sql)
-        db.set_zone_maps(False)
+        db.configure(zone_maps=False)
         off_seconds, off_rows = time_query(db, sql)
-        db.set_zone_maps(True)
+        db.configure(zone_maps=True)
         return on_seconds, off_seconds, on_rows == off_rows
 
     columnar_seconds, ablation_seconds, parity = zones_on_and_off(query)

@@ -50,6 +50,7 @@ from repro.fdbs.federation import (
     DatabaseEndpoint,
     SourceProfile,
 )
+from repro.fdbs.options import Options
 from repro.fdbs.session import ParseMap
 from repro.fdbs.types import BIGINT, INTEGER, VARCHAR
 from repro.simtime.costs import CostModel
@@ -371,26 +372,22 @@ def build_scenario(
     controller_enabled: bool = True,
     data: EnterpriseData | None = None,
     jitter: JitterSource | None = None,
-    pooling: bool = False,
-    result_cache: bool = False,
     faults: dict | None = None,
-    optimizer: str = "syntactic",
-    chunk_size: int | None = None,
     heterogeneous: bool = False,
     system_factories: list[Callable[[Machine], ApplicationSystem]] | None = None,
     parses: ParseMap | None = None,
     functions: list[FederatedFunction] | None = None,
+    options: Options | None = None,
+    **changes,
 ) -> Scenario:
     """Stand up an integration server and deploy every federated
     function the architecture supports; unsupported ones (the cyclic
     case outside WfMS/procedural) are recorded in ``skipped``.
-    ``pooling``/``result_cache`` switch on the integration server's warm
-    runtime pool and memoizing result cache (both off by default);
+    ``options`` with ``changes`` applied (:meth:`Options.resolve
+    <repro.fdbs.options.Options.resolve>`) configures the server;
     ``faults`` is forwarded to
     :meth:`~repro.core.server.IntegrationServer.configure_faults`;
-    ``optimizer`` selects the FDBS planning mode (``"syntactic"`` or
-    ``"cost"``); ``chunk_size`` overrides the FDBS rows-per-chunk knob
-    for columnar execution; ``heterogeneous`` additionally
+    ``heterogeneous`` additionally
     federates the three heterogeneous source profiles (see
     :func:`attach_heterogeneous_sources`); ``system_factories`` and
     ``parses`` go to :class:`~repro.core.server.IntegrationServer`, and
@@ -403,12 +400,9 @@ def build_scenario(
         controller_enabled=controller_enabled,
         data=data if data is not None else generate_enterprise_data(),
         jitter=jitter,
-        pooling=pooling,
-        result_cache=result_cache,
-        optimizer=optimizer,
-        chunk_size=chunk_size,
         system_factories=system_factories,
         parses=parses,
+        options=Options.resolve(options, **changes),
     )
     if faults:
         server.configure_faults(**faults)

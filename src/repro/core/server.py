@@ -25,6 +25,7 @@ from repro.core.compile_workflow import compile_workflow, program_id
 from repro.core.federated_function import FederatedFunction
 from repro.errors import MappingError
 from repro.fdbs.engine import Database
+from repro.fdbs.options import Options
 from repro.fdbs.session import ParseMap
 from repro.simtime.costs import CostModel
 from repro.simtime.rng import JitterSource
@@ -63,22 +64,18 @@ class IntegrationServer:
         data: EnterpriseData | None = None,
         jitter: JitterSource | None = None,
         system_factories: list[Callable[[Machine], ApplicationSystem]] | None = None,
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
         parses: ParseMap | None = None,
+        options: Options | None = None,
+        **changes,
     ):
         """``system_factories`` replaces the paper's three application
         systems with custom ones (each factory receives the machine);
-        when omitted, the purchasing-scenario trio is built.  ``pooling``
-        and ``result_cache`` switch on the warm runtime pool / memoizing
-        result cache (both off by default: the paper's measured
-        configuration).  ``optimizer`` selects the FDBS planning mode
-        (``"syntactic"`` or the RUNSTATS-fed ``"cost"``); ``chunk_size``
-        overrides the FDBS rows-per-chunk knob for columnar
-        execution; ``parses`` is a parse map the FDBS shares with other
-        databases (see :class:`~repro.fdbs.session.ParseMap`)."""
+        when omitted, the purchasing-scenario trio is built.
+        ``parses`` is a parse map the FDBS shares with other databases
+        (see :class:`~repro.fdbs.session.ParseMap`).  ``options`` with
+        ``changes`` applied (:meth:`Options.resolve
+        <repro.fdbs.options.Options.resolve>`) configures the FDBS and the
+        machine; the defaults are the paper's measured configuration."""
         self.architecture = architecture
         self.machine = Machine(
             costs=costs, controller_enabled=controller_enabled, jitter=jitter
@@ -104,11 +101,8 @@ class IntegrationServer:
         self.fdbs = Database(
             "integration-fdbs",
             machine=self.machine,
-            pooling=pooling,
-            result_cache=result_cache,
-            optimizer=optimizer,
-            chunk_size=chunk_size,
             parses=parses,
+            options=Options.resolve(options, **changes),
         )
         self.fdbs.function_runtime = FencedFunctionRuntime(self.fdbs, self.machine)
 

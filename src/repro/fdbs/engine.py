@@ -15,6 +15,7 @@ costs.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -58,12 +59,12 @@ from repro.fdbs.expr import (
 )
 from repro.fdbs.federation import FederationLayer, RemoteEndpoint
 from repro.fdbs.functions import normalize_rows
+from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.planner import Planner
 from repro.fdbs.procedures import ProcedureInterpreter
 from repro.fdbs.session import CachedStatement, ParseMap, Result, StatementCache
 from repro.fdbs.storage import (
-    DEFAULT_CHUNK_SIZE,
     Snapshot,
     Table,
     TableVersion,
@@ -76,6 +77,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sysmodel.machine import Machine
 
 _MAX_FUNCTION_DEPTH = 32
+
+#: Cardinality feedback: q-errors at or above this threshold recorded
+#: by EXPLAIN ANALYZE override the table's planning cardinality and
+#: bump the stats epoch (invalidating cached plans).
+FEEDBACK_THRESHOLD = 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _body_options(options: Options) -> Options:
+    """The options SQL I-UDTF bodies plan and run under.
+
+    Bodies always plan (and run) row-at-a-time and syntactically:
+    fenced invocation semantics and the per-row simulated cost charges
+    must stay bit-identical regardless of the session's mode, and cached
+    body plans must not depend on statistics collected later.
+    """
+    return options.replace(execution_mode="row", optimizer="syntactic")
 
 
 class _EngineLocal(threading.local):
@@ -143,13 +161,13 @@ class Database:
         self,
         name: str = "FDBS",
         machine: "Machine | None" = None,
-        execution_mode: str = "row",
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
         parses: ParseMap | None = None,
+        options: Options | None = None,
+        **changes,
     ):
+        """``options`` with ``changes`` applied (see
+        :meth:`Options.resolve`) configures the engine and, on a
+        machine-attached database, the machine's runtime."""
         self.name = name
         self.machine = machine
         self.catalog = Catalog()
@@ -161,43 +179,16 @@ class Database:
         if machine is not None:
             # The machine-attached database is the integration FDBS: its
             # execution mode namespaces the machine-level result cache.
-            machine.execution_mode_provider = lambda: self.execution_mode
+            machine.execution_mode_provider = (
+                lambda: self.options.execution_mode
+            )
             machine.extra_stats_providers["mvcc"] = lambda: self.mvcc_stats()
             machine.extra_stats_providers["columnar"] = lambda: self.columnar_stats()
             machine.extra_stats_providers["joins"] = lambda: self.join_stats()
-            if pooling or result_cache:
-                machine.configure_runtime(
-                    pooling=pooling, result_cache=result_cache
-                )
-        #: "row" (Volcano) or "columnar" (storage column chunks,
-        #: vectorized expressions, hash joins and zone-map pruning).
-        self.execution_mode = "row"
-        self.set_execution_mode(execution_mode)
-        #: Rows per storage chunk / column batch (columnar mode).
-        self.chunk_size = DEFAULT_CHUNK_SIZE
-        if chunk_size is not None:
-            self.set_chunk_size(chunk_size)
-        #: Zone-map pruning toggle (False for the pruning ablation).
-        self.zone_maps_enabled = True
+        self.options = DEFAULT_OPTIONS
+        self._apply(Options.resolve(options, **changes))
         self._columnar_lock = threading.Lock()
         self._columnar = {"chunks_scanned": 0, "chunks_pruned": 0}
-        #: "syntactic" (FROM order as written — the default, and exactly
-        #: the pre-optimizer behaviour) or "cost" (RUNSTATS-fed join
-        #: reordering and bind joins; see repro.fdbs.optimizer).
-        self.optimizer = "syntactic"
-        self.set_optimizer(optimizer)
-        #: Local join-strategy selection under the cost optimizer:
-        #: "auto" prices nlj/hash/merge/indexnlj per join, a named
-        #: strategy forces that operator wherever types permit.
-        self.join_strategy = "auto"
-        #: Mid-query escape hatch: when set, cost-rejected remote bind
-        #: joins probe the build side with COUNT(*) and fall back to a
-        #: bind join when it exceeds the estimate by this factor.
-        self.adaptive_blowup_factor: float | None = None
-        #: Cardinality feedback: q-errors above this threshold recorded
-        #: by EXPLAIN ANALYZE override the table's planning cardinality
-        #: and bump the stats epoch (invalidating cached plans).
-        self.feedback_threshold = 2.0
         self._join_lock = threading.Lock()
         self._joins = {
             "joins_hash": 0,
@@ -229,11 +220,6 @@ class Database:
         }
         self._stats_lock = threading.Lock()
         self.statements_executed = 0
-        #: Predicate pushdown to remote SQL sources (set False for the
-        #: ablation bench; see repro.fdbs.pushdown).
-        self.pushdown_enabled = True
-        #: Index selection for equality conjuncts on base tables.
-        self.index_selection_enabled = True
         #: Access control (the paper's Sect. 6 future-work item).
         self.authorization = AuthorizationManager()
         self.current_user = SUPERUSER
@@ -287,44 +273,46 @@ class Database:
     # Public API
     # ------------------------------------------------------------------
 
+    def configure(self, **changes) -> None:
+        """Change settings: swap in ``self.options`` with ``changes``
+        applied (validated; see :class:`~repro.fdbs.options.Options`).
+
+        Needs no plan invalidation: the planner-read fields key the
+        statement cache (see :meth:`_plan_namespace`), so each setting's
+        plans stay cached under their own namespace.  A new chunk size
+        reaches every table's storage (zone maps are keyed by the chunk
+        size that sealed them, so each table rebuilds them lazily on its
+        next columnar scan), and changed machine fields reach the
+        machine.
+        """
+        self._apply(self.options.replace(**changes))
+
+    def _apply(self, options: Options) -> None:
+        before = self.options
+        machine_changes = options.machine_changes(before)
+        if machine_changes:
+            if self.machine is None:
+                name = next(iter(machine_changes))
+                raise ExecutionError(
+                    f"runtime {name} needs a machine-attached database"
+                )
+            self.machine.configure_runtime(**machine_changes)
+        self.options = options
+        self._body_options = _body_options(options)
+        if options.chunk_size != before.chunk_size:
+            for table_def in self.catalog.tables():
+                if table_def.storage is not None:
+                    table_def.storage.chunk_size = options.chunk_size
+
     def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``"row"`` and ``"columnar"``.
-
-        Cached statement plans are mode-specific, so the statement cache
-        is keyed per mode (see :meth:`_plan_namespace`); switching modes
-        never invalidates the other mode's entries.
-        """
-        if mode not in ("row", "columnar"):
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected 'row' or 'columnar'"
-            )
-        self.execution_mode = mode
-
-    def set_chunk_size(self, size: int) -> None:
-        """Set the rows-per-chunk knob for columnar execution.
-
-        Applies to new scans immediately: storage zone maps are keyed by
-        the chunk size that sealed them, so a change triggers a lazy
-        rebuild on the next columnar scan of each table.
-        """
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ExecutionError("chunk size must be an integer")
-        if not 1 <= size <= 1_048_576:
-            raise ExecutionError(
-                f"chunk size {size} out of range (1..1048576)"
-            )
-        self.chunk_size = size
-        for table_def in self.catalog.tables():
-            if table_def.storage is not None:
-                table_def.storage.chunk_size = size
+        """``configure(execution_mode=mode)``, kept for callers outside
+        the package (the repository benchmark among them)."""
+        self.configure(execution_mode=mode)
 
     def set_zone_maps(self, enabled: bool) -> None:
-        """Enable/disable zone-map chunk pruning (columnar mode only).
-
-        Pruning is a pure superset skip, so toggling it never changes
-        query results — only ``chunks_pruned`` and wall-clock time.
-        """
-        self.zone_maps_enabled = bool(enabled)
+        """``configure(zone_maps=enabled)``, kept for callers outside
+        the package (the repository benchmark among them)."""
+        self.configure(zone_maps=bool(enabled))
 
     def _note_chunks(self, scanned: int, pruned: int) -> None:
         """Accumulate per-scan chunk counters (wired into columnar scans)."""
@@ -345,52 +333,8 @@ class Database:
                 sealed += storage.chunks_sealed
         counters["zone_map_rebuilds"] = rebuilds
         counters["chunks_sealed"] = sealed
-        counters["zone_maps_enabled"] = int(self.zone_maps_enabled)
+        counters["zone_maps_enabled"] = int(self.options.zone_maps)
         return counters
-
-    def set_optimizer(self, mode: str) -> None:
-        """Switch between ``"syntactic"`` and ``"cost"`` planning.
-
-        No plan invalidation is needed: the optimizer is part of the
-        statement-cache namespace (see :meth:`_plan_namespace`) and
-        function bodies always plan syntactically.
-        """
-        if mode not in ("syntactic", "cost"):
-            raise ExecutionError(
-                f"unknown optimizer mode {mode!r}; expected 'syntactic' or 'cost'"
-            )
-        self.optimizer = mode
-
-    def set_join_strategy(self, strategy: str) -> None:
-        """Force one local join strategy under the cost optimizer, or
-        restore ``"auto"`` cost-based selection.
-
-        A forced strategy applies wherever the join's key types permit
-        it (e.g. ``indexnlj`` needs numeric keys); incompatible joins
-        keep the syntactic fold.  Every strategy produces bit-identical
-        rows — the switch exists for ablation benches and parity tests.
-        """
-        from repro.fdbs.optimizer import JOIN_STRATEGIES
-
-        if strategy not in JOIN_STRATEGIES:
-            expected = ", ".join(repr(name) for name in JOIN_STRATEGIES)
-            raise ExecutionError(
-                f"unknown join strategy {strategy!r}; expected one of {expected}"
-            )
-        self.join_strategy = strategy
-
-    def set_adaptive_join(self, factor: float | None) -> None:
-        """Configure the mid-query bind-join escape hatch.
-
-        ``factor`` is the build-side blowup (observed / estimated) past
-        which a cost-rejected remote join abandons its planned ship-all
-        fetch mid-query; ``None`` disables the probe entirely.
-        """
-        if factor is not None and factor <= 1.0:
-            raise ExecutionError(
-                "adaptive join factor must exceed 1.0 (or be None to disable)"
-            )
-        self.adaptive_blowup_factor = factor
 
     def _note_join(self, strategy: str) -> None:
         """Count one built join operator (wired into the planner; a
@@ -461,41 +405,13 @@ class Database:
             raise PlanError("EXPLAIN supports SELECT statements only")
         snapshot = self.pin_snapshot()
         plan = self._planner().plan_select(statement)
-        if self.optimizer == "cost":
+        if self.options.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
             propagate_estimates(plan)
         header = self._runtime_header() + [f"Snapshot(epoch={snapshot.epoch})"]
-        text = plan.explain(mode=self.execution_mode)
+        text = plan.explain(mode=self.options.execution_mode)
         return "\n".join(header + [text])
-
-    def configure_runtime(
-        self,
-        pooling: bool | None = None,
-        result_cache: bool | None = None,
-        pool_capacity: int | None = None,
-        cache_capacity: int | None = None,
-    ) -> None:
-        """Switch the machine's warm pool / result cache on or off."""
-        if self.machine is None:
-            raise ExecutionError(
-                "runtime pooling needs a machine-attached database"
-            )
-        self.machine.configure_runtime(
-            pooling=pooling,
-            result_cache=result_cache,
-            pool_capacity=pool_capacity,
-            cache_capacity=cache_capacity,
-        )
-
-    def configure_faults(self, **kwargs) -> None:
-        """Configure the machine's fault-injection harness (see
-        :meth:`repro.sysmodel.machine.Machine.configure_faults`)."""
-        if self.machine is None:
-            raise ExecutionError(
-                "fault injection needs a machine-attached database"
-            )
-        self.machine.configure_faults(**kwargs)
 
     def runtime_stats(self) -> dict[str, dict[str, int]]:
         """Live counters for SYSCAT_RUNTIME_STATS and the shell's .stats.
@@ -593,21 +509,16 @@ class Database:
         """Statement-cache namespace: every input the planner reads.
 
         Two executions share an entry (and so its compiled plan) only
-        when they would plan identically: same execution mode, optimizer,
-        join strategy, adaptive factor and pushdown / index-selection /
-        zone-map switches (the last three read here, at lookup time,
-        since two are plain attributes).  The catalog's DDL epoch folds
-        in too, so a statement compiled against one schema generation is
-        never replayed after a concurrent CREATE/DROP, and so does the
-        stats epoch: RUNSTATS or recorded cardinality feedback bumps it,
-        so the next execution replans against the corrected estimates.
+        when they would plan identically: the same planner-read options
+        (:attr:`Options.plan_key`, complete by construction).  The
+        catalog's DDL epoch folds in too, so a statement compiled
+        against one schema generation is never replayed after a
+        concurrent CREATE/DROP, and so does the stats epoch: RUNSTATS or
+        recorded cardinality feedback bumps it, so the next execution
+        replans against the corrected estimates.
         """
-        return (
-            f"{self.execution_mode}.{self.optimizer}.{self.join_strategy}"
-            f".{self.adaptive_blowup_factor}.{self.pushdown_enabled}"
-            f".{self.index_selection_enabled}.{self.zone_maps_enabled}"
-            f"@{self.catalog.ddl_epoch}.{self.catalog.stats_epoch}"
-        )
+        catalog = self.catalog
+        return f"{self.options.plan_key}@{catalog.ddl_epoch}.{catalog.stats_epoch}"
 
     def _parse_cached(
         self, sql: str
@@ -764,7 +675,7 @@ class Database:
         estimates; ANALYZE also executes the plan (row pipeline) and
         reports the actual row count per operator."""
         plan = self._planner().plan_select(statement.query)
-        if self.optimizer == "cost":
+        if self.options.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
             propagate_estimates(plan)
@@ -778,12 +689,12 @@ class Database:
                 self.machine.clock.advance(
                     self.machine.costs.fdbs_row_cost * len(rows)
                 )
-            if self.optimizer == "cost":
+            if self.options.optimizer == "cost":
                 self._ingest_feedback(plan)
         lines = (
             self._runtime_header()
             + [f"Snapshot(epoch={snapshot.epoch})"]
-            + plan.explain(mode=self.execution_mode).splitlines()
+            + plan.explain(mode=self.options.execution_mode).splitlines()
         )
         return Result(
             columns=["PLAN"],
@@ -812,7 +723,7 @@ class Database:
                 pct = int(round(error * 100))
                 if pct > self._joins["max_q_error_pct"]:
                     self._joins["max_q_error_pct"] = pct
-            if error < self.feedback_threshold:
+            if error < FEEDBACK_THRESHOLD:
                 continue
             before = self.catalog.stats_epoch
             after = self.catalog.record_feedback(
@@ -897,10 +808,7 @@ class Database:
     # ------------------------------------------------------------------
 
     def _planner(
-        self,
-        params: ParamScope | None = None,
-        execution_mode: str | None = None,
-        optimizer: str | None = None,
+        self, params: ParamScope | None = None, options: Options | None = None
     ) -> Planner:
         machine = self.machine
         return Planner(
@@ -910,17 +818,11 @@ class Database:
             params=params,
             costs=machine.costs if machine is not None else None,
             charge=(machine.clock.advance if machine is not None else None),
-            enable_pushdown=self.pushdown_enabled,
+            options=options or self.options,
             pushdown_counter=self.federation,
-            enable_index_selection=self.index_selection_enabled,
-            execution_mode=execution_mode or self.execution_mode,
-            optimizer=optimizer or self.optimizer,
             statistics=self.catalog.planning_statistics,
             batch_invoker=self._invoke_table_function_batch,
-            enable_zone_maps=self.zone_maps_enabled,
             columnar_note=self._note_chunks,
-            join_strategy=self.join_strategy,
-            adaptive_factor=self.adaptive_blowup_factor,
             join_counter=self._note_join,
             adaptive_note=self._note_midquery_fallback,
         )
@@ -1016,10 +918,11 @@ class Database:
         else:
             self.statement_cache.note_plan_hit()
         ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-        if self.execution_mode == "columnar":
+        options = self.options
+        if options.execution_mode == "columnar":
             rows = [
                 row
-                for batch in plan.column_batches(ctx, self.chunk_size)
+                for batch in plan.column_batches(ctx, options.chunk_size)
                 for row in batch.rows_view()
             ]
         else:
@@ -1060,13 +963,11 @@ class Database:
                 f"while invoking {function.name}"
             )
         # Body plans live in the statement cache under their own
-        # namespace: always row mode and syntactic, so only the pushdown
-        # and index-selection switches and the DDL epoch matter.
+        # namespace: the body options' key and the DDL epoch (bodies
+        # plan syntactically, so statistics never reach them).
         name = function.name.upper()
-        namespace = (
-            f"function.{self.pushdown_enabled}.{self.index_selection_enabled}"
-            f"@{self.catalog.ddl_epoch}"
-        )
+        body_options = self._body_options
+        namespace = f"function.{body_options.plan_key}@{self.catalog.ddl_epoch}"
         cached = self.statement_cache.get(name, namespace=namespace, count=False)
         if cached is None:
             if self.machine is not None:
@@ -1081,14 +982,7 @@ class Database:
                     for index, param in enumerate(function.params)
                 },
             )
-            # UDTF bodies always plan (and run) row-at-a-time and
-            # syntactically: fenced invocation semantics and the per-row
-            # simulated cost charges must stay bit-identical regardless
-            # of the session's mode, and cached body plans must not
-            # depend on statistics collected later.
-            plan = self._planner(
-                scope, execution_mode="row", optimizer="syntactic"
-            ).plan_select(function.body)
+            plan = self._planner(scope, body_options).plan_select(function.body)
             if len(plan.schema) != len(function.returns):
                 raise PlanError(
                     f"body of {function.name} produces {len(plan.schema)} "
@@ -1166,7 +1060,7 @@ class Database:
             )
         table = TableDef(statement.name, columns, primary_key)
         table.storage = Table(
-            statement.name, columns, primary_key, chunk_size=self.chunk_size
+            statement.name, columns, primary_key, chunk_size=self.options.chunk_size
         )
         self.catalog.add_table(table)
         self._track_storage(table.storage)

@@ -48,6 +48,7 @@ from repro.fdbs.executor import (
     LimitPlan,
     Plan,
 )
+from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.pushdown import referenced_qualifiers, split_conjuncts
 from repro.fdbs.stats import TableStats, q_error
 from repro.fdbs.types import is_character, is_numeric
@@ -75,10 +76,6 @@ class BindRemote:
     bind_column: str
     est_match_per_key: float
     """Estimated matching remote rows per outer row (card / ndv)."""
-
-
-#: Local join strategies the cost model prices against each other.
-JOIN_STRATEGIES = ("auto", "hash", "merge", "indexnlj", "nlj")
 
 
 @dataclass
@@ -163,19 +160,18 @@ def plan_decisions(
     stats_lookup: StatsLookup,
     costs=None,
     federation=None,
-    join_strategy: str = "auto",
-    adaptive_factor: float | None = None,
+    options: Options = DEFAULT_OPTIONS,
 ) -> Decisions | None:
     """Analyse one query block; None means full syntactic fallback.
 
     ``federation`` (the database's FederationLayer, when available)
     supplies heterogeneous-source inputs: each nickname's
     :class:`~repro.fdbs.federation.SourceProfile` and whether its
-    ship-all scan is currently cache-resident.  ``join_strategy``
+    ship-all scan is currently cache-resident.  ``options.join_strategy``
     either lets the cost model price hash/merge/index-NLJ/NLJ per local
     comma join (``auto``) or forces one strategy wherever it applies;
-    ``adaptive_factor`` (when set) arms rejected remote bind joins with
-    the mid-query COUNT(*) escape hatch.
+    ``options.adaptive_join`` (when set) arms rejected remote bind joins
+    with the mid-query COUNT(*) escape hatch.
     """
     from_items = select.from_items
     if not from_items:
@@ -203,11 +199,11 @@ def plan_decisions(
         info.index for info in infos if info.kind == "function" and info.deps
     )
     local_join = _choose_local_joins(
-        infos, conjuncts, by_alias, position, consumed, join_strategy, catalog,
-        bind_remote, nicknames=adaptive_factor is None,
+        infos, conjuncts, by_alias, position, consumed, options.join_strategy,
+        catalog, bind_remote, nicknames=options.adaptive_join is None,
     )
     adaptive_remote: dict[int, BindRemote] = {}
-    if adaptive_factor is not None:
+    if options.adaptive_join is not None:
         adaptive_remote = _choose_adaptive_remote(
             infos, conjuncts, by_alias, position, consumed, bind_remote
         )

@@ -65,6 +65,7 @@ from repro.fdbs.expr import (
     is_aggregate_call,
     order_join_compatible,
 )
+from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.types import implicitly_castable, is_character, is_numeric
 
 RemoteFetcher = Callable[
@@ -83,17 +84,11 @@ class Planner:
         params: ParamScope | None = None,
         costs: "object | None" = None,
         charge: Callable[[float], None] | None = None,
-        enable_pushdown: bool = True,
+        options: Options = DEFAULT_OPTIONS,
         pushdown_counter=None,
-        enable_index_selection: bool = True,
-        execution_mode: str = "row",
-        optimizer: str = "syntactic",
         statistics: "Callable[[str], object | None] | None" = None,
         batch_invoker=None,
-        enable_zone_maps: bool = True,
         columnar_note: Callable[[int, int], None] | None = None,
-        join_strategy: str = "auto",
-        adaptive_factor: float | None = None,
         join_counter: Callable[[str], None] | None = None,
         adaptive_note: Callable[[], None] | None = None,
     ):
@@ -105,35 +100,19 @@ class Planner:
         #: cost-free databases, e.g. app-system internals).
         self.costs = costs
         self.charge = charge
-        #: Predicate pushdown to remote scans (the Database's setting).
-        self.enable_pushdown = enable_pushdown
+        #: The planner-read settings (execution mode, optimizer, join
+        #: strategy, adaptive factor, pushdown, index selection, zone
+        #: maps); see repro.fdbs.options.
+        self.options = options
         self.pushdown_counter = pushdown_counter
-        #: Index selection for local equality conjuncts.
-        self.enable_index_selection = enable_index_selection
-        #: "row" (Volcano, per-row dispatch) or "columnar" (chunked
-        #: execution over storage column chunks with vectorized
-        #: expressions, hash equi-joins and zone-map chunk pruning).
-        self.execution_mode = execution_mode
-        #: "syntactic" (FROM order as written) or "cost" (statistics-fed
-        #: join reordering and bind joins; see repro.fdbs.optimizer).
-        self.optimizer = optimizer
         #: RUNSTATS snapshot lookup: table name -> TableStats | None.
         self.statistics = statistics
         #: Batched table-function invoker for UDTF bind joins (the
         #: fenced runtime amortizes fixed per-call overheads).
         self.batch_invoker = batch_invoker
-        #: Zone-map chunk pruning for columnar scans (ablation switch;
-        #: disabled it leaves columnar plans scanning every chunk).
-        self.enable_zone_maps = enable_zone_maps
         #: Callback ``(chunks_scanned, chunks_pruned)`` wired into
         #: columnar table scans for the database's runtime counters.
         self.columnar_note = columnar_note
-        #: Local join-strategy selection for cost-mode comma joins:
-        #: "auto" prices the repertoire, a named strategy forces it.
-        self.join_strategy = join_strategy
-        #: Mid-query escape hatch blowup factor (None disables the
-        #: adaptive COUNT(*) probe on rejected remote bind joins).
-        self.adaptive_factor = adaptive_factor
         #: Callback ``(strategy)`` counting built join operators into
         #: the database's runtime statistics.
         self.join_counter = join_counter
@@ -152,7 +131,7 @@ class Planner:
         """The columnar forms of already row-compiled ``exprs``, built
         only in columnar mode (None in row mode, which never runs
         them)."""
-        if self.execution_mode != "columnar":
+        if self.options.execution_mode != "columnar":
             return None
         columnar = ColumnarCompiler(compiler)
         return [columnar.compile(expr) for expr in exprs]
@@ -192,7 +171,7 @@ class Planner:
 
     def _plan_query_block(self, select: ast.Select, top_level: bool = False) -> Plan:
         decisions = None
-        if self.optimizer == "cost":
+        if self.options.optimizer == "cost":
             from repro.fdbs.optimizer import plan_decisions
 
             decisions = plan_decisions(
@@ -205,8 +184,7 @@ class Planner:
                     if hasattr(self.pushdown_counter, "profile_for")
                     else None
                 ),
-                join_strategy=self.join_strategy,
-                adaptive_factor=self.adaptive_factor,
+                options=self.options,
             )
             if decisions is not None and decisions.reads_volatile_state:
                 self.reads_volatile_state = True
@@ -231,18 +209,18 @@ class Planner:
                 ]
             )
         had_remote = bool(remote_candidates)
-        if self.enable_pushdown and remote_candidates:
+        if self.options.pushdown and remote_candidates:
             from repro.fdbs.pushdown import push_predicates
 
             where = push_predicates(where, remote_candidates, self.pushdown_counter)
-        if self.enable_index_selection and local_scans and where is not None:
+        if self.options.index_selection and local_scans and where is not None:
             where = self._select_indexes(where, layout, local_scans)
         if where is not None:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
             plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
             plan.columnar_predicate = self._chunk_form(compiler, where)
-            if had_remote and self.enable_pushdown:
+            if had_remote and self.options.pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
                 plan.residual_texts = [
@@ -455,7 +433,7 @@ class Planner:
         #: like ``d.x IS NULL``.  A duplicate alias poisons its entry
         #: (None) so no check can mis-bind.
         prunable: dict[str, TableScanPlan | None] | None = (
-            {} if self.enable_zone_maps else None
+            {} if self.options.zone_maps else None
         )
         items = select.from_items
         if decisions is not None:
@@ -508,7 +486,7 @@ class Planner:
                 bind_built is None
                 and local_built is None
                 and adaptive_spec is not None
-                and self.adaptive_factor is not None
+                and self.options.adaptive_join is not None
                 and isinstance(item, ast.TableRef)
                 and self.catalog.has_nickname(item.name)
             ):
@@ -872,7 +850,7 @@ class Planner:
             spec.bind_column,
             remote_index,
             est_build=est_build,
-            blowup_factor=self.adaptive_factor,
+            blowup_factor=self.options.adaptive_join,
             max_keys=max_keys,
             note=self.adaptive_note,
         )
@@ -979,7 +957,7 @@ class Planner:
                 for column in table_def.columns
             ]
             plan = TableScanPlan(table_def.storage, schema, item.name)
-            if self.execution_mode == "columnar":
+            if self.options.execution_mode == "columnar":
                 plan.columnar_note = self.columnar_note
             return plan
         if self.catalog.has_nickname(item.name):
@@ -1055,7 +1033,7 @@ class Planner:
         elif item.kind != "CROSS":
             raise PlanError(f"{item.kind} JOIN requires an ON condition")
         if (
-            self.execution_mode == "columnar"
+            self.options.execution_mode == "columnar"
             and item.on is not None
             and item.kind in ("INNER", "LEFT OUTER")
         ):

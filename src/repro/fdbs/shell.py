@@ -132,23 +132,25 @@ class Shell:
                 self.execute("SELECT * FROM SYSCAT_STATS", stdout)
         elif name == ".optimizer":
             if len(parts) == 1:
-                stdout.write(f"optimizer is {self.database.optimizer}\n")
+                stdout.write(f"optimizer is {self.database.options.optimizer}\n")
             elif len(parts) == 2:
                 try:
-                    self.database.set_optimizer(parts[1].lower())
-                    stdout.write(f"optimizer is now {self.database.optimizer}\n")
+                    self.database.configure(optimizer=parts[1].lower())
+                    stdout.write(
+                        f"optimizer is now {self.database.options.optimizer}\n"
+                    )
                 except ReproError as exc:
                     stdout.write(f"error: {exc}\n")
             else:
                 stdout.write("usage: .optimizer [syntactic|cost]\n")
         elif name == ".chunksize":
             if len(parts) == 1:
-                stdout.write(f"chunk size is {self.database.chunk_size}\n")
+                stdout.write(f"chunk size is {self.database.options.chunk_size}\n")
             elif len(parts) == 2:
                 try:
-                    self.database.set_chunk_size(int(parts[1]))
+                    self.database.configure(chunk_size=int(parts[1]))
                     stdout.write(
-                        f"chunk size is now {self.database.chunk_size}\n"
+                        f"chunk size is now {self.database.options.chunk_size}\n"
                     )
                 except (ReproError, ValueError) as exc:
                     stdout.write(f"error: {exc}\n")

@@ -45,6 +45,7 @@ from multiprocessing.connection import wait as connection_wait
 
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError, WireProtocolError
+from repro.fdbs.options import Options
 from repro.serving.hashring import DEFAULT_REPLICAS, ConsistentHashRing
 from repro.serving.server import AdmissionController, WorkloadRunResult
 from repro.serving.shard import shard_worker_main
@@ -105,14 +106,10 @@ class ShardedIntegrationServer:
         start_method: str | None = None,
         costs: CostModel | None = None,
         controller_enabled: bool = True,
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
         heterogeneous: bool = False,
-        execution_mode: str | None = None,
-        rmi_wall_latency_s: float = 0.0,
         setup_sql: tuple[str, ...] = (),
+        options: Options | None = None,
+        **changes,
     ):
         if shards < 1:
             raise ServingError(f"shards must be >= 1, got {shards!r}")
@@ -121,14 +118,9 @@ class ShardedIntegrationServer:
             data=data if data is not None else generate_enterprise_data(),
             costs=costs,
             controller_enabled=controller_enabled,
-            pooling=pooling,
-            result_cache=result_cache,
-            optimizer=optimizer,
-            chunk_size=chunk_size,
             heterogeneous=heterogeneous,
-            execution_mode=execution_mode,
-            rmi_wall_latency_s=rmi_wall_latency_s,
             setup_sql=tuple(setup_sql),
+            options=Options.resolve(options, **changes),
         )
         self.ring = ConsistentHashRing(tuple(range(shards)), replicas=replicas)
         self.admission = AdmissionController(

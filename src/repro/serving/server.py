@@ -46,6 +46,7 @@ from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.server import IntegrationServer
 from repro.errors import AdmissionError, ServingError
+from repro.fdbs.options import Options
 from repro.serving.session import ClientSession, SessionSummary
 from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import SessionScript
@@ -253,16 +254,13 @@ class ConcurrentIntegrationServer:
         max_sessions: int = 64,
         queue_limit: int | None = None,
         admission_policy: str = "block",
-        pooling: bool = False,
-        result_cache: bool = False,
         costs: CostModel | None = None,
         controller_enabled: bool = True,
         data: EnterpriseData | None = None,
-        optimizer: str = "syntactic",
-        rmi_wall_latency_s: float = 0.0,
         heterogeneous: bool = False,
-        execution_mode: str | None = None,
         setup_sql: tuple[str, ...] = (),
+        options: Options | None = None,
+        **changes,
     ):
         if workers < 1:
             raise ServingError(f"workers must be >= 1, got {workers!r}")
@@ -279,22 +277,16 @@ class ConcurrentIntegrationServer:
         #: Stamps every session server.  ``heterogeneous`` attaches the
         #: three heterogeneous source profiles (the battery-through-
         #: serving suite needs the nicknames); ``setup_sql`` runs on each
-        #: fresh server before its script, then ``execution_mode`` (None
-        #: keeps the engine default) is applied.  ``rmi_wall_latency_s``
-        #: is real wall-clock seconds per RMI hop (simulated time is never
-        #: touched; see Machine.configure_wall_latency).
+        #: fresh server before its script.  ``options`` with ``changes``
+        #: applied configures every session server (see ShardConfig).
         self.template = SessionTemplate(
             ShardConfig(
                 data=self.data,
                 costs=costs,
                 controller_enabled=controller_enabled,
-                pooling=pooling,
-                result_cache=result_cache,
-                optimizer=optimizer,
                 heterogeneous=heterogeneous,
-                execution_mode=execution_mode,
-                rmi_wall_latency_s=rmi_wall_latency_s,
                 setup_sql=tuple(setup_sql),
+                options=Options.resolve(options, **changes),
             )
         )
         self.sessions = SessionManager(max_sessions=max_sessions)

@@ -37,6 +37,7 @@ from repro.core.architectures import Architecture
 from repro.core.federated_function import FederatedFunction
 from repro.core.scenario import build_scenario, scenario_functions
 from repro.core.server import IntegrationServer, scenario_systems
+from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.session import ParseMap
 from repro.simtime.costs import CostModel
 
@@ -51,23 +52,19 @@ class ShardConfig:
 
     A process shard receives the whole object once, at worker start, so
     every field must pickle: the enterprise universe, the cost model and
-    the plain scenario knobs all do.  ``setup_sql`` statements run on
-    each fresh session server before its script (the
-    battery-through-serving suite uses this for DDL/loads/RUNSTATS);
-    ``execution_mode`` selects row or columnar execution after setup.
+    the frozen :class:`~repro.fdbs.options.Options` all do.
+    ``setup_sql`` statements run on each fresh session server before its
+    script (the battery-through-serving suite uses this for
+    DDL/loads/RUNSTATS), in row mode; ``options.execution_mode`` applies
+    after setup.
     """
 
     data: EnterpriseData | None = None
     costs: CostModel | None = None
     controller_enabled: bool = True
-    pooling: bool = False
-    result_cache: bool = False
-    optimizer: str = "syntactic"
-    chunk_size: int | None = None
     heterogeneous: bool = False
-    execution_mode: str | None = None
-    rmi_wall_latency_s: float = 0.0
     setup_sql: tuple[str, ...] = field(default_factory=tuple)
+    options: Options = DEFAULT_OPTIONS
 
 
 class SessionTemplate:
@@ -99,11 +96,12 @@ class SessionTemplate:
         """A fresh session server for ``architecture``.
 
         It is :func:`~repro.core.scenario.build_scenario`'s server with
-        forked application systems and the shared parse map, with the
-        serving knobs applied: RMI wall latency, ``setup_sql``, then the
-        execution mode.  ``faults`` arms its own fault injector.
+        forked application systems and the shared parse map, built in
+        row mode; ``setup_sql`` runs, then the configured execution mode
+        applies.  ``faults`` arms its own fault injector.
         """
         config = self.config
+        options = config.options
         parses = self.parses
         systems, functions = self.shared()
         server = build_scenario(
@@ -111,23 +109,19 @@ class SessionTemplate:
             costs=config.costs,
             controller_enabled=config.controller_enabled,
             data=self.data,
-            pooling=config.pooling,
-            result_cache=config.result_cache,
             faults=faults,
-            optimizer=config.optimizer,
-            chunk_size=config.chunk_size,
             heterogeneous=config.heterogeneous,
             system_factories=[
                 functools.partial(system.fork, parses=parses) for system in systems
             ],
             parses=parses,
             functions=functions,
+            options=options,
+            execution_mode="row",
         ).server
-        server.machine.configure_wall_latency(config.rmi_wall_latency_s)
         for statement in config.setup_sql:
             server.fdbs.execute(statement)
-        if config.execution_mode is not None:
-            server.fdbs.set_execution_mode(config.execution_mode)
+        server.fdbs.configure(execution_mode=options.execution_mode)
         return server
 
 

@@ -149,13 +149,19 @@ class Machine:
         result_cache: bool | None = None,
         pool_capacity: int | None = None,
         cache_capacity: int | None = None,
+        rmi_wall_latency_s: float | None = None,
     ) -> None:
-        """Switch the warm runtime pool and/or the result cache on or off.
+        """Apply the runtime fields of :class:`~repro.fdbs.options.Options`
+        (None leaves a setting as it is).
 
         Persistent RMI channels ride with the pooling flag: a pooled
         integration server also keeps its controller and WfMS channels
         established.  Both features default to off, in which case every
         cost charged is bit-identical to the unpooled simulation.
+        ``rmi_wall_latency_s`` attaches real wall-clock latency to every
+        RMI hop; simulated time is untouched.  It models the physical
+        wire delay that lets concurrent sessions overlap under the GIL
+        (the sleep releases it); the default 0.0 never sleeps.
         """
         if pooling is not None or pool_capacity is not None:
             self.runtime_pool.configure(enabled=pooling, capacity=pool_capacity)
@@ -166,18 +172,9 @@ class Machine:
             self.result_cache.configure(
                 enabled=result_cache, capacity=cache_capacity
             )
-
-    def configure_wall_latency(self, rmi_s: float = 0.0) -> None:
-        """Attach real wall-clock latency to every RMI hop.
-
-        Simulated time is untouched — this models the *physical* wire
-        delay that lets concurrent sessions overlap under the GIL (the
-        sleep releases it), which is what the concurrency scaling bench
-        measures.  The default 0.0 never sleeps, keeping single-worker
-        wall-clock behaviour identical to the seed.
-        """
-        self.udtf_rmi.wall_latency_s = rmi_s
-        self.wf_rmi.wall_latency_s = rmi_s
+        if rmi_wall_latency_s is not None:
+            self.udtf_rmi.wall_latency_s = rmi_wall_latency_s
+            self.wf_rmi.wall_latency_s = rmi_wall_latency_s
 
     def configure_faults(
         self,

@@ -75,9 +75,7 @@ def build_battery_scenario(
         "cat_components",
     ):
         fdbs.execute(f"RUNSTATS ON TABLE {table}")
-    fdbs.set_execution_mode(mode)
-    if join_strategy != "auto":
-        fdbs.set_join_strategy(join_strategy)
+    fdbs.configure(execution_mode=mode, join_strategy=join_strategy)
     return scenario
 
 

@@ -351,7 +351,7 @@ class TestRegressions:
             db.execute("CREATE TABLE t (g INT, x DOUBLE)")
             for value in (1.0, 2.0, 3.0, float("nan"), 0.5, 4.0):
                 db.execute("INSERT INTO t VALUES (?, ?)", params=[1, value])
-            db.set_chunk_size(3)
+            db.configure(chunk_size=3)
             results[mode] = (
                 db.execute("SELECT MIN(x), MAX(x) FROM t").rows,
                 db.execute("SELECT g, MIN(x), MAX(x) FROM t GROUP BY g").rows,

@@ -208,9 +208,9 @@ class TestEdgeCases:
         db = plain_db("columnar")
         for bad in (0, -5, True, "16", 2**21):
             with pytest.raises(ExecutionError):
-                db.set_chunk_size(bad)
-        db.set_chunk_size(16)
-        assert db.chunk_size == 16
+                db.configure(chunk_size=bad)
+        db.configure(chunk_size=16)
+        assert db.options.chunk_size == 16
         assert db.catalog.get_table("t").storage.chunk_size == 16
 
 

@@ -29,7 +29,7 @@ class TestExecutionMode:
         db = Database("ok")
         with pytest.raises(ExecutionError):
             db.set_execution_mode("vector")
-        assert db.execution_mode == "row"
+        assert db.options.execution_mode == "row"
 
     def test_deleted_batch_mode_rejected(self):
         """Batch mode was folded into columnar; its name is unknown."""
@@ -38,12 +38,12 @@ class TestExecutionMode:
         db = Database("ok", execution_mode="columnar")
         with pytest.raises(ExecutionError):
             db.set_execution_mode("batch")
-        assert db.execution_mode == "columnar"
+        assert db.options.execution_mode == "columnar"
 
     def test_set_execution_mode_switches(self):
         db = make_join_db("row")
         db.set_execution_mode("columnar")
-        assert db.execution_mode == "columnar"
+        assert db.options.execution_mode == "columnar"
         assert "HashJoin" in db.explain("SELECT * FROM l JOIN r ON a = b")
 
     def test_statement_cache_is_namespaced_per_mode(self):

@@ -32,7 +32,7 @@ def test_equality_literal_uses_index(db):
 def test_results_identical_with_and_without_index(db):
     sql = "SELECT k FROM t WHERE grp = 3 ORDER BY k"
     with_index = db.execute(sql).rows
-    db.index_selection_enabled = False
+    db.configure(index_selection=False)
     without = db.execute(sql).rows
     assert with_index == without
     assert len(with_index) == 10
@@ -68,7 +68,7 @@ def test_character_probe_ignores_trailing_blanks(db):
     padded = db.execute(sql, params=["L1 "]).rows
     assert padded == db.execute(sql, params=["L1"]).rows
     assert padded == [(k,) for k in range(1, 50, 5)] + [(50,)]
-    db.index_selection_enabled = False
+    db.configure(index_selection=False)
     assert db.execute(sql, params=["L1 "]).rows == padded
 
 
@@ -77,7 +77,7 @@ def test_a_tab_does_not_pad(db):
     sql = "SELECT k FROM t WHERE label = ? ORDER BY k"
     assert db.execute(sql, params=["L1\t"]).rows == [(50,)]
     assert db.execute(sql, params=["L1"]).rows == [(k,) for k in range(1, 50, 5)]
-    db.index_selection_enabled = False
+    db.configure(index_selection=False)
     assert db.execute(sql, params=["L1\t"]).rows == [(50,)]
 
 
@@ -87,7 +87,7 @@ def test_non_string_value_on_a_character_column_compares_as_equals_does(db):
     sql = "SELECT k FROM t WHERE label = ?"
     with pytest.raises(Exception) as probed:
         db.execute(sql, params=[5])
-    db.index_selection_enabled = False
+    db.configure(index_selection=False)
     with pytest.raises(Exception) as scanned:
         db.execute(sql, params=[5])
     assert type(probed.value) is type(scanned.value)

@@ -171,7 +171,7 @@ class TestBindKeyGuard:
             )
         local.execute("RUNSTATS watch")
         local.execute("RUNSTATS n")
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         # stale statistics: new distinct keys arrive after RUNSTATS
         for index in range(extra_distinct_keys):
             local.execute(
@@ -191,7 +191,7 @@ class TestBindKeyGuard:
         rows = local.execute(self.SQL).rows
         assert local.federation.bind_join_count == 1
         assert local.federation.bind_join_fallbacks == 0
-        local.set_optimizer("syntactic")
+        local.configure(optimizer="syntactic")
         assert local.execute(self.SQL).rows == rows
 
     def test_one_past_cap_falls_back_to_ship_all(self):
@@ -200,7 +200,7 @@ class TestBindKeyGuard:
         rows = local.execute(self.SQL).rows
         assert local.federation.bind_join_count == 0
         assert local.federation.bind_join_fallbacks == 1
-        local.set_optimizer("syntactic")
+        local.configure(optimizer="syntactic")
         assert local.execute(self.SQL).rows == rows
 
     def test_profile_cap_guards_at_fifty_keys(self, hetero):
@@ -238,7 +238,7 @@ class TestBindKeyGuard:
         rows = fdbs.execute(sql).rows
         assert layer.bind_join_count == binds
         assert layer.bind_join_fallbacks == fallbacks + 1
-        fdbs.set_optimizer("syntactic")
+        fdbs.configure(optimizer="syntactic")
         assert fdbs.execute(sql).rows == rows
 
 

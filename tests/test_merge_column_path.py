@@ -186,7 +186,7 @@ def test_decimal_nan_keys_match_nothing_like_the_hash_join(mode):
     sql = "SELECT a.k, b.w FROM a, b WHERE a.k = b.k ORDER BY b.w"
     results = {}
     for strategy in ("merge", "hash"):
-        db.set_join_strategy(strategy)
+        db.configure(join_strategy=strategy)
         assert f"join={strategy}" in db.explain(sql)
         results[strategy] = db.execute(sql).rows
     assert results["merge"] == results["hash"] == [(Decimal("0.5"), 1), (Decimal("2"), 4)]

@@ -50,18 +50,18 @@ def collect_runstats(db):
 
 class TestMode:
     def test_default_is_syntactic(self):
-        assert Database("d").optimizer == "syntactic"
+        assert Database("d").options.optimizer == "syntactic"
 
     def test_constructor_and_setter(self):
         db = Database("d", optimizer="cost")
-        assert db.optimizer == "cost"
-        db.set_optimizer("syntactic")
-        assert db.optimizer == "syntactic"
+        assert db.options.optimizer == "cost"
+        db.configure(optimizer="syntactic")
+        assert db.options.optimizer == "syntactic"
 
     def test_invalid_mode_rejected(self):
         db = Database("d")
         with pytest.raises(ExecutionError):
-            db.set_optimizer("rule-based")
+            db.configure(optimizer="rule-based")
         with pytest.raises(ExecutionError):
             Database("d2", optimizer="bogus")
 
@@ -70,7 +70,7 @@ class TestGate:
     def test_without_stats_plan_is_identical(self):
         local, _ = federated_pair()
         syntactic = local.explain(JOIN_SQL)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         cost = local.explain(JOIN_SQL)
         assert cost == syntactic
         assert "est=" not in cost
@@ -81,7 +81,7 @@ class TestGate:
         for mode in ("syntactic", "cost"):
             machine = Machine()
             local, _ = federated_pair(machine)
-            local.set_optimizer(mode)
+            local.configure(optimizer=mode)
             local.execute(JOIN_SQL)  # warm the statement cache
             start = machine.clock.now
             rows = local.execute(JOIN_SQL).rows
@@ -112,7 +112,7 @@ class TestRemoteBindJoin:
         local, remote = federated_pair()
         baseline = local.execute(JOIN_SQL).rows
         collect_runstats(local)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         text = local.explain(JOIN_SQL)
         assert "BindJoin(n, bind: comp_no)" in text
         before = local.federation.bind_join_count
@@ -123,7 +123,7 @@ class TestRemoteBindJoin:
     def test_bind_keys_reach_remote_sql(self):
         local, remote = federated_pair()
         collect_runstats(local)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         shipped = _spy_on_endpoint(local)
         local.execute(JOIN_SQL)
         assert any("IN (0, 1)" in sql for sql in shipped)
@@ -133,7 +133,7 @@ class TestRemoteBindJoin:
             machine = Machine()
             local, _ = federated_pair(machine, n_rows=500)
             collect_runstats(local)
-            local.set_optimizer(mode)
+            local.configure(optimizer=mode)
             local.execute(JOIN_SQL)
             start = machine.clock.now
             rows = local.execute(JOIN_SQL).rows
@@ -153,20 +153,20 @@ class TestRemoteBindJoin:
             select, local.catalog, local.catalog.get_statistics
         )
         assert decisions is not None and decisions.bind_remote
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         plan = local._planner().plan_select(select)
         bind = _find(plan, RemoteBindJoinPlan)
         bind.max_keys = 1  # force the outer side past the cap
         rows = list(plan.rows(EvalContext(params=None)))
         assert bind.unbound_fetches == 1 and bind.bound_fetches == 0
-        local.set_optimizer("syntactic")
+        local.configure(optimizer="syntactic")
         assert sorted(rows) == sorted(local.execute(JOIN_SQL).rows)
 
     def test_all_null_outer_keys_skip_the_fetch(self):
         local, _ = federated_pair(n_watch=0)
         local.execute("INSERT INTO watch VALUES (1, NULL)")
         collect_runstats(local)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         before = local.federation.pushdown_count
         assert local.execute(JOIN_SQL).rows == []
         assert local.federation.pushdown_count == before  # fetch skipped
@@ -192,7 +192,7 @@ class TestReordering:
         assert syntactic.index("TableScan(big)") < syntactic.index(
             "TableScan(small)"
         )
-        db.set_optimizer("cost")
+        db.configure(optimizer="cost")
         cost = db.explain(sql)
         assert cost.index("TableScan(small)") < cost.index("TableScan(big)")
         assert db.execute(sql).rows == baseline
@@ -235,14 +235,14 @@ class TestExplain:
     def test_cost_mode_reports_estimates(self):
         local, _ = federated_pair()
         collect_runstats(local)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         text = local.explain(JOIN_SQL)
         assert "est=" in text
 
     def test_explain_analyze_reports_actuals(self):
         local, _ = federated_pair()
         collect_runstats(local)
-        local.set_optimizer("cost")
+        local.configure(optimizer="cost")
         result = local.execute("EXPLAIN ANALYZE " + JOIN_SQL)
         text = "\n".join(row[0] for row in result.rows)
         assert "est=" in text and "actual=" in text

@@ -47,9 +47,9 @@ class TestRowParity:
         fdbs.set_execution_mode(mode)
         baseline = fdbs.execute(QUERY).rows
         assert len(baseline) == len(WATCH_SUPPLIERS)
-        fdbs.set_optimizer("cost")
+        fdbs.configure(optimizer="cost")
         assert fdbs.execute(QUERY).rows == baseline
-        fdbs.set_optimizer("syntactic")
+        fdbs.configure(optimizer="syntactic")
         assert fdbs.execute(QUERY).rows == baseline
 
     def test_cost_mode_uses_a_udtf_bind_join(self):

@@ -53,7 +53,7 @@ def plans_that_ran(db: Database) -> list[str]:
     prefix = db._plan_namespace() + "\x00"  # noqa: SLF001 - test probe
     entries = db.statement_cache._entries.items()  # noqa: SLF001 - test probe
     return sorted(
-        entry.plan.explain(mode=db.execution_mode)
+        entry.plan.explain(mode=db.options.execution_mode)
         for key, entry in entries
         if key.startswith(prefix) and entry.plan is not None
     )
@@ -140,6 +140,43 @@ class TestPlanReuse:
         after = db.statement_cache.stats()
         assert after["hits"] - before["hits"] == 2
         assert after["misses"] - before["misses"] == 1
+
+
+def last_used_plan(db: Database) -> str:
+    """EXPLAIN text of the statement-cache entry looked up last (the
+    cache keeps its entries in LRU order)."""
+    entries = db.statement_cache._entries  # noqa: SLF001 - test probe
+    return next(reversed(entries.values())).plan.explain(mode="row")
+
+
+class TestBodyPlanNamespace:
+    BODY = (
+        "CREATE FUNCTION f () RETURNS TABLE (y INT) "
+        "LANGUAGE SQL RETURN SELECT t.a AS y FROM t WHERE t.a > 35"
+    )
+    SQL = "SELECT * FROM TABLE (f()) AS r"
+
+    def make_db(self, zone_maps: bool) -> Database:
+        db = Database("zones", chunk_size=4)
+        db.set_zone_maps(zone_maps)
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute_many("INSERT INTO t VALUES (?)", [(n,) for n in range(40)])
+        db.execute(self.BODY)
+        return db
+
+    def test_cached_body_plan_follows_a_zone_map_toggle(self):
+        """Regression: body plans were keyed on pushdown, index
+        selection and the DDL epoch only, so a body planned with zone
+        checks kept them after zone maps were switched off."""
+        db = self.make_db(zone_maps=True)
+        assert db.execute(self.SQL).rows == [(36,), (37,), (38,), (39,)]
+        assert "TableScan(t, zone: (t.a > 35))" in last_used_plan(db)
+        db.set_zone_maps(False)
+        assert db.execute(self.SQL).rows == [(36,), (37,), (38,), (39,)]
+        fresh = self.make_db(zone_maps=False)
+        fresh.execute(self.SQL)
+        assert last_used_plan(db) == last_used_plan(fresh)
+        assert "TableScan(t)" in last_used_plan(db)
 
 
 class TestOperatorStateIsPerExecution:
@@ -292,16 +329,14 @@ def _stale_feedback(db: Database) -> None:
 
 CHANGES = {
     "set_execution_mode": lambda db: db.set_execution_mode("row"),
-    "set_chunk_size": lambda db: db.set_chunk_size(16),
+    "set_chunk_size": lambda db: db.configure(chunk_size=16),
     "set_zone_maps": lambda db: db.set_zone_maps(False),
-    "set_optimizer": lambda db: db.set_optimizer("syntactic"),
-    "set_join_strategy": lambda db: db.set_join_strategy("hash"),
-    "set_adaptive_join": lambda db: db.set_adaptive_join(1.5),
+    "set_optimizer": lambda db: db.configure(optimizer="syntactic"),
+    "set_join_strategy": lambda db: db.configure(join_strategy="hash"),
+    "set_adaptive_join": lambda db: db.configure(adaptive_join=1.5),
     "set_current_user": _grant_reader,
-    "pushdown_enabled": lambda db: setattr(db, "pushdown_enabled", False),
-    "index_selection_enabled": lambda db: setattr(
-        db, "index_selection_enabled", False
-    ),
+    "pushdown_enabled": lambda db: db.configure(pushdown=False),
+    "index_selection_enabled": lambda db: db.configure(index_selection=False),
     "ddl": _recreate_grp,
     "dml": lambda db: db.execute("INSERT INTO watch VALUES (99, 1)"),
     "runstats": lambda db: (

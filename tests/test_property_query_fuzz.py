@@ -46,7 +46,7 @@ def db(request):
     )
     database.execute("RUNSTATS ON TABLE t")
     database.execute("RUNSTATS ON TABLE u")
-    database.set_optimizer(optimizer)
+    database.configure(optimizer=optimizer)
     return database
 
 
@@ -139,10 +139,10 @@ def test_join_strategies_produce_identical_rows(db, predicate):
     baseline = db.execute(sql).rows
     try:
         for strategy in ("hash", "merge", "indexnlj", "nlj"):
-            db.set_join_strategy(strategy)
+            db.configure(join_strategy=strategy)
             assert db.execute(sql).rows == baseline
     finally:
-        db.set_join_strategy("auto")
+        db.configure(join_strategy="auto")
 
 
 @settings(max_examples=40, deadline=None)

@@ -91,7 +91,7 @@ def make_db(
     for name in ("loc", "one", *SOURCES):
         db.execute(f"RUNSTATS {name}")
     if strategy != "auto":
-        db.set_join_strategy(strategy)
+        db.configure(join_strategy=strategy)
     return db
 
 
@@ -141,7 +141,7 @@ class TestPlanShape:
 
     def test_adaptive_factor_keeps_the_adaptive_join(self):
         db = make_db()
-        db.set_adaptive_join(2.0)
+        db.configure(adaptive_join=2.0)
         text = db.explain(join_sql("n_arch"))
         assert "AdaptiveJoin(n_arch" in text
         assert "HashJoin" not in text

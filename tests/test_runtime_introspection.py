@@ -119,17 +119,37 @@ class TestExplainHeader:
         assert "result_cache=off" in first
 
 
+RUNTIME_CHANGES = [
+    {"pooling": True},
+    {"result_cache": True},
+    {"pool_capacity": 2},
+    {"cache_capacity": 2},
+    {"rmi_wall_latency_s": 0.001},
+]
+
+
 class TestConfigureRuntime:
     def test_requires_machine(self):
         with pytest.raises(ExecutionError):
-            Database("no-machine").configure_runtime(pooling=True)
+            Database("no-machine").configure(pooling=True)
+
+    @pytest.mark.parametrize("change", RUNTIME_CHANGES, ids=lambda c: next(iter(c)))
+    def test_every_runtime_setting_requires_a_machine(self, change):
+        """Regression: a machine-less database accepted runtime settings
+        at construction and silently dropped them."""
+        with pytest.raises(ExecutionError, match="needs a machine-attached database"):
+            Database("no-machine", **change)
+        db = Database("no-machine")
+        with pytest.raises(ExecutionError, match="needs a machine-attached database"):
+            db.configure(**change)
+        assert db.options == Database("defaults").options
 
     def test_toggle_after_construction(self):
         db = Database("toggle", machine=Machine())
-        db.configure_runtime(pooling=True, result_cache=True)
+        db.configure(pooling=True, result_cache=True)
         assert db.machine.runtime_pool.enabled
         assert db.machine.result_cache.enabled
-        db.configure_runtime(pooling=False, result_cache=False)
+        db.configure(pooling=False, result_cache=False)
         assert not db.machine.runtime_pool.enabled
         assert not db.machine.result_cache.enabled
 

@@ -22,6 +22,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.options import Options
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.session import ParseMap
 from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
@@ -71,13 +72,12 @@ def bare(script, config=None):
         script.architecture,
         data=DATA,
         faults=script.faults,
-        optimizer=config.optimizer,
+        optimizer=config.options.optimizer,
         heterogeneous=config.heterogeneous,
     ).server
     for statement in config.setup_sql:
         server.fdbs.execute(statement)
-    if config.execution_mode is not None:
-        server.fdbs.set_execution_mode(config.execution_mode)
+    server.fdbs.set_execution_mode(config.options.execution_mode)
     session = ClientSession(script.session_id, script.architecture, server)
     for call in script.calls:
         session.perform(call)
@@ -159,7 +159,7 @@ class TestSessionsEqualBare:
         config = ShardConfig(
             data=DATA,
             setup_sql=("CREATE TABLE notes (k INT PRIMARY KEY, v DECIMAL(6,2))",),
-            execution_mode="columnar",
+            options=Options(execution_mode="columnar"),
         )
         scripts = make_workload(seed=11, sessions=8, calls_per_session=6, dml_fraction=0.4)
         assert_sessions_equal_bare(SessionTemplate(config), scripts)

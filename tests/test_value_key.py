@@ -158,7 +158,7 @@ def test_nan_self_join_matches_nothing_under_every_strategy(mode, strategy):
     both sides included."""
     expected = [(1, 1)]
     db = nan_db(mode, "cost", values=[1.0, float("nan"), float("nan"), None])
-    db.set_join_strategy(strategy)
+    db.configure(join_strategy=strategy)
     sql = "SELECT x.k, y.k FROM t AS x, t AS y WHERE x.m = y.m"
     shape = "Filter(on (x.m = y.m))" if strategy == "nlj" else f"join={strategy}"
     assert shape in db.explain(sql)
@@ -187,7 +187,7 @@ def test_padded_character_keys_join_alike_under_every_strategy(mode):
     sql = "SELECT a.i, b.j FROM a, b WHERE a.s = b.c"
     results = {}
     for strategy in ("indexnlj", "hash", "merge", "nlj"):
-        db.set_join_strategy(strategy)
+        db.configure(join_strategy=strategy)
         if strategy != "nlj":
             assert f"join={strategy}" in db.explain(sql)
         results[strategy] = sorted(db.execute(sql).rows)
@@ -251,7 +251,7 @@ class TestRunstatsReadsKeys:
         stats = db.catalog.get_statistics("t").columns["M"]
         assert not stats.sorted_asc
         assert stats.ndv == 4
-        db.set_join_strategy("merge")
+        db.configure(join_strategy="merge")
         text = db.explain("SELECT x.k, y.k FROM t AS x, t AS y WHERE x.m = y.m")
         assert "MergeJoin(INNER, on (x.m = y.m), join=merge, input=sort)" in text
 
@@ -387,8 +387,8 @@ def test_index_probe_finds_what_the_scan_finds(column_type, mode, data):
     steps = data.draw(st.lists(st.tuples(_dml(values), bound), min_size=1, max_size=6))
     for (statement, params), value in steps:
         _outcome(db, statement, params)
-        db.index_selection_enabled = True
+        db.configure(index_selection=True)
         probed = _outcome(db, probe, [value])
-        db.index_selection_enabled = False
+        db.configure(index_selection=False)
         scanned = _outcome(db, probe, [value])
         assert probed == scanned, (statement, params, value)

@@ -239,7 +239,7 @@ def test_set_chunk_size_rebuilds_the_stored_list():
     version = table.current_version
     old = table.columnar_chunks(version)
     rebuilds = table.zone_map_rebuilds
-    db.set_chunk_size(4)
+    db.configure(chunk_size=4)
     new = table.columnar_chunks(version)
     assert new is not old
     assert [chunk.start for chunk in new] == [0, 4, 8]
