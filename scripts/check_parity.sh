@@ -65,6 +65,9 @@
 # cyclic collector held off (collect, disable, run, re-enable) over
 # alternating repeats, so a full collection cannot land on one side.
 #
+# The benchmark reports go to a temporary directory (removed on exit),
+# so a run leaves the committed BENCH_*.json files as they are.
+#
 # Usage: scripts/check_parity.sh
 
 set -euo pipefail
@@ -72,6 +75,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
 
 echo "== row/columnar parity suite =="
 python -m pytest -q tests/test_fdbs_batch_parity.py
@@ -91,12 +96,13 @@ echo "== MVCC snapshot-isolation + set-oriented DML suites =="
 python -m pytest -q tests/test_mvcc_snapshot_isolation.py tests/test_set_dml.py
 
 echo "== concurrency benchmark parity gate =="
-python benchmarks/bench_concurrency.py > /dev/null
+python benchmarks/bench_concurrency.py --out "$OUT/BENCH_concurrency.json" > /dev/null
 
-python - <<'EOF'
+python - "$OUT/BENCH_concurrency.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_concurrency.json"))
+summary = json.load(open(sys.argv[1]))
 assert len(summary["runs"]) >= 3, "need >= 3 worker counts"
 assert summary["single_session_parity"], (
     "1-worker serving run is not bit-identical to the single-session path"
@@ -159,12 +165,13 @@ python -m pytest -q tests/test_optimizer_parity.py tests/test_optimizer.py \
     tests/test_join_strategies.py tests/test_remote_hash_join.py
 
 echo "== optimizer benchmark gate (merge join + adaptive feedback) =="
-python benchmarks/bench_optimizer.py > /dev/null
+python benchmarks/bench_optimizer.py --out "$OUT/BENCH_optimizer.json" > /dev/null
 
-python - <<'EOF'
+python - "$OUT/BENCH_optimizer.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_optimizer.json"))
+summary = json.load(open(sys.argv[1]))
 assert summary["rows_identical"], (
     "an optimizer workload changed the answer"
 )

@@ -3,7 +3,9 @@
 # at a reduced row count, the coupling pooling/caching ablation, and a
 # reduced concurrent-serving run (throughput + parity at 1/4/8 workers).
 # Intended for CI — fast enough to run on every change, still catches
-# executor regressions an order of magnitude deep.
+# executor regressions an order of magnitude deep.  The benchmark
+# reports go to a temporary directory (removed on exit), so a run
+# leaves the committed BENCH_*.json files as they are.
 #
 # Usage: scripts/perf_smoke.sh [rows]   (default: 10000)
 
@@ -13,18 +15,21 @@ cd "$(dirname "$0")/.."
 ROWS="${1:-10000}"
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== wall-clock executor microbenchmark (${ROWS} fact rows) =="
 python benchmarks/bench_wallclock_executor.py --rows "$ROWS" \
-    --prune-rows $((ROWS * 10)) --out BENCH_executor_smoke.json > /dev/null
+    --prune-rows $((ROWS * 10)) --out "$OUT/BENCH_executor_smoke.json" > /dev/null
 
-python - <<'EOF'
+python - "$OUT/BENCH_executor_smoke.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_executor_smoke.json"))
+summary = json.load(open(sys.argv[1]))
 assert summary["parity"], "row/columnar parity violated"
 assert summary["speedup"] >= 3.0, f"speedup {summary['speedup']}x < 3x"
 pruning = summary["pruning"]
@@ -43,12 +48,13 @@ print(f"OK: {summary['speedup']}x columnar speedup over row, "
 EOF
 
 echo "== coupling pooling/caching ablation =="
-python benchmarks/bench_coupling_pooling.py --out BENCH_coupling.json
+python benchmarks/bench_coupling_pooling.py --out "$OUT/BENCH_coupling.json"
 
-python - <<'EOF'
+python - "$OUT/BENCH_coupling.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_coupling.json"))
+summary = json.load(open(sys.argv[1]))
 assert summary["parity"], "ablation configs disagree on result rows"
 assert summary["ranking_preserved"], "architecture ranking flipped"
 for arch, factor in summary["start_share_reduction"].items():
@@ -59,12 +65,13 @@ EOF
 
 echo "== cost-based optimizer benchmark (reduced workload) =="
 python benchmarks/bench_optimizer.py --remote-rows 5000 \
-    --udtf-outer-rows 100 --out BENCH_optimizer_smoke.json > /dev/null
+    --udtf-outer-rows 100 --out "$OUT/BENCH_optimizer_smoke.json" > /dev/null
 
-python - <<'EOF'
+python - "$OUT/BENCH_optimizer_smoke.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_optimizer_smoke.json"))
+summary = json.load(open(sys.argv[1]))
 assert summary["rows_identical"], "cost-based plan changed result rows"
 assert summary["speedup"] >= 3.0, f"speedup {summary['speedup']}x < 3x"
 print(f"OK: {summary['speedup']}x optimizer speedup, rows identical")
@@ -72,12 +79,13 @@ EOF
 
 echo "== concurrent serving smoke (reduced workload) =="
 python benchmarks/bench_concurrency.py --sessions 4 --calls 4 \
-    --out BENCH_concurrency_smoke.json > /dev/null
+    --out "$OUT/BENCH_concurrency_smoke.json" > /dev/null
 
-python - <<'EOF'
+python - "$OUT/BENCH_concurrency_smoke.json" <<'EOF'
 import json
+import sys
 
-summary = json.load(open("BENCH_concurrency_smoke.json"))
+summary = json.load(open(sys.argv[1]))
 assert summary["single_session_parity"], "serving layer changed results"
 assert summary["cross_worker_parity"], "worker count changed results"
 assert all(r["throughput_calls_per_s"] > 0 for r in summary["runs"])

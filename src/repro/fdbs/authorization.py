@@ -68,10 +68,6 @@ class AuthorizationManager:
             raise CatalogError(f"user {name!r} already exists")
         self._users.add(key)
 
-    def has_user(self, name: str) -> bool:
-        """True if the user exists."""
-        return name.upper() in self._users
-
     def require_user(self, name: str) -> str:
         """Validate a grantee name and return its canonical key."""
         key = name.upper()

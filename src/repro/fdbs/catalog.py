@@ -49,11 +49,6 @@ class TableDef:
                 return index
         raise CatalogError(f"table {self.name!r} has no column {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        """True if a column of that name exists."""
-        target = name.upper()
-        return any(c.name.upper() == target for c in self.columns)
-
     @property
     def column_names(self) -> list[str]:
         """Column names in declaration order."""
@@ -227,12 +222,6 @@ class Catalog:
         with self._lock:
             self.ddl_epoch += 1
             return self.ddl_epoch
-
-    def note_stats(self) -> int:
-        """Record a statistics change; returns the new stats epoch."""
-        with self._lock:
-            self.stats_epoch += 1
-            return self.stats_epoch
 
     # -- tables -----------------------------------------------------------------
 
@@ -443,10 +432,6 @@ class Catalog:
     def get_statistics(self, name: str) -> "TableStats | None":
         """The RUNSTATS snapshot of a table/nickname, or None."""
         return self._statistics.get(name.upper())
-
-    def has_statistics(self, name: str) -> bool:
-        """True when RUNSTATS was collected for the named object."""
-        return name.upper() in self._statistics
 
     def statistics(self) -> list["TableStats"]:
         """All collected RUNSTATS snapshots."""

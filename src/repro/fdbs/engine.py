@@ -196,7 +196,6 @@ class Database:
             "joins_indexnlj": 0,
             "joins_nlj": 0,
             "plans_invalidated": 0,
-            "midquery_fallbacks": 0,
             "max_q_error_pct": 0,
         }
         self.federation = FederationLayer(self)
@@ -343,11 +342,6 @@ class Database:
         with self._join_lock:
             if key in self._joins:
                 self._joins[key] += 1
-
-    def _note_midquery_fallback(self) -> None:
-        """Count one adaptive mid-query fallback (wired into the plan)."""
-        with self._join_lock:
-            self._joins["midquery_fallbacks"] += 1
 
     def join_stats(self) -> dict[str, int]:
         """Join-strategy and feedback counters for SYSCAT_RUNTIME_STATS."""
@@ -824,7 +818,6 @@ class Database:
             batch_invoker=self._invoke_table_function_batch,
             columnar_note=self._note_chunks,
             join_counter=self._note_join,
-            adaptive_note=self._note_midquery_fallback,
         )
 
     def _invoke_table_function(
@@ -1071,10 +1064,10 @@ class Database:
         """Create ``table`` (another database's) here, rows included.
 
         The new table starts from a private copy of the source's current
-        version (:meth:`~repro.fdbs.storage.Table.fork`), as though its
-        CREATE TABLE and load had run here; later writes on either side
-        stay on that side."""
-        storage = table.storage.fork()
+        version (:meth:`~repro.fdbs.storage.Table.fork`), chunked by this
+        database's ``chunk_size``, as though its CREATE TABLE and load had
+        run here; later writes on either side stay on that side."""
+        storage = table.storage.fork(self.options.chunk_size)
         self.catalog.add_table(
             TableDef(table.name, list(table.columns), list(table.primary_key), storage)
         )

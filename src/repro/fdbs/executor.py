@@ -1142,22 +1142,6 @@ class RemoteBindJoinPlan(Plan):
     def _join_key(self, value: object) -> object:
         return value if self._key is None else self._key(value)
 
-    def _emit(
-        self, left_rows: list[tuple], ctx: EvalContext, predicates: list[str]
-    ) -> Iterator[tuple]:
-        """Fetch the (possibly bound) remote side and hash-join it back:
-        outer-major, remote matches in remote-scan order."""
-        buckets: dict[object, list[tuple]] = {}
-        key_index = self.remote_key_index
-        for remote_row in self.scan.fetcher.fetch(ctx, predicates):
-            key = self._join_key(remote_row[key_index])
-            if key is not None:
-                buckets.setdefault(key, []).append(remote_row)
-        for left_row in left_rows:
-            key = self._join_key(self.left_key(left_row, ctx))
-            for remote_row in buckets.get(key, ()) if key is not None else ():
-                yield left_row + remote_row
-
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
         left_rows = list(self.left.rows(ctx))
@@ -1179,94 +1163,24 @@ class RemoteBindJoinPlan(Plan):
             self.unbound_fetches += 1
             if layer is not None:
                 layer.bind_join_fallbacks += 1
-        yield from self._emit(left_rows, ctx, predicates)
+        # Hash-join the (possibly bound) remote side back: outer-major,
+        # remote matches in remote-scan order.
+        buckets: dict[object, list[tuple]] = {}
+        key_index = self.remote_key_index
+        for remote_row in self.scan.fetcher.fetch(ctx, predicates):
+            key = self._join_key(remote_row[key_index])
+            if key is not None:
+                buckets.setdefault(key, []).append(remote_row)
+        for left_row in left_rows:
+            key = self._join_key(self.left_key(left_row, ctx))
+            for remote_row in buckets.get(key, ()) if key is not None else ():
+                yield left_row + remote_row
 
     def _describe(self) -> str:
         return f"BindJoin({self.scan._name}, bind: {self.bind_column})"
 
     def _children(self) -> list[Plan]:
         return [self.left, self.scan]
-
-
-class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
-    """Ship-all remote join with a mid-query bind-join escape hatch.
-
-    Emitted (only when the engine's adaptive blowup factor is set) where
-    the cost model *rejected* a bind join — the estimated bound transfer
-    did not beat shipping the whole remote side, or the estimated key
-    count blew the IN-list cap.  Those estimates can be stale, so before
-    paying the full transfer the operator ships one ``SELECT COUNT(*)``
-    probe (a single roundtrip returning one row) against the same pushed
-    predicates.  When the observed build side exceeds the estimate by
-    the configured factor — and the actual distinct keys fit the cap —
-    execution falls back to the bind join mid-query.  Both paths produce
-    identical rows; only the transfer cost differs.
-    """
-
-    def __init__(
-        self,
-        left: Plan,
-        scan: RemoteScanPlan,
-        left_key: CompiledExpr,
-        bind_column: str,
-        remote_key_index: int,
-        est_build: int,
-        blowup_factor: float,
-        max_keys: int = MAX_BIND_KEYS,
-        note: Callable[[], None] | None = None,
-    ):
-        super().__init__(
-            left, scan, left_key, bind_column, remote_key_index, max_keys
-        )
-        self.est_build = est_build
-        self.blowup_factor = blowup_factor
-        self.note = note
-        self.midquery_fallbacks = 0
-        #: Build-side cardinality the COUNT(*) probe observed last run.
-        self.last_probed_build: int | None = None
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        left_rows = list(self.left.rows(ctx))
-        key_values = self._distinct_keys(left_rows, ctx)
-        if not key_values:
-            return  # inner equality over all-NULL outer keys: no matches
-        predicates = list(self.scan.pushed_predicates)
-        actual_build = self.scan.fetcher.count(ctx, predicates)
-        self.last_probed_build = actual_build
-        if (
-            actual_build > self.est_build * self.blowup_factor
-            and len(key_values) <= self.max_keys
-        ):
-            predicates.append(self._bind_predicate(key_values))
-            self.bound_fetches += 1
-            self.midquery_fallbacks += 1
-            layer = getattr(self.scan.fetcher, "layer", None)
-            if layer is not None:
-                layer.bind_join_count += 1
-            if self.note is not None:
-                self.note()
-        else:
-            self.unbound_fetches += 1
-        yield from self._emit(left_rows, ctx, predicates)
-
-    def _describe(self) -> str:
-        return (
-            f"AdaptiveJoin({self.scan._name}, bind: {self.bind_column}, "
-            f"blowup>{self.blowup_factor:g}x)"
-        )
-
-
-class BatchFunctionInvoker(Protocol):
-    """Invokes a table function once per argument tuple, amortizing
-    fixed per-call overheads where the runtime supports it."""
-
-    def __call__(
-        self,
-        function: TableFunction,
-        args_list: list[list[object]],
-        ctx: EvalContext,
-    ) -> list[list[tuple]]: ...
 
 
 class UdtfBindJoinPlan(Plan):
@@ -1907,19 +1821,3 @@ class UnionPlan(Plan):
 
     def _children(self) -> list[Plan]:
         return self.branches
-
-
-class ValuesPlan(Plan):
-    """A constant row source (used by INSERT ... VALUES planning)."""
-
-    def __init__(self, rows_exprs: list[list[CompiledExpr]], schema: list[ColumnSlot]):
-        self._rows_exprs = rows_exprs
-        self.schema = schema
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for row_exprs in self._rows_exprs:
-            yield tuple(expr((), ctx) for expr in row_exprs)
-
-    def _describe(self) -> str:
-        return f"Values({len(self._rows_exprs)})"

@@ -235,9 +235,11 @@ class RemoteTableFetcher:
     def count(self, ctx, predicates: list[str] | None = None) -> int:
         """Ship ``SELECT COUNT(*)`` with the same predicates (costed).
 
-        The adaptive join's cheap build-side probe: one roundtrip and a
-        single transferred row, regardless of the remote cardinality.
-        Profiled sources pay one uncached request plus one row.
+        One roundtrip and a single transferred row, regardless of the
+        remote cardinality; profiled sources pay one uncached request
+        plus one row.  No plan operator calls it: it stays because the
+        repository benchmark's tracer (``perfbench/tracer.py``) wraps it
+        by name as a ``fdbs.federation`` boundary.
         """
         sql = f"SELECT COUNT(*) FROM {self.nickname.remote_name}"
         if predicates:

@@ -122,12 +122,6 @@ class Decisions:
     """Original index of a comma-joined base table or unbound nickname
     -> join strategy."""
 
-    adaptive_remote: dict[int, BindRemote] = field(default_factory=dict)
-    """Original index -> rejected-bind decision armed with the
-    mid-query escape hatch (only when the engine configures a blowup
-    factor): execution probes the build side's actual cardinality and
-    falls back to the bind join when the estimate was blown."""
-
     reads_volatile_state: bool = False
     """Whether a choice read runtime state that changes without any
     epoch bump — a cache-fronted source's response cache.  A plan built
@@ -169,9 +163,7 @@ def plan_decisions(
     :class:`~repro.fdbs.federation.SourceProfile` and whether its
     ship-all scan is currently cache-resident.  ``options.join_strategy``
     either lets the cost model price hash/merge/index-NLJ/NLJ per local
-    comma join (``auto``) or forces one strategy wherever it applies;
-    ``options.adaptive_join`` (when set) arms rejected remote bind joins
-    with the mid-query COUNT(*) escape hatch.
+    comma join (``auto``) or forces one strategy wherever it applies.
     """
     from_items = select.from_items
     if not from_items:
@@ -200,13 +192,8 @@ def plan_decisions(
     )
     local_join = _choose_local_joins(
         infos, conjuncts, by_alias, position, consumed, options.join_strategy,
-        catalog, bind_remote, nicknames=options.adaptive_join is None,
+        catalog, bind_remote,
     )
-    adaptive_remote: dict[int, BindRemote] = {}
-    if options.adaptive_join is not None:
-        adaptive_remote = _choose_adaptive_remote(
-            infos, conjuncts, by_alias, position, consumed, bind_remote
-        )
 
     est_scan: dict[int, float] = {}
     for info in infos:
@@ -242,7 +229,6 @@ def plan_decisions(
         est_scan=est_scan,
         local_selectivity=local,
         local_join=local_join,
-        adaptive_remote=adaptive_remote,
         reads_volatile_state=any(
             info.profile is not None and info.profile.cache_hit_cost is not None
             for info in infos
@@ -406,7 +392,7 @@ def _choose_bind_joins(infos, conjuncts, by_alias, position, costs):
 
 def _choose_local_joins(
     infos, conjuncts, by_alias, position, consumed, join_strategy, catalog,
-    bind_remote, nicknames: bool = True,
+    bind_remote,
 ) -> dict[int, LocalJoin]:
     """Price a physical join strategy per comma-joined base table or
     unbound nickname.
@@ -418,10 +404,10 @@ def _choose_local_joins(
     RUNSTATS saw the key presorted) and index nested-loop (numeric or
     character inner keys).  A nickname the bind-join pass left unbound
     is priced the same way but only as nested-loop vs. hash: its
-    ship-all fetch is the same SQL text either way.  Nicknames are skipped when ``nicknames``
-    is False (the adaptive join keeps them) and after any table
-    function, whose per-row clock charges would make a chunked outer
-    side pull the remote source at a different simulated time.
+    ship-all fetch is the same SQL text either way.  Nicknames are
+    skipped after any table function, whose per-row clock charges would
+    make a chunked outer side pull the remote source at a different
+    simulated time.
 
     Winning conjuncts are appended to ``consumed`` in place so they
     leave the residual WHERE estimate, exactly like bind joins.  When
@@ -437,9 +423,7 @@ def _choose_local_joins(
             continue
         if position[info.index] == 0:
             continue
-        if info.kind == "nickname" and (
-            not nicknames or after_function or info.index in bind_remote
-        ):
+        if info.kind == "nickname" and (after_function or info.index in bind_remote):
             continue
         fallback = None
         for conjunct in conjuncts:
@@ -542,43 +526,6 @@ def _indexable_column(catalog, table_name: str, column_name: str) -> bool:
         if column.name.upper() == target:
             return is_numeric(column.type) or is_character(column.type)
     return False
-
-
-def _choose_adaptive_remote(
-    infos, conjuncts, by_alias, position, consumed, bind_remote
-) -> dict[int, BindRemote]:
-    """Arm rejected bind joins with the mid-query escape hatch.
-
-    Nicknames where :func:`_choose_bind_joins` found no paying bind
-    conjunct still get their orientation recorded here, so the planner
-    can emit an :class:`~repro.fdbs.executor.AdaptiveRemoteJoinPlan`
-    that probes the actual build-side cardinality before committing to
-    the ship-all fetch.  The conjunct is consumed — the adaptive plan
-    enforces it through its hash probe either way.
-    """
-    adaptive: dict[int, BindRemote] = {}
-    for info in infos:
-        if info.kind != "nickname" or info.index in bind_remote:
-            continue
-        for conjunct in conjuncts:
-            if any(conjunct is used for used in consumed):
-                continue
-            oriented = _as_bind_conjunct(conjunct, info.alias, by_alias)
-            if oriented is None:
-                continue
-            outer_alias, outer_column, bind_column = oriented
-            outer = by_alias[outer_alias]
-            if position[outer.index] >= position[info.index]:
-                continue  # outer side not materialised yet
-            column = info.stats.column(bind_column) if info.stats else None
-            ndv = column.ndv if column is not None and column.ndv > 0 else 0
-            per_key = info.stats.card / ndv if ndv else float(info.stats.card)
-            adaptive[info.index] = BindRemote(
-                conjunct, outer_alias, outer_column, bind_column, per_key
-            )
-            consumed.append(conjunct)
-            break
-    return adaptive
 
 
 def _has_single_alias_conjunct(conjuncts, alias: str) -> bool:

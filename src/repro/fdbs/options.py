@@ -58,9 +58,6 @@ class Options:
     #: "auto" prices nlj/hash/merge/indexnlj per join under the cost
     #: optimizer; a named strategy forces it wherever types permit.
     join_strategy: str = _planner("auto")
-    #: Build-side blowup past which a cost-rejected remote bind join
-    #: abandons its ship-all fetch mid-query (None: no probe).
-    adaptive_join: float | None = _planner(None)
     #: Predicate pushdown to remote SQL sources.
     pushdown: bool = _planner(True)
     #: Index probes for equality conjuncts on base tables.
@@ -78,7 +75,7 @@ class Options:
     def __post_init__(self) -> None:
         if self.chunk_size is None:
             object.__setattr__(self, "chunk_size", DEFAULT_CHUNK_SIZE)
-        size, factor = self.chunk_size, self.adaptive_join
+        size = self.chunk_size
         if self.execution_mode not in ("row", "columnar"):
             raise ExecutionError(
                 f"unknown execution mode {self.execution_mode!r}; "
@@ -97,10 +94,6 @@ class Options:
             expected = ", ".join(repr(name) for name in JOIN_STRATEGIES)
             raise ExecutionError(
                 f"unknown join strategy {self.join_strategy!r}; expected one of {expected}"
-            )
-        if factor is not None and not (_number(factor) and factor > 1.0):
-            raise ExecutionError(
-                "adaptive join factor must exceed 1.0 (or be None to disable)"
             )
         for name in ("zone_maps", "pushdown", "index_selection", "pooling", "result_cache"):
             if not isinstance(getattr(self, name), bool):

@@ -25,7 +25,6 @@ from repro.fdbs import ast
 from repro.fdbs.catalog import Catalog, ColumnDef, NicknameDef
 from repro.fdbs.executor import (
     MAX_BIND_KEYS,
-    AdaptiveRemoteJoinPlan,
     AggregatePlan,
     AggregateSpec,
     CrossApplyPlan,
@@ -90,7 +89,6 @@ class Planner:
         batch_invoker=None,
         columnar_note: Callable[[int, int], None] | None = None,
         join_counter: Callable[[str], None] | None = None,
-        adaptive_note: Callable[[], None] | None = None,
     ):
         self.catalog = catalog
         self.invoker = invoker
@@ -101,8 +99,8 @@ class Planner:
         self.costs = costs
         self.charge = charge
         #: The planner-read settings (execution mode, optimizer, join
-        #: strategy, adaptive factor, pushdown, index selection, zone
-        #: maps); see repro.fdbs.options.
+        #: strategy, pushdown, index selection, zone maps); see
+        #: repro.fdbs.options.
         self.options = options
         self.pushdown_counter = pushdown_counter
         #: RUNSTATS snapshot lookup: table name -> TableStats | None.
@@ -116,9 +114,6 @@ class Planner:
         #: Callback ``(strategy)`` counting built join operators into
         #: the database's runtime statistics.
         self.join_counter = join_counter
-        #: Callback wired into adaptive joins: fires when the mid-query
-        #: fallback from ship-all to bind join actually triggers.
-        self.adaptive_note = adaptive_note
         #: Set when planning read volatile runtime state (see
         #: ``Decisions.reads_volatile_state``): the plan is correct for
         #: this execution only and must not be cached.
@@ -476,38 +471,12 @@ class Planner:
                     join_plan = self._try_local_join(plan, layout, scan, local_spec)
                     if join_plan is not None:
                         local_built = (scan, join_plan)
-            adaptive_spec = (
-                decisions.adaptive_remote.get(original_index)
-                if decisions is not None
-                else None
-            )
-            adaptive_built = None
-            if (
-                bind_built is None
-                and local_built is None
-                and adaptive_spec is not None
-                and self.options.adaptive_join is not None
-                and isinstance(item, ast.TableRef)
-                and self.catalog.has_nickname(item.name)
-            ):
-                scan = self._plan_table_ref(item)
-                if isinstance(scan, RemoteScanPlan):
-                    est_build = _round_est(decisions.est_scan.get(original_index))
-                    if est_build is not None:
-                        adaptive_plan = self._try_adaptive_bind(
-                            plan, layout, scan, adaptive_spec, est_build
-                        )
-                        if adaptive_plan is not None:
-                            adaptive_built = (scan, adaptive_plan)
             if bind_built is not None:
                 right = None
                 right_schema = bind_built[0].schema
             elif local_built is not None:
                 right = None
                 right_schema = local_built[0].schema
-            elif adaptive_built is not None:
-                right = None
-                right_schema = adaptive_built[0].schema
             else:
                 right, right_schema = self._plan_from_item(
                     item, layout, exec_items, position, prunable
@@ -558,19 +527,6 @@ class Planner:
                     join_plan.est_rows = _round_est(running_est)
                 self._count_join(local_spec.strategy)
                 plan = join_plan
-                layout = layout.extend(right_schema)
-                continue
-            if adaptive_built is not None:
-                scan, adaptive_plan = adaptive_built
-                for alias in alias_names:
-                    remote_candidates[alias] = scan
-                consumed.append(adaptive_spec.conjunct)
-                item_est = decisions.est_scan.get(original_index)
-                scan.est_rows = _round_est(item_est)
-                if running_est is not None:
-                    running_est *= adaptive_spec.est_match_per_key
-                    adaptive_plan.est_rows = _round_est(running_est)
-                plan = adaptive_plan
                 layout = layout.extend(right_schema)
                 continue
             # Only top-level (comma) remote scans are pushdown targets;
@@ -813,47 +769,6 @@ class Planner:
         plan.lazy_build = True
         plan.columnar_left_keys = self._chunk_forms(left_compiler, [key_ast])
         return plan
-
-    def _try_adaptive_bind(
-        self,
-        left: Plan,
-        layout: RowLayout,
-        scan: RemoteScanPlan,
-        spec,
-        est_build: int,
-    ) -> AdaptiveRemoteJoinPlan | None:
-        """Build the ship-all remote join with a mid-query bind-join
-        escape hatch; None keeps the plain static remote scan."""
-        remote_index = None
-        for index, slot in enumerate(scan.schema):
-            if slot.name.upper() == spec.bind_column.upper():
-                remote_index = index
-                break
-        if remote_index is None:
-            return None
-        try:
-            left_key = self._compiler(layout).compile(
-                ast.ColumnRef(spec.outer_qualifier, spec.outer_column)
-            )
-        except (PlanError, TypeError_):
-            return None
-        if not hash_join_compatible(left_key.type, scan.schema[remote_index].type):
-            return None
-        profile = getattr(scan.fetcher, "profile", None)
-        max_keys = MAX_BIND_KEYS
-        if profile is not None and profile.max_bind_keys is not None:
-            max_keys = profile.max_bind_keys
-        return AdaptiveRemoteJoinPlan(
-            left,
-            scan,
-            left_key,
-            spec.bind_column,
-            remote_index,
-            est_build=est_build,
-            blowup_factor=self.options.adaptive_join,
-            max_keys=max_keys,
-            note=self.adaptive_note,
-        )
 
     def _select_indexes(
         self,

@@ -19,7 +19,7 @@ table:
   MVCC, columnar execution, the join subsystem (``joins`` —
   joins_hash/merge/indexnlj/nlj counts of join operators *built*, so
   re-running a cached plan does not raise them; plans_invalidated,
-  midquery_fallbacks, max_q_error_pct, stats_epoch) and (on
+  max_q_error_pct, stats_epoch) and (on
   machine-backed databases) the warm runtime pool, result cache and
   RMI channels
 

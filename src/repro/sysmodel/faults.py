@@ -124,14 +124,6 @@ class FaultInjector:
         with self._lock:
             self._plans[site] = FaultPlan(probability=probability, count=count)
 
-    def disarm(self, site: str | None = None) -> None:
-        """Forget one site's plan (or all plans)."""
-        with self._lock:
-            if site is None:
-                self._plans.clear()
-            else:
-                self._plans.pop(site, None)
-
     def should_fail(self, site: str) -> bool:
         """Whether this pass through ``site`` fails (counts the fault).
 

@@ -1,8 +1,8 @@
-"""Local join strategies, cardinality feedback and the adaptive join.
+"""Local join strategies and cardinality feedback.
 
 The hard invariant throughout: every join strategy — nested-loop, hash,
-sort-merge, index nested-loop, and the adaptive remote join on either of
-its paths — produces *bit-identical rows* to the syntactic plan, and
+sort-merge, index nested-loop, and the remote bind join a feedback
+replan picks — produces *bit-identical rows* to the syntactic plan, and
 (because local join operators charge no simulated time of their own)
 identical simulated elapsed times on a machine-backed database.
 """
@@ -240,72 +240,51 @@ class TestFeedback:
         assert q_error(0, 5) == 1.0
 
 
-class TestAdaptiveJoin:
-    def make_federated(self, optimizer="cost"):
-        remote = Database("remote")
-        remote.execute(
-            "CREATE TABLE orders (order_no INTEGER, comp_no INTEGER)"
-        )
-        for index in range(100):
-            remote.execute(
-                "INSERT INTO orders VALUES (?, ?)", params=[index, index % 5]
-            )
-        local = Database("local", optimizer=optimizer)
-        local.execute("CREATE WRAPPER w")
-        local.execute("CREATE SERVER s WRAPPER w")
-        local.attach_endpoint("s", DatabaseEndpoint(remote))
-        local.execute("CREATE NICKNAME n FOR s.orders")
-        local.execute("CREATE TABLE watch (pk INTEGER, comp_no INTEGER)")
-        for index in range(20):
-            local.execute(
-                "INSERT INTO watch VALUES (?, ?)", params=[index, index % 5]
-            )
-        return local, remote
+class TestStaleRemoteStatistics:
+    """A nickname that grows 50x after RUNSTATS: the stale plan still
+    returns the syntactic plan's rows, and EXPLAIN ANALYZE feedback
+    replans the join as a bind join."""
 
     SQL = (
         "SELECT w.pk, o.order_no FROM watch AS w, n AS o "
         "WHERE w.comp_no = o.comp_no ORDER BY w.pk, o.order_no"
     )
 
-    def test_factor_validation(self):
-        db = Database("v")
-        with pytest.raises(ExecutionError):
-            db.configure(adaptive_join=0.5)
-        db.configure(adaptive_join=None)  # disable is always legal
+    def make_federated(self, optimizer, mode, orders):
+        remote = Database("remote")
+        remote.execute("CREATE TABLE orders (order_no INTEGER, comp_no INTEGER)")
+        remote.execute_many(
+            "INSERT INTO orders VALUES (?, ?)",
+            [[index, index % 10] for index in range(orders)],
+        )
+        local = Database("local", optimizer=optimizer, execution_mode=mode)
+        local.execute("CREATE WRAPPER w")
+        local.execute("CREATE SERVER s WRAPPER w")
+        local.attach_endpoint("s", DatabaseEndpoint(remote))
+        local.execute("CREATE NICKNAME n FOR s.orders")
+        local.execute("CREATE TABLE watch (pk INTEGER, comp_no INTEGER)")
+        local.execute_many(
+            "INSERT INTO watch VALUES (?, ?)", [[index, index % 5] for index in range(20)]
+        )
+        return local, remote
 
-    def test_escape_hatch_fires_on_remote_blowup(self):
-        local, remote = self.make_federated()
-        local.execute("RUNSTATS watch")
-        local.execute("RUNSTATS n")
-        for index in range(100, 5000):  # remote grows 50x after RUNSTATS
-            remote.execute(
-                "INSERT INTO orders VALUES (?, ?)", params=[index, index % 5]
+    def test_rows_hold_and_feedback_binds(self):
+        for mode in ("row", "columnar"):
+            local, remote = self.make_federated("cost", mode, orders=10)
+            local.execute("RUNSTATS watch")
+            local.execute("RUNSTATS n")
+            remote.execute_many(
+                "INSERT INTO orders VALUES (?, ?)",
+                [[index, index % 10] for index in range(10, 500)],
             )
-        local.configure(adaptive_join=4.0)
-        assert "AdaptiveJoin(n" in local.explain(self.SQL)
-        rows = local.execute(self.SQL).rows
-        assert local.join_stats()["midquery_fallbacks"] == 1
-        baseline, grown = self.make_federated("syntactic")
-        for index in range(100, 5000):
-            grown.execute(
-                "INSERT INTO orders VALUES (?, ?)", params=[index, index % 5]
-            )
-        assert rows == baseline.execute(self.SQL).rows
-
-    def test_no_fallback_when_estimate_holds(self):
-        local, _ = self.make_federated()
-        local.execute("RUNSTATS watch")
-        local.execute("RUNSTATS n")
-        local.configure(adaptive_join=4.0)
-        baseline, _ = self.make_federated("syntactic")
-        assert local.execute(self.SQL).rows == baseline.execute(self.SQL).rows
-        assert local.join_stats()["midquery_fallbacks"] == 0
-
-    def test_disabled_without_factor(self):
-        local, _ = self.make_federated()
-        local.execute("RUNSTATS watch")
-        local.execute("RUNSTATS n")
-        assert "AdaptiveJoin" not in local.explain(self.SQL)
+            baseline, _ = self.make_federated("syntactic", mode, orders=500)
+            expected = baseline.execute(self.SQL).rows
+            assert len(expected) == 1000
+            assert "BindJoin" not in local.explain(self.SQL)
+            assert local.execute(self.SQL).rows == expected
+            local.execute("EXPLAIN ANALYZE " + self.SQL)
+            assert "BindJoin(n" in local.explain(self.SQL)
+            assert local.execute(self.SQL).rows == expected
 
 
 class TestRuntimeCounters:
@@ -323,7 +302,6 @@ class TestRuntimeCounters:
             "joins_indexnlj",
             "joins_nlj",
             "plans_invalidated",
-            "midquery_fallbacks",
             "max_q_error_pct",
             "stats_epoch",
         ):

@@ -38,7 +38,6 @@ OTHER_VALUE = {
     "zone_maps": False,
     "optimizer": "cost",
     "join_strategy": "hash",
-    "adaptive_join": 2.0,
     "pushdown": False,
     "index_selection": False,
     "pooling": True,
@@ -57,8 +56,6 @@ INVALID = [
     ("chunk_size", 2**21, "out of range"),
     ("chunk_size", True, "chunk size must be an integer"),
     ("chunk_size", "16", "chunk size must be an integer"),
-    ("adaptive_join", 1.0, "adaptive join factor must exceed 1.0"),
-    ("adaptive_join", 0.5, "adaptive join factor must exceed 1.0"),
     ("zone_maps", 1, "zone_maps must be True or False"),
     ("pool_capacity", 0, "pool capacity must be positive"),
     ("cache_capacity", -1, "cache capacity must be positive"),
@@ -92,10 +89,6 @@ def test_invalid_values_raise_the_setter_messages(name, value, message):
     assert db.options is DEFAULT_OPTIONS
 
 
-def test_disabling_the_adaptive_join_is_always_legal():
-    assert Options(adaptive_join=4.0).replace(adaptive_join=None) == DEFAULT_OPTIONS
-
-
 def test_none_chunk_size_means_the_default():
     assert Options(chunk_size=None) == DEFAULT_OPTIONS
 
@@ -120,6 +113,18 @@ def test_configure_reaches_storage_and_machine():
     assert db.machine.runtime_pool.enabled
     assert db.machine.udtf_rmi.wall_latency_s == 0.002
     assert db.machine.wf_rmi.wall_latency_s == 0.002
+
+
+def test_copy_table_takes_the_destination_chunk_size():
+    source = Database("source", chunk_size=4)
+    source.execute("CREATE TABLE t (a INT)")
+    source.execute_many("INSERT INTO t VALUES (?)", [[n] for n in range(10)])
+    target = Database("target", chunk_size=8)
+    target.copy_table(source.catalog.get_table("t"))
+    assert target.catalog.get_table("t").storage.chunk_size == 8
+    assert source.catalog.get_table("t").storage.chunk_size == 4
+    target.configure(execution_mode="columnar")
+    assert target.execute("SELECT SUM(a) FROM t").rows == [(45,)]
 
 
 def test_scenario_keeps_keyword_settings_and_an_options_object_alike():

@@ -333,7 +333,6 @@ CHANGES = {
     "set_zone_maps": lambda db: db.set_zone_maps(False),
     "set_optimizer": lambda db: db.configure(optimizer="syntactic"),
     "set_join_strategy": lambda db: db.configure(join_strategy="hash"),
-    "set_adaptive_join": lambda db: db.configure(adaptive_join=1.5),
     "set_current_user": _grant_reader,
     "pushdown_enabled": lambda db: db.configure(pushdown=False),
     "index_selection_enabled": lambda db: db.configure(index_selection=False),
@@ -394,7 +393,6 @@ class TestInvalidationMatrix:
         for change in (
             "set_optimizer",
             "set_join_strategy",
-            "set_adaptive_join",
             "set_zone_maps",
             "pushdown_enabled",
             "index_selection_enabled",

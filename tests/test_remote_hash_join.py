@@ -139,13 +139,6 @@ class TestPlanShape:
         assert "BindJoin(n_api, bind: k)" in text
         assert "HashJoin" not in text
 
-    def test_adaptive_factor_keeps_the_adaptive_join(self):
-        db = make_db()
-        db.configure(adaptive_join=2.0)
-        text = db.explain(join_sql("n_arch"))
-        assert "AdaptiveJoin(n_arch" in text
-        assert "HashJoin" not in text
-
     def test_table_function_before_the_nickname_keeps_cross_apply(self):
         db = make_db()
         db.execute(
