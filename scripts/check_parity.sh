@@ -22,7 +22,14 @@
 #     teardown/accounting regressions; wire + hash-ring unit suite;
 #     session templates: sessions stamped one after another from one
 #     template, threads or shards, equal bare builds in rows and
-#     per-call simulated ms, and shared parsed statements never change),
+#     per-call simulated ms, and shared parsed statements never change;
+#     shared plans: sessions that adopt the plans of earlier sessions
+#     (a second workload pass on the same shards or thread server, a
+#     second stamp per architecture) equal the first pass and the bare
+#     stack in rows, simulated ms and runtime counters, plan nothing
+#     and build no index on a second in-process pass, catalogs at
+#     equal DDL epochs with different schemas never share a plan, and
+#     texts that differ only in a literal's blanks never share one),
 #  6. optimizer parity (cost-based mode => bit-identical rows across
 #     architectures and execution modes; statistics absent =>
 #     bit-identical rows AND simulated times; join strategies —
@@ -155,7 +162,7 @@ EOF
 
 echo "== process-sharded parity + fault battery + serving regressions =="
 python -m pytest -q tests/test_serving_wire.py tests/test_serving_shutdown.py \
-    tests/test_session_template.py
+    tests/test_session_template.py tests/test_shared_plans.py
 python -m pytest -q -m proc tests/test_process_parity.py \
     tests/test_process_faults.py tests/sql_battery/test_battery_serving.py \
     tests/test_session_template.py

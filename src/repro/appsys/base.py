@@ -79,6 +79,11 @@ def load_table(
 class ApplicationSystem:
     """Base class of encapsulated application systems."""
 
+    #: ``(table, column)`` pairs the local functions look rows up by
+    #: with ``column = ?``: the hash indexes those lookups probe (see
+    #: :meth:`build_lookup_indexes`).
+    LOOKUP_INDEXES: tuple[tuple[str, str], ...] = ()
+
     def __init__(self, name: str, machine: Machine | None = None):
         self.name = name
         self.machine = machine
@@ -126,6 +131,18 @@ class ApplicationSystem:
             machine.register_appsys(clone.name)
         clone._register_functions(database)
         return clone
+
+    def build_lookup_indexes(self) -> None:
+        """Build the hash indexes of :attr:`LOOKUP_INDEXES` now.
+
+        A lookup builds its index on first use anyway; a system that is
+        forked many times builds them once here, so every fork copies
+        them with its tables instead of building them again.  Rows are
+        not touched.
+        """
+        catalog = self._db().catalog
+        for table, column in self.LOOKUP_INDEXES:
+            catalog.get_table(table).storage.create_index(column)
 
     # -- encapsulation --------------------------------------------------------------
 

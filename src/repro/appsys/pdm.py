@@ -24,6 +24,12 @@ from repro.sysmodel.machine import Machine
 class ProductDataManagementSystem(ApplicationSystem):
     """Application system over components and the bill of material."""
 
+    LOOKUP_INDEXES = (
+        ("components", "comp_no"),
+        ("components", "comp_name"),
+        ("bom", "comp_no"),
+    )
+
     def __init__(
         self,
         machine: Machine | None = None,

@@ -50,6 +50,8 @@ def decide(grade: int | None, comp_no: int | None) -> str:
 class PurchasingSystem(ApplicationSystem):
     """Application system over supplier reliability and discounts."""
 
+    LOOKUP_INDEXES = (("suppliers", "supplier_no"), ("suppliers", "supplier_name"))
+
     def __init__(
         self,
         machine: Machine | None = None,

@@ -29,6 +29,12 @@ from repro.sysmodel.machine import Machine
 class StockKeepingSystem(ApplicationSystem):
     """Application system over stock and supplier-quality data."""
 
+    LOOKUP_INDEXES = (
+        ("supplier_quality", "supplier_no"),
+        ("stock", "supplier_no"),
+        ("stock", "comp_no"),
+    )
+
     def __init__(
         self,
         machine: Machine | None = None,

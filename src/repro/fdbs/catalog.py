@@ -10,6 +10,7 @@ identifier semantics.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -21,6 +22,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fdbs import ast
     from repro.fdbs.stats import StatsFeedback, TableStats
     from repro.fdbs.storage import Table
+
+#: ``plan`` field metadata of a field that folds into the schema key
+#: only by whether it is set (see :func:`describe`).
+_PRESENCE = {"plan": "presence"}
+
+
+def describe(definition: object) -> str:
+    """A catalog definition as text, for the schema key.
+
+    Every field folds its ``repr`` (the dataclasses involved: columns,
+    SQL types, parameters, statement ASTs, source profiles, spell their
+    values out in full), except the fields marked ``presence``: objects
+    that each execution resolves in its own database (a table's
+    storage, a server's endpoint, an external function's
+    implementation), which fold only whether they are set.  Anything
+    that is not a definition (a dropped object's name) is its ``repr``.
+    """
+    kind = type(definition)
+    fields = _FOLDED.get(kind)
+    if fields is None:
+        return repr(definition)
+    parts = [kind.__name__]
+    for name, presence in fields:
+        value = getattr(definition, name)
+        parts.append(f"{name}={(value is not None) if presence else value!r}")
+    return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -39,7 +66,7 @@ class TableDef:
     name: str
     columns: list[ColumnDef]
     primary_key: list[str] = field(default_factory=list)
-    storage: "Table | None" = None
+    storage: "Table | None" = field(default=None, metadata=_PRESENCE)
 
     def column_index(self, name: str) -> int:
         """Index of a column by case-insensitive name."""
@@ -102,7 +129,9 @@ class ExternalTableFunction:
     external_name: str
     language: str = "JAVA"
     fenced: bool = True
-    implementation: Callable[..., Iterable[Sequence[object]]] | None = None
+    implementation: Callable[..., Iterable[Sequence[object]]] | None = field(
+        default=None, metadata=_PRESENCE
+    )
     deterministic: bool = False
     """DETERMINISTIC functions may have repeated invocations with equal
     arguments served from a per-statement cache (DB2-style)."""
@@ -156,7 +185,7 @@ class ServerDef:
 
     name: str
     wrapper: str
-    endpoint: object | None = None
+    endpoint: object | None = field(default=None, metadata=_PRESENCE)
     profile: object | None = None
 
 
@@ -181,6 +210,25 @@ class NicknameDef:
 
 TableFunction = SqlTableFunction | ExternalTableFunction
 
+#: The catalog-definition dataclasses (what a schema change registers).
+DEFINITIONS = (
+    TableDef,
+    SqlTableFunction,
+    ExternalTableFunction,
+    ProcedureDef,
+    WrapperDef,
+    ServerDef,
+    ViewDef,
+    NicknameDef,
+)
+#: Per definition class, ``(field name, presence only)`` for each field.
+_FOLDED = {
+    kind: tuple(
+        (f.name, f.metadata.get("plan") == "presence") for f in dataclasses.fields(kind)
+    )
+    for kind in DEFINITIONS
+}
+
 
 class Catalog:
     """All named objects of one database."""
@@ -203,13 +251,17 @@ class Catalog:
         #: Guards check-then-act registrations and list snapshots against
         #: concurrent DDL; single-key reads stay lock-free (GIL-atomic).
         self._lock = threading.RLock()
-        #: Bumped on every schema change (CREATE/DROP of any object kind).
-        #: Compiled-plan caches fold this into their keys so a plan
-        #: validated against one schema is never replayed against another.
-        self.ddl_epoch = 0
+        #: Digest of every schema change so far, each folded in with a
+        #: description of what changed (see :meth:`note_ddl`).  Compiled
+        #: plans are keyed by it, in one database's statement cache and
+        #: in a map shared between databases: two catalogs that went
+        #: through the same described changes from empty plan alike (a
+        #: count of changes would say nothing about what they were).
+        #: Each change moves it, whatever its description.
+        self.schema_key = ""
         #: Bumped whenever planning statistics change — RUNSTATS
         #: collection or a cardinality-feedback override.  Statement
-        #: caches fold it into their namespaces (next to ddl_epoch) so
+        #: caches fold it into their namespaces (next to schema_key) so
         #: plans whose driving estimates drifted are invalidated.
         self.stats_epoch = 0
         #: Cardinality-feedback overrides recorded by EXPLAIN ANALYZE,
@@ -217,11 +269,17 @@ class Catalog:
         #: RUNSTATS re-collects the table.
         self._feedback: dict[str, "StatsFeedback"] = {}
 
-    def note_ddl(self) -> int:
-        """Record a schema change; returns the new DDL epoch."""
+    def note_ddl(self, change: str) -> None:
+        """Record a schema change.
+
+        ``change`` says what changed: the statement kind and the
+        :func:`describe` text of the object, or the name of a dropped
+        one (the kind alone in a database that shares no plans).  It is
+        chained into :attr:`schema_key`.
+        """
         with self._lock:
-            self.ddl_epoch += 1
-            return self.ddl_epoch
+            chained = f"{self.schema_key}\x00{change}".encode()
+            self.schema_key = hashlib.blake2b(chained, digest_size=12).hexdigest()
 
     # -- tables -----------------------------------------------------------------
 

@@ -49,7 +49,9 @@ from repro.fdbs.catalog import (
     TableDef,
     TableFunction,
     WrapperDef,
+    describe,
 )
+from repro.fdbs.executor import Plan
 from repro.fdbs.expr import (
     ColumnSlot,
     EvalContext,
@@ -172,8 +174,12 @@ class Database:
         self.machine = machine
         self.catalog = Catalog()
         self.statement_cache = StatementCache()
-        #: Shared text -> AST map consulted on a statement-cache miss
-        #: (None: parse every miss here; see ParseMap).
+        #: Map shared with other databases: parsed statements, consulted
+        #: on a statement-cache miss, and compiled plans, consulted
+        #: before planning (None: parse and plan everything here; see
+        #: ParseMap).  Fixed here, before any schema change: with a map,
+        #: every change is described into the catalog's schema key (see
+        #: :meth:`_invalidate_plans`).
         self.parses = parses
         self.catalog.runtime_stats_provider = self.runtime_stats
         if machine is not None:
@@ -313,8 +319,9 @@ class Database:
         the package (the repository benchmark among them)."""
         self.configure(zone_maps=bool(enabled))
 
-    def _note_chunks(self, scanned: int, pruned: int) -> None:
-        """Accumulate per-scan chunk counters (wired into columnar scans)."""
+    def note_chunks(self, scanned: int, pruned: int) -> None:
+        """Accumulate per-scan chunk counters (columnar scans call it
+        through ``ctx.database``)."""
         with self._columnar_lock:
             self._columnar["chunks_scanned"] += scanned
             self._columnar["chunks_pruned"] += pruned
@@ -335,13 +342,22 @@ class Database:
         counters["zone_maps_enabled"] = int(self.options.zone_maps)
         return counters
 
-    def _note_join(self, strategy: str) -> None:
-        """Count one built join operator (wired into the planner; a
-        cached plan re-executes without counting again)."""
-        key = f"joins_{strategy}"
-        with self._join_lock:
-            if key in self._joins:
-                self._joins[key] += 1
+    def _note_plan(self, plan: Plan) -> None:
+        """Add the counts taken while planning ``plan`` (join operators
+        by strategy, conjuncts pushed) to this database's statistics.
+
+        Called when this database builds a plan and again when it
+        adopts one from the shared map, so the counters read as if
+        every such plan had been built here; a plan reused from the
+        statement cache re-executes without counting.
+        """
+        if plan.built_joins:
+            with self._join_lock:
+                for strategy in plan.built_joins:
+                    key = f"joins_{strategy}"
+                    if key in self._joins:
+                        self._joins[key] += 1
+        self.federation.predicates_pushed += plan.built_pushdowns
 
     def join_stats(self) -> dict[str, int]:
         """Join-strategy and feedback counters for SYSCAT_RUNTIME_STATS."""
@@ -369,6 +385,8 @@ class Database:
         statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
+        if cached is not None:
+            sql = cached.text  # the text ``statement`` was parsed from
         return self._dispatch(statement, sql, params, trace, snapshot, cached)
 
     def _count_statement(self) -> None:
@@ -386,9 +404,7 @@ class Database:
         results = []
         for statement in parse_script(sql):
             results.append(
-                self._dispatch(
-                    statement, statement.render(), [], None, self.pin_snapshot()
-                )
+                self._dispatch(statement, None, [], None, self.pin_snapshot())
             )
         return results
 
@@ -398,7 +414,8 @@ class Database:
         if not isinstance(statement, ast.Select):
             raise PlanError("EXPLAIN supports SELECT statements only")
         snapshot = self.pin_snapshot()
-        plan = self._planner().plan_select(statement)
+        plan, _ = self._plan(statement)
+        self._note_plan(plan)
         if self.options.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
@@ -476,18 +493,23 @@ class Database:
         source (a :class:`~repro.fdbs.federation.SourceProfile`): its
         cost constants replace the uniform round-trip pricing and its
         counters surface in SYSCAT_RUNTIME_STATS as ``source:<name>``.
-        Plans capture the endpoint and profile of every remote scan, so
-        attaching invalidates every cached plan.
+        The cost optimizer plans with the profile, and scans need the
+        endpoint, so attaching is a schema change.
         """
         server = self.catalog.get_server(server_name)
         server.endpoint = endpoint
         server.profile = profile
-        self._invalidate_plans()
+        self._invalidate_plans("ATTACH", server)
 
     def register_external_function(self, function: ExternalTableFunction) -> None:
         """Register a pre-built external table function (A-UDTF)."""
         self.catalog.add_function(function)
-        self._invalidate_plans()
+        self._invalidate_plans("CREATE", function)
+
+    def drop_function(self, name: str) -> None:
+        """DROP FUNCTION ``name`` (a schema change)."""
+        self.catalog.drop_function(name)
+        self._invalidate_plans("DROP FUNCTION", name.upper())
 
     def table_rows(self, name: str) -> list[tuple]:
         """All rows of a base table (testing convenience)."""
@@ -505,14 +527,14 @@ class Database:
         Two executions share an entry (and so its compiled plan) only
         when they would plan identically: the same planner-read options
         (:attr:`Options.plan_key`, complete by construction).  The
-        catalog's DDL epoch folds in too, so a statement compiled
-        against one schema generation is never replayed after a
-        concurrent CREATE/DROP, and so does the stats epoch: RUNSTATS or
-        recorded cardinality feedback bumps it, so the next execution
-        replans against the corrected estimates.
+        catalog's schema key folds in too, so a statement compiled
+        against one schema is never replayed after a concurrent
+        CREATE/DROP, and so does the stats epoch: RUNSTATS or recorded
+        cardinality feedback bumps it, so the next execution replans
+        against the corrected estimates.
         """
         catalog = self.catalog
-        return f"{self.options.plan_key}@{catalog.ddl_epoch}.{catalog.stats_epoch}"
+        return f"{self.options.plan_key}@{catalog.schema_key}.{catalog.stats_epoch}"
 
     def _parse_cached(
         self, sql: str
@@ -539,7 +561,7 @@ class Database:
                 self.machine.warmth.note_statement(key)
         statement = self.parse(sql)
         self.statement_cache.put(
-            sql, CachedStatement(statement), namespace=namespace
+            sql, CachedStatement(statement, text=sql), namespace=namespace
         )
         return statement, None
 
@@ -587,7 +609,7 @@ class Database:
     def _dispatch(
         self,
         statement: ast.Statement,
-        sql: str,
+        sql: str | None,
         params: list[object],
         trace: TraceRecorder | None,
         snapshot: Snapshot,
@@ -596,7 +618,7 @@ class Database:
         self._enforce_authorization(statement)
         if isinstance(statement, ast.Select):
             return self._execute_select(
-                statement, params, trace, snapshot, cached
+                statement, params, trace, snapshot, cached, sql
             )
         if isinstance(statement, ast.Explain):
             return self._execute_explain(statement, params, trace, snapshot)
@@ -609,7 +631,7 @@ class Database:
             if dropped.storage is not None:
                 with self._visibility_lock:
                     self._published = self._published.without(dropped.storage)
-            self._invalidate_plans()
+            self._invalidate_plans("DROP TABLE", dropped.name.upper())
             return Result(statement_type="DROP TABLE")
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement, params, trace, snapshot)
@@ -622,26 +644,29 @@ class Database:
         if isinstance(statement, ast.CreateExternalFunction):
             return self._execute_create_external_function(statement)
         if isinstance(statement, ast.DropFunction):
-            self.catalog.drop_function(statement.name)
-            self._invalidate_plans()
+            self.drop_function(statement.name)
             return Result(statement_type="DROP FUNCTION")
         if isinstance(statement, ast.CreateProcedure):
             return self._execute_create_procedure(statement)
         if isinstance(statement, ast.Call):
             return self._execute_call(statement, params)
         if isinstance(statement, ast.CreateWrapper):
-            self.catalog.add_wrapper(WrapperDef(statement.name))
+            wrapper = WrapperDef(statement.name)
+            self.catalog.add_wrapper(wrapper)
+            self._invalidate_plans("CREATE", wrapper)
             return Result(statement_type="CREATE WRAPPER")
         if isinstance(statement, ast.CreateServer):
-            self.catalog.add_server(ServerDef(statement.name, statement.wrapper))
+            server = ServerDef(statement.name, statement.wrapper)
+            self.catalog.add_server(server)
+            self._invalidate_plans("CREATE", server)
             return Result(statement_type="CREATE SERVER")
         if isinstance(statement, ast.CreateNickname):
             return self._execute_create_nickname(statement)
         if isinstance(statement, ast.CreateView):
             return self._execute_create_view(statement)
         if isinstance(statement, ast.DropView):
-            self.catalog.drop_view(statement.name)
-            self._invalidate_plans()
+            dropped = self.catalog.drop_view(statement.name)
+            self._invalidate_plans("DROP VIEW", dropped.name.upper())
             return Result(statement_type="DROP VIEW")
         if isinstance(statement, ast.CreateUser):
             self.authorization.create_user(statement.name)
@@ -668,7 +693,8 @@ class Database:
         """EXPLAIN [ANALYZE]: plan tree with cost-mode cardinality
         estimates; ANALYZE also executes the plan (row pipeline) and
         reports the actual row count per operator."""
-        plan = self._planner().plan_select(statement.query)
+        plan, _ = self._plan(statement.query)
+        self._note_plan(plan)
         if self.options.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
@@ -677,7 +703,9 @@ class Database:
             from repro.fdbs.optimizer import instrument_plan
 
             instrument_plan(plan)
-            ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
+            ctx = EvalContext(
+                params=params, trace=trace, snapshot=snapshot, database=self
+            )
             rows = list(plan.rows(ctx))
             if self.machine is not None:
                 self.machine.clock.advance(
@@ -749,9 +777,8 @@ class Database:
             stored_name = table.name
         elif self.catalog.has_nickname(name):
             nickname = self.catalog.get_nickname(name)
-            fetcher, column_defs = self.federation.fetcher_for(nickname)
-            columns = list(column_defs)
-            rows = fetcher.fetch(None, None)
+            columns = list(self.federation.scan_columns(nickname))
+            rows = self.federation.fetcher(nickname.name).fetch(None, None)
             stored_name = nickname.name
         else:
             raise CatalogError(f"unknown table or nickname {name!r} in RUNSTATS")
@@ -763,12 +790,21 @@ class Database:
         self.catalog.set_statistics(collect_stats(stored_name, columns, rows))
         return Result(rowcount=len(rows), statement_type="RUNSTATS")
 
-    def _invalidate_plans(self) -> None:
-        # The epoch bump is what *guarantees* staleness safety (every
-        # statement-cache namespace folds it in); the explicit clear
-        # just reclaims the now-unreachable entries eagerly.
-        self.catalog.note_ddl()
+    def _invalidate_plans(self, kind: str, changed: object) -> None:
+        """Record a schema change: ``kind`` of statement and the changed
+        definition (or a dropped object's name)."""
+        # The schema-key change is what *guarantees* staleness safety
+        # (every plan key folds it in); the explicit clear just
+        # reclaims the now-unreachable entries eagerly.  Every change
+        # moves the chained key, so the description matters only where
+        # keys are compared between databases: in a shared map.  A
+        # database without one skips it (it is most of a change's cost).
+        if self.parses is None:
+            self.catalog.note_ddl(kind)
+        else:
+            self.catalog.note_ddl(f"{kind} {describe(changed)}")
         self.statement_cache.invalidate()
+        self.federation.forget_fetchers()
 
     def _execute_grant_revoke(self, statement, grant: bool) -> Result:
         kind = statement.kind or self._infer_object_kind(statement.object_name)
@@ -807,22 +843,50 @@ class Database:
         machine = self.machine
         return Planner(
             self.catalog,
-            invoker=self._invoke_table_function,
-            remote_fetcher=self.federation.fetcher_for,
+            federation=self.federation,
             params=params,
             costs=machine.costs if machine is not None else None,
-            charge=(machine.clock.advance if machine is not None else None),
             options=options or self.options,
-            pushdown_counter=self.federation,
             statistics=self.catalog.planning_statistics,
-            batch_invoker=self._invoke_table_function_batch,
-            columnar_note=self._note_chunks,
-            join_counter=self._note_join,
         )
 
-    def _invoke_table_function(
+    def _plan(
+        self,
+        select: ast.Select,
+        key: tuple | None = None,
+        params: ParamScope | None = None,
+        options: Options | None = None,
+    ) -> tuple[Plan, bool]:
+        """A plan of ``select``, and whether a statement cache may keep it.
+
+        With a shared map, ``key`` names the plan there: a plan another
+        database (or an earlier execution here) stored under it is
+        adopted; otherwise the plan is built here and stored under it,
+        unless planning read statistics (cost decisions depend on this
+        database's RUNSTATS) or volatile state.  Without a key (EXPLAIN,
+        view checks, DML subqueries, scripts) the plan is built here and
+        never shared.  The caller counts it (:meth:`_note_plan`).
+        """
+        plans = self.parses if key is not None else None
+        if plans is not None:
+            plan = plans.plan(key)
+            if plan is not None:
+                return plan, True
+        planner = self._planner(params, options)
+        plan = planner.plan_select(select)
+        plan.built_joins = tuple(planner.joins)
+        plan.built_pushdowns = planner.predicates_pushed
+        volatile = planner.reads_volatile_state
+        if plans is not None and not (planner.read_statistics or volatile):
+            plans.store_plan(key, plan)
+        return plan, not volatile
+
+    def invoke_table_function(
         self, function: TableFunction, args: list[object], ctx: EvalContext
     ) -> list[tuple]:
+        """Invoke ``function`` once through this database's (fenced or
+        direct) function runtime: arguments coerced to the parameter
+        types in, result rows coerced to the declared types out."""
         coerced = [coercer(param.type)(value) for value, param in zip(args, function.params)]
         try:
             rows = self.function_runtime.invoke(function, coerced, ctx)
@@ -837,7 +901,7 @@ class Database:
             ) from exc
         return self._coerce_result_rows(function, rows)
 
-    def _invoke_table_function_batch(
+    def invoke_table_function_batch(
         self,
         function: TableFunction,
         args_list: list[list[object]],
@@ -892,25 +956,31 @@ class Database:
         trace: TraceRecorder | None,
         snapshot: Snapshot,
         cached: CachedStatement | None = None,
+        sql: str | None = None,
     ) -> Result:
         """Run a SELECT, reusing the plan of a statement-cache hit.
 
         ``cached`` is the entry when this execution is a cache hit.  Its
-        plan is reused when present; otherwise the fresh plan is stored
-        in it — unless planning read volatile runtime state, in which
-        case every execution replans.
+        plan is reused when present; otherwise the plan (adopted from
+        the shared map under ``sql``, the text the statement was parsed
+        from, or built:
+        see :meth:`_plan`) is stored in it — unless planning read
+        volatile runtime state, in which case every execution replans.
         """
         plan = cached.plan if cached is not None else None
         if plan is None:
-            planner = self._planner()
-            plan = planner.plan_select(statement)
-            if cached is not None and not planner.reads_volatile_state:
+            key = None if sql is None else (self.options.plan_key, self.catalog.schema_key, sql)
+            plan, keep = self._plan(statement, key)
+            self._note_plan(plan)
+            if cached is not None and keep:
                 # Racing stores from concurrent hits are benign: every
                 # plan built under one namespace is equally valid.
                 cached.plan = plan
         else:
             self.statement_cache.note_plan_hit()
-        ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
+        ctx = EvalContext(
+            params=params, trace=trace, snapshot=snapshot, database=self
+        )
         options = self.options
         if options.execution_mode == "columnar":
             rows = [
@@ -955,12 +1025,8 @@ class Database:
                 f"table-function recursion deeper than {_MAX_FUNCTION_DEPTH} "
                 f"while invoking {function.name}"
             )
-        # Body plans live in the statement cache under their own
-        # namespace: the body options' key and the DDL epoch (bodies
-        # plan syntactically, so statistics never reach them).
         name = function.name.upper()
-        body_options = self._body_options
-        namespace = f"function.{body_options.plan_key}@{self.catalog.ddl_epoch}"
+        namespace = self._body_namespace()
         cached = self.statement_cache.get(name, namespace=namespace, count=False)
         if cached is None:
             if self.machine is not None:
@@ -968,30 +1034,56 @@ class Database:
                 if not self.machine.warmth.statement_is_hot(key):
                     self.machine.clock.advance(self.machine.costs.plan_compile)
                     self.machine.warmth.note_statement(key)
-            scope = ParamScope(
-                qualifier=function.name,
-                names={
-                    param.name.upper(): (index, param.type)
-                    for index, param in enumerate(function.params)
-                },
-            )
-            plan = self._planner(scope, body_options).plan_select(function.body)
-            if len(plan.schema) != len(function.returns):
-                raise PlanError(
-                    f"body of {function.name} produces {len(plan.schema)} "
-                    f"column(s), declaration says {len(function.returns)}"
-                )
+            plan = self._body_plan(function, namespace)
+            self._note_plan(plan)
             cached = CachedStatement(function.body, plan)
             self.statement_cache.put(name, cached, namespace=namespace)
         plan = cached.plan
         self._local.function_depth += 1
         try:
             ctx = EvalContext(
-                params=args, trace=trace, snapshot=self.pin_snapshot()
+                params=args, trace=trace, snapshot=self.pin_snapshot(), database=self
             )
             return list(plan.rows(ctx))
         finally:
             self._local.function_depth -= 1
+
+    def _body_namespace(self) -> str:
+        """Where SQL I-UDTF body plans live: the body options' key and
+        the schema key (bodies plan syntactically, so statistics never
+        reach them)."""
+        return f"function.{self._body_options.plan_key}@{self.catalog.schema_key}"
+
+    def _body_plan(self, function: SqlTableFunction, namespace: str) -> Plan:
+        """The plan of ``function``'s body, shared under ``namespace``
+        and the function name (see :meth:`_plan`); uncounted."""
+        scope = ParamScope(
+            qualifier=function.name,
+            names={
+                param.name.upper(): (index, param.type)
+                for index, param in enumerate(function.params)
+            },
+        )
+        key = (namespace, function.name.upper())
+        plan, _ = self._plan(function.body, key, scope, self._body_options)
+        if len(plan.schema) != len(function.returns):
+            raise PlanError(
+                f"body of {function.name} produces {len(plan.schema)} "
+                f"column(s), declaration says {len(function.returns)}"
+            )
+        return plan
+
+    def bind_sql_function(self, function: SqlTableFunction) -> None:
+        """Bind-time check of a SQL I-UDTF: plan its body as its first
+        call would, raising what planning raises.
+
+        The plan goes to the shared map under the key that call looks
+        up, so unless DDL comes between, the call adopts it instead of
+        planning again.  Nothing is charged or counted here: the first
+        call still charges ``plan_compile`` on its statement-cache miss
+        and counts the plan it adopts.
+        """
+        self._body_plan(function, self._body_namespace())
 
     def run_external_function(
         self, function: ExternalTableFunction, args: list[object]
@@ -1057,7 +1149,7 @@ class Database:
         )
         self.catalog.add_table(table)
         self._track_storage(table.storage)
-        self._invalidate_plans()
+        self._invalidate_plans("CREATE", table)
         return Result(statement_type="CREATE TABLE")
 
     def copy_table(self, table: TableDef) -> None:
@@ -1068,11 +1160,10 @@ class Database:
         database's ``chunk_size``, as though its CREATE TABLE and load had
         run here; later writes on either side stay on that side."""
         storage = table.storage.fork(self.options.chunk_size)
-        self.catalog.add_table(
-            TableDef(table.name, list(table.columns), list(table.primary_key), storage)
-        )
+        copied = TableDef(table.name, list(table.columns), list(table.primary_key), storage)
+        self.catalog.add_table(copied)
         self._track_storage(storage)
-        self._invalidate_plans()
+        self._invalidate_plans("CREATE", copied)
 
     def _execute_create_sql_function(self, statement: ast.CreateSqlFunction) -> Result:
         function = SqlTableFunction(
@@ -1083,7 +1174,7 @@ class Database:
             deterministic=statement.deterministic,
         )
         self.catalog.add_function(function)
-        self._invalidate_plans()
+        self._invalidate_plans("CREATE", function)
         return Result(statement_type="CREATE FUNCTION")
 
     def _execute_create_external_function(
@@ -1099,7 +1190,7 @@ class Database:
             deterministic=statement.deterministic,
         )
         self.catalog.add_function(function)
-        self._invalidate_plans()
+        self._invalidate_plans("CREATE", function)
         return Result(statement_type="CREATE FUNCTION")
 
     def _execute_create_procedure(self, statement: ast.CreateProcedure) -> Result:
@@ -1109,6 +1200,7 @@ class Database:
             body=statement.body,
         )
         self.catalog.add_procedure(procedure)
+        self._invalidate_plans("CREATE", procedure)
         return Result(statement_type="CREATE PROCEDURE")
 
     def _execute_create_view(self, statement: ast.CreateView) -> Result:
@@ -1116,7 +1208,8 @@ class Database:
 
         # Bind-time validation: the body must plan, and a declared
         # column list must match the body's width.
-        plan = self._planner().plan_select(statement.body)
+        plan, _ = self._plan(statement.body)
+        self._note_plan(plan)
         if statement.columns is not None and len(statement.columns) != len(
             plan.schema
         ):
@@ -1124,17 +1217,20 @@ class Database:
                 f"view {statement.name!r} declares {len(statement.columns)} "
                 f"column(s) but its body produces {len(plan.schema)}"
             )
-        self.catalog.add_view(
-            ViewDef(statement.name, statement.columns, statement.body)
-        )
-        self._invalidate_plans()
+        view = ViewDef(statement.name, statement.columns, statement.body)
+        self.catalog.add_view(view)
+        self._invalidate_plans("CREATE", view)
         return Result(statement_type="CREATE VIEW")
 
     def _execute_create_nickname(self, statement: ast.CreateNickname) -> Result:
         nickname = NicknameDef(statement.name, statement.server, statement.remote_name)
         self.catalog.add_nickname(nickname)
-        self.federation.resolve_columns(nickname)
-        self._invalidate_plans()
+        try:
+            self.federation.scan_columns(nickname)
+        finally:
+            # A nickname whose columns did not resolve stays registered;
+            # it is a schema change either way.
+            self._invalidate_plans("CREATE", nickname)
         return Result(statement_type="CREATE NICKNAME")
 
     # ------------------------------------------------------------------
@@ -1233,7 +1329,9 @@ class Database:
             compiled.append([compiler.compile(e).fn for e in row_exprs])
         incoming = []
         for params in param_rows:
-            ctx = EvalContext(params=list(params), trace=trace, snapshot=snapshot)
+            ctx = EvalContext(
+                params=list(params), trace=trace, snapshot=snapshot, database=self
+            )
             for fns in compiled:
                 incoming.append(tuple([fn((), ctx) for fn in fns]))
         return incoming
@@ -1285,7 +1383,7 @@ class Database:
         # write latch that state is the statement's pinned version: the
         # statement never reads its own writes.  The pinned snapshot is
         # the statement's *validation* point (first writer wins).
-        ctx = EvalContext(params=params)
+        ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
                 assignments = [
@@ -1322,7 +1420,7 @@ class Database:
         assert table.storage is not None
         layout = self._dml_layout(table)
         compiler = ExpressionCompiler(layout, subquery_compiler=self._subquery_for_dml)
-        ctx = EvalContext(params=params)
+        ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
                 predicate = (
@@ -1343,7 +1441,8 @@ class Database:
         return Result(rowcount=len(doomed), statement_type="DELETE")
 
     def _subquery_for_dml(self, select: ast.Select):
-        plan = self._planner().plan_select(select)
+        plan, _ = self._plan(select)
+        self._note_plan(plan)
 
         def run(ctx: EvalContext) -> list[tuple]:
             return list(plan.rows(ctx))
@@ -1361,7 +1460,7 @@ class Database:
                 "clause — CALL is only valid for stored procedures"
             )
         compiler = ExpressionCompiler(RowLayout([]))
-        ctx = EvalContext(params=params)
+        ctx = EvalContext(params=params, database=self)
         args = [compiler.compile(a)((), ctx) for a in statement.args]
         out = self.call_procedure(statement.name, args)
         return Result(out_params=out, statement_type="CALL")

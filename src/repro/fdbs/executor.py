@@ -3,8 +3,14 @@
 Every operator exposes ``schema`` (a list of
 :class:`~repro.fdbs.expr.ColumnSlot`) and ``rows(ctx)`` yielding flat
 tuples.  Plans are built by :mod:`repro.fdbs.planner` and executed by
-the engine, which supplies the :class:`~repro.fdbs.expr.EvalContext`
-and the table-function invoker.
+the engine, which supplies the :class:`~repro.fdbs.expr.EvalContext`.
+
+A plan holds no object of the database that built it.  Operators keep
+catalog *names* (a table, a nickname, a table function) and resolve them
+when they run through ``ctx.database``, the executing
+:class:`~repro.fdbs.engine.Database` (its catalog, federation layer,
+function invokers, machine and counters).  So one plan may run in any
+database whose catalog plans alike (see ``Catalog.schema_key``).
 
 Operators additionally expose ``column_batches(ctx)`` yielding *column
 batches* (chunks of rows that also answer ``column(position)``).  The
@@ -25,7 +31,7 @@ from collections import defaultdict
 from decimal import InvalidOperation
 from itertools import chain, groupby, islice, repeat
 from operator import add, itemgetter, le, lt
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.fdbs import ast
@@ -38,7 +44,7 @@ from repro.fdbs.expr import (
     hash_probe_exact,
     truthy,
 )
-from repro.fdbs.storage import Table
+from repro.fdbs.storage import Table, TableVersion
 from repro.fdbs.types import join_key, row_key, sort_key, value_key
 
 #: Default number of rows per chunk in columnar execution.
@@ -185,14 +191,6 @@ class JoinBatch:
         return iter(self.rows_view())
 
 
-class FunctionInvoker(Protocol):
-    """Invokes a catalog table function with evaluated argument values."""
-
-    def __call__(
-        self, function: TableFunction, args: list[object], ctx: EvalContext
-    ) -> list[tuple]: ...
-
-
 class Plan:
     """Base class of executable plan operators."""
 
@@ -204,6 +202,12 @@ class Plan:
     #: Observed output cardinality, set by EXPLAIN ANALYZE
     #: instrumentation; None otherwise.
     actual_rows: int | None = None
+    #: Counts taken while planning, recorded on a statement's root plan:
+    #: the join operators built (by strategy) and the conjuncts pushed
+    #: into remote scans.  A database adds them to its own statistics
+    #: when it builds the plan and again whenever it adopts it.
+    built_joins: tuple[str, ...] = ()
+    built_pushdowns: int = 0
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:  # pragma: no cover
         """Yield the operator's result rows."""
@@ -287,8 +291,10 @@ class TableScanPlan(Plan):
     :meth:`_probe_rows` for when it falls back to the conjunct.
     """
 
-    def __init__(self, table: Table, schema: list[ColumnSlot], name: str):
-        self._table = table
+    def __init__(self, table: str, schema: list[ColumnSlot], name: str):
+        #: Catalog name of the table; each execution scans the storage
+        #: of its own database (``ctx.database``).
+        self.table = table
         self.schema = schema
         self._name = name
         self.index_probe: tuple[str, CompiledExpr, object, CompiledExpr] | None = None
@@ -299,23 +305,29 @@ class TableScanPlan(Plan):
         #: False only when no row of a chunk with that zone entry can
         #: satisfy the conjunct.
         self.prune_checks: list[tuple[int, Callable, str]] = []
-        #: Callback ``(chunks_scanned, chunks_pruned)`` feeding the
-        #: database's columnar runtime counters (attached by the planner).
-        self.columnar_note: Callable[[int, int], None] | None = None
+        #: Whether chunk scans count into the executing database's
+        #: columnar counters (``ctx.database.note_chunks``); the planner
+        #: sets it in columnar mode.
+        self.columnar_note = False
         #: ``[scanned, pruned]`` chunks of the most recent execution,
         #: kept only on EXPLAIN ANALYZE's private instrumented plan (shown
         #: as ``pruned=N/M chunks``); a cached plan shared across
         #: threads never records per-execution state.
         self.last_chunks: list[int] | None = None
 
-    def _version(self, ctx: EvalContext):
-        """The TableVersion this scan reads: the statement's pinned
-        snapshot when it covers the table, else the current version."""
+    def _storage(self, ctx: EvalContext) -> Table:
+        """The executing database's storage of this scan's table."""
+        return ctx.database.catalog.get_table(self.table).storage
+
+    def _version(self, ctx: EvalContext, table: Table) -> TableVersion:
+        """The TableVersion of ``table`` this scan reads: the statement's
+        pinned snapshot when it covers the table, else the current
+        version."""
         if ctx.snapshot is not None:
-            pinned = ctx.snapshot.version_for(self._table)
+            pinned = ctx.snapshot.version_for(table)
             if pinned is not None:
                 return pinned
-        return self._table.current_version
+        return table.current_version
 
     def _chunks(self, ctx: EvalContext) -> Iterator:
         """Column chunks of the pinned version, zone-map pruned.
@@ -337,7 +349,8 @@ class TableScanPlan(Plan):
         The checks are bound to this execution's parameters into a local
         list first, so one cached plan serves every binding at once.
         """
-        chunks = self._table.columnar_chunks(self._version(ctx))
+        table = self._storage(ctx)
+        chunks = table.columnar_chunks(self._version(ctx, table))
         checks = []
         for position, bind, _text in self.prune_checks:
             check = bind(ctx.params)
@@ -362,10 +375,10 @@ class TableScanPlan(Plan):
         finally:
             # Runs on exhaustion *and* on early termination (generator
             # close), so the database counters see each chunk once.
-            if self.columnar_note is not None:
-                self.columnar_note(*outcome)
+            if self.columnar_note:
+                ctx.database.note_chunks(*outcome)
 
-    def _probe_rows(self, version, ctx: EvalContext) -> list:
+    def _probe_rows(self, table: Table, ctx: EvalContext) -> list:
         """Rows the index probe keeps, in rid order.
 
         The hash lookup runs only when the bound value compares under
@@ -374,32 +387,33 @@ class TableScanPlan(Plan):
         so a probe never changes what ``=`` means or raises.
         """
         column, value_expr, column_type, conjunct = self.index_probe
+        version = self._version(ctx, table)
         value = value_expr.fn((), ctx)
         if value is None:
             return []  # col = NULL never matches
         if hash_probe_exact(value, column_type):
-            return self._table.version_index_lookup(version, column, value)
+            return table.version_index_lookup(version, column, value)
         keep = conjunct.fn
         return [row for row in version.rows() if keep(row, ctx) is True]
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        version = self._version(ctx)
+        table = self._storage(ctx)
         if self.index_probe is not None:
-            yield from self._probe_rows(version, ctx)
+            yield from self._probe_rows(table, ctx)
             return
         if self.prune_checks:
             for chunk in self._chunks(ctx):
                 yield from chunk.rows
             return
-        for row in version.rows():
+        for row in self._version(ctx, table).rows():
             yield row
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield the storage's column chunks directly (zone-map pruned),
         or slices of an index probe's row list."""
         if self.index_probe is not None:
-            yield from _sliced(self._probe_rows(self._version(ctx), ctx), size)
+            yield from _sliced(self._probe_rows(self._storage(ctx), ctx), size)
             return
         yield from self._chunks(ctx)
 
@@ -428,24 +442,28 @@ class RemoteScanPlan(Plan):
 
     def __init__(
         self,
-        fetcher,
+        nickname: str,
         schema: list[ColumnSlot],
         name: str,
     ):
-        self.fetcher = fetcher
+        #: Catalog name of the nickname; each execution fetches through
+        #: its own database's federation layer (``ctx.database``).
+        self.nickname = nickname
         self.schema = schema
         self._name = name
         self.pushed_predicates: list[str] = []
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        yield from self.fetcher.fetch(ctx, self.pushed_predicates)
+        fetcher = ctx.database.federation.fetcher(self.nickname)
+        yield from fetcher.fetch(ctx, self.pushed_predicates)
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
         """Yield slices of the fetched row list as row-major column
         batches (the fetch runs at the first pull, exactly when ``rows``
         would run it)."""
-        yield from _sliced(self.fetcher.fetch(ctx, self.pushed_predicates), size)
+        fetcher = ctx.database.federation.fetcher(self.nickname)
+        yield from _sliced(fetcher.fetch(ctx, self.pushed_predicates), size)
 
     def _describe(self) -> str:
         if self.pushed_predicates:
@@ -462,18 +480,17 @@ def _sliced(data: list[tuple], size: int) -> Iterator[ColumnBatch]:
 
 
 class SyscatScanPlan(Plan):
-    """Scan of a SYSCAT virtual table: rows are generated from the live
-    catalog at execution time, so DDL is immediately visible."""
+    """Scan of a SYSCAT virtual table: rows are generated from the
+    executing database's live catalog, so DDL is immediately visible."""
 
-    def __init__(self, catalog, generator, schema: list[ColumnSlot], name: str):
-        self._catalog = catalog
+    def __init__(self, generator, schema: list[ColumnSlot], name: str):
         self._generator = generator
         self.schema = schema
         self._name = name
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        yield from self._generator(self._catalog)
+        yield from self._generator(ctx.database.catalog)
 
     def _describe(self) -> str:
         return f"SyscatScan({self._name})"
@@ -549,11 +566,16 @@ class TableFunctionRightSide(RightSide):
     *left* of this FROM item (plus the statement's parameter scope) —
     exactly the paper's "execution order defined by input parameters".
 
-    ``composition_cost``/``charge`` model the result-set composition of
-    *independent* branches ("join with selection"): composing a branch
-    that does not depend on the running row costs extra work, which is
-    why the UDTF architecture loses the paper's parallel-vs-sequential
-    comparison while the WfMS wins it.
+    ``composed`` marks the result-set composition of an *independent*
+    branch ("join with selection"): composing a branch that does not
+    depend on the running row costs extra work
+    (``join_composition`` on the executing database's machine), which
+    is why the UDTF
+    architecture loses the paper's parallel-vs-sequential comparison
+    while the WfMS wins it.
+
+    The function is kept by name and resolved per invocation in the
+    executing database (``ctx.database``), which invokes it.
     """
 
     def __init__(
@@ -561,27 +583,27 @@ class TableFunctionRightSide(RightSide):
         function: TableFunction,
         arg_exprs: list[CompiledExpr],
         schema: list[ColumnSlot],
-        invoker: FunctionInvoker,
         alias: str,
-        composition_cost: float = 0.0,
-        charge: Callable[[float], None] | None = None,
+        composed: bool = False,
     ):
-        self.function = function
+        self.name = function.name
+        self.deterministic = function.deterministic
         self.arg_exprs = arg_exprs
         self.schema = schema
-        self.invoker = invoker
         self.alias = alias
-        self.composition_cost = composition_cost
-        self.charge = charge
+        self.composed = composed
         self.invocations = 0
         self.cache_hits = 0
 
     def rows_for(self, left_row: tuple, ctx: EvalContext) -> Iterable[tuple]:
         """Rows of the right side for one left row."""
-        if self.composition_cost and self.charge is not None:
-            self.charge(self.composition_cost)
+        database = ctx.database
+        if self.composed:
+            machine = database.machine
+            if machine is not None and machine.costs.join_composition:
+                machine.clock.advance(machine.costs.join_composition)
         args = [expr(left_row, ctx) for expr in self.arg_exprs]
-        if self.function.deterministic:
+        if self.deterministic:
             # DETERMINISTIC-function optimization (extension, cf. the
             # paper's [10]): within one execution, repeated invocations
             # with equal arguments are served from a per-execution
@@ -600,12 +622,16 @@ class TableFunctionRightSide(RightSide):
                 self.cache_hits += 1
                 return cached
             self.invocations += 1
-            rows = self.invoker(self.function, args, ctx)
+            rows = database.invoke_table_function(
+                database.catalog.get_function(self.name), args, ctx
+            )
             if key is not None:
                 results[key] = rows
             return rows
         self.invocations += 1
-        return self.invoker(self.function, args, ctx)
+        return database.invoke_table_function(
+            database.catalog.get_function(self.name), args, ctx
+        )
 
 
 class NestedLoopJoinPlan(Plan):
@@ -1043,8 +1069,8 @@ class IndexNestedLoopJoinPlan(Plan):
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
-        table = self.scan._table
-        version = self.scan._version(ctx)
+        table = self.scan._storage(ctx)
+        version = self.scan._version(ctx, table)
         lookup = table.version_index_lookup
         column = self.column
         left_key = self.left_key
@@ -1149,25 +1175,24 @@ class RemoteBindJoinPlan(Plan):
         if not key_values:
             return  # inner equality over all-NULL outer keys: no matches
         predicates = list(self.scan.pushed_predicates)
-        layer = getattr(self.scan.fetcher, "layer", None)
+        fetcher = ctx.database.federation.fetcher(self.scan.nickname)
+        layer = fetcher.layer
         if len(key_values) <= self.max_keys:
             predicates.append(self._bind_predicate(key_values))
             self.bound_fetches += 1
-            if layer is not None:
-                layer.bind_join_count += 1
+            layer.bind_join_count += 1
         else:
             # Runtime guard: the optimizer's gate is estimate-based, so
             # the *actual* distinct keys can exceed it (stale RUNSTATS
             # after DML).  Ship-all instead of an oversized IN list —
             # the hash probe below enforces the equi-conjunct either way.
             self.unbound_fetches += 1
-            if layer is not None:
-                layer.bind_join_fallbacks += 1
+            layer.bind_join_fallbacks += 1
         # Hash-join the (possibly bound) remote side back: outer-major,
         # remote matches in remote-scan order.
         buckets: dict[object, list[tuple]] = {}
         key_index = self.remote_key_index
-        for remote_row in self.scan.fetcher.fetch(ctx, predicates):
+        for remote_row in fetcher.fetch(ctx, predicates):
             key = self._join_key(remote_row[key_index])
             if key is not None:
                 buckets.setdefault(key, []).append(remote_row)
@@ -1193,13 +1218,13 @@ class UdtfBindJoinPlan(Plan):
     the whole batch, mirroring the paper's input-container parameter
     passing.  Requires a DETERMINISTIC function: invocation count per
     distinct argument tuple matches the per-statement cache of the
-    syntactic plan, so rows are bit-identical.
+    syntactic plan, so rows are bit-identical.  The batch goes through
+    the executing database's ``invoke_table_function_batch``.
     """
 
-    def __init__(self, left: Plan, right: TableFunctionRightSide, batch_invoker):
+    def __init__(self, left: Plan, right: TableFunctionRightSide):
         self.left = left
         self.right = right
-        self.batch_invoker = batch_invoker
         self.schema = left.schema + right.schema
         self.batched_invocations = 0
 
@@ -1224,9 +1249,11 @@ class UdtfBindJoinPlan(Plan):
                 key_order[key] = len(distinct_args)
                 distinct_args.append(args)
             per_row_keys.append(key)
+        database = ctx.database
+        function = database.catalog.get_function(self.right.name)
         results: list[list[tuple]] = []
         if distinct_args:
-            results = self.batch_invoker(self.right.function, distinct_args, ctx)
+            results = database.invoke_table_function_batch(function, distinct_args, ctx)
             self.batched_invocations += 1
             self.right.invocations += len(distinct_args)
             self.right.cache_hits += sum(
@@ -1236,14 +1263,14 @@ class UdtfBindJoinPlan(Plan):
             key = per_row_keys[index]
             if key is None:
                 self.right.invocations += 1
-                rows = self.right.invoker(self.right.function, fallback[index], ctx)
+                rows = database.invoke_table_function(function, fallback[index], ctx)
             else:
                 rows = results[key_order[key]]
             for right_row in rows:
                 yield left_row + right_row
 
     def _describe(self) -> str:
-        return f"BindJoin(TABLE({self.right.function.name}) {self.right.alias})"
+        return f"BindJoin(TABLE({self.right.name}) {self.right.alias})"
 
     def _children(self) -> list[Plan]:
         return [self.left]

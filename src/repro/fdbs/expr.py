@@ -134,6 +134,7 @@ class EvalContext:
         subquery_runner: Callable[[ast.Select], list[tuple]] | None = None,
         trace: object | None = None,
         snapshot: object | None = None,
+        database: object | None = None,
     ):
         self.params = params or []
         self.subquery_runner = subquery_runner
@@ -143,6 +144,10 @@ class EvalContext:
         #: table scans resolve their TableVersion through it so every
         #: read of the statement sees one consistent database state.
         self.snapshot = snapshot
+        #: The executing :class:`~repro.fdbs.engine.Database`: plans
+        #: hold catalog names, and operators resolve storage, functions
+        #: and remote fetchers through it.
+        self.database = database
         #: Per-execution operator state keyed by operator (materialised
         #: static right sides, DETERMINISTIC result caches).  Plans are
         #: shared through the statement cache, so operators themselves

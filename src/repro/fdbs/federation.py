@@ -213,14 +213,12 @@ class RemoteTableFetcher:
         self.profile: SourceProfile | None = (
             getattr(server, "profile", None) if server is not None else None
         )
-        self.last_sql: str | None = None
 
     def fetch(self, ctx, predicates: list[str] | None = None) -> list[tuple]:
         """Ship the remote statement and return its rows (costed)."""
         sql = f"SELECT * FROM {self.nickname.remote_name}"
         if predicates:
             sql += " WHERE " + " AND ".join(predicates)
-        self.last_sql = sql
         self.layer.pushdown_count += 1
         if self.profile is not None:
             return self._profiled_fetch(sql, filtered=bool(predicates))
@@ -244,7 +242,6 @@ class RemoteTableFetcher:
         sql = f"SELECT COUNT(*) FROM {self.nickname.remote_name}"
         if predicates:
             sql += " WHERE " + " AND ".join(predicates)
-        self.last_sql = sql
         machine = self.layer.database.machine
         if self.profile is not None:
             state = self.layer.source_state(self.server_name, self.profile)
@@ -338,6 +335,7 @@ class FederationLayer:
         #: exceeded the IN-list cap the estimate-based gate assumed.
         self.bind_join_fallbacks = 0
         self._sources: dict[str, SourceState] = {}
+        self._fetchers: dict[str, RemoteTableFetcher] = {}
 
     # -- profiled sources -------------------------------------------------------
 
@@ -384,8 +382,28 @@ class FederationLayer:
 
     # -- scan construction ------------------------------------------------------
 
-    def fetcher_for(self, nickname: NicknameDef):
-        """Build the remote-scan fetcher for the planner."""
+    def fetcher(self, name: str) -> RemoteTableFetcher:
+        """The remote-scan fetcher of nickname ``name`` (plans keep the
+        name and resolve it here when they run).  Built on first use
+        and kept until the next schema change (:meth:`forget_fetchers`),
+        which is also what any change to its server or columns is."""
+        fetcher = self._fetchers.get(name)
+        if fetcher is None:
+            nickname = self.database.catalog.get_nickname(name)
+            self.scan_columns(nickname)
+            server = self.database.catalog.get_server(nickname.server)
+            fetcher = RemoteTableFetcher(self, nickname, server.endpoint, server)
+            # Racing builds are benign: every one is equally valid.
+            self._fetchers[name] = fetcher
+        return fetcher
+
+    def forget_fetchers(self) -> None:
+        """Drop the fetchers built so far (on every schema change)."""
+        self._fetchers = {}
+
+    def scan_columns(self, nickname: NicknameDef) -> list[ColumnDef]:
+        """The columns a scan of ``nickname`` returns (what the planner
+        reads); the server must have an endpoint attached."""
         server = self.database.catalog.get_server(nickname.server)
         endpoint = server.endpoint
         if endpoint is None:
@@ -397,17 +415,4 @@ class FederationLayer:
         if not columns:
             columns = endpoint.describe(nickname.remote_name)
             nickname.columns = columns
-        return RemoteTableFetcher(self, nickname, endpoint, server), columns
-
-    def resolve_columns(self, nickname: NicknameDef) -> list[ColumnDef]:
-        """Resolve (and cache) a nickname's remote schema."""
-        if nickname.columns:
-            return nickname.columns
-        server = self.database.catalog.get_server(nickname.server)
-        if server.endpoint is None:
-            raise CatalogError(
-                f"server {server.name!r} has no endpoint attached; call "
-                "Database.attach_endpoint() first"
-            )
-        nickname.columns = server.endpoint.describe(nickname.remote_name)
-        return nickname.columns
+        return columns

@@ -755,12 +755,12 @@ def collect_feedback(plan: Plan) -> list[tuple[str, int, int, float]]:
         if est is not None and actual:
             if isinstance(node, TableScanPlan):
                 if node.index_probe is None and not node.prune_checks:
-                    name = getattr(node._table, "name", node._name)
+                    name = node.table
                     observations.append(
                         (name, est, actual, q_error(float(est), float(actual)))
                     )
             elif isinstance(node, RemoteScanPlan):
-                name = node.fetcher.nickname.name
+                name = node.nickname
                 observations.append(
                     (name, est, actual, q_error(float(est), float(actual)))
                 )

@@ -22,7 +22,7 @@ from repro.errors import (
     TypeError_,
 )
 from repro.fdbs import ast
-from repro.fdbs.catalog import Catalog, ColumnDef, NicknameDef
+from repro.fdbs.catalog import Catalog
 from repro.fdbs.executor import (
     MAX_BIND_KEYS,
     AggregatePlan,
@@ -31,7 +31,6 @@ from repro.fdbs.executor import (
     CutPlan,
     DistinctPlan,
     FilterPlan,
-    FunctionInvoker,
     HashJoinPlan,
     IndexNestedLoopJoinPlan,
     LimitPlan,
@@ -67,57 +66,54 @@ from repro.fdbs.expr import (
 from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.types import implicitly_castable, is_character, is_numeric
 
-RemoteFetcher = Callable[
-    [NicknameDef], tuple[Callable[[EvalContext], list[tuple]], list[ColumnDef]]
-]
-
-
 class Planner:
-    """Plans SELECT statements against a catalog."""
+    """Plans SELECT statements against a catalog.
+
+    The plan it builds holds no object of any database: operators keep
+    catalog names and resolve them when they run (see
+    :mod:`repro.fdbs.executor`).  What planning read besides the
+    catalog and the options is recorded on the planner
+    (:attr:`read_statistics`, :attr:`reads_volatile_state`), and so are
+    the counts the building database adds to its statistics
+    (:attr:`joins`, :attr:`predicates_pushed`).
+    """
 
     def __init__(
         self,
         catalog: Catalog,
-        invoker: FunctionInvoker,
-        remote_fetcher: RemoteFetcher | None = None,
+        federation=None,
         params: ParamScope | None = None,
         costs: "object | None" = None,
-        charge: Callable[[float], None] | None = None,
         options: Options = DEFAULT_OPTIONS,
-        pushdown_counter=None,
         statistics: "Callable[[str], object | None] | None" = None,
-        batch_invoker=None,
-        columnar_note: Callable[[int, int], None] | None = None,
-        join_counter: Callable[[str], None] | None = None,
     ):
         self.catalog = catalog
-        self.invoker = invoker
-        self.remote_fetcher = remote_fetcher
+        #: The database's FederationLayer: nickname columns at planning,
+        #: and source profiles for the cost optimizer.
+        self.federation = federation
         self.params = params or ParamScope()
-        #: Cost model + charge hook for composition overheads (None for
-        #: cost-free databases, e.g. app-system internals).
+        #: Cost model the cost optimizer prices with (None for cost-free
+        #: databases, e.g. app-system internals).
         self.costs = costs
-        self.charge = charge
         #: The planner-read settings (execution mode, optimizer, join
         #: strategy, pushdown, index selection, zone maps); see
         #: repro.fdbs.options.
         self.options = options
-        self.pushdown_counter = pushdown_counter
         #: RUNSTATS snapshot lookup: table name -> TableStats | None.
         self.statistics = statistics
-        #: Batched table-function invoker for UDTF bind joins (the
-        #: fenced runtime amortizes fixed per-call overheads).
-        self.batch_invoker = batch_invoker
-        #: Callback ``(chunks_scanned, chunks_pruned)`` wired into
-        #: columnar table scans for the database's runtime counters.
-        self.columnar_note = columnar_note
-        #: Callback ``(strategy)`` counting built join operators into
-        #: the database's runtime statistics.
-        self.join_counter = join_counter
+        #: Set when the cost optimizer looked up statistics (found or
+        #: not): the plan depends on this database's RUNSTATS and is
+        #: never shared with another database.
+        self.read_statistics = False
         #: Set when planning read volatile runtime state (see
         #: ``Decisions.reads_volatile_state``): the plan is correct for
         #: this execution only and must not be cached.
         self.reads_volatile_state = False
+        #: Strategy of every join operator built, in build order.
+        self.joins: list[str] = []
+        #: Conjuncts pushed into remote scans (``push_predicates``
+        #: counts into this attribute).
+        self.predicates_pushed = 0
         self._view_stack: list[str] = []
 
     def _chunk_forms(
@@ -172,13 +168,9 @@ class Planner:
             decisions = plan_decisions(
                 select,
                 self.catalog,
-                self.statistics or (lambda name: None),
+                self._statistics,
                 self.costs,
-                federation=(
-                    self.pushdown_counter
-                    if hasattr(self.pushdown_counter, "profile_for")
-                    else None
-                ),
+                federation=self.federation,
                 options=self.options,
             )
             if decisions is not None and decisions.reads_volatile_state:
@@ -207,7 +199,7 @@ class Planner:
         if self.options.pushdown and remote_candidates:
             from repro.fdbs.pushdown import push_predicates
 
-            where = push_predicates(where, remote_candidates, self.pushdown_counter)
+            where = push_predicates(where, remote_candidates, self)
         if self.options.index_selection and local_scans and where is not None:
             where = self._select_indexes(where, layout, local_scans)
         if where is not None:
@@ -378,6 +370,12 @@ class Planner:
             return item.expr.name
         return f"COL{position + 1}"
 
+    def _statistics(self, name: str) -> "object | None":
+        """The planning statistics of ``name``, noting that planning
+        read statistics."""
+        self.read_statistics = True
+        return self.statistics(name) if self.statistics is not None else None
+
     def _compiler(self, layout: RowLayout) -> ExpressionCompiler:
         """A :class:`MemoCompiler` over ``layout``: planning hands one
         compiler every form it needs of an expression, and each node is
@@ -546,9 +544,8 @@ class Planner:
                 decisions is not None
                 and original_index in decisions.bind_udtf
                 and isinstance(right, TableFunctionRightSide)
-                and self.batch_invoker is not None
             ):
-                plan = UdtfBindJoinPlan(plan, right, self.batch_invoker)
+                plan = UdtfBindJoinPlan(plan, right)
             else:
                 plan = CrossApplyPlan(plan, right)
             outer_est = running_est
@@ -685,7 +682,7 @@ class Planner:
             return None
         if not hash_join_compatible(left_key.type, scan.schema[remote_index].type):
             return None
-        profile = getattr(scan.fetcher, "profile", None)
+        profile = self.federation.profile_for(self.catalog.get_nickname(scan.nickname))
         max_keys = MAX_BIND_KEYS
         if profile is not None and profile.max_bind_keys is not None:
             max_keys = profile.max_bind_keys
@@ -695,8 +692,7 @@ class Planner:
         )
 
     def _count_join(self, strategy: str) -> None:
-        if self.join_counter is not None:
-            self.join_counter(strategy)
+        self.joins.append(strategy)
 
     def _try_local_join(
         self,
@@ -871,17 +867,16 @@ class Planner:
                 ColumnSlot(alias, column.name, column.type)
                 for column in table_def.columns
             ]
-            plan = TableScanPlan(table_def.storage, schema, item.name)
-            if self.options.execution_mode == "columnar":
-                plan.columnar_note = self.columnar_note
+            plan = TableScanPlan(table_def.name, schema, item.name)
+            plan.columnar_note = self.options.execution_mode == "columnar"
             return plan
         if self.catalog.has_nickname(item.name):
-            if self.remote_fetcher is None:
+            if self.federation is None:
                 raise PlanError("no federation layer available for nicknames")
             nickname = self.catalog.get_nickname(item.name)
-            fetcher, columns = self.remote_fetcher(nickname)
+            columns = self.federation.scan_columns(nickname)
             schema = [ColumnSlot(alias, c.name, c.type) for c in columns]
-            return RemoteScanPlan(fetcher, schema, item.name)
+            return RemoteScanPlan(nickname.name, schema, item.name)
         if self.catalog.has_function(item.name):
             raise PlanError(
                 f"{item.name!r} is a table function; reference it as "
@@ -899,7 +894,7 @@ class Planner:
 
             columns, generator = syscat_definition(item.name)
             schema = [ColumnSlot(alias, c.name, c.type) for c in columns]
-            return SyscatScanPlan(self.catalog, generator, schema, item.name.upper())
+            return SyscatScanPlan(generator, schema, item.name.upper())
         raise CatalogError(f"unknown table {item.name!r}")
 
     def _plan_view(self, name: str, alias: str) -> Plan:
@@ -1127,17 +1122,12 @@ class Planner:
             for arg in item.args
             for ref in _column_refs(arg)
         )
-        composition_cost = 0.0
-        if not lateral and position > 0 and self.costs is not None:
-            composition_cost = self.costs.join_composition
         side = TableFunctionRightSide(
             function,
             arg_exprs,
             schema,
-            self.invoker,
             item.alias,
-            composition_cost=composition_cost,
-            charge=self.charge,
+            composed=not lateral and position > 0,
         )
         return side, schema
 

@@ -137,7 +137,8 @@ class ProcedureInterpreter:
             subquery_compiler=self._subquery_compiler,
         )
         compiled = compiler.compile(expr)
-        return compiled((), EvalContext(params=list(self._values)))
+        ctx = EvalContext(params=list(self._values), database=self.database)
+        return compiled((), ctx)
 
     def _subquery_compiler(
         self, select: ast.Select

@@ -157,8 +157,8 @@ def push_predicates(
 
     ``candidates`` maps upper-cased FROM aliases to their scans.
     Returns the remaining local WHERE expression (None if everything was
-    pushed).  ``counter`` (a FederationLayer, optional) gets its
-    ``predicates_pushed`` statistic bumped.
+    pushed).  ``counter`` (the planner, optional) gets its
+    ``predicates_pushed`` count bumped.
     """
     if where is None or not candidates:
         return where

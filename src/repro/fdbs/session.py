@@ -65,11 +65,15 @@ class CachedStatement:
 
     ``plan`` starts empty.  The engine fills it when a cache *hit*
     re-executes the text (a first execution plans and discards), so
-    one-shot statements never keep a compiled plan alive.
+    one-shot statements never keep a compiled plan alive.  ``text`` is
+    the text ``statement`` was parsed from: a hit by another text that
+    normalises alike (blanks differ) runs this statement, and this text
+    names its plan in a shared map.
     """
 
     statement: object
     plan: object | None = None
+    text: str | None = None
 
 
 class StatementCache:
@@ -78,9 +82,10 @@ class StatementCache:
     Eviction is LRU with a configurable capacity; any DDL invalidates the
     whole cache (catalog objects may have changed shape).  Entries are
     *namespaced*: the engine folds every planning input (execution
-    mode, optimizer settings, pushdown/index/zone-map switches, DDL and
-    statistics epochs) into the namespace, so a plan is only ever served
-    to an execution that would have planned it identically.  Hit, miss,
+    mode, optimizer settings, pushdown/index/zone-map switches, the
+    catalog's schema key and statistics epoch) into the namespace, so a
+    plan is only ever served to an execution that would have planned it
+    identically.  Hit, miss,
     eviction and plan-reuse counters are exposed through :meth:`stats`.
 
     Lookups, stores and the counters are guarded by an internal lock:
@@ -176,19 +181,29 @@ class StatementCache:
 
 
 class ParseMap:
-    """A bounded text -> parsed-statement map that databases share.
+    """A bounded map of parsed statements and compiled plans that
+    databases share.
 
     A :class:`~repro.fdbs.engine.Database` given one asks it for the AST
     of each statement text its own :class:`StatementCache` misses, so
     databases built alike (the session servers of one serving worker)
     parse each text once between them.  Statements are never mutated
     after parsing, so one AST may serve any number of databases and
-    threads.  Only wall-clock time changes: the simulated plan-compile
-    charge and the cache counters stay with each database.
+    threads.
 
-    Lookups are lock-free dict reads; stores take a lock.  Past
-    ``capacity`` texts the oldest stored text is dropped, so a stream of
-    one-off statements cannot grow the map without bound.
+    It also holds compiled plans.  A plan binds no database (its
+    operators resolve tables, functions and fetchers through the
+    executing database, ``ctx.database``), so a database asks the map
+    before it plans and stores there every plan another database may
+    run: keyed by the planner options' key, the catalog's schema key
+    and the statement text (a SQL I-UDTF body by its function name), a
+    plan serves exactly the databases that would have built it alike.
+
+    Only wall-clock time changes: the simulated plan-compile charge and
+    the cache counters stay with each database.  Lookups are lock-free
+    dict reads; stores take a lock.  Past ``capacity`` entries of
+    either kind the oldest stored one is dropped, so a stream of one-off
+    statements cannot grow the map without bound.
     """
 
     def __init__(self, capacity: int):
@@ -196,6 +211,7 @@ class ParseMap:
             raise ValueError("parse map capacity must be positive")
         self.capacity = capacity
         self._statements: dict[str, object] = {}
+        self._plans: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
     def parse(self, sql: str) -> object:
@@ -203,12 +219,28 @@ class ParseMap:
         statement = self._statements.get(sql)
         if statement is None:
             statement = parse_statement(sql)
-            with self._lock:
-                if sql not in self._statements:
-                    if len(self._statements) >= self.capacity:
-                        del self._statements[next(iter(self._statements))]
-                    self._statements[sql] = statement
+            self._store(self._statements, sql, statement)
         return statement
+
+    def plan(self, key: tuple) -> object | None:
+        """The plan stored under ``key``, or None."""
+        return self._plans.get(key)
+
+    def store_plan(self, key: tuple, plan: object) -> None:
+        """Store ``plan`` under ``key`` (a plan already there stays:
+        every plan stored under one key is equally valid)."""
+        self._store(self._plans, key, plan)
+
+    def _store(self, entries: dict, key, value: object) -> None:
+        with self._lock:
+            if key not in entries:
+                if len(entries) >= self.capacity:
+                    del entries[next(iter(entries))]
+                entries[key] = value
+
+    def plan_count(self) -> int:
+        """Plans currently held."""
+        return len(self._plans)
 
     def __len__(self) -> int:
         return len(self._statements)

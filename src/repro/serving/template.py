@@ -87,7 +87,10 @@ class SessionTemplate:
         validated scenario functions every stamp deploys (built once)."""
         with self._lock:
             if self._shared is None:
-                self._shared = (scenario_systems(None, self.data), scenario_functions())
+                systems = scenario_systems(None, self.data)
+                for system in systems:
+                    system.build_lookup_indexes()
+                self._shared = (systems, scenario_functions())
             return self._shared
 
     def stamp(

@@ -34,30 +34,9 @@ def create_sql_iudtf(database: Database, ddl: str) -> SqlTableFunction:
     function = database.catalog.get_function(statement.name)
     assert isinstance(function, SqlTableFunction)
     try:
-        _bind_check(database, function)
+        database.bind_sql_function(function)
     except Exception:
         # Bind failed: do not leave an unusable function in the catalog.
-        database.catalog.drop_function(statement.name)
+        database.drop_function(statement.name)
         raise
     return function
-
-
-def _bind_check(database: Database, function: SqlTableFunction) -> None:
-    """Plan (but do not run) the function body to surface plan errors."""
-    from repro.fdbs.expr import ParamScope
-    from repro.fdbs.planner import Planner
-
-    scope = ParamScope(
-        qualifier=function.name,
-        names={
-            param.name.upper(): (index, param.type)
-            for index, param in enumerate(function.params)
-        },
-    )
-    planner = Planner(
-        database.catalog,
-        invoker=lambda f, a, c: [],
-        remote_fetcher=database.federation.fetcher_for,
-        params=scope,
-    )
-    planner.plan_select(function.body)

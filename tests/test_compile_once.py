@@ -409,7 +409,7 @@ def columnar_plan(db, sql):
     """The plan ``db`` (in columnar mode) builds for ``sql``, and a
     context to run it in."""
     plan = db._planner().plan_select(parse_statement(sql))
-    return plan, EvalContext(params=[], snapshot=db.pin_snapshot())
+    return plan, EvalContext(params=[], snapshot=db.pin_snapshot(), database=db)
 
 
 def walk(plan):

@@ -187,9 +187,9 @@ class TestStaleStatementCache:
 
     def test_ddl_bumps_cache_namespace_epoch(self):
         db = Database("ddl-epoch-2")
-        before = db.catalog.ddl_epoch
+        before = db.catalog.schema_key
         db.execute("CREATE TABLE T (A INTEGER)")
-        assert db.catalog.ddl_epoch > before
+        assert db.catalog.schema_key != before
 
 
 class TestMvccCounters:

@@ -157,7 +157,7 @@ class TestRemoteBindJoin:
         plan = local._planner().plan_select(select)
         bind = _find(plan, RemoteBindJoinPlan)
         bind.max_keys = 1  # force the outer side past the cap
-        rows = list(plan.rows(EvalContext(params=None)))
+        rows = list(plan.rows(EvalContext(params=None, database=local)))
         assert bind.unbound_fetches == 1 and bind.bound_fetches == 0
         local.configure(optimizer="syntactic")
         assert sorted(rows) == sorted(local.execute(JOIN_SQL).rows)

@@ -154,3 +154,18 @@ def test_summaries_cross_the_wire_intact(process_runs, bare):
             assert summary.rows_returned == sum(
                 len(r) for r in rows if r is not None
             )
+
+
+def test_second_pass_on_the_same_shards_equals_first_and_bare(data, bare):
+    """Each shard's template keeps the plans its sessions built, so the
+    second pass over the same shards adopts them instead of planning:
+    bit-identical to the first pass and to the bare stack."""
+    with ShardedIntegrationServer(shards=2, data=data, queue_limit=SESSIONS) as server:
+        first = server.run_workload(scripts())
+        second = server.run_workload(scripts())
+    assert second.shard_assignments == first.shard_assignments
+    for result in (first, second):
+        for session_id, (rows, call_sims, total) in bare.items():
+            assert result.row_sets[session_id] == rows
+            assert result.call_sim_ms[session_id] == call_sims
+            assert result.simulated_ms[session_id] == total
