@@ -1,50 +1,38 @@
-"""Concurrent-serving benchmark — throughput and tail latency vs workers.
+"""Concurrent-serving benchmark — MVCC and process scaling.
 
-Replays one seeded multi-client workload (mixed architectures, federated
-reads plus a DML mix on session-private scratch tables) through the
-:class:`~repro.serving.server.ConcurrentIntegrationServer` at several
-worker-pool sizes, and reports per-worker-count throughput and
-p50/p95/p99 wall-clock call latency.
+Two sections, both measured as *latency hiding*: every RMI hop sleeps a
+small real wall-clock latency (simulated time is untouched), and the
+speedups show how many of those sleeps overlap, not CPU speedup.
 
-Two parity gates ride along (and are asserted by the perf test and by
-``scripts/check_parity.sh``):
-
-* **single-session parity** — the 1-worker serving-layer run is
-  bit-identical (per-session result rows *and* simulated times) to
-  driving each session script directly against a standalone
-  single-caller :class:`~repro.core.server.IntegrationServer`: the
-  serving layer, the MVCC snapshot machinery and the thread-safety
-  locks add zero simulated cost;
-* **cross-worker parity** — every worker count produces bit-identical
-  per-session rows and simulated times (isolated sessions own their
-  virtual clocks, so concurrency may change wall time, never results).
-
-A second section measures **MVCC scaling**: shared-mode servers (one
-per architecture, every session contending on the same FDBS) replay the
+**MVCC scaling**: shared-state servers
+(:class:`~repro.serving.server.ConcurrentIntegrationServer`, one per
+architecture, every session contending on the same FDBS) replay the
 read-heavy / mixed / write-heavy profiles of
-:data:`~repro.serving.workload.WORKLOAD_PROFILES` at 1/2/4/8 workers
-with a small real wall-clock latency on every RMI hop (simulated time
-is untouched).  Lock-free snapshot readers let concurrent sessions
-overlap those hops, so read-heavy throughput climbs with workers; the
+:data:`~repro.serving.workload.WORKLOAD_PROFILES` at 1/2/4/8 worker
+threads.  Lock-free snapshot readers let concurrent sessions overlap
+those hops, so read-heavy throughput climbs with workers; the
 per-profile speedup-vs-1-worker curve plus the engines' MVCC counters
 (snapshots pinned, versions published, write conflicts, retries) land
 in the report under ``"scaling"``.
 
-A third section measures **process scaling**: the read-heavy profile
-replayed through the :class:`~repro.serving.router
-.ShardedIntegrationServer` at 1/2/4/8 OS worker processes with the same
-injected per-hop wall latency.  Shards own isolated per-session
-servers, so rows *and* per-session simulated times stay bit-identical
-to the bare stack at every shard count while sleeps overlap across
-processes; throughput/p95 per shard count plus the speedup curve land
-in the report under ``"process_scaling"``, gated at
+**Process scaling**: the read-heavy profile replayed through the
+:class:`~repro.serving.router.ShardedIntegrationServer` at 1/2/4/8 OS
+worker processes.  Every session runs on its own stamped server
+(:func:`~repro.serving.shard.run_script`), so the parity gates are
+exact: per-session rows *and* simulated times are bit-identical to
+driving each script on a bare single-caller
+:class:`~repro.core.server.IntegrationServer`
+(``rows_match_single_server``, ``sim_times_match_single_server``) and
+to the 1-shard run (``matches_one_shard``), at every shard count
+(``cross_shard_parity``).  Throughput/p95 per shard count plus the
+speedup curve land in the report under ``"process_scaling"``, gated at
 :data:`PROCESS_GATE_SPEEDUP` x by :data:`PROCESS_GATE_SHARDS` shards.
 
 Results are written to ``BENCH_concurrency.json`` in the repository root.
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_concurrency.py --sessions 8
+    PYTHONPATH=src python benchmarks/bench_concurrency.py
 
 or through pytest (deselected by default via the ``perf`` marker)::
 
@@ -53,7 +41,6 @@ or through pytest (deselected by default via the ``perf`` marker)::
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -67,16 +54,12 @@ from repro.serving.workload import (
     WORKLOAD_PROFILES,
     SessionScript,
     make_profile_workload,
-    make_workload,
 )
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_concurrency.json"
 
 #: The workload seed; shared with the concurrency parity tests.
 CONCURRENCY_SEED = 424242
-
-#: Worker-pool sizes measured by default (the acceptance floor is >= 3).
-DEFAULT_WORKER_COUNTS = (1, 4, 8)
 
 #: Worker-pool sizes for the MVCC scaling curve.
 SCALING_WORKER_COUNTS = (1, 2, 4, 8)
@@ -87,8 +70,10 @@ SCALING_WORKER_COUNTS = (1, 2, 4, 8)
 #: simulated timings stay bit-identical to a latency-free server.
 SCALING_WALL_LATENCY_S = 0.002
 
-#: The read-heavy profile must reach this speedup at this worker count
-#: (the acceptance gate, re-checked by ``scripts/check_parity.sh``).
+#: Latency-hiding check: the read-heavy profile must overlap enough
+#: injected RMI sleeps to reach this speedup at this worker count
+#: (re-checked by ``scripts/check_parity.sh``).  It measures overlapped
+#: sleeps, not CPU speedup.
 SCALING_GATE_WORKERS = 4
 SCALING_GATE_SPEEDUP = 2.0
 
@@ -96,18 +81,22 @@ SCALING_GATE_SPEEDUP = 2.0
 PROCESS_SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Sessions in the process-scaling workload.  More sessions than the
-#: thread section: per-session shard construction is CPU that every
-#: shard count pays identically, so extra sessions raise the
-#: sleep-to-CPU ratio and make the overlap measurable.
+#: MVCC section: per-session server stamping is CPU that every shard
+#: count pays identically, so extra sessions raise the sleep-to-CPU
+#: ratio and make the overlap measurable.
 PROCESS_SESSIONS = 16
 
+#: Calls per session in the process-scaling workload.
+PROCESS_CALLS = 12
+
 #: Real wall-clock seconds per RMI hop in the process section (twice
-#: the thread section's: worker processes pay a fork+build cost the
+#: the MVCC section's: worker processes pay a fork+build cost the
 #: thread pool does not, so the hops must dominate more clearly).
 PROCESS_WALL_LATENCY_S = 0.004
 
-#: The read-heavy process workload must reach this speedup at this
-#: shard count (re-checked by ``scripts/check_parity.sh``).
+#: Latency-hiding check: the read-heavy process workload must overlap
+#: enough injected RMI sleeps to reach this speedup at this shard count
+#: (re-checked by ``scripts/check_parity.sh``).
 PROCESS_GATE_SHARDS = 4
 PROCESS_GATE_SPEEDUP = 2.0
 
@@ -143,90 +132,6 @@ def drive_single_server(script: SessionScript, data) -> tuple[list, float]:
     return row_sets, simulated
 
 
-def run(
-    seed: int = CONCURRENCY_SEED,
-    sessions: int = 8,
-    calls_per_session: int = 10,
-    worker_counts: tuple[int, ...] = DEFAULT_WORKER_COUNTS,
-    pooling: bool = False,
-    result_cache: bool = False,
-) -> dict:
-    """Measure the workload at every worker count and check both gates."""
-    data = generate_enterprise_data()
-    scripts = make_workload(
-        seed=seed, sessions=sessions, calls_per_session=calls_per_session
-    )
-
-    # Baseline: each session on its own bare single-caller server.
-    baseline_start = time.perf_counter()
-    baseline_rows: dict[int, list] = {}
-    baseline_sim: dict[int, float] = {}
-    for script in scripts:
-        rows, sim = drive_single_server(script, data)
-        baseline_rows[script.session_id] = rows
-        baseline_sim[script.session_id] = sim
-    baseline_wall = time.perf_counter() - baseline_start
-
-    runs = []
-    reference = None
-    for workers in worker_counts:
-        with ConcurrentIntegrationServer(
-            workers=workers,
-            mode="isolated",
-            pooling=pooling,
-            result_cache=result_cache,
-            data=data,
-        ) as server:
-            result = server.run_workload(
-                make_workload(
-                    seed=seed,
-                    sessions=sessions,
-                    calls_per_session=calls_per_session,
-                )
-            )
-        entry = {
-            "workers": workers,
-            "calls": result.calls,
-            "wall_seconds": round(result.wall_seconds, 6),
-            "throughput_calls_per_s": round(result.throughput, 2),
-            "latency_p50_ms": round(result.latency_percentile(50) * 1000, 4),
-            "latency_p95_ms": round(result.latency_percentile(95) * 1000, 4),
-            "latency_p99_ms": round(result.latency_percentile(99) * 1000, 4),
-            "simulated_ms_total": round(sum(result.simulated_ms.values()), 4),
-            "rows_match_single_server": result.row_sets == baseline_rows,
-            "sim_times_match_single_server": result.simulated_ms == baseline_sim,
-            "admission": result.admission,
-        }
-        if reference is None:
-            reference = result
-            entry["matches_one_worker"] = True
-        else:
-            entry["matches_one_worker"] = (
-                result.row_sets == reference.row_sets
-                and result.simulated_ms == reference.simulated_ms
-            )
-        runs.append(entry)
-
-    single_session_parity = all(
-        r["rows_match_single_server"] and r["sim_times_match_single_server"]
-        for r in runs
-        if r["workers"] == 1
-    )
-    cross_worker_parity = all(r["matches_one_worker"] for r in runs)
-    return {
-        "benchmark": "concurrency",
-        "seed": seed,
-        "sessions": sessions,
-        "calls_per_session": calls_per_session,
-        "pooling": pooling,
-        "result_cache": result_cache,
-        "baseline_wall_seconds": round(baseline_wall, 6),
-        "runs": runs,
-        "single_session_parity": single_session_parity,
-        "cross_worker_parity": cross_worker_parity,
-    }
-
-
 def _aggregate_mvcc(server: ConcurrentIntegrationServer) -> dict[str, int]:
     """Sum the MVCC counters across a shared server's architectures."""
     totals = {
@@ -249,10 +154,10 @@ def run_scaling(
     worker_counts: tuple[int, ...] = SCALING_WORKER_COUNTS,
     rmi_wall_latency_s: float = SCALING_WALL_LATENCY_S,
 ) -> dict:
-    """Measure shared-mode throughput scaling per workload profile.
+    """Measure shared-state throughput scaling per workload profile.
 
     Every profile replays the *same* seeded scripts at each worker
-    count on fresh shared-mode servers, so the only variable is how
+    count on fresh shared-state servers, so the only variable is how
     many sessions run concurrently.  Speedups are wall-clock relative
     to that profile's own 1-worker run.
     """
@@ -265,7 +170,6 @@ def run_scaling(
         for workers in worker_counts:
             with ConcurrentIntegrationServer(
                 workers=workers,
-                mode="shared",
                 data=data,
                 rmi_wall_latency_s=rmi_wall_latency_s,
             ) as server:
@@ -312,7 +216,7 @@ def run_scaling(
 def run_process_scaling(
     seed: int = CONCURRENCY_SEED,
     sessions: int = PROCESS_SESSIONS,
-    calls_per_session: int = 12,
+    calls_per_session: int = PROCESS_CALLS,
     shard_counts: tuple[int, ...] = PROCESS_SHARD_COUNTS,
     rmi_wall_latency_s: float = PROCESS_WALL_LATENCY_S,
 ) -> dict:
@@ -320,7 +224,7 @@ def run_process_scaling(
 
     The same seeded read-heavy workload replays at each shard count on a
     fresh :class:`~repro.serving.router.ShardedIntegrationServer`.
-    Unlike the shared-mode MVCC section, shards are *isolated*, so the
+    Unlike the shared-state MVCC section, sessions are *isolated*, so the
     parity contract is exact: rows and per-session simulated times must
     match the bare single-caller stack bit-for-bit at every shard count.
     Speedups are wall-clock relative to the 1-shard run.
@@ -406,12 +310,12 @@ def run_process_scaling(
 
 
 def full_summary() -> dict:
-    """The complete report: isolated parity matrix, MVCC scaling and
-    process-sharded scaling."""
-    summary = run()
-    summary["scaling"] = run_scaling()
-    summary["process_scaling"] = run_process_scaling()
-    return summary
+    """The complete report: MVCC scaling and process-sharded scaling."""
+    return {
+        "benchmark": "concurrency",
+        "scaling": run_scaling(),
+        "process_scaling": run_process_scaling(),
+    }
 
 
 def write_report(summary: dict, path: Path = REPORT_PATH) -> None:
@@ -432,38 +336,9 @@ def _cached_summary() -> dict:
 
 
 @pytest.mark.perf
-def test_concurrency_throughput_and_parity():
-    """>= 3 worker counts measured; both parity gates hold; work completes."""
-    summary = _cached_summary()
-    print()
-    print(json.dumps(summary, indent=2))
-    assert len(summary["runs"]) >= 3
-    assert any(r["workers"] == 1 for r in summary["runs"])
-    expected_calls = summary["sessions"] * (summary["calls_per_session"] + 1)
-    for entry in summary["runs"]:
-        assert entry["calls"] == expected_calls, (
-            f"{entry['workers']}-worker run lost or duplicated calls: "
-            f"{entry['calls']} != {expected_calls}"
-        )
-        assert entry["throughput_calls_per_s"] > 0
-        assert entry["latency_p50_ms"] <= entry["latency_p95_ms"] <= entry[
-            "latency_p99_ms"
-        ]
-    assert summary["single_session_parity"], (
-        "the 1-worker serving-layer run diverged from the bare "
-        "single-caller stack — the serving layer changed results or "
-        "simulated timings"
-    )
-    assert summary["cross_worker_parity"], (
-        "a multi-worker run diverged from the 1-worker run — session "
-        "isolation is broken"
-    )
-
-
-@pytest.mark.perf
 def test_mvcc_scaling_read_heavy_speedup():
-    """Shared-mode MVCC scaling: rows stay deterministic at every worker
-    count, and the read-heavy profile clears the acceptance speedup."""
+    """Shared-state MVCC scaling: rows stay deterministic at every worker
+    count, and the read-heavy profile passes the latency-hiding check."""
     scaling = _cached_summary()["scaling"]
     assert set(scaling["profiles"]) == set(WORKLOAD_PROFILES)
     for profile, entry in scaling["profiles"].items():
@@ -483,14 +358,14 @@ def test_mvcc_scaling_read_heavy_speedup():
     assert gated["speedup_vs_1_worker"] >= SCALING_GATE_SPEEDUP, (
         f"read-heavy speedup at {SCALING_GATE_WORKERS} workers is "
         f"{gated['speedup_vs_1_worker']}x, below the "
-        f"{SCALING_GATE_SPEEDUP}x acceptance gate"
+        f"{SCALING_GATE_SPEEDUP}x latency-hiding check"
     )
 
 
 @pytest.mark.perf
 def test_process_scaling_parity_and_speedup():
     """Process shards: exact parity at every shard count, and the
-    read-heavy workload clears the acceptance speedup at 4 shards."""
+    read-heavy workload passes the latency-hiding check at 4 shards."""
     process = _cached_summary()["process_scaling"]
     assert [r["shards"] for r in process["runs"]] == list(PROCESS_SHARD_COUNTS)
     expected_calls = process["sessions"] * (process["calls_per_session"] + 1)
@@ -513,7 +388,7 @@ def test_process_scaling_parity_and_speedup():
     assert gated["speedup_vs_1_shard"] >= PROCESS_GATE_SPEEDUP, (
         f"read-heavy process speedup at {PROCESS_GATE_SHARDS} shards is "
         f"{gated['speedup_vs_1_shard']}x, below the "
-        f"{PROCESS_GATE_SPEEDUP}x acceptance gate"
+        f"{PROCESS_GATE_SPEEDUP}x latency-hiding check"
     )
 
 
@@ -521,43 +396,46 @@ def main(argv: list[str] | None = None) -> None:
     """CLI entry point mirroring the other benchmarks."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=CONCURRENCY_SEED)
-    parser.add_argument("--sessions", type=int, default=8)
-    parser.add_argument("--calls", type=int, default=10)
     parser.add_argument(
-        "--workers",
+        "--sessions", type=int, default=8, help="sessions in the MVCC section"
+    )
+    parser.add_argument(
+        "--process-sessions",
+        type=int,
+        default=PROCESS_SESSIONS,
+        help="sessions in the process section",
+    )
+    parser.add_argument(
+        "--process-calls",
+        type=int,
+        default=PROCESS_CALLS,
+        help="calls per session in the process section",
+    )
+    parser.add_argument(
+        "--shards",
         type=int,
         nargs="+",
-        default=list(DEFAULT_WORKER_COUNTS),
-        help="worker-pool sizes to measure (default: 1 4 8)",
+        default=list(PROCESS_SHARD_COUNTS),
+        help="shard counts of the process section (default: 1 2 4 8)",
     )
-    parser.add_argument("--pooling", action="store_true")
-    parser.add_argument("--result-cache", action="store_true")
     parser.add_argument(
         "--skip-scaling",
         action="store_true",
-        help="omit the shared-mode MVCC scaling section",
-    )
-    parser.add_argument(
-        "--skip-process",
-        action="store_true",
-        help="omit the process-sharded scaling section",
+        help="omit the shared-state MVCC scaling section",
     )
     parser.add_argument("--out", type=Path, default=REPORT_PATH)
     args = parser.parse_args(argv)
-    if args.sessions < 1 or args.calls < 1 or min(args.workers) < 1:
-        parser.error("--sessions, --calls and --workers must all be >= 1")
-    summary = run(
-        seed=args.seed,
-        sessions=args.sessions,
-        calls_per_session=args.calls,
-        worker_counts=tuple(args.workers),
-        pooling=args.pooling,
-        result_cache=args.result_cache,
-    )
+    if min(args.sessions, args.process_sessions, args.process_calls, *args.shards) < 1:
+        parser.error("session, call and shard counts must all be >= 1")
+    summary = {"benchmark": "concurrency"}
     if not args.skip_scaling:
         summary["scaling"] = run_scaling(seed=args.seed, sessions=args.sessions)
-    if not args.skip_process:
-        summary["process_scaling"] = run_process_scaling(seed=args.seed)
+    summary["process_scaling"] = run_process_scaling(
+        seed=args.seed,
+        sessions=args.process_sessions,
+        calls_per_session=args.process_calls,
+        shard_counts=tuple(args.shards),
+    )
     write_report(summary, args.out)
     print(json.dumps(summary, indent=2))
 

@@ -9,23 +9,28 @@
 #  3. fault-harness parity (every site armed at probability 0 with
 #     retries + forward recovery on => bit-identical to flags-off;
 #     exception-safety regressions in cache/pool/RMI/WfMS),
-#  4. concurrency parity (same seeded multi-session workload under 1
-#     worker vs K workers => bit-identical per-session rows and
-#     simulated times; serving layer == bare single-caller stack;
-#     thread-safety regression suite; MVCC snapshot isolation and
-#     set-oriented DML: one published version per statement, atomic
-#     statements, end-state key checks, execute_many == row-by-row),
+#  4. concurrency parity (the same seeded sessions run through
+#     run_script on one template from 1 thread vs K threads =>
+#     bit-identical per-session rows and simulated times; serving ==
+#     bare single-caller stack; thread-safety regression suite; MVCC
+#     snapshot isolation and set-oriented DML: one published version
+#     per statement, atomic statements, end-state key checks,
+#     execute_many == row-by-row; the concurrency benchmark's process
+#     section: rows and simulated times equal to the bare stack and to
+#     the 1-shard run at every shard count; two latency-hiding checks
+#     on injected RMI sleeps, not CPU speedups),
 #  5. process-sharded parity (same workload at 1/2/4 OS worker
 #     processes => bit-identical per-session rows and simulated times
-#     to the bare stack and to thread-mode serving; worker-kill fault
-#     battery; battery-through-serving differential slice; serving
-#     teardown/accounting regressions; wire + hash-ring unit suite;
-#     session templates: sessions stamped one after another from one
-#     template, threads or shards, equal bare builds in rows and
-#     per-call simulated ms, and shared parsed statements never change;
-#     shared plans: sessions that adopt the plans of earlier sessions
-#     (a second workload pass on the same shards or thread server, a
-#     second stamp per architecture) equal the first pass and the bare
+#     to the bare stack; worker-kill fault battery;
+#     battery-through-serving differential slice, in-process run_script
+#     and process shards bit-identical; serving teardown/accounting
+#     regressions; wire + hash-ring unit suite; session templates:
+#     sessions stamped one after another from one template, threads or
+#     shards, equal bare builds in rows and per-call simulated ms, and
+#     shared parsed statements never change; shared plans: sessions
+#     that adopt the plans of earlier sessions (a second workload pass
+#     on the same shards or template, a second stamp per architecture,
+#     four threads on one template) equal the first pass and the bare
 #     stack in rows, simulated ms and runtime counters, plan nothing
 #     and build no index on a second in-process pass, catalogs at
 #     equal DDL epochs with different schemas never share a plan, and
@@ -97,7 +102,7 @@ python -m pytest -q tests/test_fault_parity.py tests/test_faults.py \
 
 echo "== concurrency parity + thread-safety regressions =="
 python -m pytest -q tests/test_concurrent_parity.py \
-    tests/test_thread_safety_regressions.py
+    tests/test_concurrency_faults.py tests/test_thread_safety_regressions.py
 
 echo "== MVCC snapshot-isolation + set-oriented DML suites =="
 python -m pytest -q tests/test_mvcc_snapshot_isolation.py tests/test_set_dml.py
@@ -110,21 +115,10 @@ import json
 import sys
 
 summary = json.load(open(sys.argv[1]))
-assert len(summary["runs"]) >= 3, "need >= 3 worker counts"
-assert summary["single_session_parity"], (
-    "1-worker serving run is not bit-identical to the single-session path"
-)
-assert summary["cross_worker_parity"], (
-    "worker count changed per-session rows or simulated times"
-)
-tp = {r["workers"]: r["throughput_calls_per_s"] for r in summary["runs"]}
-print(f"OK: single-session parity + cross-worker parity hold; "
-      f"throughput by workers: {tp}")
 
-# MVCC gates: with MVCC on, a single worker is bit-identical to the
-# bare pre-serving stack (rows AND simulated times -- asserted above
-# via single_session_parity), shared-mode rows are deterministic at
-# every worker count, and lock-free snapshot readers actually scale.
+# MVCC gates: shared-state rows are deterministic at every worker
+# count, and lock-free snapshot readers overlap the injected RMI sleeps
+# (a latency-hiding check, not a CPU speedup).
 scaling = summary["scaling"]
 for profile, entry in scaling["profiles"].items():
     for r in entry["runs"]:
@@ -136,14 +130,17 @@ speedup = {
     for r in scaling["profiles"]["read_heavy"]["runs"]
 }
 assert speedup[4] >= 2.0, (
-    f"read-heavy speedup at 4 workers is {speedup[4]}x, below the 2x gate"
+    f"read-heavy speedup at 4 workers is {speedup[4]}x, below the 2x "
+    "latency-hiding check"
 )
-print(f"OK: MVCC scaling gate holds; read-heavy speedup by workers: {speedup}")
+print(f"OK: MVCC latency-hiding check holds (injected RMI sleeps overlap); "
+      f"read-heavy speedup by workers: {speedup}")
 
-# Process-sharded gates: isolated shards keep the parity contract exact
-# across the process boundary (rows AND simulated times match the bare
-# stack and the 1-shard run at every shard count), and overlapping the
-# injected RMI wall latency across OS processes actually scales.
+# Process-sharded gates: isolated sessions keep the parity contract
+# exact across the process boundary (rows AND simulated times match the
+# bare stack and the 1-shard run at every shard count), and the
+# injected RMI sleeps overlap across OS processes (a latency-hiding
+# check, not a CPU speedup).
 process = summary["process_scaling"]
 assert process["cross_shard_parity"], (
     "a shard count changed per-session rows or simulated times"
@@ -152,12 +149,16 @@ for r in process["runs"]:
     assert r["rows_match_single_server"] and r["sim_times_match_single_server"], (
         f"{r['shards']}-shard run is not bit-identical to the bare stack"
     )
+    assert r["matches_one_shard"], f"{r['shards']}-shard run diverged from 1 shard"
 proc_speedup = {r["shards"]: r["speedup_vs_1_shard"] for r in process["runs"]}
+tp = {r["shards"]: r["throughput_calls_per_s"] for r in process["runs"]}
+print(f"OK: process parity holds; throughput by shards: {tp}")
 assert proc_speedup[4] >= 2.0, (
     f"read-heavy process speedup at 4 shards is {proc_speedup[4]}x, "
-    "below the 2x gate"
+    "below the 2x latency-hiding check"
 )
-print(f"OK: process scaling gate holds; speedup by shards: {proc_speedup}")
+print(f"OK: process latency-hiding check holds (injected RMI sleeps "
+      f"overlap); speedup by shards: {proc_speedup}")
 EOF
 
 echo "== process-sharded parity + fault battery + serving regressions =="

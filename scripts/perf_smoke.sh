@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf smoke: tier-1 tests plus the wall-clock executor microbenchmark
 # at a reduced row count, the coupling pooling/caching ablation, and a
-# reduced concurrent-serving run (throughput + parity at 1/4/8 workers).
+# reduced process-serving run (throughput + parity at 1 and 2 shards).
 # Intended for CI — fast enough to run on every change, still catches
 # executor regressions an order of magnitude deep.  The benchmark
 # reports go to a temporary directory (removed on exit), so a run
@@ -77,18 +77,22 @@ assert summary["speedup"] >= 3.0, f"speedup {summary['speedup']}x < 3x"
 print(f"OK: {summary['speedup']}x optimizer speedup, rows identical")
 EOF
 
-echo "== concurrent serving smoke (reduced workload) =="
-python benchmarks/bench_concurrency.py --sessions 4 --calls 4 \
+echo "== process serving smoke (reduced workload) =="
+python benchmarks/bench_concurrency.py --skip-scaling --process-sessions 4 \
+    --process-calls 4 --shards 1 2 \
     --out "$OUT/BENCH_concurrency_smoke.json" > /dev/null
 
 python - "$OUT/BENCH_concurrency_smoke.json" <<'EOF'
 import json
 import sys
 
-summary = json.load(open(sys.argv[1]))
-assert summary["single_session_parity"], "serving layer changed results"
-assert summary["cross_worker_parity"], "worker count changed results"
-assert all(r["throughput_calls_per_s"] > 0 for r in summary["runs"])
-print("OK: concurrency parity holds at", len(summary["runs"]),
-      "worker counts")
+process = json.load(open(sys.argv[1]))["process_scaling"]
+for r in process["runs"]:
+    assert r["rows_match_single_server"], "serving changed result rows"
+    assert r["sim_times_match_single_server"], "serving changed simulated times"
+    assert r["matches_one_shard"], "shard count changed results"
+    assert r["throughput_calls_per_s"] > 0
+assert process["cross_shard_parity"], "shard count changed results"
+print("OK: process serving parity holds at", len(process["runs"]),
+      "shard counts")
 EOF

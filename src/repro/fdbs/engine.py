@@ -385,8 +385,6 @@ class Database:
         statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
-        if cached is not None:
-            sql = cached.text  # the text ``statement`` was parsed from
         return self._dispatch(statement, sql, params, trace, snapshot, cached)
 
     def _count_statement(self) -> None:
@@ -555,14 +553,11 @@ class Database:
         if cached is not None:
             return cached.statement, cached  # type: ignore[union-attr]
         if self.machine is not None:
-            key = StatementCache.normalize(sql)
-            if not self.machine.warmth.statement_is_hot(key):
+            if not self.machine.warmth.statement_is_hot(sql):
                 self.machine.clock.advance(self.machine.costs.plan_compile)
-                self.machine.warmth.note_statement(key)
+                self.machine.warmth.note_statement(sql)
         statement = self.parse(sql)
-        self.statement_cache.put(
-            sql, CachedStatement(statement, text=sql), namespace=namespace
-        )
+        self.statement_cache.put(sql, CachedStatement(statement), namespace=namespace)
         return statement, None
 
     def parse(self, sql: str) -> ast.Statement:

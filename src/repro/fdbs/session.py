@@ -65,19 +65,20 @@ class CachedStatement:
 
     ``plan`` starts empty.  The engine fills it when a cache *hit*
     re-executes the text (a first execution plans and discards), so
-    one-shot statements never keep a compiled plan alive.  ``text`` is
-    the text ``statement`` was parsed from: a hit by another text that
-    normalises alike (blanks differ) runs this statement, and this text
-    names its plan in a shared map.
+    one-shot statements never keep a compiled plan alive.
     """
 
     statement: object
     plan: object | None = None
-    text: str | None = None
 
 
 class StatementCache:
     """Caches parsed statements and their compiled plans by text.
+
+    The key is the statement text exactly as given, as in DB2's dynamic
+    statement cache: blanks inside a string literal or a quoted
+    identifier change what a statement means, so texts that differ in
+    any character are different statements.
 
     Eviction is LRU with a configurable capacity; any DDL invalidates the
     whole cache (catalog objects may have changed shape).  Entries are
@@ -107,15 +108,10 @@ class StatementCache:
         self.plan_hits = 0
 
     @staticmethod
-    def normalize(sql: str) -> str:
-        """Cache key: whitespace-insensitive statement text."""
-        return " ".join(sql.split())
-
-    def _key(self, sql: str, namespace: str | None) -> str:
-        normalized = self.normalize(sql)
+    def _key(sql: str, namespace: str | None) -> str:
         if namespace is None:
-            return normalized
-        return f"{namespace}\x00{normalized}"
+            return sql
+        return f"{namespace}\x00{sql}"
 
     def get(
         self, sql: str, namespace: str | None = None, count: bool = True
@@ -174,7 +170,7 @@ class StatementCache:
             }
 
     def __contains__(self, sql: str) -> bool:
-        return self.normalize(sql) in self._entries
+        return sql in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -5,22 +5,23 @@ applications call at once.  This package adds that serving story on top
 of the single-caller :class:`~repro.core.server.IntegrationServer`:
 
 * :class:`~repro.serving.server.ConcurrentIntegrationServer` — accepts
-  N client sessions on a bounded worker pool with admission control and
-  backpressure;
+  N client sessions on a bounded thread pool with admission control and
+  backpressure, every session of an architecture sharing one server
+  (the MVCC stress path);
 * :class:`~repro.serving.session.ClientSession` — one client's view:
-  an isolated virtual clock and trace recorder, a per-call log, and
-  statement-level fault containment;
+  a trace recorder, a per-call log, and statement-level fault
+  containment;
 * :mod:`~repro.serving.workload` — seeded, reproducible multi-client
   workloads (mixed architectures, read/DML mix) for the concurrency
   benchmark and the stress/parity suites;
-* :class:`~repro.serving.router.ShardedIntegrationServer` — the
-  scale-out mode: sessions consistent-hashed onto N OS worker
-  processes (:mod:`~repro.serving.shard`), each stamping isolated
-  per-session shards, framed over the wire protocol of
+* :class:`~repro.serving.router.ShardedIntegrationServer` — isolated
+  serving: sessions consistent-hashed onto N OS worker processes
+  (:mod:`~repro.serving.shard`), framed over the wire protocol of
   :mod:`~repro.serving.wire` with crash detection and respawn;
-* :class:`~repro.serving.template.SessionTemplate` — the per-worker
-  template isolated session servers are stamped from (shared parses,
-  application systems loaded once).
+* :func:`~repro.serving.shard.run_script` — the one code path that
+  runs an isolated session: a fresh server stamped from a
+  :class:`~repro.serving.template.SessionTemplate` (shared parses,
+  application systems loaded once per worker).
 """
 
 from repro.serving.hashring import ConsistentHashRing

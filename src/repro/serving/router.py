@@ -1,11 +1,12 @@
 """Process-sharded serving: consistent-hash routing over OS workers.
 
-:class:`ShardedIntegrationServer` is the scale-out sibling of the
-thread-pool :class:`~repro.serving.server.ConcurrentIntegrationServer`.
-Threads top out against the GIL; here every shard is a real OS process
-(:func:`~repro.serving.shard.shard_worker_main`) owning isolated
-per-session server shards, so CPU work and injected wall latency both
-overlap across shards.
+:class:`ShardedIntegrationServer` serves isolated sessions: every
+shard is a real OS process (:func:`~repro.serving.shard
+.shard_worker_main`) that runs each session on its own stamped server
+(:func:`~repro.serving.shard.run_script`), so CPU work and injected
+wall latency both overlap across shards, where threads would top out
+against the GIL.  (The thread-pool :class:`~repro.serving.server
+.ConcurrentIntegrationServer` shares one server per architecture.)
 
 The front end is a thin, selector-based event loop:
 

@@ -9,30 +9,18 @@ of them.  :class:`ConcurrentIntegrationServer` adds the serving story:
   ``"block"`` policy a submitter waits for a slot, under ``"reject"``
   it gets an :class:`~repro.errors.AdmissionError`;
 * a :class:`SessionManager` gates how many sessions may be open at once
-  and owns their lifecycle.
+  and holds the open ones.
 
-Two sharing modes:
-
-``"isolated"`` (default)
-    Every session gets its *own* integration-server shard (own machine,
-    own virtual clock, pools, caches, fault injector), stamped from the
-    server's :class:`~repro.serving.template.SessionTemplate`.  Each
-    shard's application systems work on private copies of the template's
-    loaded tables, and parsed statements are never mutated, so
-    concurrent shards never touch shared mutable state.  Because a
-    session's simulated time depends only on its own call sequence,
-    per-session results and simulated times are
-    **bit-identical for any worker count** — the concurrency parity
-    gate relies on this.
-
-``"shared"``
-    One integration server *per architecture*, shared by every session
-    of that architecture.  Sessions contend on the real shared state —
-    warm pool, result cache, statement cache, RMI channels, clock —
-    and correctness rests on the component locks.  Rows stay
-    deterministic (reads against static data, DML on session-private
-    scratch tables); timings do not (the clock interleaves).  This is
-    the stress-test mode.
+Every session of an architecture runs through one integration server,
+stamped once from the server's
+:class:`~repro.serving.template.SessionTemplate`.  Sessions contend on
+the real shared state — warm pool, result cache, statement cache, RMI
+channels, clock — and correctness rests on the component locks.  Rows
+stay deterministic (reads against static data, DML on session-private
+scratch tables); timings do not (the clock interleaves).  This is the
+MVCC stress path.  Isolated sessions, each on its own stamped server,
+run through :func:`repro.serving.shard.run_script` in the process
+shards of :class:`~repro.serving.router.ShardedIntegrationServer`.
 """
 
 from __future__ import annotations
@@ -140,7 +128,7 @@ class AdmissionController:
 
 
 class SessionManager:
-    """Owns session lifecycle and enforces the max-open-sessions gate."""
+    """Holds the open sessions and enforces the max-open-sessions gate."""
 
     def __init__(self, max_sessions: int = 64):
         if max_sessions < 1:
@@ -153,7 +141,7 @@ class SessionManager:
     def register(self, session: ClientSession) -> ClientSession:
         """Admit one session, enforcing the max-open-sessions gate."""
         with self._lock:
-            if len(self._open_ids()) >= self.max_sessions:
+            if len(self._sessions) >= self.max_sessions:
                 raise AdmissionError(
                     f"session limit reached: {self.max_sessions} open sessions"
                 )
@@ -165,39 +153,26 @@ class SessionManager:
             self.total_opened += 1
             return session
 
-    def _open_ids(self) -> list[int]:
-        return [sid for sid, s in self._sessions.items() if not s.closed]
-
-    def get(self, session_id: int) -> ClientSession:
-        """Look a session up by id (raises for unknown ids)."""
-        with self._lock:
-            if session_id not in self._sessions:
-                raise ServingError(f"unknown session id {session_id}")
-            return self._sessions[session_id]
-
     def close(self, session_id: int) -> None:
-        """Close one session, freeing its slot at the gate."""
+        """Close one session and drop it, freeing its slot at the gate
+        (an id no longer open is ignored, so closing twice is safe)."""
         with self._lock:
-            self.get(session_id).close()
+            session = self._sessions.pop(session_id, None)
+            if session is not None:
+                session.close()
 
     def close_all(self) -> None:
-        """Close every registered session (shutdown path)."""
+        """Close and drop every open session (shutdown path)."""
         with self._lock:
             for session in self._sessions.values():
                 session.close()
+            self._sessions.clear()
 
     @property
     def open_count(self) -> int:
-        """How many registered sessions are currently open."""
+        """How many sessions are currently open."""
         with self._lock:
-            return len(self._open_ids())
-
-    def summaries(self) -> list[SessionSummary]:
-        """Per-session aggregate summaries, ordered by session id."""
-        with self._lock:
-            return [
-                self._sessions[sid].summary() for sid in sorted(self._sessions)
-            ]
+            return len(self._sessions)
 
 
 @dataclass
@@ -243,14 +218,14 @@ class WorkloadRunResult:
 
 
 class ConcurrentIntegrationServer:
-    """Serve N client sessions over a bounded worker pool."""
+    """Serve N client sessions over a bounded worker pool, one shared
+    server per architecture."""
 
-    MODES = ("isolated", "shared")
+    MODE = "shared"
 
     def __init__(
         self,
         workers: int = 4,
-        mode: str = "isolated",
         max_sessions: int = 64,
         queue_limit: int | None = None,
         admission_policy: str = "block",
@@ -264,21 +239,13 @@ class ConcurrentIntegrationServer:
     ):
         if workers < 1:
             raise ServingError(f"workers must be >= 1, got {workers!r}")
-        if mode not in self.MODES:
-            raise ServingError(
-                f"mode must be one of {self.MODES}, got {mode!r}"
-            )
         self.workers = workers
-        self.mode = mode
-        # One read-only enterprise universe shared by every shard: each
-        # application system copies it into its private database, so the
-        # shared object is never mutated after generation.
         self.data = data if data is not None else generate_enterprise_data()
-        #: Stamps every session server.  ``heterogeneous`` attaches the
-        #: three heterogeneous source profiles (the battery-through-
-        #: serving suite needs the nicknames); ``setup_sql`` runs on each
-        #: fresh server before its script.  ``options`` with ``changes``
-        #: applied configures every session server (see ShardConfig).
+        #: Stamps the per-architecture servers.  ``heterogeneous``
+        #: attaches the three heterogeneous source profiles;
+        #: ``setup_sql`` runs on each server when it is stamped.
+        #: ``options`` with ``changes`` applied configures every server
+        #: (see ShardConfig).
         self.template = SessionTemplate(
             ShardConfig(
                 data=self.data,
@@ -319,28 +286,17 @@ class ConcurrentIntegrationServer:
         architecture: Architecture,
         faults: dict | None = None,
     ) -> ClientSession:
-        """Open one client session (sequential, in the caller's thread).
-
-        Isolated mode stamps the session's private server shard here, so
-        construction order — and therefore every shard's initial state —
-        is deterministic regardless of worker count.
-        """
+        """Open one client session on its architecture's shared server
+        (sequential, in the caller's thread).  ``faults`` arms that
+        server's fault harness, which every session behind it shares."""
         if self._closed:
             raise ServingError("server is shut down")
-        if self.mode == "isolated":
-            server = self.template.stamp(architecture, faults)
-            session = ClientSession(
-                session_id, architecture, server, isolated=True
-            )
-        else:
-            server = self._shared_server(architecture)
-            session = ClientSession(
-                session_id, architecture, server, isolated=False
-            )
-            if faults:
-                # On a shared server the fault harness is shared too.
-                server.configure_faults(**faults)
-        return self.sessions.register(session)
+        server = self._shared_server(architecture)
+        if faults:
+            server.configure_faults(**faults)
+        return self.sessions.register(
+            ClientSession(session_id, architecture, server)
+        )
 
     # -- workload execution -------------------------------------------------
 
@@ -348,15 +304,10 @@ class ConcurrentIntegrationServer:
         self, session: ClientSession, script: SessionScript
     ) -> list[float]:
         """Run one script to completion on a worker; returns latencies."""
-        latencies: list[float] = []
         try:
-            for call in script.calls:
-                started = time.perf_counter()
-                session.perform(call)
-                latencies.append(time.perf_counter() - started)
+            return session.run(script.calls)
         finally:
             self.admission.release()
-        return latencies
 
     def run_workload(
         self,
@@ -401,7 +352,7 @@ class ConcurrentIntegrationServer:
             wall_seconds = time.perf_counter() - wall_start
             return WorkloadRunResult(
                 workers=self.workers,
-                mode=self.mode,
+                mode=self.MODE,
                 wall_seconds=wall_seconds,
                 latencies=latencies,
                 row_sets={s.session_id: s.row_sets for s in sessions},
@@ -428,24 +379,16 @@ class ConcurrentIntegrationServer:
                     except Exception:
                         pass
             for session in sessions:
-                session.close()
+                self.sessions.close(session.session_id)
 
     # -- introspection & lifecycle ------------------------------------------
 
     def runtime_stats(self) -> dict[str, dict]:
-        """Consistent runtime counters: per shared architecture server in
-        shared mode, per session shard in isolated mode."""
-        if self.mode == "shared":
-            with self._shared_lock:
-                return {
-                    arch.value: server.machine.runtime_stats()
-                    for arch, server in self._shared_servers.items()
-                }
-        with self.sessions._lock:
+        """Runtime counters per shared architecture server."""
+        with self._shared_lock:
             return {
-                f"session_{sid}": self.sessions._sessions[sid]
-                .server.machine.runtime_stats()
-                for sid in sorted(self.sessions._sessions)
+                arch.value: server.machine.runtime_stats()
+                for arch, server in self._shared_servers.items()
             }
 
     @property

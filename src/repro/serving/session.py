@@ -1,17 +1,19 @@
 """One client's view of the concurrent integration server.
 
 A :class:`ClientSession` wraps an :class:`~repro.core.server
-.IntegrationServer` — its *own* isolated server in the default sharded
-mode (own machine, own virtual clock, own warm pool/caches), or a
-shared per-architecture server in shared mode — and gives the client:
+.IntegrationServer` — its *own* stamped server when
+:func:`repro.serving.shard.run_script` runs it (own machine, own virtual
+clock, own warm pool/caches), or a shared per-architecture server in
+:class:`~repro.serving.server.ConcurrentIntegrationServer` — and gives
+the client:
 
-* a per-session :class:`~repro.simtime.trace.TraceRecorder` (isolated
-  mode: recorded against the session's private clock);
+* a per-session :class:`~repro.simtime.trace.TraceRecorder`, recorded
+  against its server's clock;
 * a per-call log of rows and simulated elapsed time;
 * statement-level fault containment: an injected fault that aborts one
   statement is recorded against that call and the session continues —
   it never poisons another session's channels, pool entries or cache
-  namespaces (isolated sessions do not even share them).
+  namespaces (sessions on their own servers do not even share them).
 
 Calls within one session are strictly sequential (the serving layer
 drives each session from a single worker), so the session object itself
@@ -20,6 +22,7 @@ needs no locking beyond what the underlying stack provides.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.core.architectures import Architecture
@@ -69,13 +72,10 @@ class ClientSession:
         session_id: int,
         architecture: Architecture,
         server: IntegrationServer,
-        isolated: bool = True,
     ):
         self.session_id = session_id
         self.architecture = architecture
         self.server = server
-        self.isolated = isolated
-        """Whether this session owns its server (and thus its clock)."""
         self.trace = TraceRecorder(server.machine.clock)
         self.records: list[CallRecord] = []
         self.closed = False
@@ -165,14 +165,15 @@ class ClientSession:
             raise ValueError(f"unknown workload call kind {call.kind!r}")
         return self.records[-1]
 
-    def configure_faults(self, **kwargs) -> None:
-        """Arm the fault harness for this session.
-
-        Only meaningful on isolated sessions (each owns its machine and
-        injector); on a shared server this configures the *shared*
-        harness, affecting every session behind it.
-        """
-        self.server.configure_faults(**kwargs)
+    def run(self, calls: list[WorkloadCall]) -> list[float]:
+        """Perform ``calls`` in order; returns each call's wall latency
+        in seconds."""
+        latencies: list[float] = []
+        for call in calls:
+            started = time.perf_counter()
+            self.perform(call)
+            latencies.append(time.perf_counter() - started)
+        return latencies
 
     # -- introspection ------------------------------------------------------
 

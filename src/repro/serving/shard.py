@@ -5,10 +5,10 @@ the wire protocol of :mod:`repro.serving.wire`.  For every
 :class:`~repro.serving.wire.RunScript` frame it stamps a *fresh*
 isolated :class:`~repro.core.server.IntegrationServer` (own Database,
 Machine and VirtualClock) from the worker's
-:class:`~repro.serving.template.SessionTemplate`, drives the script
-through a :class:`~repro.serving.session.ClientSession` — the same
-containment and MVCC-retry semantics as the thread-mode serving layer —
-and ships the picklable outcome back as a
+:class:`~repro.serving.template.SessionTemplate`, runs the script with
+:func:`run_script` — through a :class:`~repro.serving.session
+.ClientSession`, with its statement-level fault containment and MVCC
+retries — and ships the picklable outcome back as a
 :class:`~repro.serving.wire.ScriptDone`.
 
 Because every session gets its own shard server stamped from the same
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
 from repro.serving.session import ClientSession
 from repro.serving.template import SessionTemplate, ShardConfig
@@ -45,24 +44,24 @@ from repro.serving.wire import (
 from repro.serving.workload import SessionScript
 
 
-def run_script(template: SessionTemplate, script: SessionScript) -> ClientSession:
-    """Run one script on a fresh stamped server; returns the session."""
+def run_script(
+    template: SessionTemplate, script: SessionScript
+) -> tuple[ClientSession, list[float]]:
+    """Run one script on a fresh server stamped from ``template``.
+
+    This is the one code path that runs an isolated session.  Returns
+    the closed session and the wall latency of each call, in seconds.
+    """
     server = template.stamp(script.architecture, script.faults)
-    session = ClientSession(
-        script.session_id, script.architecture, server, isolated=True
-    )
-    latencies: list[float] = []
-    for call in script.calls:
-        started = time.perf_counter()
-        session.perform(call)
-        latencies.append(time.perf_counter() - started)
+    session = ClientSession(script.session_id, script.architecture, server)
+    latencies = session.run(script.calls)
     session.close()
-    # Stash wall latencies on the session for the reply assembly.
-    session.wall_latencies = latencies  # type: ignore[attr-defined]
-    return session
+    return session, latencies
 
 
-def _script_done(request_id: int, session: ClientSession) -> ScriptDone:
+def _script_done(
+    request_id: int, session: ClientSession, latencies: list[float]
+) -> ScriptDone:
     """Assemble the picklable outcome frame for one finished session."""
     return ScriptDone(
         request_id=request_id,
@@ -70,7 +69,7 @@ def _script_done(request_id: int, session: ClientSession) -> ScriptDone:
         row_sets=session.row_sets,
         call_sim_ms=[record.simulated_ms for record in session.records],
         simulated_ms=session.simulated_time,
-        latencies=list(getattr(session, "wall_latencies", [])),
+        latencies=latencies,
         summary=session.summary(),
     )
 
@@ -96,7 +95,7 @@ def shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
             break
         if isinstance(message, RunScript):
             try:
-                session = run_script(template, message.script)
+                session, latencies = run_script(template, message.script)
             except Exception as exc:  # noqa: BLE001 - contained per script
                 send_frame(
                     conn,
@@ -109,7 +108,9 @@ def shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
                 )
             else:
                 completed += 1
-                send_frame(conn, _script_done(message.request_id, session))
+                send_frame(
+                    conn, _script_done(message.request_id, session, latencies)
+                )
         elif isinstance(message, Ping):
             send_frame(conn, Pong(token=message.token, completed=completed))
         elif isinstance(message, Shutdown):

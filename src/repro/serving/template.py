@@ -7,10 +7,11 @@ each such server would load the three application systems again and
 parse every statement its fresh databases meet again, although neither
 depends on the session.
 
-A :class:`SessionTemplate` keeps those things once per worker (a
-shard process, or a thread-mode :class:`~repro.serving.server
-.ConcurrentIntegrationServer`) and stamps each session's server from
-them:
+A :class:`SessionTemplate` keeps those things once per shard process
+and stamps each session's server from them; a session runs on its stamp
+through :func:`repro.serving.shard.run_script`.  (The shared-state
+:class:`~repro.serving.server.ConcurrentIntegrationServer` stamps one
+server per architecture from its own template.)  A template keeps:
 
 * a :class:`~repro.fdbs.session.ParseMap` that every database of every
   stamped server (the FDBS, the application systems' private databases,

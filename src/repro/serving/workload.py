@@ -96,8 +96,9 @@ class SessionScript:
     architecture: Architecture
     calls: list[WorkloadCall] = field(default_factory=list)
     faults: dict | None = None
-    """Optional fault configuration forwarded to the session's server
-    (isolated sessions only — each has its own injector)."""
+    """Optional fault configuration forwarded to the session's server.
+    A stamped server has its own injector; on a shared server it arms
+    the harness every session of the architecture shares."""
 
     @property
     def scratch_table(self) -> str:

@@ -1,25 +1,26 @@
 """Battery-through-serving: the differential corpus behind the router.
 
-Routes a seeded slice of the SQL battery corpus through both serving
-modes — the thread-pool :class:`ConcurrentIntegrationServer` and the
-process-sharded :class:`ShardedIntegrationServer` — one session per
-architecture, and asserts the same parity contract as
-``test_battery_shape.py``:
+Routes a seeded slice of the SQL battery corpus through the
+process-sharded :class:`ShardedIntegrationServer`, one session per
+architecture, and through :func:`~repro.serving.shard.run_script` in
+this process (the code each shard runs), and asserts the same parity
+contract as ``test_battery_shape.py``:
 
-* **rows exact** — per statement, each serving mode returns exactly the
-  rows the bare battery runner (``run_combo``) produced, and the two
-  serving modes agree bit-for-bit with each other;
+* **rows exact** — per statement, both runs return exactly the rows the
+  bare battery runner (``run_combo``) produced, and agree bit-for-bit
+  with each other;
 * **time tolerance** — per statement, simulated time matches the bare
   runner within ``TIME_TOLERANCE`` (cross-checking the serving layer
-  adds zero charged time), while thread vs process serving must agree
-  *exactly* (same stack both sides of the fork, so pickling over the
-  wire may not cost a bit);
+  adds zero charged time), while the in-process and the process run
+  must agree *exactly* (same stack both sides of the fork, so pickling
+  over the wire may not cost a bit);
 * **cross-architecture** — through serving, all four architectures
   still agree on rows (exact) and times (tolerance), mirroring the
   battery's architecture-parity gate.
 
 Setup (battery DDL, seed rows, RUNSTATS) rides at the head of each
-session script, so every isolated shard — thread or process — replays
+session script, so every stamped session server — in this process or a
+shard — replays
 the exact statement history of ``build_battery_scenario``.
 
 Deselected by default behind the ``proc`` marker.
@@ -30,7 +31,9 @@ import random
 import pytest
 
 from repro.appsys.datagen import generate_enterprise_data
-from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
+from repro.serving import ShardedIntegrationServer
+from repro.serving.shard import run_script
+from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import SessionScript, WorkloadCall
 
 from .generator import BATTERY_DDL, DEFAULT_SEED, battery_rows, generate_corpus
@@ -126,12 +129,16 @@ def reference(data, queries):
 
 
 @pytest.fixture(scope="module")
-def thread_run(data, queries):
+def in_process_run(data, queries):
+    """``run_script`` on one template, one session after another: the
+    row sets and per-call times by session."""
     scripts, _ = build_scripts(queries)
-    with ConcurrentIntegrationServer(
-        workers=2, data=data, heterogeneous=True
-    ) as server:
-        return server.run_workload(scripts)
+    template = SessionTemplate(ShardConfig(data=data, heterogeneous=True))
+    sessions = [run_script(template, script)[0] for script in scripts]
+    return (
+        {s.session_id: s.row_sets for s in sessions},
+        {s.session_id: [record.simulated_ms for record in s.records] for s in sessions},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -150,17 +157,20 @@ def test_slice_is_seeded_and_covers_the_families(queries):
     assert any(q.lateral for q in queries)
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("mode", ["in_process", "process"])
 def test_serving_matches_bare_battery_runner(
-    mode, thread_run, process_run, reference, queries
+    mode, in_process_run, process_run, reference, queries
 ):
     """Rows exact, per-statement time within tolerance, per architecture."""
-    run = thread_run if mode == "thread" else process_run
+    if mode == "process":
+        row_sets, call_sim_ms = process_run.row_sets, process_run.call_sim_ms
+    else:
+        row_sets, call_sim_ms = in_process_run
     _, fingerprints = build_scripts(queries)
     for session_id, architecture in enumerate(ARCHITECTURES):
         outcomes = reference[architecture]
-        rows = run.row_sets[session_id]
-        sims = run.call_sim_ms[session_id]
+        rows = row_sets[session_id]
+        sims = call_sim_ms[session_id]
         for i, query in enumerate(queries):
             rows_index, time_index = fingerprints[i]
             assert rows[rows_index] == outcomes[i].rows, (
@@ -172,11 +182,14 @@ def test_serving_matches_bare_battery_runner(
             )
 
 
-def test_thread_and_process_serving_bit_identical(thread_run, process_run):
+def test_in_process_and_process_serving_bit_identical(in_process_run, process_run):
     """The fork and the pickle round trip must not change one bit."""
-    assert process_run.row_sets == thread_run.row_sets
-    assert process_run.call_sim_ms == thread_run.call_sim_ms
-    assert process_run.simulated_ms == thread_run.simulated_ms
+    row_sets, call_sim_ms = in_process_run
+    assert process_run.row_sets == row_sets
+    assert process_run.call_sim_ms == call_sim_ms
+    assert process_run.simulated_ms == {
+        session_id: sum(sims) for session_id, sims in call_sim_ms.items()
+    }
 
 
 def test_architecture_parity_survives_serving(process_run, queries):

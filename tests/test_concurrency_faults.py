@@ -1,10 +1,11 @@
 """Fault injection × concurrency: failures stay inside their session.
 
-The fault harness and the serving layer compose: in isolated mode each
-session owns its machine — injector, RNG stream, retry policy, pool,
-channels — so one session's faults are invisible to every other
-session, and fault outcomes are as deterministic under 8 workers as
-under 1.  The suite asserts the ISSUE's three interaction guarantees:
+The fault harness and the serving layer compose: a session run through
+:func:`repro.serving.shard.run_script` owns the machine of its stamped
+server — injector, RNG stream, retry policy, pool, channels — so one
+session's faults are invisible to every other session, and fault
+outcomes are as deterministic from 4 threads as from 1.  The suite
+asserts three interaction guarantees:
 
 * concurrent WfMS sessions retry / forward-recover *independently* —
   every call completes, answers match the fault-free baseline;
@@ -19,13 +20,16 @@ import pytest
 
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
-from repro.serving.server import ConcurrentIntegrationServer
+from repro.fdbs.options import Options
+from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import SessionScript, WorkloadCall
 from repro.sysmodel.faults import (
     SITE_ACTIVITY_PROGRAM,
     SITE_FENCED_PROCESS,
     SITE_RMI_WFMS,
 )
+
+from tests.test_session_template import run_on_threads
 
 ANCHOR = "GetNoSuppComp"
 CALLS = 4
@@ -61,29 +65,27 @@ def anchor_script(session_id, architecture, faults=None, calls=CALLS):
     )
 
 
-def run_scripts(data, scripts, workers):
-    with ConcurrentIntegrationServer(
-        workers=workers, mode="isolated", data=data
-    ) as server:
-        return server.run_workload(scripts)
-
-
 @pytest.fixture(scope="module")
 def data():
     return generate_enterprise_data()
 
 
 @pytest.fixture(scope="module")
-def baseline_rows(data):
+def template(data):
+    return SessionTemplate(ShardConfig(data=data))
+
+
+@pytest.fixture(scope="module")
+def baseline_rows(template):
     """Fault-free anchor rows (one session, no faults)."""
-    result = run_scripts(data, [anchor_script(0, Architecture.WFMS)], workers=1)
-    rows = result.row_sets[0]
+    sessions = run_on_threads(template, [anchor_script(0, Architecture.WFMS)], 1)
+    rows = sessions[0].row_sets
     assert all(r for r in rows)
     return rows[0]
 
 
 class TestWfmsRecoveryUnderConcurrency:
-    def test_concurrent_sessions_recover_independently(self, data, baseline_rows):
+    def test_concurrent_sessions_recover_independently(self, template, baseline_rows):
         """Four faulty WfMS sessions side by side: each absorbs its own
         faults through retries/forward recovery and completes every call
         with the fault-free answer."""
@@ -91,30 +93,30 @@ class TestWfmsRecoveryUnderConcurrency:
             anchor_script(sid, Architecture.WFMS, faults=dict(WFMS_FAULTS))
             for sid in range(4)
         ]
-        result = run_scripts(data, scripts, workers=4)
+        sessions = run_on_threads(template, scripts, 4)
         for sid in range(4):
-            summary = result.summaries[sid]
+            summary = sessions[sid].summary()
             assert summary.aborted == 0, f"session {sid} lost a call to a fault"
             assert summary.calls == CALLS
-            for rows in result.row_sets[sid]:
+            for rows in sessions[sid].row_sets:
                 assert rows == baseline_rows
 
-    def test_recovery_outcome_independent_of_worker_count(self, data):
-        """Fault handling is per-session deterministic: 1 vs 4 workers
+    def test_recovery_outcome_independent_of_worker_count(self, template):
+        """Fault handling is per-session deterministic: 1 vs 4 threads
         give identical rows, aborts and simulated times."""
-        def scripts():
-            return [
-                anchor_script(sid, Architecture.WFMS, faults=dict(WFMS_FAULTS))
-                for sid in range(4)
-            ]
+        scripts = [
+            anchor_script(sid, Architecture.WFMS, faults=dict(WFMS_FAULTS))
+            for sid in range(4)
+        ]
 
-        sequential = run_scripts(data, scripts(), workers=1)
-        concurrent = run_scripts(data, scripts(), workers=4)
-        assert concurrent.row_sets == sequential.row_sets
-        assert concurrent.simulated_ms == sequential.simulated_ms
-        assert {s: v.aborted for s, v in concurrent.summaries.items()} == {
-            s: v.aborted for s, v in sequential.summaries.items()
-        }
+        def outcomes(workers):
+            sessions = run_on_threads(template, scripts, workers)
+            return {
+                sid: (s.row_sets, s.simulated_time, s.summary().aborted)
+                for sid, s in sessions.items()
+            }
+
+        assert outcomes(4) == outcomes(1)
 
 
 class TestUdtfAbortContainment:
@@ -123,19 +125,19 @@ class TestUdtfAbortContainment:
         [Architecture.ENHANCED_SQL_UDTF, Architecture.ENHANCED_JAVA_UDTF],
     )
     def test_abort_hits_only_the_faulty_statement(
-        self, data, baseline_rows, architecture
+        self, template, baseline_rows, architecture
     ):
         """The dying fenced process aborts statement one; the session
         survives and every later call returns correct rows."""
         script = anchor_script(0, architecture, faults=dict(UDTF_FAULTS))
-        result = run_scripts(data, [script], workers=1)
-        rows = result.row_sets[0]
+        session = run_on_threads(template, [script], 1)[0]
+        rows = session.row_sets
         assert rows[0] is None, "the injected fault did not abort the statement"
-        assert result.summaries[0].aborted == 1
+        assert session.summary().aborted == 1
         for later in rows[1:]:
             assert later == baseline_rows
 
-    def test_sibling_sessions_never_see_the_abort(self, data, baseline_rows):
+    def test_sibling_sessions_never_see_the_abort(self, template, baseline_rows):
         """One faulty UDTF session among three clean ones, concurrently:
         only the faulty session records an abort."""
         scripts = [
@@ -144,59 +146,57 @@ class TestUdtfAbortContainment:
             anchor_script(2, Architecture.ENHANCED_JAVA_UDTF),
             anchor_script(3, Architecture.WFMS),
         ]
-        result = run_scripts(data, scripts, workers=4)
-        assert result.summaries[0].aborted == 1
+        sessions = run_on_threads(template, scripts, 4)
+        assert sessions[0].summary().aborted == 1
         for sid in (1, 2, 3):
-            assert result.summaries[sid].aborted == 0
-            for rows in result.row_sets[sid]:
+            assert sessions[sid].summary().aborted == 0
+            for rows in sessions[sid].row_sets:
                 assert rows == baseline_rows
 
 
 class TestFaultIsolation:
-    def test_faulty_neighbor_changes_nothing_for_clean_session(self, data):
+    def test_faulty_neighbor_changes_nothing_for_clean_session(self, template):
         """A clean session's rows AND simulated time are bit-identical
         whether it runs alone or next to a heavily faulty session —
         channels, pools, caches and RNG streams are per-session."""
-        alone = run_scripts(
-            data, [anchor_script(1, Architecture.ENHANCED_SQL_UDTF)], workers=1
-        )
+        alone = run_on_threads(template, [anchor_script(1, Architecture.ENHANCED_SQL_UDTF)], 1)
         heavy_faults = {
             "enabled": True,
             "seed": 7,
             "sites": {SITE_FENCED_PROCESS: 1.0, SITE_RMI_WFMS: 1.0},
         }
-        paired = run_scripts(
-            data,
+        paired = run_on_threads(
+            template,
             [
                 anchor_script(
                     0, Architecture.ENHANCED_SQL_UDTF, faults=heavy_faults
                 ),
                 anchor_script(1, Architecture.ENHANCED_SQL_UDTF),
             ],
-            workers=2,
+            2,
         )
-        assert paired.summaries[0].aborted == CALLS, (
+        assert paired[0].summary().aborted == CALLS, (
             "the faulty session should abort every call at probability 1"
         )
-        assert paired.row_sets[1] == alone.row_sets[1]
-        assert paired.simulated_ms[1] == alone.simulated_ms[1]
-        assert paired.summaries[1].aborted == 0
+        assert paired[1].row_sets == alone[1].row_sets
+        assert paired[1].simulated_time == alone[1].simulated_time
+        assert paired[1].summary().aborted == 0
 
     def test_faulty_session_pool_eviction_is_private(self, data):
         """The fenced-process death evicts the *faulty* session's pooled
         runtime, not the neighbor's."""
-        with ConcurrentIntegrationServer(
-            workers=2, mode="isolated", data=data, pooling=True
-        ) as server:
-            server.run_workload(
-                [
-                    anchor_script(
-                        0, Architecture.ENHANCED_SQL_UDTF, faults=dict(UDTF_FAULTS)
-                    ),
-                    anchor_script(1, Architecture.ENHANCED_SQL_UDTF),
-                ]
-            )
-            stats = server.runtime_stats()
-        assert stats["session_0"]["runtime_pool"]["fault_evictions"] >= 1
-        assert stats["session_1"]["runtime_pool"]["fault_evictions"] == 0
-        assert stats["session_1"]["faults"]["injected_total"] == 0
+        pooled = SessionTemplate(ShardConfig(data=data, options=Options(pooling=True)))
+        sessions = run_on_threads(
+            pooled,
+            [
+                anchor_script(
+                    0, Architecture.ENHANCED_SQL_UDTF, faults=dict(UDTF_FAULTS)
+                ),
+                anchor_script(1, Architecture.ENHANCED_SQL_UDTF),
+            ],
+            2,
+        )
+        stats = {sid: s.server.machine.runtime_stats() for sid, s in sessions.items()}
+        assert stats[0]["runtime_pool"]["fault_evictions"] >= 1
+        assert stats[1]["runtime_pool"]["fault_evictions"] == 0
+        assert stats[1]["faults"]["injected_total"] == 0

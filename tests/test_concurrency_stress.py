@@ -1,13 +1,15 @@
 """Stress suite: many sessions hammering one *shared* server stack.
 
-Shared mode is the adversarial configuration: every session of an
-architecture runs through one :class:`IntegrationServer` — one clock,
-one warm pool, one result cache, one statement cache, one pair of RMI
-channels — so correctness rests entirely on the component locks and the
-statement-level serialization of the FDBS.  The suite asserts:
+The shared-state :class:`ConcurrentIntegrationServer` is the adversarial
+configuration: every session of an architecture runs through one
+:class:`IntegrationServer` — one clock, one warm pool, one result cache,
+one statement cache, one pair of RMI channels — so correctness rests
+entirely on the component locks and the statement-level serialization
+of the FDBS.  The suite asserts:
 
 * row correctness — every session's rows are bit-identical to the same
-  script run on an isolated shard (timings may interleave, rows not);
+  script replayed on its own bare server (timings may interleave, rows
+  not);
 * counter conservation — interleaving-invariant totals (RMI hops,
   pool acquires, statement-cache lookups) are identical between a
   1-worker and an 8-worker run of the same workload: a lost or
@@ -15,9 +17,12 @@ statement-level serialization of the FDBS.  The suite asserts:
 * bounded-time joins — runs complete inside an explicit timeout, so a
   deadlock (e.g. a lock-ordering bug) fails fast instead of hanging;
 * admission control — the block policy applies backpressure and the
-  reject policy raises, with exact accounting.
+  reject policy raises, with exact accounting;
+* session lifecycle — a closed session leaves the registry, so one
+  workload runs twice on one server.
 """
 
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -34,6 +39,8 @@ from repro.serving.server import (
 from repro.serving.session import ClientSession
 from repro.serving.workload import make_workload
 
+from tests.test_concurrent_parity import drive_bare
+
 SEED = 8181
 JOIN_TIMEOUT = 90.0
 
@@ -43,10 +50,10 @@ def data():
     return generate_enterprise_data()
 
 
-def run_mode(data, mode, workers, seed=SEED, sessions=8, calls=6):
+def run_shared(data, workers, seed=SEED, sessions=8, calls=6):
     scripts = make_workload(seed=seed, sessions=sessions, calls_per_session=calls)
     with ConcurrentIntegrationServer(
-        workers=workers, mode=mode, data=data, pooling=True
+        workers=workers, data=data, pooling=True
     ) as server:
         result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
         stats = server.runtime_stats()
@@ -55,17 +62,21 @@ def run_mode(data, mode, workers, seed=SEED, sessions=8, calls=6):
 
 class TestSharedServerStress:
     def test_rows_bit_identical_to_isolated_baseline(self, data):
-        """Contention may reorder work, never change any session's rows."""
-        expected, _ = run_mode(data, "isolated", workers=1)
-        result, _ = run_mode(data, "shared", workers=8)
-        assert result.row_sets == expected.row_sets
-        assert result.calls == expected.calls
+        """Contention may reorder work, never change any session's rows:
+        each equals its script replayed alone on a bare server."""
+        expected = {
+            script.session_id: drive_bare(data, script)[0]
+            for script in make_workload(seed=SEED, sessions=8, calls_per_session=6)
+        }
+        result, _ = run_shared(data, workers=8)
+        assert result.row_sets == expected
+        assert result.calls == sum(len(rows) for rows in expected.values())
 
     def test_repeated_runs_are_stable(self, data):
         """Three fresh shared runs must agree row-for-row: zero flakes."""
-        first, _ = run_mode(data, "shared", workers=8)
+        first, _ = run_shared(data, workers=8)
         for _ in range(2):
-            again, _ = run_mode(data, "shared", workers=8)
+            again, _ = run_shared(data, workers=8)
             assert again.row_sets == first.row_sets
 
     def test_no_lost_or_duplicated_counter_updates(self, data):
@@ -78,8 +89,8 @@ class TestSharedServerStress:
         *splits* legitimately depend on interleaving — only sums are
         compared.)
         """
-        _, stats_seq = run_mode(data, "shared", workers=1)
-        _, stats_conc = run_mode(data, "shared", workers=8)
+        _, stats_seq = run_shared(data, workers=1)
+        _, stats_conc = run_shared(data, workers=8)
         assert stats_seq.keys() == stats_conc.keys()
         for arch in stats_seq:
             seq, conc = stats_seq[arch], stats_conc[arch]
@@ -101,7 +112,7 @@ class TestSharedServerStress:
         def totals(workers):
             scripts = make_workload(seed=SEED, sessions=8, calls_per_session=6)
             with ConcurrentIntegrationServer(
-                workers=workers, mode="shared", data=data
+                workers=workers, data=data
             ) as server:
                 server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
                 return {
@@ -119,7 +130,7 @@ class TestSharedServerStress:
         scripts = make_workload(seed=SEED + 1, sessions=16, calls_per_session=8)
         expected_calls = sum(len(s.calls) for s in scripts)
         with ConcurrentIntegrationServer(
-            workers=8, mode="shared", data=data, pooling=True, result_cache=True
+            workers=8, data=data, pooling=True, result_cache=True
         ) as server:
             result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
         assert result.calls == expected_calls
@@ -130,7 +141,7 @@ class TestSharedServerStress:
         """N raw threads × M calls against ONE shared server: every call
         returns the sequential answer."""
         with ConcurrentIntegrationServer(
-            workers=4, mode="shared", data=data
+            workers=4, data=data
         ) as server:
             shared = server._shared_server(Architecture.WFMS)
             expected = shared.call("GetNoSuppComp", "gearbox")
@@ -199,7 +210,6 @@ class TestAdmissionControl:
         scripts = make_workload(seed=SEED, sessions=6, calls_per_session=2)
         with ConcurrentIntegrationServer(
             workers=1,
-            mode="shared",
             data=data,
             queue_limit=0,
             admission_policy="reject",
@@ -212,7 +222,7 @@ class TestSessionManager:
     def test_max_sessions_gate(self, data):
         manager = SessionManager(max_sessions=2)
         with ConcurrentIntegrationServer(
-            workers=1, mode="shared", data=data
+            workers=1, data=data
         ) as server:
             shared = server._shared_server(Architecture.WFMS)
             manager.register(ClientSession(0, Architecture.WFMS, shared))
@@ -223,3 +233,21 @@ class TestSessionManager:
             manager.register(ClientSession(3, Architecture.WFMS, shared))
             assert manager.open_count == 2
             assert manager.total_opened == 3
+
+    def test_closed_sessions_leave_the_registry(self, data):
+        """One read workload twice on one server: the second run's
+        sessions reuse the first run's ids, and both equal bare."""
+        scripts = [
+            dataclasses.replace(script, calls=script.calls[1:])  # no scratch table
+            for script in make_workload(
+                seed=SEED, sessions=4, calls_per_session=4, dml_fraction=0.0
+            )
+        ]
+        expected = {script.session_id: drive_bare(data, script)[0] for script in scripts}
+        with ConcurrentIntegrationServer(workers=2, data=data) as server:
+            for _ in range(2):
+                result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
+                assert result.row_sets == expected
+                assert server.sessions.open_count == 0
+                assert server.sessions._sessions == {}
+            assert server.sessions.total_opened == 2 * len(scripts)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanError
+from repro.fdbs.engine import Database
 from repro.fdbs.session import Result, StatementCache
 
 
@@ -48,10 +49,24 @@ class TestStatementCache:
         assert cache.get("SELECT 1") == "plan"
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_whitespace_insensitive_keys(self):
-        cache = StatementCache()
-        cache.put("SELECT  1\n FROM t", "plan")
-        assert cache.get("SELECT 1 FROM t") == "plan"
+    def test_literal_blanks_are_part_of_the_key(self):
+        """Texts that differ only in blanks are different statements:
+        inside a literal or a quoted identifier, or around the end of a
+        ``--`` comment, blanks change what a statement means."""
+        db = Database("blanks")
+        db.execute('CREATE TABLE t (s VARCHAR(10), "a  b" INT, "a b" INT)')
+        db.execute("INSERT INTO t VALUES ('a  b', 1, 2), ('a b', 3, 4)")
+        for _ in range(3):  # cold, first hit, cached plan
+            assert db.execute("SELECT s FROM t WHERE s = 'a  b'").rows == [("a  b",)]
+            assert db.execute("SELECT s FROM t WHERE s = 'a b'").rows == [("a b",)]
+            assert db.execute('SELECT "a  b" FROM t ORDER BY 1').rows == [(1,), (3,)]
+            assert db.execute('SELECT "a b" FROM t ORDER BY 1').rows == [(2,), (4,)]
+            assert db.execute('SELECT s -- c\n, "a b" FROM t ORDER BY 1').rows == [
+                ("a  b", 2),
+                ("a b", 4),
+            ]
+        with pytest.raises(PlanError):  # the comment runs to the end: no FROM
+            db.execute('SELECT s -- c , "a b" FROM t ORDER BY 1')
 
     def test_lru_eviction(self):
         cache = StatementCache(capacity=2)

@@ -5,10 +5,11 @@
   key, changing any other field does not.
 * Every invalid value raises ``ExecutionError`` with the message the old
   per-knob setters raised.
-* Both serving servers stamp their sessions from the same object: the
-  thread server's sessions carry it, and the process server's
+* Both serving servers stamp their servers from the same object: the
+  thread server's shared servers carry it, and the process server's
   ``ShardConfig`` carries it across ``pickle`` (the ``proc`` case runs
-  real worker processes and compares them with thread serving).
+  real worker processes and compares them with ``run_script`` on a
+  template built from the shipped config, in this process).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.errors import ExecutionError
 from repro.fdbs.engine import Database
 from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
+from repro.serving.shard import run_script
 from repro.serving.template import SessionTemplate
 from repro.serving.workload import make_workload
 from repro.sysmodel.machine import Machine
@@ -174,9 +176,11 @@ def test_process_server_stamps_from_the_same_options(data):
     # What a worker receives and stamps from.
     shipped = pickle.loads(pickle.dumps(config))
     assert shipped == config
-    stamped = SessionTemplate(shipped).stamp(Architecture.ENHANCED_SQL_UDTF)
+    template = SessionTemplate(shipped)
+    stamped = template.stamp(Architecture.ENHANCED_SQL_UDTF)
     assert stamped.fdbs.options == SERVING_OPTIONS
-    with ConcurrentIntegrationServer(workers=2, data=data, options=SERVING_OPTIONS) as server:
-        thread_result = server.run_workload(scripts())
-    assert process_result.row_sets == thread_result.row_sets
-    assert process_result.call_sim_ms == thread_result.call_sim_ms
+    sessions = [run_script(template, script)[0] for script in scripts()]
+    assert process_result.row_sets == {s.session_id: s.row_sets for s in sessions}
+    assert process_result.call_sim_ms == {
+        s.session_id: [record.simulated_ms for record in s.records] for s in sessions
+    }

@@ -21,7 +21,7 @@ from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
 from repro.errors import StatementAbortedError
-from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
+from repro.serving import ShardedIntegrationServer
 from repro.serving.workload import DEFAULT_ARCHITECTURES, make_workload
 
 pytestmark = pytest.mark.proc
@@ -114,16 +114,6 @@ def test_shard_counts_bit_identical_to_each_other(process_runs):
         assert other.row_sets == one.row_sets
         assert other.simulated_ms == one.simulated_ms
         assert other.call_sim_ms == one.call_sim_ms
-
-
-def test_process_mode_matches_thread_mode(process_runs, data):
-    """Thread pool and process shards are the same serving contract."""
-    with ConcurrentIntegrationServer(workers=2, data=data) as server:
-        thread_result = server.run_workload(scripts())
-    process_result = process_runs[2]
-    assert process_result.row_sets == thread_result.row_sets
-    assert process_result.simulated_ms == thread_result.simulated_ms
-    assert process_result.call_sim_ms == thread_result.call_sim_ms
 
 
 def test_routing_is_deterministic_and_total(process_runs):

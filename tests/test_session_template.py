@@ -9,12 +9,15 @@ simulated times are those of a bare ``build_scenario`` server, whatever
 sessions ran on the template before it.  Writes through a local
 function or to a scratch table stay in their own session, faults stay
 in their own injector, and a shared statement AST is never changed by
-executing it.
+executing it.  Sessions run through :func:`repro.serving.shard.run_script`,
+the one code path that runs an isolated session, one after another or
+from several threads on one template.
 
 The ``proc`` cases at the end run the same checks through process
 shards (deselected by default; run with ``-m proc``).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -25,7 +28,7 @@ from repro.core.scenario import build_scenario
 from repro.fdbs.options import Options
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.session import ParseMap
-from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
+from repro.serving import ShardedIntegrationServer
 from repro.serving.session import ClientSession
 from repro.serving.shard import run_script
 from repro.serving.template import SessionTemplate, ShardConfig
@@ -33,6 +36,9 @@ from repro.serving.workload import SessionScript, WorkloadCall, make_workload
 from repro.sysmodel.faults import SITE_ACTIVITY_PROGRAM, SITE_LOCAL_FUNCTION
 
 DATA = generate_enterprise_data()
+
+#: Seconds a threaded run may take before the test fails.
+JOIN_TIMEOUT = 120.0
 
 #: ACME Industrial is supplier 1234.
 SET_QUALITY = WorkloadCall("sql", "SELECT * FROM TABLE (SetQuality(?, ?)) AS R", (1234, 2))
@@ -72,8 +78,9 @@ def bare(script, config=None):
         script.architecture,
         data=DATA,
         faults=script.faults,
-        optimizer=config.options.optimizer,
         heterogeneous=config.heterogeneous,
+        options=config.options,
+        execution_mode="row",
     ).server
     for statement in config.setup_sql:
         server.fdbs.execute(statement)
@@ -84,11 +91,21 @@ def bare(script, config=None):
     return outcome(session)
 
 
+def run_on_threads(template, scripts, workers):
+    """Run ``scripts`` through ``run_script`` on one template from
+    ``workers`` threads; returns the sessions by id."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = list(
+            pool.map(lambda script: run_script(template, script), scripts, timeout=JOIN_TIMEOUT)
+        )
+    return {session.session_id: session for session, _ in runs}
+
+
 def assert_sessions_equal_bare(template, scripts):
     """Run ``scripts`` in order on one template; each must equal bare."""
     for script in scripts:
-        got = outcome(run_script(template, script))
-        assert got == bare(script, template.config), script.session_id
+        session, _ = run_script(template, script)
+        assert outcome(session) == bare(script, template.config), script.session_id
 
 
 @pytest.fixture
@@ -105,8 +122,8 @@ class TestSessionsEqualBare:
             SessionScript(4, Architecture.WFMS, [SUPP_QUAL, BUY]),
         ]
         assert_sessions_equal_bare(template, scripts)
-        first = run_script(template, scripts[0]).row_sets
-        second = run_script(template, scripts[1]).row_sets
+        first = run_script(template, scripts[0])[0].row_sets
+        second = run_script(template, scripts[1])[0].row_sets
         assert first[1] == [(2,)] and second[0] != [(2,)]
 
     def test_template_tables_are_never_written(self, template):
@@ -152,7 +169,7 @@ class TestSessionsEqualBare:
             SessionScript(10, Architecture.WFMS, [SUPP_QUAL, BUY, SUPP_QUAL]),
         ]
         assert_sessions_equal_bare(template, scripts)
-        aborted = run_script(template, scripts[1]).summary().aborted
+        aborted = run_script(template, scripts[1])[0].summary().aborted
         assert aborted > 0  # the faults did fire
 
     def test_seeded_workload_with_setup_and_columnar_mode(self):
@@ -189,14 +206,12 @@ class TestSessionsEqualBare:
             Architecture.SIMPLE_UDTF, data=DATA
         ).server.stock.call("GetQuality", 1234)
 
-    def test_thread_mode_serving_equals_bare(self):
+    def test_thread_mode_serving_equals_bare(self, template):
+        """Sessions run from three threads on one template equal bare."""
         scripts = make_workload(seed=5, sessions=8, calls_per_session=5, dml_fraction=0.3)
-        with ConcurrentIntegrationServer(workers=3, data=DATA) as server:
-            result = server.run_workload(scripts)
+        sessions = run_on_threads(template, scripts, workers=3)
         for script in scripts:
-            rows, sims = bare(script)
-            assert result.row_sets[script.session_id] == rows
-            assert result.call_sim_ms[script.session_id] == sims
+            assert outcome(sessions[script.session_id]) == bare(script)
 
 
 class TestParseMap:

@@ -12,7 +12,10 @@ statement text.  The contract pinned here:
   with different schemas never share a plan, and every field of every
   catalog definition moves ``schema_key``;
 * a session that adopts plans returns the rows, simulated times and
-  runtime counters of a fresh build;
+  runtime counters of a fresh build, also when threads stamp, build,
+  store and adopt on one template at once;
+* texts that differ only in a literal's blanks are different
+  statements, in the statement cache and in the map;
 * the map holds plans, not databases: a dropped session is freed;
 * the map's bound holds with plans in it;
 * a second pass over one template plans nothing and builds no index.
@@ -51,16 +54,20 @@ from repro.fdbs.planner import Planner
 from repro.fdbs.session import ParseMap
 from repro.fdbs.storage import Table
 from repro.fdbs.types import INTEGER, VARCHAR
-from repro.serving import ConcurrentIntegrationServer
 from repro.serving.shard import run_script
 from repro.serving.template import SessionTemplate, ShardConfig
-from repro.serving.workload import make_profile_workload, make_workload
+from repro.serving.workload import SessionScript, make_profile_workload, make_workload
 from repro.udtf.sql_iudtf import create_sql_iudtf
 
-from tests.test_session_template import DATA, bare, outcome
-
-#: Seconds a threaded workload may take before the test fails.
-JOIN_TIMEOUT = 120.0
+from tests.test_session_template import (
+    BUY,
+    DATA,
+    FAULTS,
+    SUPP_QUAL,
+    bare,
+    outcome,
+    run_on_threads,
+)
 
 BODY = parse_statement("SELECT 1 FROM t")
 OTHER_BODY = parse_statement("SELECT 2 FROM t")
@@ -231,21 +238,20 @@ class TestAdoption:
         assert stats[0]["joins"]["joins_hash"] == 2  # built, then adopted on the hit
         assert stats[0]["statement_cache"]["plan_hits"] == 2
 
-    def test_a_hit_by_a_text_normalised_alike_shares_under_its_parsed_text(self):
-        """Texts that differ only in a literal's blanks share one
-        statement-cache entry, and so one tree.  The shared plan is keyed
-        by the text that tree was parsed from, so another session running
-        the second text cold gets its rows, as a bare build does."""
+    def test_texts_differing_in_literal_blanks_never_share_a_plan(self):
+        """Blanks inside a literal change the statement, so each text
+        keeps its own cache entry and shared plan: two sessions on one
+        map return what a bare build does, cold, on the first hit and
+        from the cached plan."""
         first, second = (server.fdbs for server in two_sessions())
         plain = Database("plain")
         for db in (first, second, plain):
             db.execute("CREATE TABLE t (s VARCHAR(10))")
             db.execute("INSERT INTO t VALUES ('a  b'), ('a b')")
-        first.execute("SELECT s FROM t WHERE s = 'a  b'")
-        first.execute("SELECT s FROM t WHERE s = 'a b'")  # hit: the first tree
-        query = "SELECT s FROM t WHERE s = 'a b'"
-        for _ in range(3):  # cold, first hit, cached
-            assert second.execute(query).rows == plain.execute(query).rows == [("a b",)]
+        for _ in range(3):
+            for db in (first, second, plain):
+                assert db.execute("SELECT s FROM t WHERE s = 'a  b'").rows == [("a  b",)]
+                assert db.execute("SELECT s FROM t WHERE s = 'a b'").rows == [("a b",)]
 
     def test_plans_read_from_statistics_are_not_shared(self):
         parses = ParseMap(64)
@@ -350,7 +356,8 @@ class TestSecondPass:
         passes = []
         for _ in range(2):
             counts.update(plan=0, index=0)
-            passes.append(([outcome(run_script(template, s)) for s in scripts], dict(counts)))
+            sessions = [run_script(template, script)[0] for script in scripts]
+            passes.append(([outcome(session) for session in sessions], dict(counts)))
         (first, first_counts), (second, second_counts) = passes
         assert first_counts["index"] == 0 and first_counts["plan"] > 0
         assert second_counts == {"plan": 0, "index": 0}
@@ -358,24 +365,31 @@ class TestSecondPass:
 
 
 class TestThreadServing:
-    def test_one_server_run_twice_equals_bare_both_times(self):
-        """Worker threads (more than cores, switching often) build,
-        store and adopt plans in one map at once; every session still
-        equals bare."""
+    def test_one_template_from_threads_equals_bare(self):
+        """Four threads, switching often, stamp sessions from one
+        template and build, store and adopt plans in its map at once:
+        all four architectures, with faults and with pooling, forward
+        and then in reverse order.  Every session equals the bare stack
+        in rows, per-call and total simulated ms."""
+        config = ShardConfig(data=DATA, options=Options(pooling=True))
+        template = SessionTemplate(config)
         scripts = make_workload(seed=13, sessions=8, calls_per_session=5, dml_fraction=0.3)
-        expected = {script.session_id: bare(script) for script in scripts}
+        scripts += [
+            SessionScript(100 + i, architecture, [SUPP_QUAL, BUY, SUPP_QUAL], faults=FAULTS)
+            for i, architecture in enumerate(Architecture)
+        ]
+        expected = {script.session_id: bare(script, config) for script in scripts}
+        assert len({script.architecture for script in scripts}) == 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ConcurrentIntegrationServer(workers=4, data=DATA) as server:
-                for offset in (0, 100):  # session ids are unique per server
-                    again = [
-                        dataclasses.replace(script, session_id=script.session_id + offset)
-                        for script in scripts
-                    ]
-                    result = server.run_workload(again, join_timeout=JOIN_TIMEOUT)
-                    for session_id, (rows, sims) in expected.items():
-                        assert result.row_sets[session_id + offset] == rows
-                        assert result.call_sim_ms[session_id + offset] == sims
+            for order in (scripts, scripts[::-1]):
+                sessions = run_on_threads(template, order, workers=4)
+                for session_id, (rows, sims) in expected.items():
+                    session = sessions[session_id]
+                    assert outcome(session) == (rows, sims), session_id
+                    assert session.simulated_time == sum(sims)
+            for i in range(4):  # the faults did fire
+                assert sessions[100 + i].server.machine.runtime_stats()["faults"]["injected_total"]
         finally:
             sys.setswitchinterval(interval)
