@@ -21,7 +21,8 @@
 #     on injected RMI sleeps, not CPU speedups),
 #  5. process-sharded parity (same workload at 1/2/4 OS worker
 #     processes => bit-identical per-session rows and simulated times
-#     to the bare stack; worker-kill fault battery;
+#     to the bare stack; worker-kill fault battery, respawn from the
+#     caller a crash woke, a failing collector thread;
 #     battery-through-serving differential slice, in-process run_script
 #     and process shards bit-identical; serving teardown/accounting
 #     regressions; wire + hash-ring unit suite; session templates:
@@ -56,7 +57,8 @@
 #     layout name lookups equal the linear scan; each table version's
 #     column chunks, tail included, are built once and reproduce its
 #     rows and zone maps after any DML),
-#  8. calibration regression (the frozen Fig. 5/6 anchor numbers),
+#  8. calibration regression (the frozen Fig. 5/6 anchor numbers, and
+#     the golden Fig. 6 span trees of every architecture),
 #  9. SQL front end (tokens start at their positions, render -> parse
 #     round trips over the battery corpus, exact lexer-error positions,
 #     fuzzing, expression precedence and `?` marker numbering),
@@ -208,7 +210,7 @@ python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
     tests/test_compile_once.py tests/test_version_chunks.py tests/test_value_key.py
 
 echo "== calibration regression =="
-python -m pytest -q tests/test_calibration_regression.py
+python -m pytest -q tests/test_calibration_regression.py tests/test_trace_golden.py
 
 echo "== SQL front end =="
 python -m pytest -q tests/test_sql_frontend.py tests/test_fdbs_lexer.py \

@@ -29,7 +29,6 @@ from repro.fdbs.engine import Database
 from repro.fdbs.functions import normalize_rows
 from repro.fdbs.session import ParseMap
 from repro.fdbs.types import SqlType, coercer
-from repro.simtime.trace import TraceRecorder, maybe_span
 from repro.sysmodel.faults import SITE_LOCAL_FUNCTION
 from repro.sysmodel.machine import Machine
 
@@ -188,12 +187,7 @@ class ApplicationSystem:
 
     # -- the one public access path ------------------------------------------------------
 
-    def call(
-        self,
-        name: str,
-        *args: object,
-        trace: TraceRecorder | None = None,
-    ) -> list[tuple]:
+    def call(self, name: str, *args: object) -> list[tuple]:
         """Invoke a predefined function; returns its result rows."""
         function = self.function(name)
         if len(args) != len(function.params):
@@ -217,29 +211,23 @@ class ApplicationSystem:
             if cached is not None:
                 # Served from integration-server memory: the application
                 # system is not invoked (call_count stays put).
-                with maybe_span(trace, "Process activities"):
-                    machine.clock.advance(machine.costs.result_cache_hit_cost)
+                machine.clock.advance(machine.costs.result_cache_hit_cost)
                 return cached
         self.call_count += 1
-        with maybe_span(trace, "Process activities"):
-            if machine is not None:
-                machine.ensure_appsys(self.name)
-                if machine.fault_injector.should_fail(SITE_LOCAL_FUNCTION):
-                    machine.clock.advance(machine.costs.fault_detection)
-                    raise LocalFunctionFaultError(
-                        SITE_LOCAL_FUNCTION,
-                        f"{self.name}.{function.name} failed inside the "
-                        "application system",
-                    )
-                machine.clock.advance(machine.costs.local_function_base)
-            rows = normalize_rows(
-                function.implementation(*coerced), f"{self.name}.{name}"
-            )
-            rows = self._coerce_rows(function, rows)
-            if machine is not None and rows:
-                machine.clock.advance(
-                    machine.costs.local_function_row_cost * len(rows)
+        if machine is not None:
+            machine.ensure_appsys(self.name)
+            if machine.fault_injector.should_fail(SITE_LOCAL_FUNCTION):
+                machine.clock.advance(machine.costs.fault_detection)
+                raise LocalFunctionFaultError(
+                    SITE_LOCAL_FUNCTION,
+                    f"{self.name}.{function.name} failed inside the "
+                    "application system",
                 )
+            machine.clock.advance(machine.costs.local_function_base)
+        rows = normalize_rows(function.implementation(*coerced), f"{self.name}.{name}")
+        rows = self._coerce_rows(function, rows)
+        if machine is not None and rows:
+            machine.clock.advance(machine.costs.local_function_row_cost * len(rows))
         if machine is not None:
             if function.mutates:
                 machine.result_cache.invalidate_owner(self.name)

@@ -29,7 +29,7 @@ from repro.fdbs.options import Options
 from repro.fdbs.session import ParseMap
 from repro.simtime.costs import CostModel
 from repro.simtime.rng import JitterSource
-from repro.simtime.trace import TraceRecorder
+from repro.simtime.trace import ACTIVE_RECORDER, TraceRecorder
 from repro.sysmodel.machine import Machine
 from repro.udtf.access import register_access_udtfs
 from repro.udtf.procedural import register_procedural_iudtf
@@ -189,7 +189,11 @@ class IntegrationServer:
         *args: object,
         trace: TraceRecorder | None = None,
     ) -> list[tuple]:
-        """Invoke a deployed federated function through the FDBS."""
+        """Invoke a deployed federated function through the FDBS.
+
+        ``trace`` is the active recorder for the duration of the call:
+        every layer the call crosses records its Fig. 6 spans into it.
+        """
         fed = self.deployed.get(name.upper())
         if fed is None:
             raise MappingError(f"federated function {name!r} is not deployed")
@@ -200,10 +204,15 @@ class IntegrationServer:
                 for (param_name, _), value in zip(fed.params, args)
             }
             params = [by_name[b.upper()] for b in binding]
-            return self.fdbs.execute(sql, params=params, trace=trace).rows
-        markers = ", ".join("?" for _ in fed.params)
-        sql = f"SELECT * FROM TABLE ({fed.name}({markers})) AS R"
-        return self.fdbs.execute(sql, params=list(args), trace=trace).rows
+        else:
+            markers = ", ".join("?" for _ in fed.params)
+            sql = f"SELECT * FROM TABLE ({fed.name}({markers})) AS R"
+            params = list(args)
+        token = ACTIVE_RECORDER.set(trace)
+        try:
+            return self.fdbs.execute(sql, params=params).rows
+        finally:
+            ACTIVE_RECORDER.reset(token)
 
     def call_sql(self, name: str, *args: object) -> str:
         """The SQL text ``call()`` issues (for documentation/tests)."""

@@ -73,7 +73,6 @@ from repro.fdbs.storage import (
     UndoLog,
 )
 from repro.fdbs.types import coercer, reject_signalling_nan
-from repro.simtime.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sysmodel.machine import Machine
@@ -131,7 +130,7 @@ class FunctionRuntime:
         self, function: SqlTableFunction, args: list[object], ctx: EvalContext
     ) -> list[tuple]:
         """Run a SQL I-UDTF body in-process."""
-        return self.database.run_sql_function(function, args, trace=ctx.trace)
+        return self.database.run_sql_function(function, args)
 
     def invoke_external(
         self, function: ExternalTableFunction, args: list[object], ctx: EvalContext
@@ -370,7 +369,6 @@ class Database:
         self,
         sql: str,
         params: list[object] | None = None,
-        trace: TraceRecorder | None = None,
         snapshot: Snapshot | None = None,
     ) -> Result:
         """Parse and execute one SQL statement.
@@ -385,7 +383,7 @@ class Database:
         statement, cached = self._parse_cached(sql)
         if snapshot is None:
             snapshot = self.pin_snapshot()
-        return self._dispatch(statement, sql, params, trace, snapshot, cached)
+        return self._dispatch(statement, sql, params, snapshot, cached)
 
     def _count_statement(self) -> None:
         """Count one client statement and charge its base cost."""
@@ -402,7 +400,7 @@ class Database:
         results = []
         for statement in parse_script(sql):
             results.append(
-                self._dispatch(statement, None, [], None, self.pin_snapshot())
+                self._dispatch(statement, None, [], self.pin_snapshot())
             )
         return results
 
@@ -606,17 +604,14 @@ class Database:
         statement: ast.Statement,
         sql: str | None,
         params: list[object],
-        trace: TraceRecorder | None,
         snapshot: Snapshot,
         cached: CachedStatement | None = None,
     ) -> Result:
         self._enforce_authorization(statement)
         if isinstance(statement, ast.Select):
-            return self._execute_select(
-                statement, params, trace, snapshot, cached, sql
-            )
+            return self._execute_select(statement, params, snapshot, cached, sql)
         if isinstance(statement, ast.Explain):
-            return self._execute_explain(statement, params, trace, snapshot)
+            return self._execute_explain(statement, params, snapshot)
         if isinstance(statement, ast.Runstats):
             return self._execute_runstats(statement)
         if isinstance(statement, ast.CreateTable):
@@ -629,7 +624,7 @@ class Database:
             self._invalidate_plans("DROP TABLE", dropped.name.upper())
             return Result(statement_type="DROP TABLE")
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params, trace, snapshot)
+            return self._execute_insert(statement, params, snapshot)
         if isinstance(statement, ast.Update):
             return self._execute_update(statement, params, snapshot)
         if isinstance(statement, ast.Delete):
@@ -682,7 +677,6 @@ class Database:
         self,
         statement: ast.Explain,
         params: list[object],
-        trace: TraceRecorder | None,
         snapshot: Snapshot,
     ) -> Result:
         """EXPLAIN [ANALYZE]: plan tree with cost-mode cardinality
@@ -698,9 +692,7 @@ class Database:
             from repro.fdbs.optimizer import instrument_plan
 
             instrument_plan(plan)
-            ctx = EvalContext(
-                params=params, trace=trace, snapshot=snapshot, database=self
-            )
+            ctx = EvalContext(params=params, snapshot=snapshot, database=self)
             rows = list(plan.rows(ctx))
             if self.machine is not None:
                 self.machine.clock.advance(
@@ -948,7 +940,6 @@ class Database:
         self,
         statement: ast.Select,
         params: list[object],
-        trace: TraceRecorder | None,
         snapshot: Snapshot,
         cached: CachedStatement | None = None,
         sql: str | None = None,
@@ -973,9 +964,7 @@ class Database:
                 cached.plan = plan
         else:
             self.statement_cache.note_plan_hit()
-        ctx = EvalContext(
-            params=params, trace=trace, snapshot=snapshot, database=self
-        )
+        ctx = EvalContext(params=params, snapshot=snapshot, database=self)
         options = self.options
         if options.execution_mode == "columnar":
             rows = [
@@ -997,7 +986,7 @@ class Database:
         self, statement: ast.Select, params: list[object] | None = None
     ) -> Result:
         """Execute an already-parsed SELECT (used by the PSM interpreter)."""
-        return self._execute_select(statement, params or [], None, self.pin_snapshot())
+        return self._execute_select(statement, params or [], self.pin_snapshot())
 
     # ------------------------------------------------------------------
     # Table functions
@@ -1007,7 +996,6 @@ class Database:
         self,
         function: SqlTableFunction,
         args: list[object],
-        trace: TraceRecorder | None = None,
     ) -> list[tuple]:
         """Execute the single-statement body of a SQL I-UDTF.
 
@@ -1037,7 +1025,7 @@ class Database:
         self._local.function_depth += 1
         try:
             ctx = EvalContext(
-                params=args, trace=trace, snapshot=self.pin_snapshot(), database=self
+                params=args, snapshot=self.pin_snapshot(), database=self
             )
             return list(plan.rows(ctx))
         finally:
@@ -1250,19 +1238,14 @@ class Database:
         self,
         statement: ast.Insert,
         params: list[object],
-        trace: TraceRecorder | None,
         snapshot: Snapshot,
     ) -> Result:
         table = self._require_writable_target(statement.table)
         positions = self._insert_positions(table, statement)
         if statement.source is None:
-            incoming = self._values_rows(
-                statement, len(positions), [params], trace, snapshot
-            )
+            incoming = self._values_rows(statement, len(positions), [params], snapshot)
         else:
-            source_result = self._execute_select(
-                statement.source, params, trace, snapshot
-            )
+            source_result = self._execute_select(statement.source, params, snapshot)
             width = len(source_result.columns)
             if width != len(positions):
                 raise ExecutionError(
@@ -1295,7 +1278,7 @@ class Database:
         table = self._require_writable_target(statement.table)
         positions = self._insert_positions(table, statement)
         incoming = self._values_rows(
-            statement, len(positions), param_rows, None, self.pin_snapshot()
+            statement, len(positions), param_rows, self.pin_snapshot()
         )
         return self._insert_rows(table, positions, incoming)
 
@@ -1309,7 +1292,6 @@ class Database:
         statement: ast.Insert,
         width: int,
         param_rows: Iterable[Sequence[object]],
-        trace: TraceRecorder | None,
         snapshot: Snapshot,
     ) -> list[tuple]:
         """Evaluate an INSERT's VALUES rows once per parameter row."""
@@ -1324,9 +1306,7 @@ class Database:
             compiled.append([compiler.compile(e).fn for e in row_exprs])
         incoming = []
         for params in param_rows:
-            ctx = EvalContext(
-                params=list(params), trace=trace, snapshot=snapshot, database=self
-            )
+            ctx = EvalContext(params=list(params), snapshot=snapshot, database=self)
             for fns in compiled:
                 incoming.append(tuple([fn((), ctx) for fn in fns]))
         return incoming

@@ -132,14 +132,11 @@ class EvalContext:
         self,
         params: list[object] | None = None,
         subquery_runner: Callable[[ast.Select], list[tuple]] | None = None,
-        trace: object | None = None,
         snapshot: object | None = None,
         database: object | None = None,
     ):
         self.params = params or []
         self.subquery_runner = subquery_runner
-        #: Optional TraceRecorder threaded through to function invocations.
-        self.trace = trace
         #: The MVCC snapshot this statement pinned (a storage.Snapshot);
         #: table scans resolve their TableVersion through it so every
         #: read of the statement sees one consistent database state.

@@ -9,8 +9,7 @@ of the single-caller :class:`~repro.core.server.IntegrationServer`:
   backpressure, every session of an architecture sharing one server
   (the MVCC stress path);
 * :class:`~repro.serving.session.ClientSession` — one client's view:
-  a trace recorder, a per-call log, and statement-level fault
-  containment;
+  a per-call log and statement-level fault containment;
 * :mod:`~repro.serving.workload` — seeded, reproducible multi-client
   workloads (mixed architectures, read/DML mix) for the concurrency
   benchmark and the stress/parity suites;

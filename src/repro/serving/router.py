@@ -41,6 +41,7 @@ import itertools
 import multiprocessing
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import Future
 from multiprocessing.connection import wait as connection_wait
 
@@ -135,6 +136,9 @@ class ShardedIntegrationServer:
         self._lock = threading.RLock()
         self._request_ids = itertools.count(1)
         self._closed = False
+        #: Why the collector thread died, if it did: then nothing can
+        #: resolve a future, so every later submit is refused.
+        self._broken: str | None = None
         self._handles: dict[int, _ShardHandle] = {}
         for shard_id in range(shards):
             handle = _ShardHandle(shard_id)
@@ -171,44 +175,57 @@ class ShardedIntegrationServer:
     def _mark_dead(
         self, handle: _ShardHandle, cause: str, generation: int
     ) -> None:
-        """Reap a dead shard: drain buffered results, fail the rest."""
+        """Reap a dead shard: drain buffered results, fail the rest.
+
+        The incarnation's pipe, process and pending table are taken in
+        the locked section that marks it dead, and the pipe and process
+        are torn down before any future fails: a caller woken by a
+        failed future may ``respawn_shard`` at once, and the new
+        incarnation must find nothing of the old one still closing.
+        """
         with self._lock:
             if not handle.alive or handle.generation != generation:
                 return
             handle.alive = False
             handle.death_cause = cause
+            conn, process, pending = handle.conn, handle.process, handle.pending
         # Results the worker flushed before dying are still in the pipe;
         # deliver them so only genuinely unfinished sessions fail.
         while True:
             try:
-                if not handle.conn.poll(0):
+                if not conn.poll(0):
                     break
-                message = recv_frame(handle.conn)
+                message = recv_frame(conn)
             except (EOFError, OSError, WireProtocolError):
                 break
-            self._dispatch(handle, message)
-        with self._lock:
-            failed = list(handle.pending.items())
-            handle.pending = {}
-        for _, future in failed:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(
-                    ShardCrashError(
-                        handle.shard_id,
-                        f"shard {handle.shard_id} died ({cause}) with the "
-                        "session outstanding; the script is retryable — "
-                        "respawn the shard and resubmit",
-                    )
-                )
-            self.admission.release()
+            self._dispatch(handle, pending, message)
         try:
-            handle.conn.close()
+            conn.close()
         except OSError:
             pass
-        handle.process.join(timeout=5.0)
-        if handle.process.is_alive():  # pragma: no cover - defensive
-            handle.process.terminate()
-            handle.process.join(timeout=5.0)
+        process.join(timeout=5.0)
+        if process.is_alive():  # pragma: no cover - defensive
+            process.terminate()
+            process.join(timeout=5.0)
+        with self._lock:
+            failed = list(pending.values())
+            pending.clear()
+        self._fail(
+            failed,
+            lambda: ShardCrashError(
+                handle.shard_id,
+                f"shard {handle.shard_id} died ({cause}) with the "
+                "session outstanding; the script is retryable — "
+                "respawn the shard and resubmit",
+            ),
+        )
+
+    def _fail(self, futures: list[Future], error: Callable[[], Exception]) -> None:
+        """Fail each future with a fresh ``error()`` and free its slot."""
+        for future in futures:
+            if future.set_running_or_notify_cancel():
+                future.set_exception(error())
+            self.admission.release()
 
     def kill_shard(self, shard_id: int) -> None:
         """Hard-kill one worker (SIGKILL) — the fault battery's hammer.
@@ -224,12 +241,18 @@ class ShardedIntegrationServer:
         """Bring a dead shard back on the same consistent-hash arcs."""
         handle = self._handle(shard_id)
         with self._lock:
-            if self._closed:
-                raise ServingError("server is shut down")
+            self._ensure_open()
             if handle.alive:
                 raise ServingError(f"shard {shard_id} is still alive")
             handle.respawns += 1
             self._start_worker(handle)
+
+    def _ensure_open(self) -> None:
+        """Raise unless the server takes work (call under the lock)."""
+        if self._closed:
+            raise ServingError("server is shut down")
+        if self._broken is not None:
+            raise ServingError(self._broken)
 
     def _handle(self, shard_id: int) -> _ShardHandle:
         try:
@@ -240,42 +263,66 @@ class ShardedIntegrationServer:
     # -- the selector loop --------------------------------------------------
 
     def _collect_loop(self) -> None:
+        """Run the collector; if it ever raises, fail every outstanding
+        script and refuse new ones rather than leave futures unresolved."""
+        try:
+            self._collect()
+        except Exception as exc:
+            with self._lock:
+                self._broken = f"the router's collector thread failed: {exc!r}"
+                failed = []
+                for handle in self._handles.values():
+                    failed.extend(handle.pending.values())
+                    handle.pending.clear()
+
+            def error() -> ServingError:
+                # Chained, so whoever reads a failed future gets the
+                # collector's traceback.
+                error = ServingError(self._broken)
+                error.__cause__ = exc
+                return error
+
+            self._fail(failed, error)
+
+    def _collect(self) -> None:
         """Multiplex every worker pipe + process sentinel until stopped."""
         while not self._collector_stop.is_set():
             with self._lock:
                 by_object = {}
                 for handle in self._handles.values():
                     if handle.alive:
-                        entry = (handle, handle.generation)
+                        entry = (handle, handle.generation, handle.conn, handle.pending)
                         by_object[handle.conn] = entry
                         by_object[handle.process.sentinel] = entry
             if not by_object:
                 time.sleep(0.01)
                 continue
             for obj in connection_wait(list(by_object), timeout=0.05):
-                handle, generation = by_object[obj]
-                if obj is handle.conn:
+                handle, generation, conn, pending = by_object[obj]
+                if obj is conn:
                     try:
-                        message = recv_frame(handle.conn)
+                        message = recv_frame(conn)
                     except (EOFError, OSError, WireProtocolError) as exc:
                         self._mark_dead(
                             handle, f"pipe broke: {exc}", generation
                         )
                         continue
-                    self._dispatch(handle, message)
+                    self._dispatch(handle, pending, message)
                 else:
                     self._mark_dead(
                         handle, "worker process exited", generation
                     )
 
-    def _dispatch(self, handle: _ShardHandle, message: object) -> None:
-        """Resolve one worker frame against the pending-future table."""
+    def _dispatch(
+        self, handle: _ShardHandle, pending: dict[int, Future], message: object
+    ) -> None:
+        """Resolve one worker frame against one incarnation's pending table."""
         if isinstance(message, Hello):
             handle.ready = True
             handle.pid = message.pid
         elif isinstance(message, ScriptDone):
             with self._lock:
-                future = handle.pending.pop(message.request_id, None)
+                future = pending.pop(message.request_id, None)
                 handle.completed += 1
             if future is not None:
                 if future.set_running_or_notify_cancel():
@@ -283,7 +330,7 @@ class ShardedIntegrationServer:
                 self.admission.release()
         elif isinstance(message, ScriptFailed):
             with self._lock:
-                future = handle.pending.pop(message.request_id, None)
+                future = pending.pop(message.request_id, None)
             if future is not None:
                 if future.set_running_or_notify_cancel():
                     future.set_exception(
@@ -316,14 +363,12 @@ class ShardedIntegrationServer:
         inside the worker.
         """
         with self._lock:
-            if self._closed:
-                raise ServingError("server is shut down")
+            self._ensure_open()
         self.admission.admit(timeout=timeout)
         future: Future = Future()
         try:
             with self._lock:
-                if self._closed:
-                    raise ServingError("server is shut down")
+                self._ensure_open()
                 handle = self._handle(self.route(script.session_id))
                 if not handle.alive:
                     raise ShardCrashError(

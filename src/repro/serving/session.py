@@ -7,8 +7,6 @@ clock, own warm pool/caches), or a shared per-architecture server in
 :class:`~repro.serving.server.ConcurrentIntegrationServer` — and gives
 the client:
 
-* a per-session :class:`~repro.simtime.trace.TraceRecorder`, recorded
-  against its server's clock;
 * a per-call log of rows and simulated elapsed time;
 * statement-level fault containment: an injected fault that aborts one
   statement is recorded against that call and the session continues —
@@ -34,7 +32,6 @@ from repro.errors import (
 )
 from repro.fdbs.session import Result
 from repro.serving.workload import WorkloadCall
-from repro.simtime.trace import TraceRecorder
 
 #: How many times a session re-drives a statement that lost a
 #: first-writer-wins MVCC conflict before giving up and re-raising.
@@ -76,7 +73,6 @@ class ClientSession:
         self.session_id = session_id
         self.architecture = architecture
         self.server = server
-        self.trace = TraceRecorder(server.machine.clock)
         self.records: list[CallRecord] = []
         self.closed = False
         self._start_time = server.machine.clock.now
@@ -103,7 +99,7 @@ class ClientSession:
         clock = self.server.machine.clock
         start = clock.now
         try:
-            rows = self.server.call(name, *args, trace=self.trace)
+            rows = self.server.call(name, *args)
         except StatementAbortedError as exc:
             self.records.append(
                 CallRecord(

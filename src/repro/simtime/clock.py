@@ -4,11 +4,11 @@ All simulated latencies in the reproduction are expressed in *simulated
 milliseconds* (``su`` in DESIGN.md) charged against one shared clock.
 Components never sleep; they call :meth:`VirtualClock.advance`.
 
-The clock also supports *marks* — cheap checkpoints used by the trace
-recorder to attribute elapsed spans to the paper's step names (Fig. 6) —
-and *frozen sections* used by the workflow engine's critical-path
-scheduler, which computes branch finish times itself and then advances
-the shared clock once by the makespan.
+The clock also supports *captures* and *frozen sections*, used by the
+workflow engine's critical-path scheduler: it measures each activity's
+cost without moving the clock, computes branch finish times itself and
+then advances the shared clock once by the makespan.  Spans of the
+trace recorder (:mod:`repro.simtime.trace`) only read :attr:`now`.
 
 Advances are atomic: concurrent sessions of the serving layer may share
 one machine (and thus one clock), and ``_now += delta`` is a

@@ -5,10 +5,19 @@ clock; the recorder turns the resulting span tree into the flat
 step-name → time-portion tables the paper prints.  Span names are free
 strings; the Fig. 6 experiment maps them onto the paper's exact row
 labels ("Start UDTF", "Process activities", ...).
+
+Which recorder a span goes to is per-call state held in one place:
+:data:`ACTIVE_RECORDER`.  ``IntegrationServer.call(trace=...)`` sets it
+for the duration of the call, and every layer below it (fenced UDTF
+runtime, RMI channels, controller, WfMS client and navigator) opens its
+spans with :func:`maybe_span`, which reads it.  It is a context variable, so
+it is per thread: a call runs start to finish in one thread, and
+concurrent calls on a shared server never see each other's recorder.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.simtime.clock import VirtualClock
@@ -45,10 +54,10 @@ class Span:
 class TraceRecorder:
     """Collects a forest of spans against a virtual clock.
 
-    The recorder is optional everywhere: components call
-    :meth:`span` with a recorder that may be ``None`` via the module-level
-    :func:`maybe_span` helper, keeping the hot path allocation-free when
-    tracing is off.
+    Open spans directly with :meth:`span`, or pass the recorder to
+    ``IntegrationServer.call(trace=...)``: the call makes it the
+    :data:`ACTIVE_RECORDER`, and the components' :func:`maybe_span`
+    sites record into it.
     """
 
     def __init__(self, clock: VirtualClock):
@@ -131,9 +140,24 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+#: The recorder of the call running in this thread, or ``None`` when it
+#: is not traced.  Only ``IntegrationServer.call`` sets it (and resets it
+#: in a ``finally``).
+ACTIVE_RECORDER: ContextVar[TraceRecorder | None] = ContextVar(
+    "active_recorder", default=None
+)
 
-def maybe_span(recorder: TraceRecorder | None, name: str):
-    """Open a span on ``recorder`` or do nothing when tracing is off."""
-    if recorder is None:
+
+def maybe_span(name: str):
+    """Open a span on the active recorder, or do nothing (one lookup,
+    no allocation) when the running call is not traced.
+
+    Nothing is recorded either while this thread captures clock charges
+    (:meth:`VirtualClock.capture`): captured work is not on the clock
+    yet, and the WfMS critical-path scheduler records it as one
+    ``Process activities`` leaf once it advances the clock.
+    """
+    recorder = ACTIVE_RECORDER.get()
+    if recorder is None or recorder._clock.capturing:
         return _NULL_SPAN
     return recorder.span(name)

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.simtime.clock import VirtualClock
 from repro.simtime.costs import CostModel
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import maybe_span
 from repro.sysmodel.process import OsProcess
 
 
@@ -39,7 +39,6 @@ class Controller(OsProcess):
         self,
         target: Callable[..., Any],
         *args: Any,
-        trace: TraceRecorder | None = None,
         label: str = "controller run",
         **kwargs: Any,
     ) -> Any:
@@ -48,7 +47,7 @@ class Controller(OsProcess):
         self.require_running()
         with self._counter_lock:
             self.dispatch_count += 1
-        with maybe_span(trace, label):
+        with maybe_span(label):
             self._clock.advance(self._costs.controller_dispatch)
         return target(*args, **kwargs)
 
@@ -56,7 +55,6 @@ class Controller(OsProcess):
         self,
         start: Callable[..., Any],
         *args: Any,
-        trace: TraceRecorder | None = None,
         label: str = "Controller",
         **kwargs: Any,
     ) -> Any:
@@ -64,6 +62,6 @@ class Controller(OsProcess):
         self.require_running()
         with self._counter_lock:
             self.brokerage_count += 1
-        with maybe_span(trace, label):
+        with maybe_span(label):
             self._clock.advance(self._costs.controller_wfms_brokerage)
         return start(*args, **kwargs)

@@ -9,10 +9,11 @@ dispatch cost instead of the cold start.  Capacity is bounded and
 eviction is LRU — an evicted runtime is cold again, exactly like a plan
 falling out of the statement cache.
 
-The pool charges nothing itself; callers ask :meth:`WarmRuntimePool.acquire`
-whether the keyed runtime is warm and then charge the appropriate cold or
-warm cost (so existing trace-span structure is preserved bit-identically
-when pooling is disabled).
+The pool charges nothing itself and opens no spans; callers ask
+:meth:`WarmRuntimePool.acquire` whether the keyed runtime is warm, then
+charge the cold or warm cost under the matching Fig. 6 span
+(``Prepare A-UDTFs`` or ``Prepare A-UDTFs (warm)``).  With pooling off
+every acquire is cold, so costs and spans are the cold path's exactly.
 """
 
 from __future__ import annotations

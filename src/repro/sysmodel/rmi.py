@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import RmiDroppedError
 from repro.simtime.clock import VirtualClock
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simtime.costs import CostModel
@@ -120,7 +120,6 @@ class RmiChannel:
         self,
         remote: Callable[..., Any],
         *args: Any,
-        trace: TraceRecorder | None = None,
         call_label: str | None = None,
         return_label: str | None = None,
         **kwargs: Any,
@@ -128,7 +127,7 @@ class RmiChannel:
         """Invoke ``remote(*args, **kwargs)`` across the channel.
 
         Charges the call hop, runs the remote side (which charges its own
-        costs), then charges the return hop.  Optional trace labels let
+        costs), then charges the return hop.  Optional span labels let
         callers attribute the hops to the paper's Fig. 6 step names.  On
         a persistent channel every hop after the first pays the warm
         costs instead of re-doing connection setup.
@@ -142,9 +141,7 @@ class RmiChannel:
         attempt = 1
         while True:
             try:
-                return self._invoke_once(
-                    remote, args, kwargs, trace, call_label, return_label
-                )
+                return self._invoke_once(remote, args, kwargs, call_label, return_label)
             except RmiDroppedError:
                 if (
                     policy is None
@@ -159,7 +156,7 @@ class RmiChannel:
                 with self._lock:
                     self.retries += 1
                 policy.note_retry()
-                with maybe_span(trace, f"rmi backoff:{self.name}"):
+                with maybe_span(f"rmi backoff:{self.name}"):
                     self._clock.advance(backoff)
                 attempt += 1
 
@@ -168,7 +165,6 @@ class RmiChannel:
         remote: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-        trace: TraceRecorder | None,
         call_label: str | None,
         return_label: str | None,
     ) -> Any:
@@ -177,7 +173,7 @@ class RmiChannel:
             warm = self.persistent and self._established
             if warm:
                 self.warm_calls += 1
-        with maybe_span(trace, call_label or f"rmi call:{self.name}"):
+        with maybe_span(call_label or f"rmi call:{self.name}"):
             self._clock.advance(self.warm_call_cost if warm else self.call_cost)
         if self.wall_latency_s > 0.0:
             time.sleep(self.wall_latency_s)
@@ -195,7 +191,7 @@ class RmiChannel:
                     # (warm-free) attempt.
                     self._established = False
                 assert self._fault_costs is not None
-                with maybe_span(trace, f"rmi timeout:{self.name}"):
+                with maybe_span(f"rmi timeout:{self.name}"):
                     self._clock.advance(
                         self._fault_costs.rmi_timeout
                         + self._fault_costs.fault_detection
@@ -212,7 +208,7 @@ class RmiChannel:
             # it either way so a raising remote cannot skip the hop.
             if self.wall_latency_s > 0.0:
                 time.sleep(self.wall_latency_s)
-            with maybe_span(trace, return_label or f"rmi return:{self.name}"):
+            with maybe_span(return_label or f"rmi return:{self.name}"):
                 self._clock.advance(
                     self.warm_return_cost if warm else self.return_cost
                 )

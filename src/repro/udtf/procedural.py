@@ -35,15 +35,14 @@ class ProceduralConnection:
     offered here at all.
     """
 
-    def __init__(self, database: Database, trace=None):
+    def __init__(self, database: Database):
         self._database = database
-        self._trace = trace
         self.statements_issued = 0
 
     def query(self, sql: str, params: list[object] | None = None) -> Result:
         """Execute one SELECT and return its full result."""
         self.statements_issued += 1
-        return self._database.execute(sql, params=params, trace=self._trace)
+        return self._database.execute(sql, params=params)
 
     def query_rows(self, sql: str, params: list[object] | None = None) -> list[tuple]:
         """Execute one SELECT and return just the rows."""
@@ -72,9 +71,8 @@ def register_procedural_iudtf(
     referencing A-UDTFs, tables and nicknames as usual.
     """
 
-    def implementation(*args: object, trace=None):
-        connection = ProceduralConnection(database, trace=trace)
-        return body(connection, *args)
+    def implementation(*args: object):
+        return body(ProceduralConnection(database), *args)
 
     function = ExternalTableFunction(
         name=name,

@@ -12,7 +12,7 @@ instantiation of each template after boot.
 from __future__ import annotations
 
 from repro.errors import WorkflowError
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import maybe_span
 from repro.sysmodel.machine import Machine
 from repro.wfms.engine import WorkflowEngine
 from repro.wfms.instance import ProcessInstance, ProcessState
@@ -59,32 +59,22 @@ class WfmsClient:
 
     # -- execution --------------------------------------------------------------
 
-    def run_process(
-        self,
-        name: str,
-        inputs: dict[str, object],
-        trace: TraceRecorder | None = None,
-    ) -> ProcessInstance:
+    def run_process(self, name: str, inputs: dict[str, object]) -> ProcessInstance:
         """Start a process instance and navigate it to completion."""
         template = self._template(name)
         if self.machine is not None:
             self.machine.ensure_wfms()
-            with maybe_span(trace, "Start workflows and Java environment"):
+            with maybe_span("Start workflows and Java environment"):
                 self.machine.clock.advance(self.machine.costs.wf_env_start)
                 key = name.upper()
                 if not self.machine.warmth.template_is_hot(key):
                     self.machine.clock.advance(self.machine.costs.wf_template_load)
                     self.machine.warmth.note_template(key)
-        return self.engine.run_process(template, inputs, trace)
+        return self.engine.run_process(template, inputs)
 
-    def run_to_output(
-        self,
-        name: str,
-        inputs: dict[str, object],
-        trace: TraceRecorder | None = None,
-    ) -> dict[str, object]:
+    def run_to_output(self, name: str, inputs: dict[str, object]) -> dict[str, object]:
         """Run a process and return its output container as a dict."""
-        instance = self.run_process(name, inputs, trace)
+        instance = self.run_process(name, inputs)
         assert instance.output is not None
         return instance.output.as_dict()
 

@@ -28,7 +28,7 @@ from repro.errors import (
     NavigationError,
     WorkflowError,
 )
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import ACTIVE_RECORDER, maybe_span
 from repro.sysmodel.faults import SITE_ACTIVITY_PROGRAM
 from repro.sysmodel.machine import Machine
 from repro.wfms.audit import AuditTrail
@@ -80,7 +80,6 @@ class WorkflowEngine:
         self,
         definition: ProcessDefinition | ProcessTemplate,
         inputs: dict[str, object],
-        trace: TraceRecorder | None = None,
     ) -> ProcessInstance:
         """Create and navigate one process instance to completion.
 
@@ -106,7 +105,7 @@ class WorkflowEngine:
         instance.start_time = self._now()
         self.audit.record(self._now(), definition.name, "process started")
         try:
-            self._navigate(instance, template, trace)
+            self._navigate(instance, template)
         except WorkflowError as exc:
             # Any workflow-level failure — a failed activity, but also a
             # container or navigation error — must leave the instance in
@@ -131,12 +130,7 @@ class WorkflowEngine:
     def _now(self) -> float:
         return self.machine.clock.now if self.machine is not None else 0.0
 
-    def _navigate(
-        self,
-        instance: ProcessInstance,
-        template: ProcessTemplate,
-        trace: TraceRecorder | None,
-    ) -> None:
+    def _navigate(self, instance: ProcessInstance, template: ProcessTemplate) -> None:
         name = template.name
         activities = instance.activities
         parallel = self.machine is not None and not self.machine.clock.capturing
@@ -155,7 +149,7 @@ class WorkflowEngine:
                 continue
 
             # Serial navigator work per activity.
-            with maybe_span(trace, "Workflow"):
+            with maybe_span("Workflow"):
                 self._charge(self._nav_cost())
             ai.input = self._build_input(instance, activity)
             ai.state = ActivityState.RUNNING
@@ -163,7 +157,7 @@ class WorkflowEngine:
             try:
                 output, cost = self._execute_activity(step, ai)
             except ActivityFailedError as exc:
-                output, cost = self._forward_recover(instance, step, ai, trace, exc)
+                output, cost = self._forward_recover(instance, step, ai, exc)
             ai.output = output
             ai.state = ActivityState.FINISHED
 
@@ -193,8 +187,9 @@ class WorkflowEngine:
             target = max(makespan_end, t0) + (nav_now - t0)
             start_activities = nav_now
             self.machine.clock.advance_to(max(target, nav_now))
-            if trace is not None and self._now() > start_activities:
-                trace.add_leaf("Process activities", start_activities, self._now())
+            recorder = ACTIVE_RECORDER.get()
+            if recorder is not None and self._now() > start_activities:
+                recorder.add_leaf("Process activities", start_activities, self._now())
 
         self._fill_process_output(instance)
 
@@ -203,7 +198,6 @@ class WorkflowEngine:
         instance: ProcessInstance,
         step: ActivityStep,
         ai: ActivityInstance,
-        trace: TraceRecorder | None,
         exc: ActivityFailedError,
     ) -> tuple[Container, float]:
         """Restart a failed activity from its input container, or give up.
@@ -224,7 +218,7 @@ class WorkflowEngine:
         ):
             restarts = max(machine.retry_policy.attempts() - 1, 1)
             for restart in range(1, restarts + 1):
-                with maybe_span(trace, "Forward recovery"):
+                with maybe_span("Forward recovery"):
                     machine.clock.advance(machine.costs.wf_forward_recovery)
                 self.audit.record(
                     self._now(),

@@ -17,19 +17,13 @@ from typing import Protocol
 
 from repro.errors import CatalogError
 from repro.fdbs.catalog import ColumnDef, FunctionParam
-from repro.simtime.trace import TraceRecorder
 
 
 class ForeignFunctionWrapper(Protocol):
     """What the FDBS needs from a SQL/MED wrapper: invoke one foreign
     function and get rows back."""
 
-    def invoke_foreign(
-        self,
-        function_name: str,
-        args: list[object],
-        trace: TraceRecorder | None = None,
-    ) -> list[tuple]:
+    def invoke_foreign(self, function_name: str, args: list[object]) -> list[tuple]:
         """Invoke one foreign function; returns result rows."""
         ...
 
@@ -99,12 +93,7 @@ class MedRegistry:
             raise CatalogError(f"no function mapping for {function_name!r}")
         return self.servers[mapping.server.upper()]
 
-    def invoke(
-        self,
-        function_name: str,
-        args: list[object],
-        trace: TraceRecorder | None = None,
-    ) -> list[tuple]:
+    def invoke(self, function_name: str, args: list[object]) -> list[tuple]:
         """Route a foreign-function call to its server's wrapper."""
         entry = self.server_for_function(function_name)
-        return entry.handler.invoke_foreign(function_name, args, trace)
+        return entry.handler.invoke_foreign(function_name, args)

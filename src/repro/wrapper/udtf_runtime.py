@@ -40,7 +40,7 @@ from repro.errors import FencedModeError, FencedProcessDiedError
 from repro.fdbs.catalog import ExternalTableFunction, SqlTableFunction
 from repro.fdbs.engine import Database, FunctionRuntime
 from repro.fdbs.expr import EvalContext
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import maybe_span
 from repro.sysmodel.faults import SITE_FENCED_PROCESS
 from repro.sysmodel.machine import Machine
 
@@ -90,13 +90,12 @@ class FencedFunctionRuntime(FunctionRuntime):
         self, function: SqlTableFunction, args: list[object], ctx: EvalContext
     ) -> list[tuple]:
         """I-UDTF path: start/finish costs around the SQL body."""
-        trace = ctx.trace
         self._note_invocation()
         costs = self.machine.costs
-        with maybe_span(trace, "Start I-UDTF"):
+        with maybe_span("Start I-UDTF"):
             self.machine.clock.advance(costs.udtf_start_integration)
-        rows = self.database.run_sql_function(function, args, trace=trace)
-        with maybe_span(trace, "Finish I-UDTF"):
+        rows = self.database.run_sql_function(function, args)
+        with maybe_span("Finish I-UDTF"):
             self.machine.clock.advance(costs.udtf_finish_integration)
         return rows
 
@@ -108,39 +107,31 @@ class FencedFunctionRuntime(FunctionRuntime):
         """Dispatch by language tag: WfMS, procedural, or A-UDTF."""
         language = function.language.upper()
         if language == WFMS_LANGUAGE:
-            return self._invoke_wfms(function, args, ctx.trace)
+            return self._invoke_wfms(function, args)
         if language == PROCEDURAL_LANGUAGE:
-            return self._invoke_procedural(function, args, ctx.trace)
-        return self._invoke_access_udtf(function, args, ctx.trace)
+            return self._invoke_procedural(function, args)
+        return self._invoke_access_udtf(function, args)
 
     def _invoke_procedural(
-        self,
-        function: ExternalTableFunction,
-        args: list[object],
-        trace: TraceRecorder | None,
+        self, function: ExternalTableFunction, args: list[object]
     ) -> list[tuple]:
         """A procedural ("Java") I-UDTF: integration-UDTF start/finish
         around a multi-statement body; each inner statement and A-UDTF
         pays its own way."""
         self._note_invocation()
         costs = self.machine.costs
-        with maybe_span(trace, "Start I-UDTF"):
+        with maybe_span("Start I-UDTF"):
             self.machine.clock.advance(costs.udtf_start_integration)
         from repro.fdbs.functions import normalize_rows
 
         assert function.implementation is not None
-        rows = normalize_rows(
-            function.implementation(*args, trace=trace), function.name
-        )
-        with maybe_span(trace, "Finish I-UDTF"):
+        rows = normalize_rows(function.implementation(*args), function.name)
+        with maybe_span("Finish I-UDTF"):
             self.machine.clock.advance(costs.udtf_finish_integration)
         return rows
 
     def _invoke_access_udtf(
-        self,
-        function: ExternalTableFunction,
-        args: list[object],
-        trace: TraceRecorder | None,
+        self, function: ExternalTableFunction, args: list[object]
     ) -> list[tuple]:
         """One A-UDTF call: fenced process, RMI, controller dispatch.
 
@@ -160,23 +151,22 @@ class FencedFunctionRuntime(FunctionRuntime):
                 self.machine.result_cache_namespace(), runtime_key, tuple(args)
             )
             if cached is not None:
-                with maybe_span(trace, "Result cache"):
+                with maybe_span("Result cache"):
                     self.machine.clock.advance(costs.result_cache_hit_cost)
                 return cached
 
         def run() -> list[tuple]:
             # The local function's own work — Fig. 6's 'Process
             # activities' row of the UDTF approach.
-            with maybe_span(trace, "Process activities"):
+            with maybe_span("Process activities"):
                 return self.database.run_external_function(function, args)
 
         if function.fenced:
-            self._prepare_fenced_process(function, runtime_key, trace)
+            self._prepare_fenced_process(function, runtime_key)
         controller = self.machine.controller
         if function.fenced and controller.enabled:
             rows = self.machine.udtf_rmi.invoke(
-                lambda: controller.dispatch(run, trace=trace, label="controller runs"),
-                trace=trace,
+                lambda: controller.dispatch(run, label="controller runs"),
                 call_label="RMI calls",
                 return_label="RMI returns",
             )
@@ -185,7 +175,7 @@ class FencedFunctionRuntime(FunctionRuntime):
             # without the controller: call straight through.
             rows = run()
         if function.fenced:
-            with maybe_span(trace, "Finish A-UDTFs"):
+            with maybe_span("Finish A-UDTFs"):
                 self.machine.clock.advance(costs.udtf_finish_access)
         if cache.enabled and function.source_deterministic:
             cache.put(
@@ -198,34 +188,29 @@ class FencedFunctionRuntime(FunctionRuntime):
         return rows
 
     def _prepare_fenced_process(
-        self,
-        function: ExternalTableFunction,
-        runtime_key: str,
-        trace: TraceRecorder | None,
+        self, function: ExternalTableFunction, runtime_key: str
     ) -> None:
         """Fenced-process hand-over: warm or cold prepare, with the
         fault-injection retry ladder (warm slot dies -> cold restart;
         cold process dies -> statement aborts)."""
         costs = self.machine.costs
         warm = self.machine.runtime_pool.acquire(runtime_key)
-        with maybe_span(
-            trace, "Prepare A-UDTFs (warm)" if warm else "Prepare A-UDTFs"
-        ):
+        with maybe_span("Prepare A-UDTFs (warm)" if warm else "Prepare A-UDTFs"):
             self.machine.clock.advance(
                 costs.udtf_warm_prepare if warm else costs.udtf_prepare_access
             )
         if self.machine.fault_injector.should_fail(SITE_FENCED_PROCESS):
-            with maybe_span(trace, "Fault detection"):
+            with maybe_span("Fault detection"):
                 self.machine.clock.advance(costs.fault_detection)
             self.machine.runtime_pool.evict(runtime_key)
             if warm:
                 # Graceful degradation: the warm slot died, retry the
                 # hand-over with a freshly fenced process (cold cost).
                 self.machine.runtime_pool.acquire(runtime_key)
-                with maybe_span(trace, "Prepare A-UDTFs"):
+                with maybe_span("Prepare A-UDTFs"):
                     self.machine.clock.advance(costs.udtf_prepare_access)
                 if self.machine.fault_injector.should_fail(SITE_FENCED_PROCESS):
-                    with maybe_span(trace, "Fault detection"):
+                    with maybe_span("Fault detection"):
                         self.machine.clock.advance(costs.fault_detection)
                     self.machine.runtime_pool.evict(runtime_key)
                     raise FencedProcessDiedError(
@@ -265,7 +250,6 @@ class FencedFunctionRuntime(FunctionRuntime):
             or function.language.upper() in (WFMS_LANGUAGE, PROCEDURAL_LANGUAGE)
         ):
             return super().invoke_batch(function, args_list, ctx)
-        trace = ctx.trace
         costs = self.machine.costs
         cache = self.machine.result_cache
         runtime_key = f"audtf:{function.name}"
@@ -277,7 +261,7 @@ class FencedFunctionRuntime(FunctionRuntime):
                     self.machine.result_cache_namespace(), runtime_key, tuple(args)
                 )
                 if cached is not None:
-                    with maybe_span(trace, "Result cache"):
+                    with maybe_span("Result cache"):
                         self.machine.clock.advance(costs.result_cache_hit_cost)
                     results[index] = cached
                     continue
@@ -285,10 +269,10 @@ class FencedFunctionRuntime(FunctionRuntime):
         if not misses:
             return results  # type: ignore[return-value]
         self._note_invocation()
-        self._prepare_fenced_process(function, runtime_key, trace)
+        self._prepare_fenced_process(function, runtime_key)
 
         def run_one(args: list[object]) -> list[tuple]:
-            with maybe_span(trace, "Process activities"):
+            with maybe_span("Process activities"):
                 return self.database.run_external_function(function, args)
 
         controller = self.machine.controller
@@ -297,18 +281,16 @@ class FencedFunctionRuntime(FunctionRuntime):
                 lambda: [
                     controller.dispatch(
                         lambda args=args_list[index]: run_one(args),
-                        trace=trace,
                         label="controller runs",
                     )
                     for index in misses
                 ],
-                trace=trace,
                 call_label="RMI calls",
                 return_label="RMI returns",
             )
         else:
             miss_rows = [run_one(args_list[index]) for index in misses]
-        with maybe_span(trace, "Finish A-UDTFs"):
+        with maybe_span("Finish A-UDTFs"):
             self.machine.clock.advance(costs.udtf_finish_access)
         for index, rows in zip(misses, miss_rows):
             results[index] = rows
@@ -323,39 +305,32 @@ class FencedFunctionRuntime(FunctionRuntime):
         return results  # type: ignore[return-value]
 
     def _invoke_wfms(
-        self,
-        function: ExternalTableFunction,
-        args: list[object],
-        trace: TraceRecorder | None,
+        self, function: ExternalTableFunction, args: list[object]
     ) -> list[tuple]:
         """The connecting UDTF of the WfMS architecture."""
         self._note_invocation()
         costs = self.machine.costs
-        with maybe_span(trace, "Start UDTF"):
+        with maybe_span("Start UDTF"):
             self.machine.clock.advance(costs.wf_udtf_start)
-        with maybe_span(trace, "Process UDTF"):
+        with maybe_span("Process UDTF"):
             self.machine.clock.advance(costs.wf_udtf_process)
         if function.implementation is None:
             return self.database.run_external_function(function, args)  # raises
 
         def start() -> list[tuple]:
-            # WfMS connecting functions take the trace so the workflow
-            # client can attribute its own Fig. 6 steps.
             from repro.fdbs.functions import normalize_rows
 
-            return normalize_rows(
-                function.implementation(*args, trace=trace), function.name
-            )
+            return normalize_rows(function.implementation(*args), function.name)
+
         controller = self.machine.controller
         if controller.enabled:
             rows = self.machine.wf_rmi.invoke(
-                lambda: controller.broker_workflow(start, trace=trace),
-                trace=trace,
+                lambda: controller.broker_workflow(start),
                 call_label="RMI call",
                 return_label="RMI return",
             )
         else:
             rows = start()
-        with maybe_span(trace, "Finish UDTF"):
+        with maybe_span("Finish UDTF"):
             self.machine.clock.advance(costs.wf_udtf_finish)
         return rows

@@ -21,7 +21,6 @@ from repro.errors import WorkflowError
 from repro.fdbs.catalog import ColumnDef, ExternalTableFunction, FunctionParam
 from repro.fdbs.engine import Database
 from repro.fdbs.types import SqlType
-from repro.simtime.trace import TraceRecorder
 from repro.wfms.api import WfmsClient
 from repro.wfms.model import ProcessDefinition
 from repro.wrapper.udtf_runtime import WFMS_LANGUAGE
@@ -69,9 +68,9 @@ class WfmsWrapper:
         input_members = definition.input_type.member_names()
         output_members = definition.output_type.member_names()
 
-        def implementation(*args: object, trace: TraceRecorder | None = None):
+        def implementation(*args: object):
             inputs = dict(zip(input_members, args))
-            instance = self.client.run_process(definition.name, inputs, trace)
+            instance = self.client.run_process(definition.name, inputs)
             output = instance.output
             assert output is not None
             if output.rows is not None:
@@ -91,12 +90,7 @@ class WfmsWrapper:
         self.registered.append(definition.name)
         return function
 
-    def invoke_foreign(
-        self,
-        function_name: str,
-        args: list[object],
-        trace: TraceRecorder | None = None,
-    ) -> list[tuple]:
+    def invoke_foreign(self, function_name: str, args: list[object]) -> list[tuple]:
         """SQL/MED wrapper interface: run a federated function directly
         (bypassing SQL), mainly for tests and the pure-WfMS topology."""
         function = self.database.catalog.get_function(function_name)
@@ -107,7 +101,7 @@ class WfmsWrapper:
                 f"{function_name!r} is not a WfMS-coupled federated function"
             )
         assert function.implementation is not None
-        result = function.implementation(*args, trace=trace)
+        result = function.implementation(*args)
         from repro.fdbs.functions import normalize_rows
 
         return normalize_rows(result, function_name)

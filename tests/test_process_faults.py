@@ -18,7 +18,10 @@ Deselected by default behind the ``proc`` marker.
 """
 
 import multiprocessing
+import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION
+from concurrent.futures import wait as wait_futures
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.appsys.datagen import generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError
 from repro.serving import ShardedIntegrationServer
 from repro.serving.workload import WorkloadCall, make_workload
+from tests.test_process_parity import drive_bare
 
 pytestmark = pytest.mark.proc
 
@@ -121,6 +125,96 @@ def test_kill_mid_workload_contains_the_blast_radius(data):
     assert not multiprocessing.active_children()
     for stats in server.shard_stats().values():
         assert not stats["alive"]
+
+
+def test_respawn_from_the_woken_caller_keeps_the_new_worker(data, monkeypatch):
+    """A caller woken by a crashed session respawns the shard at once.
+
+    The dead incarnation's teardown must not reach the new one: its
+    pipe must stay open and its process alive.  The window is forced
+    open by stalling the router's collector thread after it frees the
+    first crashed session's admission slot.
+    """
+    workload = make_workload(seed=SEED, sessions=8, calls_per_session=CALLS)
+    with ShardedIntegrationServer(
+        shards=1, data=data, queue_limit=len(workload)
+    ) as server:
+        killed = threading.Event()
+        stalled = threading.Event()
+        release = server.admission.release
+
+        def stalling_release():
+            release()
+            if (
+                killed.is_set()
+                and threading.current_thread() is server._collector
+                and not stalled.is_set()
+            ):
+                stalled.set()
+                time.sleep(0.3)
+
+        monkeypatch.setattr(server.admission, "release", stalling_release)
+        futures = {s.session_id: server.submit(s, timeout=JOIN_TIMEOUT) for s in workload}
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while server.shard_stats()[0]["completed"] < 1:
+            assert time.monotonic() < deadline, "the shard never started working"
+            time.sleep(0.005)
+        killed.set()
+        server.kill_shard(0)
+
+        # The woken caller: respawn as soon as the first session fails.
+        done, _ = wait_futures(
+            futures.values(), timeout=JOIN_TIMEOUT, return_when=FIRST_EXCEPTION
+        )
+        assert any(f.exception() is not None for f in done), "no session crashed"
+        server.respawn_shard(0)
+        crashed = [
+            script
+            for script in workload
+            if futures[script.session_id].exception(timeout=JOIN_TIMEOUT) is not None
+        ]
+        assert stalled.is_set(), "the collector never failed a session"
+        for script in crashed:
+            assert isinstance(futures[script.session_id].exception(), ShardCrashError)
+
+        redone = [server.submit(s, timeout=JOIN_TIMEOUT) for s in crashed]
+        for script, future in zip(crashed, redone):
+            outcome = future.result(timeout=30.0)  # no hang
+            rows, call_sims, total = drive_bare(data, script)
+            assert outcome.row_sets == rows
+            assert outcome.call_sim_ms == call_sims
+            assert outcome.simulated_ms == total
+        stats = server.shard_stats()[0]
+        assert stats["alive"] and stats["respawns"] == 1
+        assert server.admission.stats()["in_flight"] == 0
+    assert not multiprocessing.active_children()
+
+
+def test_a_failing_collector_fails_pending_scripts_and_refuses_new_ones(
+    data, monkeypatch
+):
+    """If the router's one collector thread raises, no future is left
+    waiting for it and no later submit is accepted."""
+    workload = make_workload(seed=3, sessions=2, calls_per_session=2)
+    with ShardedIntegrationServer(shards=1, data=data, queue_limit=4) as server:
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while not server.shard_stats()[0]["ready"]:  # its Hello is dispatched
+            assert time.monotonic() < deadline, "the shard never said hello"
+            time.sleep(0.005)
+
+        def broken_dispatch(handle, pending, message):
+            raise RuntimeError("collector bug")
+
+        monkeypatch.setattr(server, "_dispatch", broken_dispatch)
+        future = server.submit(workload[0], timeout=JOIN_TIMEOUT)
+        exc = future.exception(timeout=JOIN_TIMEOUT)
+        assert isinstance(exc, ServingError) and "collector bug" in str(exc)
+        assert isinstance(exc.__cause__, RuntimeError)
+        assert not isinstance(exc, ShardCrashError)
+        with pytest.raises(ServingError, match="collector"):
+            server.submit(workload[1], timeout=JOIN_TIMEOUT)
+        assert server.admission.stats()["in_flight"] == 0
+    assert not multiprocessing.active_children()
 
 
 def test_respawn_requires_a_dead_shard(data):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simtime.clock import VirtualClock
-from repro.simtime.trace import TraceRecorder, maybe_span
+from repro.simtime.trace import ACTIVE_RECORDER, TraceRecorder, maybe_span
 
 
 def make():
@@ -86,15 +86,51 @@ def test_open_span_duration_raises():
 
 
 def test_maybe_span_none_recorder_is_noop():
-    with maybe_span(None, "anything"):
+    assert ACTIVE_RECORDER.get() is None
+    with maybe_span("anything"):
         pass  # must not raise
 
 
 def test_maybe_span_with_recorder_records():
     clock, trace = make()
-    with maybe_span(trace, "step"):
-        clock.advance(1.0)
+    token = ACTIVE_RECORDER.set(trace)
+    try:
+        with maybe_span("step"):
+            clock.advance(1.0)
+    finally:
+        ACTIVE_RECORDER.reset(token)
     assert trace.totals_by_name() == {"step": 1.0}
+
+
+def test_maybe_span_records_nothing_while_capturing():
+    """Captured charges are not on the clock yet; the WfMS scheduler
+    records them itself, so spans opened inside a capture are dropped."""
+    clock, trace = make()
+    token = ACTIVE_RECORDER.set(trace)
+    try:
+        with clock.capture():
+            with maybe_span("captured"):
+                clock.advance(1.0)
+        with maybe_span("after"):
+            clock.advance(2.0)
+    finally:
+        ACTIVE_RECORDER.reset(token)
+    assert trace.totals_by_name() == {"after": 2.0}
+
+
+def test_active_recorder_is_per_thread():
+    import threading
+
+    _, trace = make()
+    seen = []
+    token = ACTIVE_RECORDER.set(trace)
+    try:
+        thread = threading.Thread(target=lambda: seen.append(ACTIVE_RECORDER.get()))
+        thread.start()
+        thread.join()
+    finally:
+        ACTIVE_RECORDER.reset(token)
+    assert seen == [None]
 
 
 def test_walk_visits_all_descendants():

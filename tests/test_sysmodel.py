@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ProcessStateError
 from repro.simtime.clock import VirtualClock
 from repro.simtime.costs import DEFAULT_COSTS
-from repro.simtime.trace import TraceRecorder
+from repro.simtime.trace import ACTIVE_RECORDER, TraceRecorder
 from repro.sysmodel.controller import Controller
 from repro.sysmodel.machine import Machine
 from repro.sysmodel.process import JavaVirtualMachine, OsProcess
@@ -69,11 +69,14 @@ class TestRmiChannel:
         clock = VirtualClock()
         trace = TraceRecorder(clock)
         channel = RmiChannel("c", clock, 8.0, 0.5)
-        with trace.span("total"):
-            channel.invoke(
-                lambda: None, trace=trace, call_label="RMI call",
-                return_label="RMI return",
-            )
+        token = ACTIVE_RECORDER.set(trace)
+        try:
+            with trace.span("total"):
+                channel.invoke(
+                    lambda: None, call_label="RMI call", return_label="RMI return"
+                )
+        finally:
+            ACTIVE_RECORDER.reset(token)
         totals = trace.totals_by_name()
         assert totals["RMI call"] == pytest.approx(8.0)
         assert totals["RMI return"] == pytest.approx(0.5)

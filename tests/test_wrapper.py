@@ -16,7 +16,7 @@ from repro.wrapper.udtf_runtime import FencedUdtfContext
 
 class TestMedRegistry:
     class EchoWrapper:
-        def invoke_foreign(self, function_name, args, trace=None):
+        def invoke_foreign(self, function_name, args):
             return [(function_name, *args)]
 
     def make(self):
