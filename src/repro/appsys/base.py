@@ -108,15 +108,16 @@ class ApplicationSystem:
     def fork(
         self, machine: Machine | None = None, parses: ParseMap | None = None
     ) -> "ApplicationSystem":
-        """A system of the same kind on ``machine``, over a private copy
-        of this one's loaded tables.
+        """A system of the same kind on ``machine``, over this one's
+        loaded tables.
 
         It holds what constructing the system again would, without the
-        load: each table is copied (see
-        :meth:`~repro.fdbs.engine.Database.copy_table`) and the local
-        functions are registered again against the copy.  The new
-        private database reads statements from ``parses``.  Writes
-        through either system never reach the other.
+        load: each table is forked (see
+        :meth:`~repro.fdbs.engine.Database.copy_table`), sharing its rows
+        and indexes with this system's until either side first writes
+        it, and the local functions are registered again against the
+        new database.  That database reads statements from ``parses``.
+        Writes through either system never reach the other.
         """
         clone = copy.copy(self)
         database = Database(f"{self.name}-internal", machine=None, parses=parses)
@@ -135,7 +136,7 @@ class ApplicationSystem:
         """Build the hash indexes of :attr:`LOOKUP_INDEXES` now.
 
         A lookup builds its index on first use anyway; a system that is
-        forked many times builds them once here, so every fork copies
+        forked many times builds them once here, so every fork shares
         them with its tables instead of building them again.  Rows are
         not touched.
         """

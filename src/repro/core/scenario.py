@@ -30,6 +30,7 @@ from typing import Callable
 from repro.appsys.base import ApplicationSystem, load_table
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture, supports
+from repro.core.compile_sql_udtf import FunctionResolver
 from repro.core.federated_function import FederatedFunction
 from repro.core.mapping import (
     Const,
@@ -42,7 +43,7 @@ from repro.core.mapping import (
     OutputSpec,
     classify,
 )
-from repro.core.server import IntegrationServer
+from repro.core.server import CompiledFunction, IntegrationServer, compile_function
 from repro.fdbs.federation import (
     ARCHIVE_PROFILE,
     CACHE_FRONTED_PROFILE,
@@ -366,6 +367,36 @@ class Scenario:
         return self.server.call(name, *args, trace=trace)
 
 
+@dataclass(frozen=True)
+class Deployment:
+    """Federated functions compiled for one architecture, plus those the
+    architecture cannot express (name -> reason)."""
+
+    compiled: tuple[CompiledFunction, ...]
+    skipped: dict[str, str]
+
+
+def compile_deployment(
+    architecture: Architecture,
+    functions: list[FederatedFunction],
+    resolver: FunctionResolver,
+) -> Deployment:
+    """Compile every function of ``functions`` (already validated) that
+    ``architecture`` supports; the others are recorded as skipped."""
+    compiled: list[CompiledFunction] = []
+    skipped: dict[str, str] = {}
+    for fed in functions:
+        case = classify(fed.mapping, validate=False)
+        if supports(architecture, case):
+            compiled.append(compile_function(architecture, fed, resolver))
+        else:
+            skipped[fed.name.upper()] = (
+                f"{case.value} is not supported by the "
+                f"{architecture.value} architecture"
+            )
+    return Deployment(tuple(compiled), skipped)
+
+
 def build_scenario(
     architecture: Architecture,
     costs: CostModel | None = None,
@@ -376,7 +407,7 @@ def build_scenario(
     heterogeneous: bool = False,
     system_factories: list[Callable[[Machine], ApplicationSystem]] | None = None,
     parses: ParseMap | None = None,
-    functions: list[FederatedFunction] | None = None,
+    deployment: Deployment | None = None,
     options: Options | None = None,
     **changes,
 ) -> Scenario:
@@ -391,9 +422,11 @@ def build_scenario(
     federates the three heterogeneous source profiles (see
     :func:`attach_heterogeneous_sources`); ``system_factories`` and
     ``parses`` go to :class:`~repro.core.server.IntegrationServer`, and
-    ``functions`` replaces a fresh :func:`scenario_functions` list (the
-    serving layer's session templates pass forked application systems,
-    their shared parse map and one validated list, never mutated)."""
+    ``deployment`` replaces compiling :func:`scenario_functions` for
+    ``architecture`` (:func:`compile_deployment`) against this server's
+    systems (the serving layer's session templates pass forked
+    application systems, their shared parse map and the deployment they
+    compiled once)."""
     server = IntegrationServer(
         architecture,
         costs=costs,
@@ -408,19 +441,15 @@ def build_scenario(
         server.configure_faults(**faults)
     if heterogeneous:
         attach_heterogeneous_sources(server.fdbs, data=server.data)
-    scenario = Scenario(server)
-    if functions is None:
-        functions = scenario_functions()  # validates each function once
-    for fed in functions:
-        case = classify(fed.mapping, validate=False)
-        if not supports(architecture, case):
-            scenario.skipped[fed.name.upper()] = (
-                f"{case.value} is not supported by the "
-                f"{architecture.value} architecture"
-            )
-            continue
-        server.deploy(fed, validate=False)
-        scenario.functions[fed.name.upper()] = fed
+    if deployment is None:
+        # scenario_functions() validates each function once.
+        deployment = compile_deployment(
+            architecture, scenario_functions(), server.resolver
+        )
+    scenario = Scenario(server, skipped=dict(deployment.skipped))
+    for compiled in deployment.compiled:
+        server.install(compiled)
+        scenario.functions[compiled.fed.name.upper()] = compiled.fed
     return scenario
 
 

@@ -4,13 +4,15 @@ One :class:`IntegrationServer` hosts the whole stack of Fig. 2 on one
 simulated machine: the FDBS (with the fenced UDTF runtime), the WfMS
 (client + engine + program registry), the controller, the SQL/MED
 bookkeeping, and the three application systems.  ``deploy()`` compiles
-a federated function for the selected architecture; ``call()`` runs it
-the way an application would — through a SELECT statement against the
-FDBS.
+a federated function for the selected architecture
+(:func:`compile_function`) and installs it (``install()``, which also
+takes one compiled once for many servers); ``call()`` runs it the way
+an application would — through a SELECT statement against the FDBS.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.appsys.base import ApplicationSystem, LocalFunction
@@ -20,7 +22,11 @@ from repro.appsys.purchasing import PurchasingSystem
 from repro.appsys.stock import StockKeepingSystem
 from repro.core.architectures import Architecture
 from repro.core.compile_procedural import compile_procedural
-from repro.core.compile_sql_udtf import compile_simple_select, compile_sql_udtf
+from repro.core.compile_sql_udtf import (
+    FunctionResolver,
+    compile_simple_select,
+    compile_sql_udtf,
+)
 from repro.core.compile_workflow import compile_workflow, program_id
 from repro.core.federated_function import FederatedFunction
 from repro.errors import MappingError
@@ -36,6 +42,7 @@ from repro.udtf.procedural import register_procedural_iudtf
 from repro.udtf.sql_iudtf import create_sql_iudtf
 from repro.wfms.api import WfmsClient
 from repro.wfms.programs import LocalFunctionProgram, ProgramRegistry
+from repro.wfms.template import ProcessTemplate
 from repro.wrapper.med import MedRegistry
 from repro.wrapper.udtf_runtime import FencedFunctionRuntime
 from repro.wrapper.wfms_wrapper import WfmsWrapper
@@ -51,6 +58,59 @@ def scenario_systems(
         PurchasingSystem(machine, data),
         ProductDataManagementSystem(machine, data),
     ]
+
+
+def resolve_local(
+    systems: dict[str, ApplicationSystem], system: str, function: str
+) -> LocalFunction:
+    """The signature of ``system``'s local ``function``, for the
+    compilers (``systems`` keyed by system name)."""
+    try:
+        appsys = systems[system]
+    except KeyError:
+        raise MappingError(f"unknown application system {system!r}") from None
+    return appsys.function(function)
+
+
+@dataclass(frozen=True)
+class CompiledFunction:
+    """A federated function compiled for one architecture: what
+    :meth:`IntegrationServer.install` registers.
+
+    It holds no server state, so any number of servers of that
+    architecture over systems with the same signatures can install it.
+    """
+
+    architecture: Architecture
+    fed: FederatedFunction
+    artefact: object
+    """The compiled form: a ``(ProcessTemplate, helper registry)`` pair
+    (WfMS), the ``CREATE FUNCTION`` text (enhanced SQL UDTF), the
+    procedural body (enhanced Java UDTF) or the ``(SELECT text,
+    binding)`` pair (simple UDTF)."""
+
+
+def compile_function(
+    architecture: Architecture, fed: FederatedFunction, resolver: FunctionResolver
+) -> CompiledFunction:
+    """Compile ``fed`` (already validated) for ``architecture``.
+
+    Raises :class:`~repro.errors.UnsupportedMappingError` where the
+    paper's Sect. 3 table says 'not supported'.
+    """
+    if architecture is Architecture.WFMS:
+        helpers = ProgramRegistry()
+        definition = compile_workflow(fed, resolver, helpers, validate=False)
+        artefact: object = (ProcessTemplate.build(definition), helpers)
+    elif architecture is Architecture.ENHANCED_SQL_UDTF:
+        artefact = compile_sql_udtf(fed, resolver, validate=False)
+    elif architecture is Architecture.ENHANCED_JAVA_UDTF:
+        artefact = compile_procedural(fed, resolver, validate=False)
+    elif architecture is Architecture.SIMPLE_UDTF:
+        artefact = compile_simple_select(fed, resolver, validate=False)
+    else:  # pragma: no cover - enum is closed
+        raise MappingError(f"unknown architecture {architecture!r}")
+    return CompiledFunction(architecture, fed, artefact)
 
 
 class IntegrationServer:
@@ -142,11 +202,7 @@ class IntegrationServer:
 
     def resolver(self, system: str, function: str) -> LocalFunction:
         """Resolve a local function's signature for the compilers."""
-        try:
-            appsys = self.systems[system]
-        except KeyError:
-            raise MappingError(f"unknown application system {system!r}") from None
-        return appsys.function(function)
+        return resolve_local(self.systems, system, function)
 
     def deploy(self, fed: FederatedFunction, validate: bool = True) -> None:
         """Compile and register a federated function for the selected
@@ -156,27 +212,33 @@ class IntegrationServer:
         Sect. 3 table says 'not supported'."""
         if validate:
             fed.validate()
-        if self.architecture is Architecture.WFMS:
-            definition = compile_workflow(
-                fed, self.resolver, self.registry, validate=False
+        self.install(compile_function(self.architecture, fed, self.resolver))
+
+    def install(self, compiled: CompiledFunction) -> None:
+        """Register a federated function compiled for this server's
+        architecture (:func:`compile_function`); the compiled form is
+        only read, so one can be installed on many servers."""
+        if compiled.architecture is not self.architecture:
+            raise MappingError(
+                f"{compiled.fed.name} was compiled for the "
+                f"{compiled.architecture.value} architecture, not "
+                f"{self.architecture.value}"
             )
+        fed, artefact = compiled.fed, compiled.artefact
+        if self.architecture is Architecture.WFMS:
+            template, helpers = artefact
+            self.registry.add_helpers(helpers)
             self.wfms_wrapper.register_federated_function(
-                definition, fed.params, fed.returns
+                template, fed.params, fed.returns
             )
         elif self.architecture is Architecture.ENHANCED_SQL_UDTF:
-            ddl = compile_sql_udtf(fed, self.resolver, validate=False)
-            create_sql_iudtf(self.fdbs, ddl)
+            create_sql_iudtf(self.fdbs, artefact)
         elif self.architecture is Architecture.ENHANCED_JAVA_UDTF:
-            body = compile_procedural(fed, self.resolver, validate=False)
             register_procedural_iudtf(
-                self.fdbs, fed.name, fed.params, fed.returns, body
+                self.fdbs, fed.name, fed.params, fed.returns, artefact
             )
-        elif self.architecture is Architecture.SIMPLE_UDTF:
-            self._simple_queries[fed.name.upper()] = compile_simple_select(
-                fed, self.resolver, validate=False
-            )
-        else:  # pragma: no cover - enum is closed
-            raise MappingError(f"unknown architecture {self.architecture!r}")
+        else:
+            self._simple_queries[fed.name.upper()] = artefact
         self.deployed[fed.name.upper()] = fed
 
     # ------------------------------------------------------------------

@@ -26,9 +26,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``plan`` field metadata of a field that folds into the schema key
 #: only by whether it is set (see :func:`describe`).
 _PRESENCE = {"plan": "presence"}
+#: ``plan`` field metadata of a list of column definitions, parameters
+#: or names: frozen values that print alike exactly when they compare
+#: equal, so a printer may print each such list value once.
+_BY_VALUE = {"plan": "value"}
 
 
-def describe(definition: object) -> str:
+def describe(
+    definition: object, printed: Callable[[list], str] | None = None
+) -> str:
     """A catalog definition as text, for the schema key.
 
     Every field folds its ``repr`` (the dataclasses involved: columns,
@@ -36,17 +42,26 @@ def describe(definition: object) -> str:
     values out in full), except the fields marked ``presence``: objects
     that each execution resolves in its own database (a table's
     storage, a server's endpoint, an external function's
-    implementation), which fold only whether they are set.  Anything
-    that is not a definition (a dropped object's name) is its ``repr``.
+    implementation), which fold only whether they are set.  A field
+    marked ``value`` folds ``printed(value)``, which must equal its
+    ``repr`` (:meth:`~repro.fdbs.session.ParseMap.printed` looks it up
+    by value).  Anything that is not a definition (a dropped object's
+    name) is its ``repr``.
     """
     kind = type(definition)
     fields = _FOLDED.get(kind)
     if fields is None:
         return repr(definition)
     parts = [kind.__name__]
-    for name, presence in fields:
+    for name, fold in fields:
         value = getattr(definition, name)
-        parts.append(f"{name}={(value is not None) if presence else value!r}")
+        if fold == "presence":
+            text = str(value is not None)
+        elif fold == "value" and value is not None and printed is not None:
+            text = printed(value)
+        else:
+            text = repr(value)
+        parts.append(f"{name}={text}")
     return " ".join(parts)
 
 
@@ -64,8 +79,8 @@ class TableDef:
     """A base table: schema plus its storage."""
 
     name: str
-    columns: list[ColumnDef]
-    primary_key: list[str] = field(default_factory=list)
+    columns: list[ColumnDef] = field(metadata=_BY_VALUE)
+    primary_key: list[str] = field(default_factory=list, metadata=_BY_VALUE)
     storage: "Table | None" = field(default=None, metadata=_PRESENCE)
 
     def column_index(self, name: str) -> int:
@@ -103,8 +118,8 @@ class SqlTableFunction:
     """A ``LANGUAGE SQL`` I-UDTF: body is one SELECT statement."""
 
     name: str
-    params: list[FunctionParam]
-    returns: list[ColumnDef]
+    params: list[FunctionParam] = field(metadata=_BY_VALUE)
+    returns: list[ColumnDef] = field(metadata=_BY_VALUE)
     body: "ast.Select"
     deterministic: bool = False
     """DETERMINISTIC functions may have repeated invocations with equal
@@ -124,8 +139,8 @@ class ExternalTableFunction:
     """
 
     name: str
-    params: list[FunctionParam]
-    returns: list[ColumnDef]
+    params: list[FunctionParam] = field(metadata=_BY_VALUE)
+    returns: list[ColumnDef] = field(metadata=_BY_VALUE)
     external_name: str
     language: str = "JAVA"
     fenced: bool = True
@@ -161,7 +176,7 @@ class ProcedureDef:
     """A stored procedure (PSM body; CALL-only)."""
 
     name: str
-    params: list[FunctionParam]
+    params: list[FunctionParam] = field(metadata=_BY_VALUE)
     body: "list[ast.PsmStatement]"
 
 
@@ -194,7 +209,7 @@ class ViewDef:
     """A view: a named, macro-expanded SELECT (definer rights)."""
 
     name: str
-    columns: list[str] | None
+    columns: list[str] | None = field(metadata=_BY_VALUE)
     body: "ast.Select"
 
 
@@ -205,7 +220,7 @@ class NicknameDef:
     name: str
     server: str
     remote_name: str
-    columns: list[ColumnDef] = field(default_factory=list)
+    columns: list[ColumnDef] = field(default_factory=list, metadata=_BY_VALUE)
 
 
 TableFunction = SqlTableFunction | ExternalTableFunction
@@ -221,11 +236,10 @@ DEFINITIONS = (
     ViewDef,
     NicknameDef,
 )
-#: Per definition class, ``(field name, presence only)`` for each field.
+#: Per definition class, ``(field name, fold)`` for each field, where
+#: ``fold`` is its ``plan`` metadata (see :func:`describe`).
 _FOLDED = {
-    kind: tuple(
-        (f.name, f.metadata.get("plan") == "presence") for f in dataclasses.fields(kind)
-    )
+    kind: tuple((f.name, f.metadata.get("plan")) for f in dataclasses.fields(kind))
     for kind in DEFINITIONS
 }
 

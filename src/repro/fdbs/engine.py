@@ -789,7 +789,7 @@ class Database:
         if self.parses is None:
             self.catalog.note_ddl(kind)
         else:
-            self.catalog.note_ddl(f"{kind} {describe(changed)}")
+            self.catalog.note_ddl(f"{kind} {describe(changed, self.parses.printed)}")
         self.statement_cache.invalidate()
         self.federation.forget_fetchers()
 
@@ -1138,10 +1138,11 @@ class Database:
     def copy_table(self, table: TableDef) -> None:
         """Create ``table`` (another database's) here, rows included.
 
-        The new table starts from a private copy of the source's current
-        version (:meth:`~repro.fdbs.storage.Table.fork`), chunked by this
-        database's ``chunk_size``, as though its CREATE TABLE and load had
-        run here; later writes on either side stay on that side."""
+        The new table holds the source's current version
+        (:meth:`~repro.fdbs.storage.Table.fork`: its rows are copied on
+        either side's first write), chunked by this database's
+        ``chunk_size``, as though its CREATE TABLE and load had run here;
+        later writes on either side stay on that side."""
         storage = table.storage.fork(self.options.chunk_size)
         copied = TableDef(table.name, list(table.columns), list(table.primary_key), storage)
         self.catalog.add_table(copied)

@@ -195,10 +195,14 @@ class ParseMap:
     and the statement text (a SQL I-UDTF body by its function name), a
     plan serves exactly the databases that would have built it alike.
 
+    Plans are found by the catalog's schema key, which the databases
+    compute alike by describing each schema change alike; the map
+    prints the lists those descriptions repeat (:meth:`printed`) once.
+
     Only wall-clock time changes: the simulated plan-compile charge and
     the cache counters stay with each database.  Lookups are lock-free
     dict reads; stores take a lock.  Past ``capacity`` entries of
-    either kind the oldest stored one is dropped, so a stream of one-off
+    any kind the oldest stored one is dropped, so a stream of one-off
     statements cannot grow the map without bound.
     """
 
@@ -208,6 +212,7 @@ class ParseMap:
         self.capacity = capacity
         self._statements: dict[str, object] = {}
         self._plans: dict[tuple, object] = {}
+        self._printed: dict[tuple, str] = {}
         self._lock = threading.Lock()
 
     def parse(self, sql: str) -> object:
@@ -226,6 +231,18 @@ class ParseMap:
         """Store ``plan`` under ``key`` (a plan already there stays:
         every plan stored under one key is equally valid)."""
         self._store(self._plans, key, plan)
+
+    def printed(self, value: list) -> str:
+        """``repr(value)`` for a list a catalog definition holds (column
+        definitions, parameters or names: frozen values that print
+        alike exactly when they compare equal), printed once per map
+        (see :func:`~repro.fdbs.catalog.describe`)."""
+        key = tuple(value)
+        text = self._printed.get(key)
+        if text is None:
+            text = repr(value)
+            self._store(self._printed, key, text)
+        return text
 
     def _store(self, entries: dict, key, value: object) -> None:
         with self._lock:

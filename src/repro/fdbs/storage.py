@@ -24,6 +24,9 @@ Concurrency model (MVCC snapshot isolation at statement granularity):
 * Updates and deletes build one **copy-on-write successor arena** per
   call (rids preserved, tombstones kept) and publish it; versions
   pinned against the old arena keep reading it untouched.
+* A :meth:`Table.fork` shares its source's arena, which is marked
+  ``shared`` and never written again: the first write of either table
+  (an insert, a new index, the columnar cache) takes a private copy.
 * All mutations run under the table's **write latch** (a re-entrant
   per-table lock); writers on different tables never contend.  A DML
   statement wraps its mutations in :meth:`Table.write_transaction`,
@@ -231,7 +234,7 @@ class _Arena:
     own ``row_limit``.
     """
 
-    __slots__ = ("rows", "pk_index", "indexes", "chunk_state")
+    __slots__ = ("rows", "pk_index", "indexes", "chunk_state", "shared")
 
     def __init__(
         self,
@@ -246,13 +249,16 @@ class _Arena:
         #: where ``sealed_chunks`` only ever grows while the arena is
         #: current.  ``None`` until the first columnar access.
         self.chunk_state: tuple[int, list[ColumnChunk]] | None = None
+        #: Set once tables forked from one another read this arena; from
+        #: then on nothing writes it (each table writes a private copy).
+        self.shared = False
 
     def copy(self) -> "_Arena":
         """Copy-on-write clone (rows list, pk index, secondary indexes).
 
         The columnar cache is *not* carried over: the clone's rows are
         about to be mutated, so its chunks and zone maps are rebuilt
-        lazily on the next columnar access.
+        lazily on the next columnar access.  The clone is not shared.
         """
         return _Arena(
             rows=list(self.rows),
@@ -266,7 +272,9 @@ class TableVersion:
 
     Readers resolve a version once per statement and iterate it without
     locks: the arena's rows below ``row_limit`` never change after the
-    version is published.
+    version is published.  (A forked table's first write swaps ``arena``
+    for a private copy that holds the same rows, see
+    :meth:`Table._own_arena`.)
     """
 
     __slots__ = ("version_id", "arena", "row_limit", "live", "chunks")
@@ -355,22 +363,37 @@ class Table:
         self._chunks_built = False
 
     def fork(self, chunk_size: int) -> "Table":
-        """A new table of this schema, chunked by ``chunk_size``, over a
-        private copy of the current version: the arena copied (see
-        :meth:`_Arena.copy`) and cut at the version's ``row_limit``.  It
-        holds what creating the table and loading the same rows would,
-        without coercing and key-checking each row again; writes to
-        either table never reach the other."""
+        """A new table of this schema, chunked by ``chunk_size``, holding
+        this table's current version.  It holds what creating the table
+        and loading the same rows would, without coercing and
+        key-checking each row again, and without copying them: both
+        tables read one arena, marked ``shared``, until their first
+        write (see :meth:`_own_arena`).  So writes to either table never
+        reach the other, and a fork that is only read costs no copy."""
         with self._latch:
             current = self._current
-            arena = current.arena.copy()
-        del arena.rows[current.row_limit :]
+            current.arena.shared = True
         clone = Table(self.name, self.columns, self.primary_key, chunk_size)
         clone._current = TableVersion(
-            current.version_id, arena, current.row_limit, current.live
+            current.version_id, current.arena, current.row_limit, current.live
         )
         clone.versions_published = self.versions_published
         return clone
+
+    def _own_arena(self) -> TableVersion:
+        """The current version, over an arena no other table reads.
+
+        Called under the write latch before the arena is written.  A
+        shared arena (see :meth:`fork`) is copied and the current version
+        is pointed at the copy in place: below its ``row_limit`` the
+        copy holds what the shared arena holds, so readers that pinned
+        the version see the same rows either way, and nothing is
+        published.
+        """
+        current = self._current
+        if current.arena.shared:
+            current.arena = current.arena.copy()
+        return current
 
     # -- version plumbing ------------------------------------------------------------
 
@@ -447,13 +470,13 @@ class Table:
         """
         with self._latch:
             current = self._current
-            arena = current.arena
             start = current.row_limit
             coerced = [self._coerce(values) for values in rows]
             keys = self._checked_keys(coerced, current)
             count = len(coerced)
             if not count:
                 return range(start, start)
+            arena = self._own_arena().arena
             arena.rows.extend(coerced)
             if keys:
                 arena.pk_index.update(zip(keys, range(start, start + count)))
@@ -640,20 +663,25 @@ class Table:
         stored = version.chunks
         if stored is not None and stored[0] == size:
             return stored[1]
-        arena = version.arena
         width = len(self.columns)
         full = version.row_limit // size
         with self._latch:
             stored = version.chunks
             if stored is not None and stored[0] == size:
                 return stored[1]
-            state = arena.chunk_state
+            if version is self._current:
+                self._own_arena()
+            # An older version may still read a shared arena (an UPDATE
+            # copies without owning it first): it seals for itself alone.
+            arena = version.arena
+            state = None if arena.shared else arena.chunk_state
             if state is None or state[0] != size:
                 if self._chunks_built:
                     self.zone_map_rebuilds += 1
                 self._chunks_built = True
                 state = (size, [])
-                arena.chunk_state = state
+                if not arena.shared:
+                    arena.chunk_state = state
             sealed = state[1]
             while len(sealed) < full:
                 start = len(sealed) * size
@@ -680,14 +708,15 @@ class Table:
         current arena (built under the write latch)."""
         key = column.upper()
         with self._latch:
-            arena = self._current.arena
-            if key in arena.indexes:
-                return arena.indexes[key]
+            index = self._current.arena.indexes.get(key)
+            if index is not None:
+                return index
+            current = self._own_arena()
             position = self._position(column)
             index = HashIndex(position, value_key(self.columns[position].type))
-            for rid, row in self._current.scan():
+            for rid, row in current.scan():
                 index.add(rid, row)
-            arena.indexes[key] = index
+            current.arena.indexes[key] = index
             return index
 
     def index_lookup(self, column: str, value: object) -> list[Row]:

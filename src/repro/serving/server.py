@@ -17,10 +17,11 @@ stamped once from the server's
 the real shared state — warm pool, result cache, statement cache, RMI
 channels, clock — and correctness rests on the component locks.  Rows
 stay deterministic (reads against static data, DML on session-private
-scratch tables); timings do not (the clock interleaves).  This is the
-MVCC stress path.  Isolated sessions, each on its own stamped server,
-run through :func:`repro.serving.shard.run_script` in the process
-shards of :class:`~repro.serving.router.ShardedIntegrationServer`.
+scratch tables, dropped when their session closes); timings do not
+(the clock interleaves).  This is the MVCC stress path.  Isolated
+sessions, each on its own stamped server, run through
+:func:`repro.serving.shard.run_script` in the process shards of
+:class:`~repro.serving.router.ShardedIntegrationServer`.
 """
 
 from __future__ import annotations
@@ -378,8 +379,13 @@ class ConcurrentIntegrationServer:
                         future.result(timeout=join_timeout)
                     except Exception:
                         pass
-            for session in sessions:
+            for session, script in zip(sessions, scripts):
                 self.sessions.close(session.session_id)
+                # Free the shared FDBS of the session's scratch table, so
+                # the next session with its id can create it again.
+                fdbs = session.server.fdbs
+                if fdbs.catalog.has_table(script.scratch_table):
+                    fdbs.execute(f"DROP TABLE {script.scratch_table}")
 
     # -- introspection & lifecycle ------------------------------------------
 

@@ -3,23 +3,31 @@
 In isolated serving every session gets its own integration server
 (own machine, clock, caches and fault injector), so that its rows and
 simulated times depend on its own calls alone.  Built from scratch,
-each such server would load the three application systems again and
-parse every statement its fresh databases meet again, although neither
-depends on the session.
+each such server would load the three application systems again,
+compile every federated function again and parse every statement its
+fresh databases meet again, although none of that depends on the
+session.
 
 A :class:`SessionTemplate` keeps those things once per shard process
 and stamps each session's server from them; a session runs on its stamp
 through :func:`repro.serving.shard.run_script`.  (The shared-state
 :class:`~repro.serving.server.ConcurrentIntegrationServer` stamps one
-server per architecture from its own template.)  A template keeps:
+server per architecture from its own template.)  A stamp builds only
+what a session can change or observe.  Shared between stamps:
 
 * a :class:`~repro.fdbs.session.ParseMap` that every database of every
   stamped server (the FDBS, the application systems' private databases,
   heterogeneous remote sources) reads parsed statements from;
 * the application systems, loaded once at the first stamp; each stamp
   forks them (:meth:`~repro.appsys.base.ApplicationSystem.fork`) onto
-  its own machine over private copies of their tables;
-* the validated scenario functions, which deployment only reads.
+  its own machine.  A fork's tables read the template's rows and
+  indexes until the session first writes one, which then takes a
+  private copy (:meth:`~repro.fdbs.storage.Table.fork`); the template's
+  own tables are never written;
+* one :class:`~repro.core.scenario.Deployment` per architecture: the
+  scenario functions compiled (WfMS process templates built and
+  validated) by the first stamp of that architecture, which every later
+  stamp installs as is.
 
 Everything else is built per stamp exactly as
 :func:`~repro.core.scenario.build_scenario` builds it, so a stamped
@@ -35,9 +43,13 @@ from dataclasses import dataclass, field
 from repro.appsys.base import ApplicationSystem
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.core.architectures import Architecture
-from repro.core.federated_function import FederatedFunction
-from repro.core.scenario import build_scenario, scenario_functions
-from repro.core.server import IntegrationServer, scenario_systems
+from repro.core.scenario import (
+    Deployment,
+    build_scenario,
+    compile_deployment,
+    scenario_functions,
+)
+from repro.core.server import IntegrationServer, resolve_local, scenario_systems
 from repro.fdbs.options import DEFAULT_OPTIONS, Options
 from repro.fdbs.session import ParseMap
 from repro.simtime.costs import CostModel
@@ -69,30 +81,48 @@ class ShardConfig:
 
 
 class SessionTemplate:
-    """Stamps isolated session servers that share parses and loaded data.
+    """Stamps isolated session servers that share parses, loaded data
+    and compiled deployments.
 
-    The application systems are loaded by the first :meth:`stamp`, never
-    at construction, so a worker reports ready without paying for them.
-    One set serves every architecture: the systems do not depend on it.
+    The application systems are loaded by the first :meth:`stamp`, and
+    each architecture's deployment compiled by its first stamp, never at
+    construction, so a worker reports ready without paying for them.
+    One set of systems serves every architecture: they do not depend on
+    it.
     """
 
     def __init__(self, config: ShardConfig):
         self.config = config
         self.data = config.data if config.data is not None else generate_enterprise_data()
         self.parses = ParseMap(PARSE_CAPACITY)
-        self._shared: tuple[list[ApplicationSystem], list[FederatedFunction]] | None = None
-        self._lock = threading.Lock()
+        self._systems: list[ApplicationSystem] | None = None
+        self._deployments: dict[Architecture, Deployment] = {}
+        self._lock = threading.RLock()
 
-    def shared(self) -> tuple[list[ApplicationSystem], list[FederatedFunction]]:
-        """The loaded application systems every stamp forks and the
-        validated scenario functions every stamp deploys (built once)."""
+    def shared(self) -> list[ApplicationSystem]:
+        """The loaded application systems every stamp forks (loaded once)."""
         with self._lock:
-            if self._shared is None:
+            if self._systems is None:
                 systems = scenario_systems(None, self.data)
                 for system in systems:
                     system.build_lookup_indexes()
-                self._shared = (systems, scenario_functions())
-            return self._shared
+                self._systems = systems
+            return self._systems
+
+    def deployment(self, architecture: Architecture) -> Deployment:
+        """The scenario functions compiled for ``architecture`` against
+        the shared systems' signatures (compiled once)."""
+        with self._lock:
+            deployment = self._deployments.get(architecture)
+            if deployment is None:
+                systems = {system.name: system for system in self.shared()}
+                deployment = compile_deployment(
+                    architecture,
+                    scenario_functions(),
+                    functools.partial(resolve_local, systems),
+                )
+                self._deployments[architecture] = deployment
+            return deployment
 
     def stamp(
         self, architecture: Architecture, faults: dict | None = None
@@ -100,14 +130,15 @@ class SessionTemplate:
         """A fresh session server for ``architecture``.
 
         It is :func:`~repro.core.scenario.build_scenario`'s server with
-        forked application systems and the shared parse map, built in
-        row mode; ``setup_sql`` runs, then the configured execution mode
-        applies.  ``faults`` arms its own fault injector.
+        forked application systems, the shared parse map and the
+        architecture's shared deployment, built in row mode;
+        ``setup_sql`` runs, then the configured execution mode applies.
+        ``faults`` arms its own fault injector.
         """
         config = self.config
         options = config.options
         parses = self.parses
-        systems, functions = self.shared()
+        deployment = self.deployment(architecture)
         server = build_scenario(
             architecture,
             costs=config.costs,
@@ -116,10 +147,11 @@ class SessionTemplate:
             faults=faults,
             heterogeneous=config.heterogeneous,
             system_factories=[
-                functools.partial(system.fork, parses=parses) for system in systems
+                functools.partial(system.fork, parses=parses)
+                for system in self.shared()
             ],
             parses=parses,
-            functions=functions,
+            deployment=deployment,
             options=options,
             execution_mode="row",
         ).server

@@ -32,15 +32,19 @@ class WfmsClient:
 
     # -- deployment ------------------------------------------------------------
 
-    def deploy(self, definition: ProcessDefinition) -> None:
+    def deploy(self, process: ProcessDefinition | ProcessTemplate) -> None:
         """Deploy (or replace) a process template.
 
-        Like MQSeries Workflow's FDL import, deploying validates the
-        definition once and compiles a private template from it: later
-        edits to ``definition`` do not reach the deployed process until
-        it is deployed again.
+        Like MQSeries Workflow's FDL import, deploying a definition
+        validates it once and compiles a private template from it: later
+        edits to the definition do not reach the deployed process until
+        it is deployed again.  A built :class:`ProcessTemplate` is
+        deployed as is (it was validated when built, and navigation only
+        reads it, so many clients may deploy one).
         """
-        self._templates[definition.name.upper()] = ProcessTemplate.build(definition)
+        if not isinstance(process, ProcessTemplate):
+            process = ProcessTemplate.build(process)
+        self._templates[process.name.upper()] = process
 
     def template(self, name: str) -> ProcessDefinition:
         """The deployed process (the template's private snapshot, which

@@ -45,6 +45,12 @@ class ProgramRegistry:
             raise WorkflowError(f"helper {name!r} is already registered")
         self._helpers[key] = fn
 
+    def add_helpers(self, other: "ProgramRegistry") -> None:
+        """Register every helper of ``other`` that is not registered
+        here yet (a compiled workflow brings the helpers it calls)."""
+        for key, fn in other._helpers.items():
+            self._helpers.setdefault(key, fn)
+
     def program(self, name: str) -> ProgramFn:
         """Look up a program by identifier."""
         try:

@@ -23,6 +23,7 @@ from repro.fdbs.engine import Database
 from repro.fdbs.types import SqlType
 from repro.wfms.api import WfmsClient
 from repro.wfms.model import ProcessDefinition
+from repro.wfms.template import ProcessTemplate
 from repro.wrapper.udtf_runtime import WFMS_LANGUAGE
 
 
@@ -36,11 +37,13 @@ class WfmsWrapper:
 
     def register_federated_function(
         self,
-        definition: ProcessDefinition,
+        process: ProcessDefinition | ProcessTemplate,
         params: list[tuple[str, SqlType]] | None = None,
         returns: list[tuple[str, SqlType]] | None = None,
     ) -> ExternalTableFunction:
-        """Deploy ``definition`` and expose it as a connecting UDTF.
+        """Deploy ``process`` (see :meth:`WfmsClient.deploy
+        <repro.wfms.api.WfmsClient.deploy>`) and expose it as a
+        connecting UDTF.
 
         ``params`` / ``returns`` default to the process input / output
         container members — "the signature of the connecting UDTF hides
@@ -48,7 +51,8 @@ class WfmsWrapper:
         workflow process" (trivial case), so overriding them is how name
         mappings happen.
         """
-        self.client.deploy(definition)
+        self.client.deploy(process)
+        definition = self.client.template(process.name)
         param_specs = params if params is not None else [
             (name, member_type) for name, member_type in definition.input_type.members
         ]

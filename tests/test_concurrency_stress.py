@@ -251,3 +251,17 @@ class TestSessionManager:
                 assert server.sessions.open_count == 0
                 assert server.sessions._sessions == {}
             assert server.sessions.total_opened == 2 * len(scripts)
+
+    def test_dml_workload_runs_twice_on_one_server(self, data):
+        """Closing a session drops the scratch table it created, so one
+        DML workload runs twice on one server with equal rows."""
+        scripts = make_workload(seed=1, sessions=2, calls_per_session=6, dml_fraction=0.5)
+        assert any(call.target.startswith("INSERT") for call in scripts[0].calls)
+        expected = {script.session_id: drive_bare(data, script)[0] for script in scripts}
+        with ConcurrentIntegrationServer(workers=2, data=data) as server:
+            for _ in range(2):
+                result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
+                assert result.row_sets == expected
+            for shared in server._shared_servers.values():
+                for script in scripts:
+                    assert not shared.fdbs.catalog.has_table(script.scratch_table)

@@ -2,8 +2,10 @@
 
 :class:`~repro.serving.template.SessionTemplate` stamps each isolated
 session's server from one per-worker template: the application systems
-are loaded once and forked per stamp, and every database reads parsed
-statements from one shared :class:`~repro.fdbs.session.ParseMap`.  The
+are loaded once and forked per stamp (their tables copied on a
+session's first write), each architecture's functions are compiled
+once, and every database reads parsed statements from one shared
+:class:`~repro.fdbs.session.ParseMap`.  The
 contract is the serving layer's: a session's rows and per-call
 simulated times are those of a bare ``build_scenario`` server, whatever
 sessions ran on the template before it.  Writes through a local
@@ -17,23 +19,31 @@ The ``proc`` cases at the end run the same checks through process
 shards (deselected by default; run with ``-m proc``).
 """
 
+import dataclasses
+import hashlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
 
+import repro.core.server as core_server
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
+from repro.core.compile_sql_udtf import compile_sql_udtf
 from repro.core.scenario import build_scenario
+from repro.fdbs.catalog import describe
 from repro.fdbs.options import Options
 from repro.fdbs.parser import parse_statement
 from repro.fdbs.session import ParseMap
+from repro.fdbs.storage import _Arena
 from repro.serving import ShardedIntegrationServer
 from repro.serving.session import ClientSession
 from repro.serving.shard import run_script
 from repro.serving.template import SessionTemplate, ShardConfig
 from repro.serving.workload import SessionScript, WorkloadCall, make_workload
 from repro.sysmodel.faults import SITE_ACTIVITY_PROGRAM, SITE_LOCAL_FUNCTION
+from repro.wfms.template import ProcessTemplate
 
 DATA = generate_enterprise_data()
 
@@ -127,7 +137,7 @@ class TestSessionsEqualBare:
         assert first[1] == [(2,)] and second[0] != [(2,)]
 
     def test_template_tables_are_never_written(self, template):
-        systems, _ = template.shared()
+        systems = template.shared()
         before = [
             [system._db().table_rows(t.name) for t in system._db().catalog.tables()]
             for system in systems
@@ -140,7 +150,7 @@ class TestSessionsEqualBare:
         assert after == before
 
     def test_forked_tables_take_writes_apart(self, template):
-        systems, _ = template.shared()
+        systems = template.shared()
         stock = systems[0]
         forks = [stock.fork(), stock.fork()]
         forks[0]._db().execute("INSERT INTO supplier_quality VALUES (?, ?)", [99, 1])
@@ -212,6 +222,149 @@ class TestSessionsEqualBare:
         sessions = run_on_threads(template, scripts, workers=3)
         for script in scripts:
             assert outcome(sessions[script.session_id]) == bare(script)
+
+
+def table_state(storage):
+    """Everything a fork's writes must not reach: the current version,
+    its rows, the arena's indexes and both columnar caches."""
+    version = storage.current_version
+    arena = version.arena
+
+    def chunks(state):
+        return state and (state[0], [chunk.rows for chunk in state[1]])
+
+    indexes = {
+        name: {key: list(rids) for key, rids in index._buckets.items()}
+        for name, index in arena.indexes.items()
+    }
+    return (
+        version.version_id,
+        version.row_limit,
+        version.live,
+        storage.versions_published,
+        version.rows(),
+        indexes,
+        chunks(arena.chunk_state),
+        chunks(version.chunks),
+    )
+
+
+def database_state(system):
+    return {t.name: table_state(t.storage) for t in system._db().catalog.tables()}
+
+
+def printed(definition):
+    """:func:`describe` without a printer: each field's ``repr``, or
+    whether it is set for the fields folded by presence."""
+    parts = [type(definition).__name__]
+    for f in dataclasses.fields(definition):
+        value = getattr(definition, f.name)
+        presence = f.metadata.get("plan") == "presence"
+        parts.append(f"{f.name}={value is not None if presence else repr(value)}")
+    return " ".join(parts)
+
+
+def chained(changes):
+    """The schema key a catalog reaches through ``changes`` from empty."""
+    key = ""
+    for change in changes:
+        key = hashlib.blake2b(f"{key}\x00{change}".encode(), digest_size=12).hexdigest()
+    return key
+
+
+class TestSharedBetweenStamps:
+    """What stamps share — forked tables, compiled deployments, printed
+    definitions — never shows in a session."""
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_a_forks_writes_reach_neither_template_nor_sibling(self, template, architecture):
+        writer, sibling = template.stamp(architecture), template.stamp(architecture)
+        watched = [template.shared()[0], sibling.stock]
+        before = [database_state(system) for system in watched]
+        db = writer.stock._db()
+        db.configure(execution_mode="columnar", chunk_size=16)
+        scan = "SELECT comp_no, number FROM stock WHERE comp_no BETWEEN ? AND ? ORDER BY comp_no"
+        first = db.execute(scan, [1, 40]).rows
+        db.execute("INSERT INTO supplier_quality VALUES (?, ?)", [99, 1])
+        db.execute("UPDATE stock SET number = number + ? WHERE supplier_no = ?", [5, 1234])
+        db.execute("DELETE FROM stock WHERE comp_no = ?", [first[0][0]])
+        db.catalog.get_table("stock").storage.create_index("number")
+        db.catalog.get_table("supplier_quality").storage.create_index("qual")
+        after_writes = db.execute(scan, [1, 40]).rows
+        assert after_writes != first and db.columnar_stats()["chunks_sealed"] > 0
+        assert [database_state(system) for system in watched] == before
+        assert sibling.stock.call("GetQuality", 99) == []
+        assert writer.stock.call("GetQuality", 99) == [(1,)]
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_stamp_schema_keys_equal_a_fresh_build(self, template, architecture):
+        fresh = build_scenario(architecture, data=DATA, parses=ParseMap(64)).server
+        for _ in range(2):
+            stamped = template.stamp(architecture)
+            catalog = stamped.fdbs.catalog
+            assert catalog.schema_key == fresh.fdbs.catalog.schema_key
+            for definition in catalog.tables() + catalog.functions():
+                assert describe(definition, template.parses.printed) == printed(definition)
+            for system in stamped.systems.values():
+                tables = system._db().catalog.tables()
+                assert system._db().catalog.schema_key == chained(
+                    f"CREATE {printed(table)}" for table in tables
+                )
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_running_calls_leaves_the_deployment_as_compiled(self, template, architecture):
+        scripts = make_workload(
+            seed=4, sessions=3, calls_per_session=8, architectures=(architecture,)
+        )
+        for script in scripts:
+            run_script(template, script)
+        fresh = build_scenario(architecture, data=DATA).server
+        deployment = template.deployment(architecture)
+        assert [c.fed for c in deployment.compiled] == list(fresh.deployed.values())
+        for compiled in deployment.compiled:
+            name, artefact = compiled.fed.name, compiled.artefact
+            if architecture is Architecture.WFMS:
+                assert artefact[0] == fresh.wfms_client._template(name)
+            elif architecture is Architecture.ENHANCED_SQL_UDTF:
+                assert artefact == compile_sql_udtf(compiled.fed, fresh.resolver)
+            elif architecture is Architecture.SIMPLE_UDTF:
+                assert artefact == fresh._simple_queries[name.upper()]
+            else:
+                assert callable(artefact)
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_a_second_stamp_compiles_builds_and_copies_nothing(
+        self, template, architecture, monkeypatch
+    ):
+        counts = Counter()
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        compilers = ("compile_workflow", "compile_sql_udtf", "compile_procedural")
+        for name in compilers + ("compile_simple_select",):
+            monkeypatch.setattr(core_server, name, counting(name, getattr(core_server, name)))
+        build = ProcessTemplate.build.__func__
+        monkeypatch.setattr(
+            ProcessTemplate, "build", classmethod(lambda cls, d: counting("build", build)(cls, d))
+        )
+        copy = _Arena.copy
+
+        def counted_copy(arena):
+            counts["rows copied"] += len(arena.rows)
+            return copy(arena)
+
+        monkeypatch.setattr(_Arena, "copy", counted_copy)
+        template.stamp(architecture)
+        assert sum(counts.values()) > 0 and counts["rows copied"] == 0
+        counts.clear()
+        server = template.stamp(architecture)
+        server.call("GetSuppQual", "ACME Industrial")
+        assert sum(counts.values()) == 0, counts
 
 
 class TestParseMap:

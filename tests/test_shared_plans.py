@@ -189,6 +189,10 @@ class TestSchemaKey:
         before.note_ddl(f"CREATE {describe(sample)}")
         after.note_ddl(f"CREATE {describe(changed)}")
         assert before.schema_key != after.schema_key, field.name
+        # A map's printer prints what repr prints, whatever it saw before.
+        printed = ParseMap(8).printed
+        for definition in (sample, changed, sample):
+            assert describe(definition, printed) == describe(definition)
 
     def test_presence_fields_fold_only_whether_they_are_set(self):
         table = SAMPLES[TableDef][0]
