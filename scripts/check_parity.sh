@@ -25,7 +25,7 @@
 #     caller a crash woke, a failing collector thread;
 #     battery-through-serving differential slice, in-process run_script
 #     and process shards bit-identical; serving teardown/accounting
-#     regressions; wire + hash-ring unit suite; session templates:
+#     regressions; wire + shortest-queue routing unit suite; session templates:
 #     sessions stamped one after another from one template, threads or
 #     shards, equal bare builds in rows and per-call simulated ms, and
 #     shared parsed statements never change; shared plans: sessions

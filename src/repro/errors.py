@@ -290,15 +290,17 @@ class WireProtocolError(ServingError):
 class ShardCrashError(ServingError):
     """A shard worker process died with work outstanding.
 
-    Sessions routed to the dead shard fail with this error; it is
+    Sessions outstanding on the dead shard fail with this error; it is
     *retryable* — each session ran on its own isolated server inside
     the worker, so nothing partial survives the crash and the script
-    may simply be resubmitted once the router respawns the shard.
+    may simply be resubmitted (to a live shard, or once the router
+    respawns one).  ``shard_id`` is None when no shard was alive to
+    take the script.
     """
 
     retryable = True
 
-    def __init__(self, shard_id: int, message: str):
+    def __init__(self, shard_id: int | None, message: str):
         super().__init__(message)
         self.shard_id = shard_id
 

@@ -525,6 +525,13 @@ class CrossApplyPlan(Plan):
     def _describe(self) -> str:
         return "CrossApply"
 
+    def explain(self, indent: int = 0, mode: str | None = None) -> str:
+        """The plan tree, with a lateral table function's own node."""
+        text = super().explain(indent, mode)
+        if isinstance(self.right, TableFunctionRightSide):
+            text += "\n" + self.right.explain(indent + 1)
+        return text
+
     def _children(self) -> list[Plan]:
         children: list[Plan] = [self.left]
         inner = getattr(self.right, "plan", None)
@@ -594,6 +601,10 @@ class TableFunctionRightSide(RightSide):
         self.composed = composed
         self.invocations = 0
         self.cache_hits = 0
+
+    def explain(self, indent: int) -> str:
+        """EXPLAIN node naming the function and its correlation name."""
+        return "  " * indent + f"TableFunction({self.name}) AS {self.alias}"
 
     def rows_for(self, left_row: tuple, ctx: EvalContext) -> Iterable[tuple]:
         """Rows of the right side for one left row."""

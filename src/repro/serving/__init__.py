@@ -14,16 +14,16 @@ of the single-caller :class:`~repro.core.server.IntegrationServer`:
   workloads (mixed architectures, read/DML mix) for the concurrency
   benchmark and the stress/parity suites;
 * :class:`~repro.serving.router.ShardedIntegrationServer` — isolated
-  serving: sessions consistent-hashed onto N OS worker processes
-  (:mod:`~repro.serving.shard`), framed over the wire protocol of
-  :mod:`~repro.serving.wire` with crash detection and respawn;
+  serving: each session sent to the least-loaded of N OS worker
+  processes (:mod:`~repro.serving.shard`), framed over the wire
+  protocol of :mod:`~repro.serving.wire` with crash detection and
+  respawn;
 * :func:`~repro.serving.shard.run_script` — the one code path that
   runs an isolated session: a fresh server stamped from a
   :class:`~repro.serving.template.SessionTemplate` (shared parses,
   application systems loaded once per worker).
 """
 
-from repro.serving.hashring import ConsistentHashRing
 from repro.serving.router import ShardedIntegrationServer
 from repro.serving.server import (
     AdmissionController,
@@ -45,7 +45,6 @@ __all__ = [
     "CallRecord",
     "ClientSession",
     "ConcurrentIntegrationServer",
-    "ConsistentHashRing",
     "SessionManager",
     "SessionScript",
     "SessionTemplate",

@@ -1,4 +1,4 @@
-"""Process-sharded serving: consistent-hash routing over OS workers.
+"""Process-sharded serving: shortest-queue routing over OS workers.
 
 :class:`ShardedIntegrationServer` serves isolated sessions: every
 shard is a real OS process (:func:`~repro.serving.shard
@@ -10,9 +10,11 @@ against the GIL.  (The thread-pool :class:`~repro.serving.server
 
 The front end is a thin, selector-based event loop:
 
-* **Routing** — sessions map onto shards by consistent hashing on the
-  session id (:class:`~repro.serving.hashring.ConsistentHashRing`);
-  placement is deterministic across runs and processes.
+* **Routing** — each script goes to the alive shard with the fewest
+  scripts pending, ties to the lowest shard id.  Every session is
+  isolated, so placement never changes its rows or simulated times;
+  the shard a script was sent to is recorded on its future
+  (``future.shard_id``) and in ``shard_assignments``.
 * **Admission** — the same :class:`~repro.serving.server
   .AdmissionController` bounds scripts in flight (block or reject).
 * **Multiplexing** — one collector thread waits on every worker pipe
@@ -23,9 +25,9 @@ The front end is a thin, selector-based event loop:
   violation or sentinel) first has its already-buffered results
   drained, then every outstanding script on it fails with a clean,
   retryable :class:`~repro.errors.ShardCrashError`; nothing hangs and
-  the process is reaped.  ``respawn_shard`` brings the shard back on
-  the same ring points, so resubmitted sessions land exactly where
-  they did before.
+  the process is reaped.  New scripts go to the live shards; only
+  when none is alive does ``submit`` fail (retryably).
+  ``respawn_shard`` brings the shard back into the routing.
 * **Drain/shutdown** — ``shutdown()`` stops new admissions, waits for
   in-flight scripts, then sends ``Shutdown`` down each pipe; ordered
   frames make the worker drain its queue before acking and exiting.
@@ -48,7 +50,6 @@ from multiprocessing.connection import wait as connection_wait
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError, WireProtocolError
 from repro.fdbs.options import Options
-from repro.serving.hashring import DEFAULT_REPLICAS, ConsistentHashRing
 from repro.serving.server import AdmissionController, WorkloadRunResult
 from repro.serving.shard import shard_worker_main
 from repro.serving.template import ShardConfig
@@ -92,6 +93,16 @@ class _ShardHandle:
         self.pending: dict[int, Future] = {}
 
 
+def _least_loaded(handles) -> _ShardHandle | None:
+    """The alive shard with the fewest scripts pending, ties to the
+    lowest shard id; None when no shard is alive."""
+    return min(
+        (handle for handle in handles if handle.alive),
+        key=lambda handle: (len(handle.pending), handle.shard_id),
+        default=None,
+    )
+
+
 class ShardedIntegrationServer:
     """Serve session scripts across N single-process server shards."""
 
@@ -104,7 +115,6 @@ class ShardedIntegrationServer:
         data: EnterpriseData | None = None,
         queue_limit: int | None = None,
         admission_policy: str = "block",
-        replicas: int = DEFAULT_REPLICAS,
         start_method: str | None = None,
         costs: CostModel | None = None,
         controller_enabled: bool = True,
@@ -124,7 +134,6 @@ class ShardedIntegrationServer:
             setup_sql=tuple(setup_sql),
             options=Options.resolve(options, **changes),
         )
-        self.ring = ConsistentHashRing(tuple(range(shards)), replicas=replicas)
         self.admission = AdmissionController(
             capacity=shards,
             queue_limit=shards if queue_limit is None else queue_limit,
@@ -238,7 +247,7 @@ class ShardedIntegrationServer:
         handle.process.kill()
 
     def respawn_shard(self, shard_id: int) -> None:
-        """Bring a dead shard back on the same consistent-hash arcs."""
+        """Bring a dead shard back; it takes new scripts at once."""
         handle = self._handle(shard_id)
         with self._lock:
             self._ensure_open()
@@ -348,19 +357,18 @@ class ShardedIntegrationServer:
 
     # -- submission ---------------------------------------------------------
 
-    def route(self, session_id: int) -> int:
-        """The shard id a session is (deterministically) routed to."""
-        return self.ring.route(session_id)
-
     def submit(
         self, script: SessionScript, timeout: float | None = None
     ) -> Future:
-        """Admit and route one script; returns a future of ScriptDone.
+        """Admit one script and send it to the alive shard with the
+        fewest scripts pending (ties to the lowest shard id).
 
-        The future raises :class:`~repro.errors.ShardCrashError` if the
-        owning shard dies first (retryable: respawn and resubmit), or
-        :class:`~repro.errors.ServingError` if the script itself failed
-        inside the worker.
+        Returns a future of ScriptDone whose ``shard_id`` names that
+        shard.  ``submit`` raises a retryable
+        :class:`~repro.errors.ShardCrashError` when no shard is alive.
+        The future raises one if its shard dies first (respawn and
+        resubmit), or :class:`~repro.errors.ServingError` if the script
+        itself failed inside the worker.
         """
         with self._lock:
             self._ensure_open()
@@ -369,15 +377,14 @@ class ShardedIntegrationServer:
         try:
             with self._lock:
                 self._ensure_open()
-                handle = self._handle(self.route(script.session_id))
-                if not handle.alive:
+                handle = _least_loaded(self._handles.values())
+                if handle is None:
                     raise ShardCrashError(
-                        handle.shard_id,
-                        f"shard {handle.shard_id} is dead "
-                        f"({handle.death_cause}); respawn_shard() first",
+                        None, "every shard is dead; respawn_shard() first"
                     )
                 request_id = next(self._request_ids)
                 handle.pending[request_id] = future
+                future.shard_id = handle.shard_id
                 try:
                     send_frame(
                         handle.conn,
@@ -429,8 +436,8 @@ class ShardedIntegrationServer:
             admission=self.admission.stats(),
             call_sim_ms={o.session_id: o.call_sim_ms for o in outcomes},
             shard_assignments={
-                script.session_id: self.route(script.session_id)
-                for script in scripts
+                script.session_id: future.shard_id
+                for script, future in zip(scripts, futures)
             },
         )
 

@@ -194,7 +194,7 @@ class WorkloadRunResult:
     """Per-call simulated times by session, in script order (the
     battery-through-serving suite compares these per statement)."""
     shard_assignments: dict[int, int] = field(default_factory=dict)
-    """session id -> shard id (process-sharded runs only; empty for
+    """session id -> the shard it ran on (process-sharded runs only; empty for
     thread-pool runs, where every session shares one pool)."""
 
     @property

@@ -13,9 +13,9 @@ retries — and ships the picklable outcome back as a
 
 Because every session gets its own shard server stamped from the same
 :class:`~repro.serving.template.ShardConfig`, a session's rows and
-simulated times depend only on its own call sequence: the
-cross-process parity suite demands they match the bare single-process
-stack bit-for-bit at any shard count.
+simulated times depend only on its own call sequence, never on which
+shard the router picked: the cross-process parity suite demands they
+match the bare single-process stack bit-for-bit at any shard count.
 
 A script that raises is answered with ``ScriptFailed`` and the worker
 keeps serving; only a hard kill (the fault battery's SIGKILL) or a

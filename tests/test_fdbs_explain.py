@@ -63,3 +63,32 @@ def test_explain_render_round_trip(db):
 
     statement = parse_statement("EXPLAIN SELECT v FROM t")
     assert parse_statement(statement.render()).render() == statement.render()
+
+
+@pytest.mark.parametrize("mode", ["row", "columnar"])
+def test_explain_names_lateral_table_functions(mode):
+    """A lateral table function is a node of its own under CrossApply."""
+    from repro.core.architectures import Architecture
+    from repro.core.scenario import build_scenario
+
+    database = build_scenario(Architecture.ENHANCED_JAVA_UDTF).server.fdbs
+    database.execute("CREATE TABLE w (k INT)")
+    database.configure(execution_mode=mode)
+
+    def plan(sql):
+        return [row[0] for row in database.execute("EXPLAIN " + sql).rows]
+
+    alone = plan("SELECT * FROM TABLE (GetQuality(1234)) AS R")
+    assert alone[-3:] == [
+        "  CrossApply",
+        "    Unit",
+        "    TableFunction(GetQuality) AS R",
+    ]
+    lateral = plan("SELECT R.Qual FROM w, TABLE (GetQuality(w.k)) AS R")
+    assert lateral[-5:] == [
+        "  CrossApply",
+        "    CrossApply",
+        "      Unit",
+        "      TableScan(w)",
+        "    TableFunction(GetQuality) AS R",
+    ]

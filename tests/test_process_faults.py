@@ -8,10 +8,13 @@ The contract when a worker process is SIGKILLed mid-workload:
   delivered (completed work survives the crash);
 * every genuinely unfinished session on the dead shard surfaces a
   *retryable* :class:`~repro.errors.ShardCrashError` promptly — no
-  hangs — and new submissions to the dead shard fail the same way;
+  hangs;
+* new submissions go to the live shards and equal the bare stack;
+  only with every shard dead does ``submit`` itself raise that
+  retryable error, at once;
 * the dead process is reaped (no zombies/orphans), the router can
-  respawn the shard on the same hash arcs, and resubmitted sessions
-  then produce exactly the bare-stack outcome;
+  respawn the shard, which then takes work again, and resubmitted
+  sessions produce exactly the bare-stack outcome;
 * admission accounting drains back to zero through all of it.
 
 Deselected by default behind the ``proc`` marker.
@@ -44,12 +47,28 @@ def scripts():
     return make_workload(seed=SEED, sessions=SESSIONS, calls_per_session=CALLS)
 
 
-def busiest_shard(server, workload):
-    """The shard owning the most sessions of this workload."""
+def busiest_shard(futures):
+    """The shard the router sent the most of these scripts to."""
     counts = {shard: 0 for shard in range(SHARDS)}
-    for script in workload:
-        counts[server.route(script.session_id)] += 1
+    for future in futures.values():
+        counts[future.shard_id] += 1
     return max(counts, key=lambda shard: (counts[shard], -shard))
+
+
+def wait_until_dead(server, shard_id):
+    """Block until the router has reaped a killed shard."""
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while server.shard_stats()[shard_id]["alive"]:
+        assert time.monotonic() < deadline, "the router never saw the kill"
+        time.sleep(0.005)
+
+
+def assert_bare(data, script, outcome):
+    """A served outcome equals the bare single-caller stack."""
+    rows, call_sims, total = drive_bare(data, script)
+    assert outcome.row_sets == rows
+    assert outcome.call_sim_ms == call_sims
+    assert outcome.simulated_ms == total
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +81,10 @@ def test_kill_mid_workload_contains_the_blast_radius(data):
     with ShardedIntegrationServer(
         shards=SHARDS, data=data, queue_limit=SESSIONS
     ) as server:
-        victim = busiest_shard(server, workload)
-        victims = [
-            s.session_id for s in workload if server.route(s.session_id) == victim
-        ]
-        assert len(victims) >= 2, "workload must put several sessions on the victim"
-
         futures = {s.session_id: server.submit(s, timeout=JOIN_TIMEOUT) for s in workload}
+        victim = busiest_shard(futures)
+        victims = [sid for sid, f in futures.items() if f.shard_id == victim]
+        assert len(victims) >= 2, "workload must put several sessions on the victim"
         # Wait until the victim is demonstrably mid-workload (it has
         # completed at least one script and still owes more), then kill.
         deadline = time.monotonic() + JOIN_TIMEOUT
@@ -89,27 +105,20 @@ def test_kill_mid_workload_contains_the_blast_radius(data):
                 crashed.append(session_id)
 
         # Only victim sessions may crash; every survivor shard finished all.
-        assert all(server.route(s) == victim for s in crashed)
+        assert all(futures[s].shard_id == victim for s in crashed)
         assert crashed, "the kill landed after the victim drained everything"
         for session_id in survivors:
             done = futures[session_id].result()
             assert len(done.row_sets) == CALLS + 1  # CREATE TABLE + calls
             assert all(rows is not None for rows in done.row_sets)
 
-        # New work for the dead shard fails fast and retryable too.
-        dead_script = next(
-            s for s in workload if s.session_id in crashed
-        )
-        with pytest.raises(ShardCrashError):
-            server.submit(dead_script, timeout=JOIN_TIMEOUT)
-
         stats = server.shard_stats()[victim]
         assert not stats["alive"]
         assert stats["pending"] == 0, "dead shard still holds pending futures"
         assert stats["death_cause"] is not None
 
-        # Respawn on the same ring arcs: the crashed sessions rerun to
-        # completion and the router is whole again.
+        # Respawn: the crashed sessions rerun to completion and the
+        # router is whole again.
         server.respawn_shard(victim)
         redo = [s for s in workload if s.session_id in crashed]
         redone = [server.submit(s, timeout=JOIN_TIMEOUT) for s in redo]
@@ -125,6 +134,37 @@ def test_kill_mid_workload_contains_the_blast_radius(data):
     assert not multiprocessing.active_children()
     for stats in server.shard_stats().values():
         assert not stats["alive"]
+
+
+def test_new_work_runs_on_live_shards_until_none_is_left(data):
+    """A dead shard takes no new work: submissions run on a live shard
+    and equal the bare stack, fail at once (retryable) only when every
+    shard is dead, and a respawned shard takes work again."""
+    workload = make_workload(seed=SEED, sessions=4, calls_per_session=CALLS)
+    with ShardedIntegrationServer(shards=2, data=data, queue_limit=4) as server:
+        server.kill_shard(1)
+        wait_until_dead(server, 1)
+        futures = [server.submit(s, timeout=JOIN_TIMEOUT) for s in workload[:3]]
+        assert [future.shard_id for future in futures] == [0, 0, 0]
+        for script, future in zip(workload, futures):
+            assert_bare(data, script, future.result(timeout=JOIN_TIMEOUT))
+
+        server.kill_shard(0)
+        wait_until_dead(server, 0)
+        started = time.monotonic()
+        with pytest.raises(ShardCrashError) as raised:
+            server.submit(workload[3], timeout=JOIN_TIMEOUT)
+        assert time.monotonic() - started < 1.0, "submit must fail at once"
+        assert raised.value.retryable and raised.value.shard_id is None
+        assert server.admission.stats()["in_flight"] == 0
+
+        server.respawn_shard(1)
+        future = server.submit(workload[3], timeout=JOIN_TIMEOUT)
+        assert future.shard_id == 1
+        assert_bare(data, workload[3], future.result(timeout=JOIN_TIMEOUT))
+        assert server.shard_stats()[1]["completed"] == 1
+        assert server.admission.stats()["in_flight"] == 0
+    assert not multiprocessing.active_children()
 
 
 def test_respawn_from_the_woken_caller_keeps_the_new_worker(data, monkeypatch):
@@ -179,11 +219,7 @@ def test_respawn_from_the_woken_caller_keeps_the_new_worker(data, monkeypatch):
 
         redone = [server.submit(s, timeout=JOIN_TIMEOUT) for s in crashed]
         for script, future in zip(crashed, redone):
-            outcome = future.result(timeout=30.0)  # no hang
-            rows, call_sims, total = drive_bare(data, script)
-            assert outcome.row_sets == rows
-            assert outcome.call_sim_ms == call_sims
-            assert outcome.simulated_ms == total
+            assert_bare(data, script, future.result(timeout=30.0))  # no hang
         stats = server.shard_stats()[0]
         assert stats["alive"] and stats["respawns"] == 1
         assert server.admission.stats()["in_flight"] == 0

@@ -1,7 +1,7 @@
 """Cross-process parity: shard count must never change results.
 
-The process-sharded server routes sessions onto OS worker processes by
-consistent hashing; every session still gets its own isolated server
+The process-sharded server sends each session to the OS worker process
+with the fewest scripts pending; every session gets its own isolated server
 shard (own Database, Machine, VirtualClock), now built inside the
 worker.  Isolation makes the parity contract exact across the process
 boundary: a session's result rows AND its per-session simulated times
@@ -116,15 +116,29 @@ def test_shard_counts_bit_identical_to_each_other(process_runs):
         assert other.call_sim_ms == one.call_sim_ms
 
 
-def test_routing_is_deterministic_and_total(process_runs):
-    """Every session lands on a real shard, identically in every run."""
+def test_placement_is_total(process_runs):
+    """Every session is placed exactly once, on a real shard."""
+    session_ids = [script.session_id for script in scripts()]
+    assert sorted(session_ids) == list(range(SESSIONS))
     for shards, result in process_runs.items():
-        assert set(result.shard_assignments) == set(range(SESSIONS))
+        assert sorted(result.shard_assignments) == session_ids
         assert all(0 <= s < shards for s in result.shard_assignments.values())
-    again = {}
-    for shards in SHARD_COUNTS:
-        again[shards] = process_runs[shards].shard_assignments
-        assert again[shards] == process_runs[shards].shard_assignments
+
+
+def test_sessions_spread_over_both_shards(data, bare):
+    """Sessions 1, 3, 5 and 6 all hash to shard 0 on a two-shard
+    consistent-hash ring; placed by pending scripts, both shards run
+    some of them, and each still equals the bare stack."""
+    picked = [s for s in scripts() if s.session_id in (1, 3, 5, 6)]
+    with ShardedIntegrationServer(shards=2, data=data, queue_limit=4) as server:
+        result = server.run_workload(picked)
+    assert sorted(result.shard_assignments) == [1, 3, 5, 6]
+    assert set(result.shard_assignments.values()) == {0, 1}
+    for session_id in result.shard_assignments:
+        rows, call_sims, total = bare[session_id]
+        assert result.row_sets[session_id] == rows
+        assert result.call_sim_ms[session_id] == call_sims
+        assert result.simulated_ms[session_id] == total
 
 
 def test_no_session_loses_or_duplicates_calls(process_runs):
@@ -147,13 +161,13 @@ def test_summaries_cross_the_wire_intact(process_runs, bare):
 
 
 def test_second_pass_on_the_same_shards_equals_first_and_bare(data, bare):
-    """Each shard's template keeps the plans its sessions built, so the
-    second pass over the same shards adopts them instead of planning:
-    bit-identical to the first pass and to the bare stack."""
+    """Each shard's template keeps the plans its sessions built, and a
+    second-pass session adopts whichever of them its shard holds, on
+    whichever shard it lands: bit-identical to the first pass and to
+    the bare stack."""
     with ShardedIntegrationServer(shards=2, data=data, queue_limit=SESSIONS) as server:
         first = server.run_workload(scripts())
         second = server.run_workload(scripts())
-    assert second.shard_assignments == first.shard_assignments
     for result in (first, second):
         for session_id, (rows, call_sims, total) in bare.items():
             assert result.row_sets[session_id] == rows

@@ -1,4 +1,4 @@
-"""Unit coverage for the serving wire protocol and the hash ring.
+"""Unit coverage for the serving wire protocol and shortest-queue routing.
 
 These run in-process (no OS workers), so they live in the default
 tier-1 selection: the framing and routing layers stay covered even
@@ -10,8 +10,8 @@ import multiprocessing
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.errors import ServingError, WireProtocolError
-from repro.serving.hashring import ConsistentHashRing
+from repro.errors import WireProtocolError
+from repro.serving.router import _least_loaded, _ShardHandle
 from repro.serving.session import SessionSummary
 from repro.serving.wire import (
     HEADER,
@@ -143,66 +143,46 @@ class TestWireFrames:
             child.close()
 
 
-class TestConsistentHashRing:
-    def test_routing_is_deterministic(self):
-        a = ConsistentHashRing((0, 1, 2, 3))
-        b = ConsistentHashRing((0, 1, 2, 3))
-        for session_id in range(200):
-            assert a.route(session_id) == b.route(session_id)
+def handles(*pending, dead=()):
+    """Router-side shard handles with the given pending counts."""
+    made = []
+    for shard_id, count in enumerate(pending):
+        handle = _ShardHandle(shard_id)
+        handle.alive = shard_id not in dead
+        handle.pending = dict.fromkeys(range(count))
+        made.append(handle)
+    return made
 
-    def test_routing_is_stable_across_processes(self):
-        # Pinned expectations: the ring must not depend on the builtin
-        # salted hash().  If these move, routed sessions would migrate
-        # between releases.
-        ring = ConsistentHashRing((0, 1, 2, 3))
-        assert [ring.route(sid) for sid in range(8)] == [
-            ring.route(sid) for sid in range(8)
-        ]
-        assert ring.assignments(range(4)) == ring.assignments(range(4))
+
+def place(shards, scripts):
+    """Shard ids that ``scripts`` submissions in a row are sent to."""
+    placed = []
+    for _ in range(scripts):
+        handle = _least_loaded(shards)
+        placed.append(handle.shard_id)
+        handle.pending[len(handle.pending)] = None
+    return placed
+
+
+class TestShortestQueueRouting:
+    def test_fewest_pending_wins(self):
+        assert _least_loaded(handles(3, 1, 2)).shard_id == 1
+
+    def test_ties_go_to_the_lowest_shard_id(self):
+        assert _least_loaded(handles(2, 1, 1)).shard_id == 1
+        assert _least_loaded(reversed(handles(0, 0, 0))).shard_id == 0
 
     def test_every_shard_gets_work(self):
-        ring = ConsistentHashRing((0, 1, 2, 3))
-        owners = {ring.route(sid) for sid in range(64)}
-        assert owners == {0, 1, 2, 3}
-
-    def test_spread_is_reasonable(self):
-        ring = ConsistentHashRing((0, 1, 2, 3))
-        counts = {0: 0, 1: 0, 2: 0, 3: 0}
-        for sid in range(1000):
-            counts[ring.route(sid)] += 1
-        assert min(counts.values()) > 0
-        assert max(counts.values()) < 1000 * 0.6
-
-    def test_removal_only_moves_the_dead_shards_sessions(self):
-        ring = ConsistentHashRing((0, 1, 2, 3))
-        before = {sid: ring.route(sid) for sid in range(256)}
-        ring.remove_node(2)
-        after = {sid: ring.route(sid) for sid in range(256)}
-        for sid in range(256):
-            if before[sid] != 2:
-                assert after[sid] == before[sid], "unaffected session moved"
-            else:
-                assert after[sid] != 2
-        ring.add_node(2)
-        assert {sid: ring.route(sid) for sid in range(256)} == before
+        assert place(handles(0, 0, 0, 0), 8) == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_single_shard_takes_everything(self):
-        ring = ConsistentHashRing((0,))
-        assert {ring.route(sid) for sid in range(32)} == {0}
+        assert set(place(handles(0), 32)) == {0}
 
-    def test_misuse_raises(self):
-        ring = ConsistentHashRing((0, 1))
-        with pytest.raises(ServingError):
-            ring.add_node(1)
-        with pytest.raises(ServingError):
-            ring.remove_node(9)
-        with pytest.raises(ServingError):
-            ConsistentHashRing((0,), replicas=0)
-        empty = ConsistentHashRing(())
-        with pytest.raises(ServingError):
-            empty.route(1)
+    def test_dead_shards_get_no_work(self):
+        shards = handles(0, 0, 5, dead=(0,))
+        assert place(shards, 6) == [1, 1, 1, 1, 1, 1]
+        assert len(shards[0].pending) == 0
 
-    def test_len_and_nodes(self):
-        ring = ConsistentHashRing((2, 0, 1))
-        assert len(ring) == 3
-        assert ring.nodes == [0, 1, 2]
+    def test_no_live_shard_routes_nowhere(self):
+        assert _least_loaded(handles(0, 0, dead=(0, 1))) is None
+        assert _least_loaded([]) is None
