@@ -13,7 +13,8 @@ threads.  Lock-free snapshot readers let concurrent sessions overlap
 those hops, so read-heavy throughput climbs with workers; the
 per-profile speedup-vs-1-worker curve plus the engines' MVCC counters
 (snapshots pinned, versions published, write conflicts, retries) land
-in the report under ``"scaling"``.
+in the report under ``"scaling"``.  Each point is the median of
+:data:`SCALING_REPEATS` runs, reported with its min and max.
 
 **Process scaling**: the read-heavy profile replayed through the
 :class:`~repro.serving.router.ShardedIntegrationServer` at 1/2/4/8 OS
@@ -69,6 +70,11 @@ SCALING_WORKER_COUNTS = (1, 2, 4, 8)
 #: workload I/O-bound so snapshot-isolated readers can overlap, while
 #: simulated timings stay bit-identical to a latency-free server.
 SCALING_WALL_LATENCY_S = 0.002
+
+#: Runs per (profile, workers) point of the MVCC scaling curve; the
+#: report gives the median and the extremes, so one stalled run does not
+#: flip a figure.
+SCALING_REPEATS = 3
 
 #: Latency-hiding check: the read-heavy profile must overlap enough
 #: injected RMI sleeps to reach this speedup at this worker count
@@ -153,13 +159,18 @@ def run_scaling(
     calls_per_session: int = 12,
     worker_counts: tuple[int, ...] = SCALING_WORKER_COUNTS,
     rmi_wall_latency_s: float = SCALING_WALL_LATENCY_S,
+    repeats: int = SCALING_REPEATS,
 ) -> dict:
     """Measure shared-state throughput scaling per workload profile.
 
     Every profile replays the *same* seeded scripts at each worker
     count on fresh shared-state servers, so the only variable is how
-    many sessions run concurrently.  Speedups are wall-clock relative
-    to that profile's own 1-worker run.
+    many sessions run concurrently.  Each (profile, workers) point runs
+    ``repeats`` times: ``wall_seconds`` and the throughput are the
+    median run's, next to the fastest and slowest wall, and
+    ``speedup_vs_1_worker`` is the profile's median 1-worker wall over
+    this point's median wall (with the range the extremes give).  The
+    MVCC counters are the median run's.
     """
     data = generate_enterprise_data()
     profiles = {}
@@ -168,33 +179,43 @@ def run_scaling(
         one_worker_wall = None
         one_worker_rows = None
         for workers in worker_counts:
-            with ConcurrentIntegrationServer(
-                workers=workers,
-                data=data,
-                rmi_wall_latency_s=rmi_wall_latency_s,
-            ) as server:
-                result = server.run_workload(
-                    make_profile_workload(
-                        profile,
-                        seed=seed,
-                        sessions=sessions,
-                        calls_per_session=calls_per_session,
+            samples = []
+            for _ in range(repeats):
+                with ConcurrentIntegrationServer(
+                    workers=workers,
+                    data=data,
+                    rmi_wall_latency_s=rmi_wall_latency_s,
+                ) as server:
+                    result = server.run_workload(
+                        make_profile_workload(
+                            profile,
+                            seed=seed,
+                            sessions=sessions,
+                            calls_per_session=calls_per_session,
+                        )
                     )
-                )
-                mvcc = _aggregate_mvcc(server)
+                    samples.append((result.wall_seconds, result, _aggregate_mvcc(server)))
+            samples.sort(key=lambda sample: sample[0])
+            walls = [wall for wall, _, _ in samples]
+            wall, median, mvcc = samples[len(samples) // 2]
             if one_worker_wall is None:
-                one_worker_wall = result.wall_seconds
-                one_worker_rows = result.row_sets
+                one_worker_wall = wall
+                one_worker_rows = median.row_sets
             runs.append(
                 {
                     "workers": workers,
-                    "calls": result.calls,
-                    "wall_seconds": round(result.wall_seconds, 6),
-                    "throughput_calls_per_s": round(result.throughput, 2),
-                    "speedup_vs_1_worker": round(
-                        one_worker_wall / result.wall_seconds, 3
+                    "calls": median.calls,
+                    "repeats": repeats,
+                    "wall_seconds": round(wall, 6),
+                    "wall_seconds_min": round(walls[0], 6),
+                    "wall_seconds_max": round(walls[-1], 6),
+                    "throughput_calls_per_s": round(median.throughput, 2),
+                    "speedup_vs_1_worker": round(one_worker_wall / wall, 3),
+                    "speedup_min": round(one_worker_wall / walls[-1], 3),
+                    "speedup_max": round(one_worker_wall / walls[0], 3),
+                    "rows_match_one_worker": all(
+                        sample.row_sets == one_worker_rows for _, sample, _ in samples
                     ),
-                    "rows_match_one_worker": result.row_sets == one_worker_rows,
                     "mvcc": mvcc,
                 }
             )
@@ -209,6 +230,7 @@ def run_scaling(
         "calls_per_session": calls_per_session,
         "rmi_wall_latency_s": rmi_wall_latency_s,
         "worker_counts": list(worker_counts),
+        "repeats": repeats,
         "profiles": profiles,
     }
 

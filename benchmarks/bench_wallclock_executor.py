@@ -11,7 +11,13 @@ the FDBS executor on two workloads over a synthetic star schema:
   chunk pruning skips almost every chunk.  The pruning speedup is the
   zone-maps-off ablation's time over the same columnar scan with zone
   maps on; a selectivity sweep of the same comparison is reported
-  alongside.
+  alongside, and
+* a ``v BETWEEN ? AND ?`` scan-aggregate over a column that ascends
+  inside every chunk, against the same rows shuffled (reported, not
+  gated).  ``v`` restarts at 0 in each chunk, so every chunk's zone
+  spans the bounds and none is pruned: the ordered table's filter finds
+  each chunk's run by binary search, the shuffled one compares row by
+  row.
 
 Row mode runs the Volcano engine with a nested-loop join; columnar mode
 the column-batch operators over storage chunks with a hash equi-join
@@ -29,12 +35,15 @@ or through pytest (deselected by default via the ``perf`` marker)::
 
 import argparse
 import json
+import random
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.fdbs.engine import Database
+from repro.fdbs.storage import DEFAULT_CHUNK_SIZE
 
 DEFAULT_FACT_ROWS = 100_000
 DEFAULT_PRUNE_ROWS = 1_000_000
@@ -53,6 +62,10 @@ PRUNE_QUERY = (
     "SELECT COUNT(*), SUM(f.amount) FROM fact AS f "
     "WHERE f.id BETWEEN {lo} AND {hi}"
 )
+#: Ordered-vs-shuffled scan-aggregate over a tenth of ``v``'s range.
+ORDERED_QUERY = "SELECT COUNT(*), SUM(amount) FROM seq WHERE v BETWEEN ? AND ?"
+#: Timed executions per table of the ordered-vs-shuffled row (median).
+ORDERED_REPEATS = 5
 #: Fractions of the fact table selected by the pruning sweep.
 SWEEP_SELECTIVITIES = (0.001, 0.01, 0.1, 0.5)
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_executor.json"
@@ -152,10 +165,40 @@ def run_pruning(fact_rows: int) -> dict:
     }
 
 
+def run_ordered(rows: int) -> dict:
+    """``v BETWEEN ? AND ?`` over ``rows`` rows whose ``v`` ascends from 0
+    inside every chunk, and over the same rows inserted shuffled: median
+    seconds of :data:`ORDERED_REPEATS` warmed executions each."""
+    values = [(index, index % DEFAULT_CHUNK_SIZE, index % 97) for index in range(rows)]
+    shuffled = values[:]
+    random.Random(7).shuffle(shuffled)
+    lo = DEFAULT_CHUNK_SIZE // 8
+    params = [lo, lo + DEFAULT_CHUNK_SIZE // 10 - 1]
+    report = {"benchmark": "wallclock_ordered_runs", "query": ORDERED_QUERY}
+    report.update(params=params, rows=rows)
+    results = {}
+    for name, table_rows in (("ordered", values), ("shuffled", shuffled)):
+        db = Database("ordered", execution_mode="columnar")
+        db.execute("CREATE TABLE seq (id INT PRIMARY KEY, v INT, amount INT)")
+        db.execute_many("INSERT INTO seq VALUES (?, ?, ?)", table_rows)
+        results[name] = db.execute(ORDERED_QUERY, params).rows  # warm
+        samples = []
+        for _ in range(ORDERED_REPEATS):
+            start = time.perf_counter()
+            db.execute(ORDERED_QUERY, params)
+            samples.append(time.perf_counter() - start)
+        report[f"{name}_seconds"] = round(statistics.median(samples), 6)
+        report[f"{name}_chunks_pruned"] = db.columnar_stats()["chunks_pruned"]
+    report["speedup"] = round(report["shuffled_seconds"] / report["ordered_seconds"], 3)
+    report["parity"] = results["ordered"] == results["shuffled"]
+    return report
+
+
 def run(fact_rows: int, prune_rows: int) -> dict:
-    """Both workloads; legacy join-bench keys stay at the top level."""
+    """All three workloads; legacy join-bench keys stay at the top level."""
     summary = run_join(fact_rows)
     summary["pruning"] = run_pruning(prune_rows)
+    summary["ordered_runs"] = run_ordered(fact_rows)
     return summary
 
 

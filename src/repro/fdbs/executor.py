@@ -41,6 +41,7 @@ from repro.fdbs.expr import (
     ColumnSlot,
     CompiledExpr,
     EvalContext,
+    SelectFn,
     hash_probe_exact,
     truthy,
 )
@@ -108,36 +109,41 @@ class ColumnBatch:
 class SelectionBatch:
     """A filtered view over a parent column batch.
 
-    Stores only the surviving row indices; columns are gathered lazily
-    per column actually read downstream, so a selective filter followed
-    by a narrow projection touches no other columns at all.
+    Stores only the surviving row positions, ascending: a list, or a
+    ``range`` for one contiguous run (what a filter's binary search over
+    an ordered chunk column returns), which is gathered as a slice.
+    Columns are gathered lazily per column actually read downstream, so
+    a selective filter followed by a narrow projection touches no other
+    columns at all.
     """
 
     __slots__ = ("parent", "indices", "count", "_columns", "_rows")
 
-    def __init__(self, parent, indices: list[int]):
+    def __init__(self, parent, indices: Sequence[int]):
         self.parent = parent
         self.indices = indices
         self.count = len(indices)
         self._columns: dict[int, list] = {}
         self._rows: list[tuple] | None = None
 
+    def _gather(self, source: list) -> list:
+        indices = self.indices
+        if type(indices) is range:
+            return source[indices.start : indices.stop]
+        return [source[index] for index in indices]
+
     def column(self, position: int) -> list:
         """The selected values of one parent column (cached)."""
         column = self._columns.get(position)
         if column is None:
-            source = self.parent.column(position)
-            column = [source[index] for index in self.indices]
-            self._columns[position] = column
+            column = self._columns[position] = self._gather(self.parent.column(position))
         return column
 
     def rows_view(self) -> list[tuple]:
         """The selected rows as tuples (cached)."""
         rows = self._rows
         if rows is None:
-            source = self.parent.rows_view()
-            rows = [source[index] for index in self.indices]
-            self._rows = rows
+            rows = self._rows = self._gather(self.parent.rows_view())
         return rows
 
     def __len__(self) -> int:
@@ -1288,15 +1294,22 @@ class UdtfBindJoinPlan(Plan):
 
 
 class FilterPlan(Plan):
-    """WHERE / HAVING filter."""
+    """WHERE / HAVING filter, or a nested-loop fold step's join conjunct.
+
+    ``rows`` keeps the rows whose row-compiled predicate is TRUE.
+    ``column_batches`` runs ``selection`` (the planner attaches it in
+    columnar mode, see :meth:`~repro.fdbs.expr.ColumnarCompiler.select`),
+    which returns the surviving positions of each input batch.
+    """
 
     def __init__(self, input_plan: Plan, predicate: CompiledExpr, label: str = "Filter"):
         self.input = input_plan
         self.predicate = predicate
         self.schema = input_plan.schema
         self._label = label
-        #: Column-batch predicate (attached by the planner in columnar mode).
-        self.columnar_predicate: ColumnFn | None = None
+        #: Column-batch filter: ``selection(ctx)(batch)`` gives the
+        #: positions of the batch's rows that pass.
+        self.selection: SelectFn | None = None
         #: Rendered texts of the conjuncts this filter evaluates locally
         #: after predicate pushdown split some off (attached by the
         #: planner so EXPLAIN shows the residual set explicitly).
@@ -1313,19 +1326,19 @@ class FilterPlan(Plan):
         """Yield selection views over input batches — fully-passing
         batches flow through untouched, partial ones become a
         :class:`SelectionBatch` so no row tuples materialise here."""
-        columnar_predicate = self.columnar_predicate
-        if columnar_predicate is None:
+        selection = self.selection
+        if selection is None:
             yield from super().column_batches(ctx, size)
             return
+        select = selection(ctx)
         for batch in self.input.column_batches(ctx, size):
-            mask = columnar_predicate(batch, ctx)
-            indices = [index for index, keep in enumerate(mask) if keep is True]
-            if not indices:
+            positions = select(batch)
+            if not positions:
                 continue
-            if len(indices) == len(batch):
+            if len(positions) == len(batch):
                 yield batch
             else:
-                yield SelectionBatch(batch, indices)
+                yield SelectionBatch(batch, positions)
 
     def _describe(self) -> str:
         if self.residual_texts:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import ExecutionError, PlanError, TypeError_
 from repro.fdbs import ast
+from repro.fdbs.storage import ColumnChunk
 from repro.fdbs.types import (
     BIGINT,
     BOOLEAN,
@@ -779,6 +781,21 @@ class MemoCompiler(ExpressionCompiler):
 #: one Python-level call, returning one value per row of the batch.
 ColumnFn = Callable[[object, EvalContext], list]
 
+#: A columnar-compiled filter.  ``selection(ctx)`` binds one execution's
+#: parameters and returns a function of a batch that gives the ascending
+#: positions of the batch's rows whose predicate is TRUE: a ``range`` for
+#: one contiguous run, else a list.
+SelectFn = Callable[[EvalContext], Callable[[object], Sequence[int]]]
+
+#: A selection kernel bound to one execution: ``run(batch, positions)``
+#: keeps those of ``positions`` (every row of the batch when None) whose
+#: row passes, in order.  It never raises.
+_Run = Callable[[object, "Sequence[int] | None"], Sequence[int]]
+
+#: ``bind(ctx)``: the kernel for this execution's bound values, or None
+#: for a binding no kernel covers.
+_Bind = Callable[[EvalContext], "_Run | None"]
+
 #: Integer ladders of the exact (non-DECIMAL) numeric types; DOUBLE sits
 #: above them.  Used for hash-join key compatibility checks.
 _INT_LADDERS = frozenset({1, 2, 3})
@@ -806,6 +823,10 @@ class ColumnarCompiler:
     behaviour (e.g. ``AND`` short-circuiting past a division by zero)
     matches row mode exactly.
 
+    Filters compile through :meth:`select` instead: the surviving row
+    positions in one pass where the predicate has selection kernels,
+    the guarded mask's TRUE positions otherwise.
+
     Row forms and types come from ``row_compiler.compile``; a
     :class:`MemoCompiler` that already compiled the expression hands
     them back without compiling anything again.
@@ -830,6 +851,43 @@ class ColumnarCompiler:
                 return per_row(chunk, ctx)
 
         return guarded
+
+    def select(self, expr: ast.Expression, ordered: bool) -> SelectFn:
+        """Compile a WHERE, HAVING or fold filter into a selection (see
+        :data:`SelectFn`), which binds the scalars once per execution.
+
+        When every node of the predicate has a selection kernel (see
+        :meth:`_selector`), one pass over the batch yields the positions
+        whose predicate is TRUE; an ``AND`` runs its right side over its
+        left side's survivors only.  With ``ordered``, range and
+        equality kernels bisect a :class:`ColumnChunk` column that
+        :meth:`ColumnChunk.ordered` reports ordered, and return the run
+        as a ``range``.  Any other predicate, and a binding the kernels
+        do not cover (a Decimal or bool bound, an unbound ``?``), keeps
+        the TRUE positions of the guarded mask of :meth:`compile`, so
+        values and errors match row mode.
+        """
+        mask = self.compile(expr)
+
+        def by_mask(ctx: EvalContext) -> Callable[[object], list[int]]:
+            return lambda batch: [
+                index for index, keep in enumerate(mask(batch, ctx)) if keep is True
+            ]
+
+        bind = self._selector(expr, ordered)
+        if bind is None:
+            return by_mask
+
+        def select(ctx: EvalContext) -> Callable[[object], Sequence[int]]:
+            try:
+                run = bind(ctx)
+            except IndexError:  # an unbound ``?``: the mask path reports it
+                run = None
+            if run is None:
+                return by_mask(ctx)
+            return lambda batch: run(batch, None)
+
+        return select
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -1183,6 +1241,271 @@ class ColumnarCompiler:
             ],
             False,
         )
+
+    # -- selection kernels -------------------------------------------------------
+
+    def _selector(self, expr: ast.Expression, ordered: bool) -> _Bind | None:
+        """The selection kernel binder of a filter node, or None when the
+        node or one of its conjuncts has no kernel.
+
+        Kernels exist for ``column <op> scalar`` over a plain numeric
+        column or a character one (by its value key), ``[NOT] BETWEEN``
+        and ``[NOT] IN`` over scalars, ``IS [NOT] NULL`` and ``AND`` of
+        those.  The column is one of the batch's layout columns and the
+        scalars are literals or ``?`` markers, so a bound kernel only
+        reads values and compares them and cannot raise.
+        """
+        method = getattr(self, "_select_" + type(expr).__name__.lower(), None)
+        return None if method is None else method(expr, ordered)
+
+    def _layout_column(self, expr: ast.Expression) -> tuple[int, SqlType | None] | None:
+        """``(position, type)`` of a column of the batch's layout."""
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        compiled = self.row.compile(expr)
+        if compiled.leaf is None or compiled.leaf[0] != "row":
+            return None
+        return compiled.leaf[1], compiled.type
+
+    def _select_binaryop(self, expr: ast.BinaryOp, ordered: bool) -> _Bind | None:
+        op = expr.op.upper()
+        if op == "AND":
+            left = self._selector(expr.left, ordered)
+            right = self._selector(expr.right, ordered)
+            if left is None or right is None:
+                return None
+
+            def bind_and(ctx):
+                run_left, run_right = left(ctx), right(ctx)
+                if run_left is None or run_right is None:
+                    return None
+
+                def run(batch, positions):
+                    survivors = run_left(batch, positions)
+                    return run_right(batch, survivors) if survivors else survivors
+
+                return run
+
+            return bind_and
+        if op not in _FLIPPED:
+            return None
+        for column, other, column_op in (
+            (expr.left, expr.right, op),
+            (expr.right, expr.left, _FLIPPED[op]),
+        ):
+            scalar = self._scalar(other)
+            found = self._layout_column(column)
+            if scalar is not None and found is not None:
+                search = _ORDERED_RUNS.get(column_op) if ordered else None
+                return _bind_compare(*found, scalar, _SELECT_KERNELS[column_op], search)
+        return None
+
+    def _select_between(self, expr: ast.Between, ordered: bool) -> _Bind | None:
+        """Bounds gated like ``column <op> scalar`` on a plain numeric
+        column; a NULL bound runs the mask path."""
+        found = self._layout_column(expr.operand)
+        low, high = self._scalar(expr.low), self._scalar(expr.high)
+        if found is None or low is None or high is None or not _plain_numeric(found[1]):
+            return None
+        index = found[0]
+        scan = _not_between if expr.negated else _between
+        search = _between_run if ordered and not expr.negated else None
+
+        def bind_between(ctx):
+            lo, hi = low(ctx), high(ctx)
+            if not (_plain_value(lo) and _plain_value(hi)):
+                return None
+            return _column_kernel(
+                index,
+                lambda values, positions: scan(values, positions, lo, hi),
+                # A NaN bound never bisects.
+                None
+                if search is None or lo != lo or hi != hi
+                else lambda values, start, stop: search(values, start, stop, lo, hi),
+            )
+
+        return bind_between
+
+    def _select_inlist(self, expr: ast.InList, ordered: bool) -> _Bind | None:
+        """Members gated like :meth:`_batch_inlist`'s hashed membership."""
+        found = self._layout_column(expr.operand)
+        scalars = [self._scalar(item) for item in expr.items]
+        if found is None or None in scalars:
+            return None
+        index, operand_type = found
+        character = operand_type is not None and is_character(operand_type)
+        if not (character or _plain_numeric(operand_type)):
+            return None
+        member_key = join_key(operand_type)
+        plain = (lambda v: isinstance(v, str)) if character else _plain_value
+        scan = _not_in if expr.negated else _in
+
+        def bind_in(ctx):
+            values = [scalar(ctx) for scalar in scalars]
+            members = [v for v in values if v is not None]
+            if not all(map(plain, members)):
+                return None
+            if scan is _not_in and len(members) < len(values):
+                return _select_nothing  # NOT IN over a NULL member is never TRUE
+            if member_key is not None:
+                members = map(member_key, members)
+            members = frozenset(members)
+            if character:
+                return _column_kernel(
+                    index,
+                    lambda column, positions: scan(
+                        list(map(member_key, column)), positions, members
+                    ),
+                )
+            return _column_kernel(
+                index, lambda column, positions: scan(column, positions, members)
+            )
+
+        return bind_in
+
+    def _select_isnull(self, expr: ast.IsNull, ordered: bool) -> _Bind | None:
+        found = self._layout_column(expr.operand)
+        if found is None:
+            return None
+        run = _column_kernel(found[0], _is_not_null if expr.negated else _is_null)
+        return lambda ctx: run
+
+
+def _select_nothing(batch, positions: Sequence[int] | None) -> list[int]:
+    """The kernel of a predicate no row satisfies (a NULL bound)."""
+    return []
+
+
+def _column_kernel(index: int, scan: Callable, search: Callable | None = None) -> _Run:
+    """The kernel ``scan(values, positions)`` over the batch's column
+    ``index``.  With ``search``, a :class:`ColumnChunk` column that is
+    ordered is bisected instead, ``search(values, start, stop)``, when
+    the positions are the whole chunk or one run of it."""
+
+    def run(batch, positions):
+        values = batch.column(index)
+        if search is not None and type(batch) is ColumnChunk and batch.ordered(index):
+            if positions is None:
+                return search(values, 0, len(values))
+            if type(positions) is range:
+                return search(values, positions.start, positions.stop)
+        return scan(values, range(len(values)) if positions is None else positions)
+
+    return run
+
+
+def _bind_compare(
+    index: int,
+    column_type: SqlType | None,
+    scalar: Callable[[EvalContext], object],
+    scan: Callable,
+    search: Callable | None,
+) -> _Bind | None:
+    """The binder of ``column <op> scalar`` (None when the column's type
+    has no kernel): a plain int/float against a plain numeric column, or
+    a string against a character column with both sides by the column's
+    value key, as :func:`_align` compares them.  A NULL selects nothing;
+    any other value runs the mask path."""
+    if _plain_numeric(column_type):
+        key = None
+    elif column_type is not None and is_character(column_type):
+        key = value_key(column_type)
+    else:
+        return None
+
+    def bind_compare(ctx):
+        value = scalar(ctx)
+        if value is None:
+            return _select_nothing
+        if key is not None:
+            if not isinstance(value, str):
+                return None
+            value = key(value)
+            return _column_kernel(
+                index,
+                lambda values, positions: scan(list(map(key, values)), positions, value),
+            )
+        if not _plain_value(value):
+            return None
+        return _column_kernel(
+            index,
+            lambda values, positions: scan(values, positions, value),
+            # A NaN bound never bisects.
+            None
+            if search is None or value != value
+            else lambda values, start, stop: search(values, start, stop, value),
+        )
+
+    return bind_compare
+
+
+#: ``kernel(values, positions, b)``: the ``positions`` whose value ``v``
+#: has ``v <op> b``, in order; a NULL never passes.
+_SELECT_KERNELS = {
+    "=": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v == b
+    ],
+    "<>": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v != b
+    ],
+    "<": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v < b
+    ],
+    "<=": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v <= b
+    ],
+    ">": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v > b
+    ],
+    ">=": lambda values, positions, b: [
+        i for i in positions if (v := values[i]) is not None and v >= b
+    ],
+}
+
+#: ``search(values, start, stop, b)``: the run of ``range(start, stop)``
+#: whose value ``v`` has ``v <op> b``, over non-decreasing values with no
+#: NULL and no NaN and a bound that is not NaN.  ``<>`` holds on two
+#: runs, so it has no search.
+_ORDERED_RUNS = {
+    "=": lambda values, start, stop, b: range(
+        bisect_left(values, b, start, stop), bisect_right(values, b, start, stop)
+    ),
+    "<": lambda values, start, stop, b: range(start, bisect_left(values, b, start, stop)),
+    "<=": lambda values, start, stop, b: range(start, bisect_right(values, b, start, stop)),
+    ">": lambda values, start, stop, b: range(bisect_right(values, b, start, stop), stop),
+    ">=": lambda values, start, stop, b: range(bisect_left(values, b, start, stop), stop),
+}
+
+
+def _between_run(values: list, start: int, stop: int, lo: object, hi: object) -> range:
+    """The run of ``range(start, stop)`` whose value lies in
+    ``[lo, hi]`` (empty when ``lo > hi``), as :data:`_ORDERED_RUNS`."""
+    first = bisect_left(values, lo, start, stop)
+    return range(first, bisect_right(values, hi, first, stop))
+
+
+def _between(values: list, positions: Sequence[int], lo: object, hi: object) -> list[int]:
+    return [i for i in positions if (v := values[i]) is not None and lo <= v <= hi]
+
+
+def _not_between(values: list, positions: Sequence[int], lo: object, hi: object) -> list[int]:
+    return [i for i in positions if (v := values[i]) is not None and not lo <= v <= hi]
+
+
+def _in(values: list, positions: Sequence[int], members: frozenset) -> list[int]:
+    return [i for i in positions if (v := values[i]) is not None and v in members]
+
+
+def _not_in(values: list, positions: Sequence[int], members: frozenset) -> list[int]:
+    return [i for i in positions if (v := values[i]) is not None and v not in members]
+
+
+def _is_null(values: list, positions: Sequence[int]) -> list[int]:
+    return [i for i in positions if values[i] is None]
+
+
+def _is_not_null(values: list, positions: Sequence[int]) -> list[int]:
+    return [i for i in positions if values[i] is not None]
 
 
 def _plain_numeric(t: SqlType | None) -> bool:

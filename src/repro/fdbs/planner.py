@@ -58,6 +58,7 @@ from repro.fdbs.expr import (
     MemoCompiler,
     ParamScope,
     RowLayout,
+    SelectFn,
     contains_aggregate,
     hash_join_compatible,
     is_aggregate_call,
@@ -134,6 +135,17 @@ class Planner:
         forms = self._chunk_forms(compiler, [expr])
         return forms and forms[0]
 
+    def _selection(
+        self, compiler: ExpressionCompiler, predicate: ast.Expression
+    ) -> SelectFn | None:
+        """The selection form of an already row-compiled filter, built
+        only in columnar mode.  Ordered chunk columns are bisected only
+        with zone maps on: both answer a predicate from per-chunk
+        metadata, and the zone-map ablation switches them off together."""
+        if self.options.execution_mode != "columnar":
+            return None
+        return ColumnarCompiler(compiler).select(predicate, ordered=self.options.zone_maps)
+
     # -- public API -----------------------------------------------------------
 
     def plan_select(self, select: ast.Select) -> Plan:
@@ -206,7 +218,7 @@ class Planner:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
             plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
-            plan.columnar_predicate = self._chunk_form(compiler, where)
+            plan.selection = self._selection(compiler, where)
             if had_remote and self.options.pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
@@ -239,7 +251,7 @@ class Planner:
             compiler = self._compiler(layout)
             if having is not None:
                 plan = FilterPlan(plan, compiler.compile(having), "Filter(HAVING)")
-                plan.columnar_predicate = self._chunk_form(compiler, having)
+                plan.selection = self._selection(compiler, having)
 
         exprs: list[CompiledExpr] = []
         schema: list[ColumnSlot] = []
@@ -594,7 +606,7 @@ class Planner:
         except (PlanError, TypeError_):
             return None
         filtered = FilterPlan(plan, predicate, f"Filter(on {conjunct.render()})")
-        filtered.columnar_predicate = self._chunk_form(compiler, conjunct)
+        filtered.selection = self._selection(compiler, conjunct)
         return filtered
 
     def _register_prunable(

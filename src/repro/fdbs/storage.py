@@ -45,6 +45,8 @@ pre-MVCC heap.
 from __future__ import annotations
 
 import threading
+from itertools import islice
+from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConstraintError, ExecutionError, WriteConflictError
@@ -60,9 +62,25 @@ Row = tuple
 DEFAULT_CHUNK_SIZE = 1024
 
 
+#: The value types :meth:`ColumnChunk.ordered` accepts (``type(True)`` is
+#: ``bool``, so booleans are excluded).
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
 def _live(rows: list[Row | None], start: int, stop: int) -> list[Row]:
     """The live (non-tombstoned) rows of rids ``[start, stop)``."""
     return [row for row in rows[start:stop] if row is not None]
+
+
+def _non_decreasing(values: list[object]) -> bool:
+    """True when ``values`` are plain ints/floats (no bool, Decimal or
+    NULL) in non-decreasing order with no NaN."""
+    if not set(map(type, values)) <= _PLAIN_NUMBERS:
+        return False
+    # A NaN fails every comparison of a pair it is in; alone, ``v == v``.
+    if len(values) == 1:
+        return values[0] == values[0]
+    return all(map(le, values, islice(values, 1, None)))
 
 
 class ColumnChunk:
@@ -70,17 +88,19 @@ class ColumnChunk:
 
     A chunk covers a fixed rid range ``[start, start + chunk_size)`` of
     one arena; ``rows`` holds only the *live* tuples of that range, in
-    rid order.  Columns and per-column ``(min, max, null_count)`` zone
-    maps are decomposed lazily and cached — a sealed chunk belongs to an
-    immutable rid range, so the cache is safe to share across versions
-    and threads (filling a cache slot is idempotent).
+    rid order.  Columns, per-column ``(min, max, null_count)`` zone maps
+    and per-column *ordered* flags are decomposed lazily and cached — a
+    sealed chunk belongs to an immutable rid range, so the cache is safe
+    to share across versions and threads (filling a cache slot is
+    idempotent).  :meth:`seal` fills columns and zones only; a sealed
+    chunk's ordered flag is computed the first time a filter asks for it.
 
     The chunk also satisfies the executor's column-batch protocol
     (``len``, iteration, ``column``, ``rows_view``) so columnar operators
     can consume it directly without re-materialising row lists.
     """
 
-    __slots__ = ("start", "rows", "count", "_width", "_columns", "_zones")
+    __slots__ = ("start", "rows", "count", "_width", "_columns", "_zones", "_ordered")
 
     def __init__(self, start: int, rows: list[Row], width: int):
         self.start = start
@@ -89,6 +109,8 @@ class ColumnChunk:
         self._width = width
         self._columns: list[list[object] | None] = [None] * width
         self._zones: list[tuple[object, object, int] | None] = [None] * width
+        #: Per-column ordered flags, None until :meth:`seal`.
+        self._ordered: list[bool | None] | None = None
 
     def column(self, position: int) -> list[object]:
         """Values of one column across the chunk's live rows (cached)."""
@@ -106,10 +128,30 @@ class ColumnChunk:
             self._zones[position] = zone
         return zone
 
+    def ordered(self, position: int) -> bool:
+        """Whether one column's live values are non-decreasing plain
+        ``int``/``float`` values with no NULL and no NaN (cached).
+
+        On such a column a range or equality predicate holds on one
+        contiguous run of rows, which a filter finds by binary search.
+        Only a sealed chunk computes the flag: it is shared by every
+        later version of its arena.  A tail chunk belongs to one version,
+        and every write makes a new one, so it answers False unread.
+        """
+        flags = self._ordered
+        if flags is None:
+            return False
+        flag = flags[position]
+        if flag is None:
+            flag = flags[position] = _non_decreasing(self.column(position))
+        return flag
+
     def seal(self) -> None:
-        """Eagerly decompose every column and compute its zone map."""
+        """Eagerly decompose every column and compute its zone map; the
+        ordered flags become computable, each on first use."""
         for position in range(self._width):
             self.zone(position)
+        self._ordered = [None] * self._width
 
     def rows_view(self) -> list[Row]:
         """The chunk's live rows as tuples (no copy)."""

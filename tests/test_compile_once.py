@@ -431,7 +431,7 @@ class TestColumnarPlansOnTheRowProtocol:
         db = planning_db("columnar", optimizer)
         plan, ctx = columnar_plan(db, PLANNED_QUERIES[name])
         forms = [
-            node.columnar_predicate if isinstance(node, FilterPlan) else node.columnar_exprs
+            node.selection if isinstance(node, FilterPlan) else node.columnar_exprs
             for node in walk(plan)
             if isinstance(node, (FilterPlan, ProjectPlan))
         ]
@@ -454,7 +454,7 @@ class TestColumnarPlansOnTheRowProtocol:
             for node in walk(left)
             if isinstance(node, (FilterPlan, ProjectPlan))
         }
-        assert chunk_forms["FilterPlan"].columnar_predicate is not None
+        assert chunk_forms["FilterPlan"].selection is not None
         assert chunk_forms["ProjectPlan"].columnar_exprs is not None
         left_key = ExpressionCompiler(RowLayout(left.schema)).compile(
             ast.ColumnRef(None, "g")

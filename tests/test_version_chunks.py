@@ -12,9 +12,14 @@
   of its column;
 * reading an already-chunked version takes no write latch, so it
   completes while a writer holds the latch;
-* a chunk-size change rebuilds the stored list.
+* a chunk-size change rebuilds the stored list;
+* each chunk column's ordered flag equals a plain-Python reference: a
+  sealed chunk's values are plain ints/floats in non-decreasing order
+  with no NULL and no NaN, while a tail chunk is never ordered; checked
+  after tombstones, on a fork and around NaN.
 """
 
+import math
 import threading
 
 import pytest
@@ -25,7 +30,7 @@ from repro.fdbs.catalog import ColumnDef
 from repro.fdbs.engine import Database
 from repro.fdbs.stats import zone_bounds
 from repro.fdbs.storage import Table, UndoLog
-from repro.fdbs.types import INTEGER, VARCHAR
+from repro.fdbs.types import DOUBLE, INTEGER, VARCHAR
 
 #: (chunk size, row count): every count leaves a partial tail chunk
 #: except at size 1, where each rid is a full chunk.
@@ -50,9 +55,22 @@ def chunk_rows(chunks) -> list[tuple]:
     return [row for chunk in chunks for row in chunk.rows]
 
 
+def reference_ordered(values: list) -> bool:
+    """Plain ints/floats (no bool), no NULL, no NaN, each <= the next."""
+    for value in values:
+        if type(value) not in (int, float) or math.isnan(value):
+            return False
+    return all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+
+
+def sealed(table: Table, version, chunk) -> bool:
+    """Whether ``chunk`` covers a full rid range below the version's limit."""
+    return chunk.start + table.chunk_size <= version.row_limit
+
+
 def assert_chunks_reproduce(table: Table, version) -> None:
     """The version's chunks are rid-aligned, concatenate to its rows and
-    carry the zone map of each column."""
+    carry the zone map and ordered flag of each column."""
     chunks = table.columnar_chunks(version)
     size = table.chunk_size
     assert chunk_rows(chunks) == version.rows()
@@ -62,6 +80,9 @@ def assert_chunks_reproduce(table: Table, version) -> None:
             column = [row[position] for row in chunk.rows]
             assert chunk.column(position) == column
             assert chunk.zone(position) == zone_bounds(column)
+            assert chunk.ordered(position) == (
+                sealed(table, version, chunk) and reference_ordered(column)
+            )
 
 
 class TestOneChunkListPerVersion:
@@ -247,3 +268,91 @@ def test_set_chunk_size_rebuilds_the_stored_list():
     assert table.zone_map_rebuilds == rebuilds + 1
     assert_chunks_reproduce(table, version)
     assert table.columnar_chunks(version) is new
+
+
+# -- ordered flags -----------------------------------------------------------------
+
+
+def ordered_flags(table: Table, version=None) -> list[list[bool]]:
+    chunks = table.columnar_chunks(version or table.current_version)
+    return [[chunk.ordered(p) for p in range(len(table.columns))] for chunk in chunks]
+
+
+def reference_flags(table: Table, version=None) -> list[list[bool]]:
+    version = version or table.current_version
+    return [
+        [
+            sealed(table, version, chunk) and reference_ordered([row[p] for row in chunk.rows])
+            for p in range(len(table.columns))
+        ]
+        for chunk in table.columnar_chunks(version)
+    ]
+
+
+class TestOrderedFlag:
+    @pytest.mark.parametrize("size,count", SIZES_AND_COUNTS)
+    def test_sealed_and_tail_chunks(self, size, count):
+        """``k`` ascends; ``g`` cycles and holds NULLs; ``s`` is text.
+        Every count but at size 1 leaves an ascending tail chunk."""
+        table = storage(make_db(size, count))
+        flags = ordered_flags(table)
+        assert flags == reference_flags(table)
+        full = count // size
+        assert all(chunk_flags[0] for chunk_flags in flags[:full])
+        assert flags[full:] in ([], [[False, False, False]])
+        assert not any(chunk_flags[2] for chunk_flags in flags)
+
+    def test_flags_are_lazy_and_cached(self):
+        table = storage(make_db(3, 10))
+        chunks = table.columnar_chunks(table.current_version)
+        assert chunks[0]._ordered == [None, None, None]  # sealing computes none
+        assert chunks[0].ordered(0) is True
+        assert chunks[0]._ordered == [True, None, None]
+        assert chunks[-1].ordered(0) is False and chunks[-1]._ordered is None
+
+    @pytest.mark.parametrize("size,count", SIZES_AND_COUNTS)
+    def test_after_update_and_delete_tombstones(self, size, count):
+        db = make_db(size, count)
+        table = storage(db)
+        pinned = table.current_version
+        before = ordered_flags(table)
+        db.execute(f"UPDATE t SET k = k + {count} WHERE MOD(k, 4) = 2")
+        assert ordered_flags(table) == reference_flags(table)
+        # Deleting the moved keys, and more, leaves ``k`` ascending
+        # between tombstones.
+        db.execute(f"DELETE FROM t WHERE k >= {count} OR MOD(k, 3) = 0")
+        assert ordered_flags(table) == reference_flags(table)
+        assert all(chunk_flags[0] for chunk_flags in ordered_flags(table)[: count // size])
+        assert ordered_flags(table, pinned) == before == reference_flags(table, pinned)
+
+    def test_on_a_copy_on_write_fork(self):
+        table = storage(make_db(3, 10))
+        source = ordered_flags(table)
+        fork = table.fork(3)
+        assert ordered_flags(fork) == source == reference_flags(fork)
+        undo = UndoLog()
+        rid = next(rid for rid, row in fork.scan() if row[0] == 4)
+        fork.update_many([(rid, (-1, 1, "x"))], undo)
+        assert ordered_flags(fork) == reference_flags(fork)
+        assert ordered_flags(fork)[1][0] is False
+        assert ordered_flags(table) == source
+
+    @pytest.mark.parametrize(
+        "values,size,expected",
+        [
+            ([math.nan, 1.0, 2.0], 3, [False]),
+            ([1.0, 2.0, math.nan], 3, [False]),
+            ([1.0, math.nan, 2.0], 3, [False]),
+            ([1.0, 2.0, 3.0], 3, [True]),
+            ([math.nan], 1, [False]),
+            ([math.nan, 1.0, 2.0], 1, [False, True, True]),
+            ([0.5], 1, [True]),
+            ([-0.0, 0.0, float("inf"), 2.0], 3, [True, False]),
+            ([float("-inf"), None, 1.0], 2, [False, False]),
+        ],
+    )
+    def test_nan_first_last_alone_and_one_row_chunks(self, values, size, expected):
+        table = Table("d", [ColumnDef("x", DOUBLE)], chunk_size=size)
+        table.insert_many([(value,) for value in values])
+        assert ordered_flags(table) == reference_flags(table)
+        assert [flags[0] for flags in ordered_flags(table)] == expected
