@@ -17,7 +17,12 @@ the FDBS executor on two workloads over a synthetic star schema:
   gated).  ``v`` restarts at 0 in each chunk, so every chunk's zone
   spans the bounds and none is pruned: the ordered table's filter finds
   each chunk's run by binary search, the shuffled one compares row by
-  row.
+  row, and
+* a bulk load of 10,000 six-column rows three ways (reported, not
+  gated): 40 executions of one 250-row ``INSERT … VALUES (?, …), …``
+  text, one ``execute_many`` of a one-row template, and 10,000
+  one-row INSERTs of one text.  All three reuse the text's cached
+  compiled form after its first hit.
 
 Row mode runs the Volcano engine with a nested-loop join; columnar mode
 the column-batch operators over storage chunks with a hash equi-join
@@ -66,6 +71,12 @@ PRUNE_QUERY = (
 ORDERED_QUERY = "SELECT COUNT(*), SUM(amount) FROM seq WHERE v BETWEEN ? AND ?"
 #: Timed executions per table of the ordered-vs-shuffled row (median).
 ORDERED_REPEATS = 5
+#: Rows loaded by the bulk-load row, and rows per multi-row INSERT.
+LOAD_ROWS = 10_000
+LOAD_BATCH = 250
+#: Timed loads per way of the bulk-load row (median).
+LOAD_REPEATS = 5
+LOAD_DDL = "CREATE TABLE load (id INT PRIMARY KEY, a INT, b INT, c INT, d INT, e INT)"
 #: Fractions of the fact table selected by the pruning sweep.
 SWEEP_SELECTIVITIES = (0.001, 0.01, 0.1, 0.5)
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_executor.json"
@@ -194,11 +205,47 @@ def run_ordered(rows: int) -> dict:
     return report
 
 
+def run_bulk_load() -> dict:
+    """Load :data:`LOAD_ROWS` rows into a fresh table three ways; median
+    seconds of :data:`LOAD_REPEATS` loads each, and whether the three
+    tables hold the same rows."""
+    rows = [(i, i % 7, i % 11, i % 13, i % 17, i * 3) for i in range(LOAD_ROWS)]
+    batch_sql = "INSERT INTO load VALUES " + ", ".join(["(?, ?, ?, ?, ?, ?)"] * LOAD_BATCH)
+    one_row = "INSERT INTO load VALUES (?, ?, ?, ?, ?, ?)"
+
+    def batches(db: Database) -> None:
+        for start in range(0, LOAD_ROWS, LOAD_BATCH):
+            db.execute(batch_sql, [v for row in rows[start : start + LOAD_BATCH] for v in row])
+
+    def many(db: Database) -> None:
+        db.execute_many(one_row, rows)
+
+    def singles(db: Database) -> None:
+        for row in rows:
+            db.execute(one_row, list(row))
+
+    report = {"benchmark": "wallclock_bulk_load", "rows": LOAD_ROWS, "batch": LOAD_BATCH}
+    loaded = []
+    for name, load in (("batched_inserts", batches), ("execute_many", many), ("one_row_inserts", singles)):
+        samples = []
+        for _ in range(LOAD_REPEATS):
+            db = Database("load")
+            db.execute(LOAD_DDL)
+            start = time.perf_counter()
+            load(db)
+            samples.append(time.perf_counter() - start)
+        report[f"{name}_seconds"] = round(statistics.median(samples), 6)
+        loaded.append(db.table_rows("load"))
+    report["parity"] = loaded[0] == loaded[1] == loaded[2] == rows
+    return report
+
+
 def run(fact_rows: int, prune_rows: int) -> dict:
-    """All three workloads; legacy join-bench keys stay at the top level."""
+    """All four workloads; legacy join-bench keys stay at the top level."""
     summary = run_join(fact_rows)
     summary["pruning"] = run_pruning(prune_rows)
     summary["ordered_runs"] = run_ordered(fact_rows)
+    summary["bulk_load"] = run_bulk_load()
     return summary
 
 

@@ -52,6 +52,11 @@ class PlanError(SqlError):
     """The query cannot be planned (unresolved column, bad reference...)."""
 
 
+class DuplicateColumnError(PlanError):
+    """A column is named more than once as the target of one INSERT
+    column list or UPDATE SET clause (DB2 SQL0121N, SQLSTATE 42701)."""
+
+
 class ExecutionError(SqlError):
     """Runtime failure while executing a plan."""
 

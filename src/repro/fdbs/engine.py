@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import functools
 import threading
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import (
     CatalogError,
+    DuplicateColumnError,
     ExecutionError,
     PlanError,
     ReadOnlyFunctionError,
@@ -55,6 +57,7 @@ from repro.fdbs.executor import Plan
 from repro.fdbs.expr import (
     ColumnSlot,
     EvalContext,
+    EvalFn,
     ExpressionCompiler,
     ParamScope,
     RowLayout,
@@ -538,8 +541,9 @@ class Database:
         """The parsed statement, plus its cache entry on a cache hit.
 
         A miss parses, stores a plan-less entry and returns no entry, so
-        a first execution plans and discards; only a hit (a text run
-        again under the same :meth:`_plan_namespace`) may keep a plan.
+        a first execution compiles and discards; only a hit (a text run
+        again under the same :meth:`_plan_namespace`) may keep a plan
+        or a DML form.
         The simulated plan-compile charge is keyed separately, by the
         bare statement text: its warmth survives namespace changes, so
         switching modes or settings never re-charges it.  The parse on a
@@ -624,11 +628,11 @@ class Database:
             self._invalidate_plans("DROP TABLE", dropped.name.upper())
             return Result(statement_type="DROP TABLE")
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params, snapshot)
+            return self._execute_insert(statement, params, snapshot, cached)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, params, snapshot)
+            return self._execute_update(statement, params, snapshot, cached)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, params, snapshot)
+            return self._execute_delete(statement, params, snapshot, cached)
         if isinstance(statement, ast.CreateSqlFunction):
             return self._execute_create_sql_function(statement)
         if isinstance(statement, ast.CreateExternalFunction):
@@ -1240,33 +1244,36 @@ class Database:
         statement: ast.Insert,
         params: list[object],
         snapshot: Snapshot,
+        cached: CachedStatement | None = None,
     ) -> Result:
         table = self._require_writable_target(statement.table)
-        positions = self._insert_positions(table, statement)
         if statement.source is None:
-            incoming = self._values_rows(statement, len(positions), [params], snapshot)
-        else:
-            source_result = self._execute_select(statement.source, params, snapshot)
-            width = len(source_result.columns)
-            if width != len(positions):
-                raise ExecutionError(
-                    f"INSERT column count {len(positions)} does not match "
-                    f"source width {width}"
-                )
-            incoming = source_result.rows
-        return self._insert_rows(table, positions, incoming)
+            build = self._dml_form(cached, lambda: (self._values_form(table, statement), True))
+            return self._insert_rows(table, build([params], snapshot, self))
+        positions = self._target_positions(table, statement.columns)
+        source_result = self._execute_select(statement.source, params, snapshot)
+        width = len(source_result.columns)
+        if width != len(positions):
+            raise ExecutionError(
+                f"INSERT column count {len(positions)} does not match "
+                f"source width {width}"
+            )
+        return self._insert_rows(
+            table, _scatter(len(table.columns), positions, source_result.rows)
+        )
 
     def execute_many(self, sql: str, param_rows: Iterable[Sequence[object]]) -> Result:
         """Execute a one-row ``INSERT … VALUES (?, …)`` template once per
         parameter row, as one statement (DB-API ``executemany``).
 
-        The template is parsed and compiled once; every parameter row is
+        The template's compiled form is the one :meth:`execute` keeps
+        for the same text (:meth:`_dml_form`); every parameter row is
         bound and evaluated before one set-oriented insert, so the rows
         land in one published version or, on any error, not at all.  It
         is charged as one statement.
         """
         self._count_statement()
-        statement, _ = self._parse_cached(sql)
+        statement, cached = self._parse_cached(sql)
         if (
             not isinstance(statement, ast.Insert)
             or statement.rows is None
@@ -1277,65 +1284,100 @@ class Database:
             )
         self._enforce_authorization(statement)
         table = self._require_writable_target(statement.table)
-        positions = self._insert_positions(table, statement)
-        incoming = self._values_rows(
-            statement, len(positions), param_rows, self.pin_snapshot()
-        )
-        return self._insert_rows(table, positions, incoming)
+        build = self._dml_form(cached, lambda: (self._values_form(table, statement), True))
+        return self._insert_rows(table, build(param_rows, self.pin_snapshot(), self))
 
-    def _insert_positions(self, table: TableDef, statement: ast.Insert) -> list[int]:
-        if statement.columns is None:
+    def _dml_form(self, cached: CachedStatement | None, build: Callable[[], tuple]):
+        """The compiled form of a DML statement, under SELECT's plan rule.
+
+        A cache hit reuses the form its entry keeps, or builds one and
+        stores it there; a first execution (``cached`` None) builds and
+        discards, so one-shot statements keep nothing.  ``build``
+        returns the form and whether an entry may keep it.
+        """
+        form = cached.dml if cached is not None else None
+        if form is None:
+            form, keep = build()
+            if cached is not None and keep:
+                # Racing stores from concurrent hits are benign: every
+                # form built under one namespace is equally valid.
+                cached.dml = form
+        return form
+
+    def _target_positions(self, table: TableDef, columns: list[str] | None) -> list[int]:
+        """Table positions of a DML statement's target columns (all of
+        them for None); a column named twice raises
+        :class:`DuplicateColumnError` before any row is evaluated."""
+        if columns is None:
             return list(range(len(table.columns)))
-        return [table.column_index(c) for c in statement.columns]
+        positions = [table.column_index(c) for c in columns]
+        if len(set(positions)) != len(positions):
+            column = next(c for i, c in enumerate(columns) if positions[i] in positions[:i])
+            raise DuplicateColumnError(
+                f"column {column!r} of table {table.name!r} is a target "
+                "more than once in one statement"
+            )
+        return positions
 
-    def _values_rows(
-        self,
-        statement: ast.Insert,
-        width: int,
-        param_rows: Iterable[Sequence[object]],
-        snapshot: Snapshot,
-    ) -> list[tuple]:
-        """Evaluate an INSERT's VALUES rows once per parameter row."""
+    def _values_form(self, table: TableDef, statement: ast.Insert) -> ValuesForm:
+        """Compile an INSERT's VALUES rows into a :data:`ValuesForm`."""
         assert statement.rows is not None
+        positions = self._target_positions(table, statement.columns)
         compiler = ExpressionCompiler(RowLayout([]))
         compiled = []
         for row_exprs in statement.rows:
-            if len(row_exprs) != width:
+            if len(row_exprs) != len(positions):
                 raise ExecutionError(
-                    f"INSERT expects {width} values per row, got {len(row_exprs)}"
+                    f"INSERT expects {len(positions)} values per row, "
+                    f"got {len(row_exprs)}"
                 )
-            compiled.append([compiler.compile(e).fn for e in row_exprs])
-        incoming = []
-        for params in param_rows:
-            ctx = EvalContext(params=list(params), snapshot=snapshot, database=self)
-            for fns in compiled:
-                incoming.append(tuple([fn((), ctx) for fn in fns]))
-        return incoming
+            compiled.append([compiler.compile(e) for e in row_exprs])
+        if all(item.leaf is not None for row in compiled for item in row):
+            return _marker_rows(len(table.columns), positions, compiled)
+        return _closure_rows(len(table.columns), positions, compiled)
 
-    def _insert_rows(
-        self, table: TableDef, positions: list[int], incoming: list[tuple]
-    ) -> Result:
-        """Scatter evaluated rows into full table rows and insert them
-        with one storage call (one published version)."""
+    def _insert_rows(self, table: TableDef, rows: list) -> Result:
+        """Insert full table rows with one storage call (one published
+        version)."""
         assert table.storage is not None
-        if positions != list(range(len(table.columns))):
-            scattered = []
-            for incoming_row in incoming:
-                full_row: list[object] = [None] * len(table.columns)
-                for position, value in zip(positions, incoming_row):
-                    full_row[position] = value
-                scattered.append(full_row)
-            incoming = scattered
         # Appends never first-writer-conflict: concurrent inserters
         # interleave safely under the latch, and genuine collisions
         # surface as the primary-key ConstraintError they are.
-        table.storage.insert_many(incoming, undo=self._undo)
-        return Result(rowcount=len(incoming), statement_type="INSERT")
+        table.storage.insert_many(rows, undo=self._undo)
+        return Result(rowcount=len(rows), statement_type="INSERT")
 
     def _dml_layout(self, table: TableDef) -> RowLayout:
         return RowLayout(
             [ColumnSlot(table.name, c.name, c.type) for c in table.columns]
         )
+
+    def _scan_form(
+        self,
+        table: TableDef,
+        assignments: list[tuple[str, ast.Expression]],
+        where: ast.Expression | None,
+    ) -> tuple[tuple[list, EvalFn | None], bool]:
+        """Compile an UPDATE's assignments and an UPDATE/DELETE predicate
+        against the table's row layout: the form is ``(position, fn)``
+        per assignment and the predicate's closure (None without WHERE).
+        A form whose compile planned a subquery may not be kept: DML
+        subqueries plan every time."""
+        positions = self._target_positions(table, [column for column, _ in assignments])
+        planned = []
+
+        def subquery(select: ast.Select):
+            planned.append(select)
+            return self._subquery_for_dml(select)
+
+        compiler = ExpressionCompiler(self._dml_layout(table), subquery_compiler=subquery)
+        form = (
+            [
+                (position, compiler.compile(expr).fn)
+                for position, (_, expr) in zip(positions, assignments)
+            ],
+            None if where is None else compiler.compile(where).fn,
+        )
+        return form, not planned
 
     def _write_transaction(self, storage: Table, snapshot: Snapshot):
         """A first-writer-wins write latch scope for UPDATE/DELETE.
@@ -1347,12 +1389,14 @@ class Database:
         return storage.write_transaction(expected=snapshot.version_for(storage))
 
     def _execute_update(
-        self, statement: ast.Update, params: list[object], snapshot: Snapshot
+        self,
+        statement: ast.Update,
+        params: list[object],
+        snapshot: Snapshot,
+        cached: CachedStatement | None = None,
     ) -> Result:
         table = self._require_writable_target(statement.table)
         assert table.storage is not None
-        layout = self._dml_layout(table)
-        compiler = ExpressionCompiler(layout, subquery_compiler=self._subquery_for_dml)
         # No snapshot in the DML context: predicate and assignment
         # subqueries read the latest published state.  Every new row is
         # evaluated before the one set-oriented write, so under the
@@ -1362,14 +1406,9 @@ class Database:
         ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
-                assignments = [
-                    (table.column_index(column), compiler.compile(expr))
-                    for column, expr in statement.assignments
-                ]
-                predicate = (
-                    compiler.compile(statement.where)
-                    if statement.where is not None
-                    else None
+                assignments, predicate = self._dml_form(
+                    cached,
+                    lambda: self._scan_form(table, statement.assignments, statement.where),
                 )
                 touched = [
                     (rid, row)
@@ -1379,8 +1418,8 @@ class Database:
                 updates = []
                 for rid, row in touched:
                     new_row = list(row)
-                    for position, expr in assignments:
-                        new_row[position] = expr(row, ctx)
+                    for position, fn in assignments:
+                        new_row[position] = fn(row, ctx)
                     updates.append((rid, new_row))
                 table.storage.update_many(updates, undo=self._undo)
         except WriteConflictError:
@@ -1390,19 +1429,19 @@ class Database:
         return Result(rowcount=len(touched), statement_type="UPDATE")
 
     def _execute_delete(
-        self, statement: ast.Delete, params: list[object], snapshot: Snapshot
+        self,
+        statement: ast.Delete,
+        params: list[object],
+        snapshot: Snapshot,
+        cached: CachedStatement | None = None,
     ) -> Result:
         table = self._require_writable_target(statement.table)
         assert table.storage is not None
-        layout = self._dml_layout(table)
-        compiler = ExpressionCompiler(layout, subquery_compiler=self._subquery_for_dml)
         ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
-                predicate = (
-                    compiler.compile(statement.where)
-                    if statement.where is not None
-                    else None
+                _, predicate = self._dml_form(
+                    cached, lambda: self._scan_form(table, [], statement.where)
                 )
                 doomed = [
                     rid
@@ -1440,3 +1479,93 @@ class Database:
         args = [compiler.compile(a)((), ctx) for a in statement.args]
         out = self.call_procedure(statement.name, args)
         return Result(out_params=out, statement_type="CALL")
+
+
+# ---------------------------------------------------------------------------
+# DML forms (kept in CachedStatement.dml)
+# ---------------------------------------------------------------------------
+
+#: A compiled INSERT … VALUES: ``form(param_rows, snapshot, database)``
+#: builds the statement's full table rows, one VALUES list per
+#: parameter row.  It binds no database.
+ValuesForm = Callable[[Iterable[Sequence[object]], Snapshot, "Database"], list]
+
+
+def _scatter(width: int, positions: list[int], incoming: list) -> list:
+    """``incoming`` rows of the target columns as full table rows, NULL
+    in every column the statement does not name."""
+    if positions == list(range(width)):
+        return incoming
+    scattered = []
+    for incoming_row in incoming:
+        full_row: list[object] = [None] * width
+        for position, value in zip(positions, incoming_row):
+            full_row[position] = value
+        scattered.append(full_row)
+    return scattered
+
+
+def _closure_rows(width: int, positions: list[int], compiled: list) -> ValuesForm:
+    """VALUES rows that evaluate their items' closures per parameter row."""
+    fns = [[item.fn for item in row] for row in compiled]
+
+    def build(param_rows, snapshot, database):
+        incoming = []
+        for params in param_rows:
+            ctx = EvalContext(params=list(params), snapshot=snapshot, database=database)
+            for row in fns:
+                incoming.append(tuple([fn((), ctx) for fn in row]))
+        return _scatter(width, positions, incoming)
+
+    return build
+
+
+def _marker_rows(width: int, positions: list[int], compiled: list) -> ValuesForm:
+    """VALUES rows of literals and ``?`` markers only (every item has a
+    ``("const", v)`` or ``("param", j)`` leaf): each full table row is
+    one ``itemgetter`` over the parameters followed by the constants.
+
+    Constants are read by negative index, counted from the end, so one
+    getter serves any number of bound parameters.  The first marker
+    past the bound parameters, in evaluation order, raises the closures'
+    message before that parameter row builds a row.
+    """
+    constants: list[object] = [None]  # -1: the NULL of every unnamed column
+    markers = []
+    getters = []
+    for row in compiled:
+        indices = [-1] * width
+        for position, item in zip(positions, row):
+            kind, value = item.leaf
+            if kind == "param":
+                indices[position] = value
+                markers.append(value)
+            else:
+                constants.append(value)
+                indices[position] = -len(constants)
+        getters.append(_tuple_getter(indices))
+    # Without a constant to read, the parameters alone are the source.
+    uses_constants = len(markers) < width * len(compiled)
+    tail = tuple(reversed(constants))
+    needed = max(markers) + 1 if markers else 0
+
+    def build(param_rows, snapshot, database):
+        rows = []
+        for params in param_rows:
+            if len(params) < needed:
+                bound = len(params)
+                unbound = next(j for j in markers if j >= bound)
+                raise ExecutionError(f"statement parameter ?{unbound + 1} was not bound")
+            source = tuple(params) + tail if uses_constants else params
+            rows += [get(source) for get in getters]
+        return rows
+
+    return build
+
+
+def _tuple_getter(indices: list[int]) -> Callable[[Sequence[object]], tuple]:
+    """``itemgetter`` that returns a tuple for one index too."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda source: (source[index],)
+    return itemgetter(*indices)

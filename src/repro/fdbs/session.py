@@ -3,8 +3,9 @@
 The statement cache is what makes *repeated* federated-function calls
 the fastest in the paper's boot/other/repeated comparison: a cache miss
 pays :attr:`~repro.simtime.costs.CostModel.plan_compile`, a hit pays
-nothing.  Hot SELECT texts also skip planning in wall-clock terms: the
-entry keeps the compiled plan next to the parsed statement.
+nothing.  Hot texts also skip compiling in wall-clock terms: the entry
+keeps a SELECT's compiled plan, or a DML statement's compiled form,
+next to the parsed statement.
 """
 
 from __future__ import annotations
@@ -61,15 +62,21 @@ class Result:
 
 @dataclass
 class CachedStatement:
-    """One statement-cache entry: the parsed statement and its plan.
+    """One statement-cache entry: the parsed statement and its compiled
+    form.
 
-    ``plan`` starts empty.  The engine fills it when a cache *hit*
-    re-executes the text (a first execution plans and discards), so
-    one-shot statements never keep a compiled plan alive.
+    ``plan`` is a SELECT's plan; ``dml`` is an INSERT … VALUES, UPDATE
+    or DELETE statement's compiled form (see the engine's
+    ``_dml_form``).  Both start empty.  The engine fills one when a
+    cache *hit* re-executes the text (a first execution compiles and
+    discards), so one-shot statements never keep a compiled form alive.
+    ``plan_hits`` counts reuse of ``plan`` only.  Neither lives on the
+    statement: ASTs may be shared between databases (:class:`ParseMap`).
     """
 
     statement: object
     plan: object | None = None
+    dml: object | None = None
 
 
 class StatementCache:

@@ -4,9 +4,10 @@ native keys; layouts resolve names through an index.
 The planner hands one ``MemoCompiler`` every form it needs of an
 expression: the row form, then, in columnar mode only, the columnar
 form, whose types and row-at-a-time fallbacks reuse the row forms already
-built.  An INSERT's ``VALUES`` markers compile through the plain
-``ExpressionCompiler``.  ``SortPlan`` sorts every key on ``(0, value)``
-keys, with fixed keys above every value for NaN and, above that, NULL;
+built.  An INSERT's ``VALUES`` items compile through the plain
+``ExpressionCompiler``, once per statement-cache entry.  ``SortPlan``
+sorts every key on ``(0, value)`` keys, with fixed keys above every
+value for NaN and, above that, NULL;
 the properties here check it against a comparison-function reference in
 every mode.  A columnar plan run through ``rows`` (as EXPLAIN ANALYZE
 runs it) evaluates its row forms and returns the same rows.

@@ -16,7 +16,8 @@ differ only in trailing blanks; bounds that are NULL, NaN, Decimal,
 boolean, crossed (``lo > hi``) or unbound; ``AND`` chains with a
 division by zero the short-circuit may hide; chunk sizes 1-8 and 1024,
 so both sealed and tail chunks; ordered and shuffled tables; zone maps
-on and off.  The remaining tests pin where the ordered search runs.
+on and off.  The remaining tests pin where the ordered search runs,
+and that zone-map pruning may skip a row whose predicate would raise.
 """
 
 from __future__ import annotations
@@ -323,3 +324,28 @@ def test_short_circuit_errors_are_kept():
     raised = outcome(db, "row", hidden, [100])
     assert raised == ("ExecutionError", "division by zero")
     assert outcome(db, "columnar", hidden, [100]) == raised
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT k FROM t WHERE x > 100 AND b / 0 = 1", []),
+    ("SELECT k FROM t WHERE x > ? AND b / 0 = 1", [100]),
+])
+def test_pruning_may_skip_rows_whose_predicate_would_raise(sql, params):
+    """Zone-map pruning, like an index probe, may skip rows whose
+    predicate would raise: 9 rows in chunks of 4, the first chunk's
+    ``x`` all NULL and every other ``x`` at most 8.  With zone maps on
+    every chunk is pruned and the statement returns no row; with them
+    off ``x > 100`` is NULL on the first chunk, so ``b / 0`` runs and
+    raises.  Row and columnar mode agree under either setting."""
+    outcomes = {}
+    for zone_maps in (True, False):
+        db = Database("pruned", chunk_size=4, zone_maps=zone_maps, index_selection=False)
+        db.execute(DDL)
+        db.execute_many(
+            "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+            [(k, None if k < 4 else float(k), k, "a", "b") for k in range(9)],
+        )
+        row = outcome(db, "row", sql, params)
+        assert outcome(db, "columnar", sql, params) == row
+        outcomes[zone_maps] = row
+    assert outcomes == {True: [], False: ("ExecutionError", "division by zero")}
