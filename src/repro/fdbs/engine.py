@@ -380,48 +380,82 @@ class Database:
         snapshot isolation); passing ``snapshot`` explicitly lets tests
         and the serving layer hold a statement against an older epoch.
         """
-        self._count_statement()
-        params = params or []
-        reject_signalling_nan(params)
-        statement, cached = self._parse_cached(sql)
-        if snapshot is None:
-            snapshot = self.pin_snapshot()
-        return self._dispatch(statement, sql, params, snapshot, cached)
+        return self._run(sql, [params or []], snapshot)
 
-    def _count_statement(self) -> None:
-        """Count one client statement and charge its base cost."""
-        with self._stats_lock:
-            self.statements_executed += 1
-        if self.machine is not None:
-            self.machine.ensure_base_services()
-            self.machine.clock.advance(self.machine.costs.fdbs_query_base)
+    def execute_many(self, sql: str, param_rows: Iterable[Sequence[object]]) -> Result:
+        """Execute a one-row ``INSERT … VALUES (?, …)`` template once per
+        parameter row, as one statement (DB-API ``executemany``): every
+        row is bound and evaluated before one set-oriented insert, so
+        the rows land in one published version or, on any error, not at
+        all."""
+        return self._run(sql, list(param_rows), many=True)
 
     def execute_script(self, sql: str) -> list[Result]:
-        """Execute a ';'-separated script; returns one Result per statement."""
+        """Execute a ';'-separated script; returns one Result per statement
+        (each counted and charged as one, but with no text of its own to
+        cache or charge a compile for)."""
         from repro.fdbs.parser import parse_script
 
-        results = []
-        for statement in parse_script(sql):
-            results.append(
-                self._dispatch(statement, None, [], self.pin_snapshot())
-            )
-        return results
+        return [self._run(None, [[]], statement=s) for s in parse_script(sql)]
 
     def explain(self, sql: str) -> str:
-        """EXPLAIN-style plan tree for a SELECT statement."""
-        statement = parse_statement(sql)
+        """EXPLAIN-style plan tree for a SELECT statement: the lines
+        ``EXPLAIN <sql>`` returns.
+
+        A diagnostic, not a client statement: it neither counts nor
+        charges, so asking for a plan never moves the simulated clock.
+        """
+        statement = self.parse(sql)
         if not isinstance(statement, ast.Select):
             raise PlanError("EXPLAIN supports SELECT statements only")
-        snapshot = self.pin_snapshot()
-        plan, _ = self._plan(statement)
-        self._note_plan(plan)
-        if self.options.optimizer == "cost":
-            from repro.fdbs.optimizer import propagate_estimates
+        result = self._execute_explain(ast.Explain(statement), [], self.pin_snapshot())
+        return "\n".join(line for (line,) in result.rows)
 
-            propagate_estimates(plan)
-        header = self._runtime_header() + [f"Snapshot(epoch={snapshot.epoch})"]
-        text = plan.explain(mode=self.options.execution_mode)
-        return "\n".join(header + [text])
+    def _run(
+        self,
+        sql: str | None,
+        param_rows: list,
+        snapshot: Snapshot | None = None,
+        statement: ast.Statement | None = None,
+        many: bool = False,
+    ) -> Result:
+        """The one entry of every client statement, whatever its kind:
+        count and charge it, reject signalling NaNs in every parameter
+        row, look ``sql`` up in the statement cache, check authorization,
+        pin the snapshot and run the kind's ``_execute_*`` body.
+
+        A miss parses (a shared parse map saves the parse, never the
+        charge) and stores a form-less entry, so only a hit keeps a
+        compiled form (:meth:`_form`).  ``plan_compile`` warmth is keyed
+        by the bare text, so changing settings never re-charges it.  A
+        script's ``statement`` comes without text: no entry, no charge.
+        Only ``many`` (a one-row INSERT … VALUES) binds several rows.
+        """
+        with self._stats_lock:
+            self.statements_executed += 1
+        machine = self.machine
+        if machine is not None:
+            machine.ensure_base_services()
+            machine.clock.advance(machine.costs.fdbs_query_base)
+        reject_signalling_nan(param_rows)
+        cached = None
+        if statement is None:
+            namespace = self._plan_namespace()
+            cached = self.statement_cache.get(sql, namespace=namespace)
+            if cached is not None:
+                statement = cached.statement
+            else:
+                if machine is not None and not machine.warmth.statement_is_hot(sql):
+                    machine.clock.advance(machine.costs.plan_compile)
+                    machine.warmth.note_statement(sql)
+                statement = self.parse(sql)
+                self.statement_cache.put(sql, CachedStatement(statement), namespace=namespace)
+        if many and not (isinstance(statement, ast.Insert) and len(statement.rows or ()) == 1):
+            raise ExecutionError("execute_many expects a one-row INSERT ... VALUES template")
+        self._enforce_authorization(statement)
+        if snapshot is None:
+            snapshot = self.pin_snapshot()
+        return self._dispatch(statement, sql, param_rows, snapshot, cached)
 
     def runtime_stats(self) -> dict[str, dict[str, int]]:
         """Live counters for SYSCAT_RUNTIME_STATS and the shell's .stats.
@@ -535,33 +569,6 @@ class Database:
         catalog = self.catalog
         return f"{self.options.plan_key}@{catalog.schema_key}.{catalog.stats_epoch}"
 
-    def _parse_cached(
-        self, sql: str
-    ) -> tuple[ast.Statement, CachedStatement | None]:
-        """The parsed statement, plus its cache entry on a cache hit.
-
-        A miss parses, stores a plan-less entry and returns no entry, so
-        a first execution compiles and discards; only a hit (a text run
-        again under the same :meth:`_plan_namespace`) may keep a plan
-        or a DML form.
-        The simulated plan-compile charge is keyed separately, by the
-        bare statement text: its warmth survives namespace changes, so
-        switching modes or settings never re-charges it.  The parse on a
-        miss goes through :meth:`parse`, so a shared parse map saves the
-        wall-clock parse but never that charge.
-        """
-        namespace = self._plan_namespace()
-        cached = self.statement_cache.get(sql, namespace=namespace)
-        if cached is not None:
-            return cached.statement, cached  # type: ignore[union-attr]
-        if self.machine is not None:
-            if not self.machine.warmth.statement_is_hot(sql):
-                self.machine.clock.advance(self.machine.costs.plan_compile)
-                self.machine.warmth.note_statement(sql)
-        statement = self.parse(sql)
-        self.statement_cache.put(sql, CachedStatement(statement), namespace=namespace)
-        return statement, None
-
     def parse(self, sql: str) -> ast.Statement:
         """Parse one statement, through the shared parse map if the
         database has one (the AST may then be shared: never mutate it)."""
@@ -603,17 +610,36 @@ class Database:
             f"user {user!r} may not execute DDL or grant statements"
         )
 
+    def _form(self, cached: CachedStatement | None, build: Callable[[], tuple]):
+        """A statement's compiled form, kept in its entry's one slot: a
+        hit reuses it (a plan counts as a plan hit) or builds and stores
+        it; a first execution (``cached`` None) builds and discards.
+        ``build`` returns the form and whether an entry may keep it."""
+        form = cached.form if cached is not None else None
+        if form is None:
+            form, keep = build()
+            if cached is not None and keep:
+                # Racing stores from concurrent hits are benign: every
+                # form built under one namespace is equally valid.
+                cached.form = form
+        elif isinstance(form, Plan):
+            self.statement_cache.note_plan_hit()
+        return form
+
     def _dispatch(
         self,
         statement: ast.Statement,
         sql: str | None,
-        params: list[object],
+        param_rows: list,
         snapshot: Snapshot,
-        cached: CachedStatement | None = None,
+        cached: CachedStatement | None,
     ) -> Result:
-        self._enforce_authorization(statement)
+        """Run ``statement``'s kind (see :meth:`_run`)."""
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement, params, snapshot, cached, sql)
+            return self._execute_select(statement, param_rows[0], snapshot, cached, sql)
+        if isinstance(statement, ast.Insert):
+            return self._execute_insert(statement, param_rows, snapshot, cached, sql)
+        params = param_rows[0]
         if isinstance(statement, ast.Explain):
             return self._execute_explain(statement, params, snapshot)
         if isinstance(statement, ast.Runstats):
@@ -627,8 +653,6 @@ class Database:
                     self._published = self._published.without(dropped.storage)
             self._invalidate_plans("DROP TABLE", dropped.name.upper())
             return Result(statement_type="DROP TABLE")
-        if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params, snapshot, cached)
         if isinstance(statement, ast.Update):
             return self._execute_update(statement, params, snapshot, cached)
         if isinstance(statement, ast.Delete):
@@ -948,26 +972,17 @@ class Database:
         cached: CachedStatement | None = None,
         sql: str | None = None,
     ) -> Result:
-        """Run a SELECT, reusing the plan of a statement-cache hit.
+        """Run a SELECT with the plan :meth:`_form` gives: a cache hit's
+        kept plan, or one adopted from the shared map under ``sql`` (the
+        statement's text) or built (see :meth:`_plan`)."""
 
-        ``cached`` is the entry when this execution is a cache hit.  Its
-        plan is reused when present; otherwise the plan (adopted from
-        the shared map under ``sql``, the text the statement was parsed
-        from, or built:
-        see :meth:`_plan`) is stored in it — unless planning read
-        volatile runtime state, in which case every execution replans.
-        """
-        plan = cached.plan if cached is not None else None
-        if plan is None:
+        def build() -> tuple[Plan, bool]:
             key = None if sql is None else (self.options.plan_key, self.catalog.schema_key, sql)
             plan, keep = self._plan(statement, key)
             self._note_plan(plan)
-            if cached is not None and keep:
-                # Racing stores from concurrent hits are benign: every
-                # plan built under one namespace is equally valid.
-                cached.plan = plan
-        else:
-            self.statement_cache.note_plan_hit()
+            return plan, keep
+
+        plan = self._form(cached, build)
         ctx = EvalContext(params=params, snapshot=snapshot, database=self)
         options = self.options
         if options.execution_mode == "columnar":
@@ -1023,9 +1038,9 @@ class Database:
                     self.machine.warmth.note_statement(key)
             plan = self._body_plan(function, namespace)
             self._note_plan(plan)
-            cached = CachedStatement(function.body, plan)
+            cached = CachedStatement(function.body, form=plan)
             self.statement_cache.put(name, cached, namespace=namespace)
-        plan = cached.plan
+        plan = cached.form
         self._local.function_depth += 1
         try:
             ctx = EvalContext(
@@ -1242,16 +1257,19 @@ class Database:
     def _execute_insert(
         self,
         statement: ast.Insert,
-        params: list[object],
+        param_rows: list,
         snapshot: Snapshot,
-        cached: CachedStatement | None = None,
+        cached: CachedStatement | None,
+        sql: str | None,
     ) -> Result:
         table = self._require_writable_target(statement.table)
         if statement.source is None:
-            build = self._dml_form(cached, lambda: (self._values_form(table, statement), True))
-            return self._insert_rows(table, build([params], snapshot, self))
+            build = self._form(cached, lambda: (self._values_form(table, statement), True))
+            return self._insert_rows(table, build(param_rows, snapshot, self))
         positions = self._target_positions(table, statement.columns)
-        source_result = self._execute_select(statement.source, params, snapshot)
+        source_result = self._execute_select(
+            statement.source, param_rows[0], snapshot, cached, sql
+        )
         width = len(source_result.columns)
         if width != len(positions):
             raise ExecutionError(
@@ -1261,48 +1279,6 @@ class Database:
         return self._insert_rows(
             table, _scatter(len(table.columns), positions, source_result.rows)
         )
-
-    def execute_many(self, sql: str, param_rows: Iterable[Sequence[object]]) -> Result:
-        """Execute a one-row ``INSERT … VALUES (?, …)`` template once per
-        parameter row, as one statement (DB-API ``executemany``).
-
-        The template's compiled form is the one :meth:`execute` keeps
-        for the same text (:meth:`_dml_form`); every parameter row is
-        bound and evaluated before one set-oriented insert, so the rows
-        land in one published version or, on any error, not at all.  It
-        is charged as one statement.
-        """
-        self._count_statement()
-        statement, cached = self._parse_cached(sql)
-        if (
-            not isinstance(statement, ast.Insert)
-            or statement.rows is None
-            or len(statement.rows) != 1
-        ):
-            raise ExecutionError(
-                "execute_many expects a one-row INSERT ... VALUES template"
-            )
-        self._enforce_authorization(statement)
-        table = self._require_writable_target(statement.table)
-        build = self._dml_form(cached, lambda: (self._values_form(table, statement), True))
-        return self._insert_rows(table, build(param_rows, self.pin_snapshot(), self))
-
-    def _dml_form(self, cached: CachedStatement | None, build: Callable[[], tuple]):
-        """The compiled form of a DML statement, under SELECT's plan rule.
-
-        A cache hit reuses the form its entry keeps, or builds one and
-        stores it there; a first execution (``cached`` None) builds and
-        discards, so one-shot statements keep nothing.  ``build``
-        returns the form and whether an entry may keep it.
-        """
-        form = cached.dml if cached is not None else None
-        if form is None:
-            form, keep = build()
-            if cached is not None and keep:
-                # Racing stores from concurrent hits are benign: every
-                # form built under one namespace is equally valid.
-                cached.dml = form
-        return form
 
     def _target_positions(self, table: TableDef, columns: list[str] | None) -> list[int]:
         """Table positions of a DML statement's target columns (all of
@@ -1406,7 +1382,7 @@ class Database:
         ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
-                assignments, predicate = self._dml_form(
+                assignments, predicate = self._form(
                     cached,
                     lambda: self._scan_form(table, statement.assignments, statement.where),
                 )
@@ -1440,7 +1416,7 @@ class Database:
         ctx = EvalContext(params=params, database=self)
         try:
             with self._write_transaction(table.storage, snapshot):
-                _, predicate = self._dml_form(
+                _, predicate = self._form(
                     cached, lambda: self._scan_form(table, [], statement.where)
                 )
                 doomed = [
@@ -1482,7 +1458,7 @@ class Database:
 
 
 # ---------------------------------------------------------------------------
-# DML forms (kept in CachedStatement.dml)
+# INSERT … VALUES forms (kept in CachedStatement.form)
 # ---------------------------------------------------------------------------
 
 #: A compiled INSERT … VALUES: ``form(param_rows, snapshot, database)``

@@ -40,6 +40,10 @@ class ProcedureInterpreter:
         self._names: dict[str, int] = {}
         self._types: list = []
         self._values: list[object] = []
+        #: Compiled expressions by AST node id: a variable's index and
+        #: type never change once declared, so one compile serves every
+        #: evaluation of a node (a loop body's included).
+        self._compiled: dict[int, Callable] = {}
         for param in procedure.params:
             self._add_variable(param.name, param.type)
 
@@ -124,19 +128,21 @@ class ProcedureInterpreter:
         return self._names[key]
 
     def _evaluate(self, expr: ast.Expression) -> object:
-        scope = ParamScope(
-            qualifier=self.procedure.name,
-            names={
-                name: (index, self._types[index])
-                for name, index in self._names.items()
-            },
-        )
-        compiler = ExpressionCompiler(
-            RowLayout([]),
-            params=scope,
-            subquery_compiler=self._subquery_compiler,
-        )
-        compiled = compiler.compile(expr)
+        compiled = self._compiled.get(id(expr))
+        if compiled is None:
+            scope = ParamScope(
+                qualifier=self.procedure.name,
+                names={
+                    name: (index, self._types[index])
+                    for name, index in self._names.items()
+                },
+            )
+            compiler = ExpressionCompiler(
+                RowLayout([]),
+                params=scope,
+                subquery_compiler=self._subquery_compiler,
+            )
+            compiled = self._compiled[id(expr)] = compiler.compile(expr)
         ctx = EvalContext(params=list(self._values), database=self.database)
         return compiled((), ctx)
 

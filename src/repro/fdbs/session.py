@@ -4,8 +4,8 @@ The statement cache is what makes *repeated* federated-function calls
 the fastest in the paper's boot/other/repeated comparison: a cache miss
 pays :attr:`~repro.simtime.costs.CostModel.plan_compile`, a hit pays
 nothing.  Hot texts also skip compiling in wall-clock terms: the entry
-keeps a SELECT's compiled plan, or a DML statement's compiled form,
-next to the parsed statement.
+keeps the statement's compiled form (a plan, or a DML statement's
+compiled rows and predicates) next to the parsed statement.
 """
 
 from __future__ import annotations
@@ -63,24 +63,22 @@ class Result:
 @dataclass
 class CachedStatement:
     """One statement-cache entry: the parsed statement and its compiled
-    form.
+    form, one slot for every kind (a SELECT's or an INSERT … SELECT's
+    plan, an INSERT … VALUES row builder, an UPDATE's or DELETE's
+    assignments and predicate, a SQL I-UDTF body's plan).
 
-    ``plan`` is a SELECT's plan; ``dml`` is an INSERT … VALUES, UPDATE
-    or DELETE statement's compiled form (see the engine's
-    ``_dml_form``).  Both start empty.  The engine fills one when a
-    cache *hit* re-executes the text (a first execution compiles and
-    discards), so one-shot statements never keep a compiled form alive.
-    ``plan_hits`` counts reuse of ``plan`` only.  Neither lives on the
-    statement: ASTs may be shared between databases (:class:`ParseMap`).
+    ``form`` starts empty.  The engine fills it when a cache *hit*
+    re-executes the text (a first execution compiles and discards), so
+    one-shot statements never keep a compiled form alive.  It does not
+    live on the statement: ASTs may be shared (:class:`ParseMap`).
     """
 
     statement: object
-    plan: object | None = None
-    dml: object | None = None
+    form: object | None = None
 
 
 class StatementCache:
-    """Caches parsed statements and their compiled plans by text.
+    """Caches parsed statements and their compiled forms by text.
 
     The key is the statement text exactly as given, as in DB2's dynamic
     statement cache: blanks inside a string literal or a quoted
@@ -92,9 +90,9 @@ class StatementCache:
     *namespaced*: the engine folds every planning input (execution
     mode, optimizer settings, pushdown/index/zone-map switches, the
     catalog's schema key and statistics epoch) into the namespace, so a
-    plan is only ever served to an execution that would have planned it
-    identically.  Hit, miss,
-    eviction and plan-reuse counters are exposed through :meth:`stats`.
+    compiled form is only ever served to an execution that would have
+    compiled it identically.  Hit, miss, eviction and plan-reuse
+    counters are exposed through :meth:`stats`.
 
     Lookups, stores and the counters are guarded by an internal lock:
     concurrent sessions sharing one FDBS must neither lose counter
@@ -111,7 +109,8 @@ class StatementCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Executions that reused a cached compiled plan.
+        #: Executions that reused a kept SELECT plan (an INSERT …
+        #: SELECT's source plan included).
         self.plan_hits = 0
 
     @staticmethod
@@ -154,7 +153,7 @@ class StatementCache:
             self._entries[key] = value
 
     def note_plan_hit(self) -> None:
-        """Count one execution that reused a cached plan."""
+        """Count one execution that reused a kept SELECT plan."""
         with self._lock:
             self.plan_hits += 1
 

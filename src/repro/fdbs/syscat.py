@@ -15,7 +15,8 @@ table:
   maxval: RUNSTATS snapshots feeding the cost-based optimizer
 * ``SYSCAT_RUNTIME_STATS`` — component, counter, value: live counters of
   the statement cache (hits, misses, evictions, ``plan_hits`` — the
-  executions that reused a cached compiled plan — size, capacity),
+  executions that reused a kept SELECT plan, an INSERT … SELECT's
+  source plan included — size, capacity),
   MVCC, columnar execution, the join subsystem (``joins`` —
   joins_hash/merge/indexnlj/nlj counts of join operators *built*, so
   re-running a cached plan does not raise them; plans_invalidated,

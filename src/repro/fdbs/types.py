@@ -328,16 +328,20 @@ def coerce_into(value: object, t: SqlType) -> object:
     raise TypeError_(f"value {value!r} ({inferred}) does not fit column type {t}")
 
 
-def reject_signalling_nan(params: Sequence[object]) -> None:
+def reject_signalling_nan(param_rows: Sequence[Sequence[object]]) -> None:
     """Raise :class:`TypeError_` for a signalling-NaN ``Decimal`` among a
-    statement's bound parameters, as :func:`coerce_into` does on entry:
-    comparing one would raise a bare ``decimal.InvalidOperation``."""
-    for index, value in enumerate(params):
-        if isinstance(value, Decimal) and value.is_snan():
-            raise TypeError_(
-                f"signalling NaN {value!r} bound to parameter ?{index + 1} "
-                "is not a SQL value"
-            )
+    statement's bound parameters, in any of its parameter rows, as
+    :func:`coerce_into` does on entry: comparing one would raise a bare
+    ``decimal.InvalidOperation``."""
+    for params in param_rows:
+        for value in params:
+            if isinstance(value, Decimal) and value.is_snan():
+                # Indexed here only: the loop reads every value of a load.
+                index = next(i for i, v in enumerate(params) if v is value)
+                raise TypeError_(
+                    f"signalling NaN {value!r} bound to parameter ?{index + 1} "
+                    "is not a SQL value"
+                )
 
 
 #: One coercer per SQL type, keyed by the fields that decide equality

@@ -107,6 +107,23 @@ class VirtualClock:
                 self._now = when
             return self._now
 
+    def advance_past(self, makespan_end: float, t0: float) -> tuple[float, float]:
+        """Advance past a parallel makespan that began at ``t0``; returns
+        the clock before and after.
+
+        The new time is ``max(max(makespan_end, t0) + (now - t0), now)``:
+        the makespan plus whatever was charged since ``t0`` outside it
+        (the navigator's serial work).  Reading ``now`` and moving the
+        clock are one step under the lock, so another thread's advance
+        cannot land between them.  As :meth:`advance_to`: no jitter, and
+        a frozen section leaves the clock where it is.
+        """
+        with self._lock:
+            start = self._now
+            if not self._local.frozen:
+                self._now = max(max(makespan_end, t0) + (start - t0), start)
+            return start, self._now
+
     # -- frozen sections ---------------------------------------------------
 
     def freeze(self) -> None:

@@ -182,14 +182,11 @@ class WorkflowEngine:
             )
 
         if parallel and finish_times:
-            makespan_end = max(finish_times.values())
-            nav_now = self._now()  # navigation costs already moved the clock
-            target = max(makespan_end, t0) + (nav_now - t0)
-            start_activities = nav_now
-            self.machine.clock.advance_to(max(target, nav_now))
+            # Navigation costs already moved the clock past t0.
+            start, end = self.machine.clock.advance_past(max(finish_times.values()), t0)
             recorder = ACTIVE_RECORDER.get()
-            if recorder is not None and self._now() > start_activities:
-                recorder.add_leaf("Process activities", start_activities, self._now())
+            if recorder is not None and end > start:
+                recorder.add_leaf("Process activities", start, end)
 
         self._fill_process_output(instance)
 

@@ -1,8 +1,9 @@
 """DML statements compile once, under the SELECT plan rule.
 
 INSERT … VALUES, UPDATE and DELETE keep their compiled form in the
-statement-cache entry (``CachedStatement.dml``): a first execution
-compiles and discards, the first cache hit stores, later hits reuse.
+statement-cache entry's one compiled-form slot (``CachedStatement.form``,
+which holds a SELECT's plan too): a first execution compiles and
+discards, the first cache hit stores, later hits reuse.
 A VALUES list of literals and ``?`` markers only builds each row with
 one ``itemgetter``; other VALUES lists keep their closures.
 
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateColumnError, PlanError, WriteConflictError
 from repro.fdbs.engine import Database
+from repro.fdbs.executor import Plan
 from repro.sysmodel.machine import Machine
 
 MODES = ["row", "columnar"]
@@ -47,6 +49,8 @@ UPDATE = "UPDATE p SET d = d + ?, c = ? WHERE k > ?"
 SET_V = "UPDATE p SET v = ? WHERE k = ?"
 SET_K = "UPDATE p SET k = ? WHERE k = ?"
 DELETE = "DELETE FROM p WHERE k >= ?"
+CLOSURE_ROW = "INSERT INTO p (k, d, v) VALUES (?, ? + 1, ?)"
+INSERT_SELECT = "INSERT INTO p (k, v) SELECT k + ?, v FROM p WHERE k < ?"
 
 SNAN = Decimal("sNaN")
 
@@ -73,6 +77,10 @@ SCRIPT = [
     ("many", ONE_ROW, [(23, "m", 1, "v"), (24, "m", SNAN, "w")]),
     ("many", ONE_ROW, [(25, "m", 1, "v"), (26, "m", 1)]),  # ?4 unbound
     ("many", ONE_ROW, [(27, "m", 1, None)]),
+    ("many", CLOSURE_ROW, [(40, 1, "a"), (41, None, "b")]),
+    ("many", CLOSURE_ROW, [(42, 1, "a")]),
+    ("many", CLOSURE_ROW, [(43, 1, "a"), (44, SNAN, "b")]),  # signalling NaN
+    ("execute", CLOSURE_ROW, [45, SNAN, "c"]),  # signalling NaN
     ("execute", UPDATE, [Decimal("0.25"), "u", 2]),
     ("execute", UPDATE, [1, "w", 4]),
     ("execute", UPDATE, [1, None, 100]),
@@ -92,19 +100,32 @@ SCRIPT = [
     ("execute", DELETE, [100]),
     ("execute", DELETE, [30]),
     ("execute", SET_K, [60, 2]),
+    ("execute", INSERT_SELECT, [1000, 3]),
+    ("execute", INSERT_SELECT, [2000, 3]),
+    ("execute", INSERT_SELECT, [3000, 3]),
+    ("execute", INSERT_SELECT, [3000, 3]),  # duplicate keys
+    ("execute", "CREATE TABLE side (a INT)", []),  # DDL: every entry goes
+    ("execute", INSERT_SELECT, [4000, 3]),
+    ("execute", INSERT_SELECT, [5000, 3]),
+    ("execute", INSERT_SELECT, [6000, 3]),
     ("execute", "ROLLBACK", []),
 ]
 
 
 def dml_forms(db: Database) -> list:
-    """Compiled DML forms currently held by the statement cache."""
+    """Compiled DML forms (kept forms that are not plans) currently held
+    by the statement cache."""
     entries = db.statement_cache._entries.values()  # noqa: SLF001 - test probe
-    return [entry.dml for entry in entries if entry.dml is not None]
+    return [
+        entry.form
+        for entry in entries
+        if entry.form is not None and not isinstance(entry.form, Plan)
+    ]
 
 
 def cached_plans(db: Database) -> list:
     entries = db.statement_cache._entries.values()  # noqa: SLF001 - test probe
-    return [entry.plan for entry in entries if entry.plan is not None]
+    return [entry.form for entry in entries if isinstance(entry.form, Plan)]
 
 
 def published(db: Database) -> int:
@@ -154,6 +175,12 @@ class TestReuseMatchesFreshCompile:
         assert ("ExecutionError", "statement parameter ?6 was not bound") in outcomes
         assert ("ExecutionError", "statement parameter ?3 was not bound") in outcomes
         assert ("ExecutionError", "statement parameter ?4 was not bound") in outcomes
+        # A signalling NaN gets execute's message from both entries,
+        # whether its ``?`` stands alone (?3) or inside ``? + 1`` (?2):
+        # one step of each entry per marker.
+        for marker in (3, 2):
+            message = f"signalling NaN {SNAN!r} bound to parameter ?{marker} is not a SQL value"
+            assert outcomes.count(("TypeError_", message)) == 2
         kinds = {outcome[0] for outcome in outcomes if isinstance(outcome, tuple)}
         assert kinds == {"ExecutionError", "ConstraintError", "TypeError_"}
         # Every failing step left the table and the version count as
@@ -182,6 +209,30 @@ class TestReuseMatchesFreshCompile:
         # read as before.
         assert cached_plans(db) == []
         assert db.statement_cache.stats()["plan_hits"] == 0
+
+
+class TestInsertSelect:
+    SOURCE = "INSERT INTO u SELECT a FROM s WHERE a > ?"
+
+    def test_source_plan_is_kept_and_counted_as_a_plan_hit(self, monkeypatch):
+        db = Database("dml")
+        db.execute("CREATE TABLE s (a INT)")
+        db.execute("CREATE TABLE u (a INT)")
+        db.execute_many("INSERT INTO s VALUES (?)", [(a,) for a in range(10)])
+        plans = []
+        plan = Database._plan
+
+        def counted(database, *args, **kwargs):
+            plans.append(args[0])
+            return plan(database, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "_plan", counted)
+        counts = [db.execute(self.SOURCE, params=[a]).rowcount for a in range(5)]
+        assert counts == [9, 8, 7, 6, 5]
+        # First execution builds and discards, the first hit stores.
+        assert len(plans) == 2
+        assert db.statement_cache.stats()["plan_hits"] == 3
+        assert len(cached_plans(db)) == 1 and dml_forms(db) == []
 
 
 class TestWhatIsNotKept:

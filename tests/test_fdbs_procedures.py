@@ -126,3 +126,55 @@ def test_runaway_loop_guarded(db):
     )
     with pytest.raises(ExecutionError, match="iterations"):
         db.execute("CALL forever()")
+
+
+def test_loop_expressions_compile_once_per_call(db, monkeypatch):
+    """Each expression node compiles once per CALL, however often a
+    loop evaluates it; a new CALL compiles afresh."""
+    from repro.fdbs import procedures
+
+    compiles = []
+
+    class CountingCompiler(procedures.ExpressionCompiler):
+        def __init__(self, *args, **kwargs):
+            compiles.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(procedures, "ExpressionCompiler", CountingCompiler)
+    db.execute(
+        """
+        CREATE PROCEDURE sum_to (IN n INT, OUT total INT) LANGUAGE SQL BEGIN
+          DECLARE i INT DEFAULT 1;
+          SET total = 0;
+          WHILE i <= n DO
+            SET total = total + i;
+            SET i = i + 1;
+          END WHILE;
+        END
+        """
+    )
+    # DEFAULT 1, 0, i <= n, total + i, i + 1.
+    for n, total in ((10, 55), (200, 20100)):
+        compiles.clear()
+        assert db.execute(f"CALL sum_to({n})").out_params == {"total": total}
+        assert len(compiles) == 5
+
+
+def test_undeclared_variable_raises_at_its_first_evaluation(db):
+    from repro.errors import PlanError
+
+    db.execute(
+        """
+        CREATE PROCEDURE p (IN n INT, OUT t INT) LANGUAGE SQL BEGIN
+          DECLARE i INT DEFAULT 0;
+          SET t = 0;
+          WHILE i < n DO
+            SET t = t + ghost;
+            SET i = i + 1;
+          END WHILE;
+        END
+        """
+    )
+    assert db.execute("CALL p(0)").out_params == {"t": 0}
+    with pytest.raises(PlanError, match="ghost"):
+        db.execute("CALL p(3)")

@@ -21,7 +21,7 @@ from decimal import Decimal
 import pytest
 
 from repro.fdbs.engine import Database
-from repro.fdbs.executor import TableScanPlan
+from repro.fdbs.executor import Plan, TableScanPlan
 from repro.sysmodel.machine import Machine
 
 ROWS = 40
@@ -173,8 +173,8 @@ def cached_scans(db: Database) -> list[TableScanPlan]:
             walk(child)
 
     for entry in entries:
-        if entry.plan is not None:
-            walk(entry.plan)
+        if isinstance(entry.form, Plan):
+            walk(entry.form)
     return scans
 
 

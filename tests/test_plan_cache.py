@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.fdbs.engine import Database
+from repro.fdbs.executor import Plan
 from repro.fdbs.federation import CACHE_FRONTED_PROFILE, DatabaseEndpoint
 from repro.fdbs.functions import make_external_function
 from repro.fdbs.types import INTEGER
@@ -45,7 +46,7 @@ def plan_hits(db: Database) -> int:
 def cached_plans(db: Database) -> list:
     """Compiled plans currently held by the statement cache."""
     entries = db.statement_cache._entries.values()  # noqa: SLF001 - test probe
-    return [entry.plan for entry in entries if entry.plan is not None]
+    return [entry.form for entry in entries if isinstance(entry.form, Plan)]
 
 
 def plans_that_ran(db: Database) -> list[str]:
@@ -53,9 +54,9 @@ def plans_that_ran(db: Database) -> list[str]:
     prefix = db._plan_namespace() + "\x00"  # noqa: SLF001 - test probe
     entries = db.statement_cache._entries.items()  # noqa: SLF001 - test probe
     return sorted(
-        entry.plan.explain(mode=db.options.execution_mode)
+        entry.form.explain(mode=db.options.execution_mode)
         for key, entry in entries
-        if key.startswith(prefix) and entry.plan is not None
+        if key.startswith(prefix) and isinstance(entry.form, Plan)
     )
 
 
@@ -146,7 +147,7 @@ def last_used_plan(db: Database) -> str:
     """EXPLAIN text of the statement-cache entry looked up last (the
     cache keeps its entries in LRU order)."""
     entries = db.statement_cache._entries  # noqa: SLF001 - test probe
-    return next(reversed(entries.values())).plan.explain(mode="row")
+    return next(reversed(entries.values())).form.explain(mode="row")
 
 
 class TestBodyPlanNamespace:
