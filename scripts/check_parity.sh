@@ -56,7 +56,9 @@
 #     reference in every mode, NaN above every number and below NULL;
 #     layout name lookups equal the linear scan; each table version's
 #     column chunks, tail included, are built once and reproduce its
-#     rows and zone maps after any DML),
+#     rows and zone maps after any DML; WHERE conjuncts selected at a
+#     hash join's probe scan keep row mode's rows, never raise where
+#     row mode does not, and never select a null-supplying side),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers, and
 #     the golden Fig. 6 span trees of every architecture),
 #  9. SQL front end (tokens start at their positions, render -> parse
@@ -207,7 +209,8 @@ EOF
 echo "== columnar parity (row vs columnar, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py tests/test_param_kernels.py \
     tests/test_columnar_kernels.py tests/test_merge_column_path.py \
-    tests/test_compile_once.py tests/test_version_chunks.py tests/test_value_key.py
+    tests/test_compile_once.py tests/test_version_chunks.py tests/test_value_key.py \
+    tests/test_join_probe_selection.py
 
 echo "== calibration regression =="
 python -m pytest -q tests/test_calibration_regression.py tests/test_trace_golden.py

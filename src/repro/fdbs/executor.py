@@ -311,6 +311,12 @@ class TableScanPlan(Plan):
         #: False only when no row of a chunk with that zone entry can
         #: satisfy the conjunct.
         self.prune_checks: list[tuple[int, Callable, str]] = []
+        #: WHERE conjuncts the planner decided at this scan, the probe
+        #: side of an explicit hash join in columnar mode: ``(kernel,
+        #: conjunct text)``, where ``kernel(ctx)`` is this execution's
+        #: selection kernel (see ``ColumnarCompiler.kernel``), or None
+        #: for a binding no kernel covers, which keeps every row.
+        self.selection: tuple[Callable, str] | None = None
         #: Whether chunk scans count into the executing database's
         #: columnar counters (``ctx.database.note_chunks``); the planner
         #: sets it in columnar mode.
@@ -384,6 +390,23 @@ class TableScanPlan(Plan):
             if self.columnar_note:
                 ctx.database.note_chunks(*outcome)
 
+    def _selected(self, ctx: EvalContext) -> Iterator:
+        """The pruned chunks narrowed by :attr:`selection`: a chunk whose
+        rows all pass as it is, one whose rows partly pass as a
+        :class:`SelectionBatch`.  Only the kernel runs, so the scan
+        drops just rows whose conjunct is provably not TRUE, and never
+        raises."""
+        run = None if self.selection is None else self.selection[0](ctx)
+        if run is None:
+            yield from self._chunks(ctx)
+            return
+        for chunk in self._chunks(ctx):
+            positions = run(chunk, None)
+            if len(positions) == chunk.count:
+                yield chunk
+            elif positions:
+                yield SelectionBatch(chunk, positions)
+
     def _probe_rows(self, table: Table, ctx: EvalContext) -> list:
         """Rows the index probe keeps, in rid order.
 
@@ -408,29 +431,30 @@ class TableScanPlan(Plan):
         if self.index_probe is not None:
             yield from self._probe_rows(table, ctx)
             return
-        if self.prune_checks:
-            for chunk in self._chunks(ctx):
-                yield from chunk.rows
+        if self.prune_checks or self.selection is not None:
+            for chunk in self._selected(ctx):
+                yield from chunk.rows_view()
             return
         for row in self._version(ctx, table).rows():
             yield row
 
     def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield the storage's column chunks directly (zone-map pruned),
-        or slices of an index probe's row list."""
+        """Yield the storage's column chunks directly (zone-map pruned
+        and selected), or slices of an index probe's row list."""
         if self.index_probe is not None:
             yield from _sliced(self._probe_rows(self._storage(ctx), ctx), size)
             return
-        yield from self._chunks(ctx)
+        yield from self._selected(ctx)
 
     def _describe(self) -> str:
         if self.index_probe is not None:
             return f"IndexLookup({self._name}.{self.index_probe[0]})"
+        parts = [self._name]
         if self.prune_checks:
-            zones = " AND ".join(text for _, _, text in self.prune_checks)
-            described = f"TableScan({self._name}, zone: {zones})"
-        else:
-            described = f"TableScan({self._name})"
+            parts.append("zone: " + " AND ".join(text for _, _, text in self.prune_checks))
+        if self.selection is not None:
+            parts.append("select: " + self.selection[1])
+        described = f"TableScan({', '.join(parts)})"
         if self.last_chunks is not None:
             scanned, pruned = self.last_chunks
             described += f" [pruned={pruned}/{scanned + pruned} chunks]"

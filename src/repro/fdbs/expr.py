@@ -862,32 +862,43 @@ class ColumnarCompiler:
         left side's survivors only.  With ``ordered``, range and
         equality kernels bisect a :class:`ColumnChunk` column that
         :meth:`ColumnChunk.ordered` reports ordered, and return the run
-        as a ``range``.  Any other predicate, and a binding the kernels
-        do not cover (a Decimal or bool bound, an unbound ``?``), keeps
-        the TRUE positions of the guarded mask of :meth:`compile`, so
-        values and errors match row mode.
+        as a ``range``.  Any other predicate keeps the TRUE positions of
+        the guarded mask of :meth:`compile`, so values and errors match
+        row mode.  A binding the kernels do not cover (a Decimal or bool
+        bound, an unbound ``?``) keeps the TRUE positions of the row
+        form, already compiled, run row at a time: the guarded mask's own
+        fallback, so such a predicate compiles no mask at all.
         """
-        mask = self.compile(expr)
-
-        def by_mask(ctx: EvalContext) -> Callable[[object], list[int]]:
-            return lambda batch: [
-                index for index, keep in enumerate(mask(batch, ctx)) if keep is True
-            ]
-
-        bind = self._selector(expr, ordered)
-        if bind is None:
-            return by_mask
+        kernel = self.kernel(expr, ordered)
+        if kernel is None:
+            mask = self.compile(expr)
+            return lambda ctx: lambda batch: _true_positions(mask(batch, ctx))
+        row_fn = self.row.compile(expr).fn
 
         def select(ctx: EvalContext) -> Callable[[object], Sequence[int]]:
-            try:
-                run = bind(ctx)
-            except IndexError:  # an unbound ``?``: the mask path reports it
-                run = None
+            run = kernel(ctx)
             if run is None:
-                return by_mask(ctx)
+                return lambda batch: _true_positions([row_fn(row, ctx) for row in batch])
             return lambda batch: run(batch, None)
 
         return select
+
+    def kernel(self, expr: ast.Expression, ordered: bool) -> _Bind | None:
+        """The kernel binder of a filter whose every node has a selection
+        kernel (see :meth:`_selector`), else None.  ``kernel(ctx)`` is
+        this execution's kernel, or None for a binding no kernel covers,
+        an unbound ``?`` included; it never raises."""
+        bind = self._selector(expr, ordered)
+        if bind is None:
+            return None
+
+        def kernel(ctx: EvalContext) -> _Run | None:
+            try:
+                return bind(ctx)
+            except IndexError:  # an unbound ``?``
+                return None
+
+        return kernel
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -1369,6 +1380,11 @@ class ColumnarCompiler:
             return None
         run = _column_kernel(found[0], _is_not_null if expr.negated else _is_null)
         return lambda ctx: run
+
+
+def _true_positions(values: list) -> list[int]:
+    """The positions of a mask whose value is TRUE."""
+    return [index for index, keep in enumerate(values) if keep is True]
 
 
 def _select_nothing(batch, positions: Sequence[int] | None) -> list[int]:

@@ -737,9 +737,9 @@ def collect_feedback(plan: Plan) -> list[tuple[str, int, int, float]]:
     """``(table, est_rows, actual_rows, q_error)`` per executed scan.
 
     Cardinality-feedback ingestion after an instrumented run: only
-    *clean* full scans carry evidence — a scan with an index probe or
-    zone checks outputs a filtered subset, a scan inside a bind join
-    never executes (``actual_rows`` stays 0), and a zero-row
+    *clean* full scans carry evidence — a scan with an index probe, zone
+    checks or a selection outputs a filtered subset, a scan inside a
+    bind join never executes (``actual_rows`` stays 0), and a zero-row
     observation is unbounded in q-error — all are skipped.
     """
     from repro.fdbs.executor import RemoteScanPlan, TableScanPlan
@@ -754,7 +754,7 @@ def collect_feedback(plan: Plan) -> list[tuple[str, int, int, float]]:
         est, actual = node.est_rows, node.actual_rows
         if est is not None and actual:
             if isinstance(node, TableScanPlan):
-                if node.index_probe is None and not node.prune_checks:
+                if node.index_probe is None and node.selection is None and not node.prune_checks:
                     name = node.table
                     observations.append(
                         (name, est, actual, q_error(float(est), float(actual)))

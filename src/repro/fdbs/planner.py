@@ -12,7 +12,7 @@ supported" for the UDTF architecture.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import (
     CallOnlyProcedureError,
@@ -136,15 +136,46 @@ class Planner:
         return forms and forms[0]
 
     def _selection(
-        self, compiler: ExpressionCompiler, predicate: ast.Expression
+        self,
+        compiler: ExpressionCompiler,
+        predicate: ast.Expression,
+        decided: "list[tuple[Callable, list[ast.Expression]]]" = (),
     ) -> SelectFn | None:
         """The selection form of an already row-compiled filter, built
         only in columnar mode.  Ordered chunk columns are bisected only
         with zone maps on: both answer a predicate from per-chunk
-        metadata, and the zone-map ablation switches them off together."""
+        metadata, and the zone-map ablation switches them off together.
+
+        ``decided`` lists ``(kernel, conjuncts)`` that scans below this
+        filter select by (:meth:`_select_at_probes`).  An execution whose
+        binding every such kernel covers feeds this filter only rows on
+        which those conjuncts are TRUE, so it selects by the other
+        conjuncts alone; any other binding selects by the whole
+        predicate."""
         if self.options.execution_mode != "columnar":
             return None
-        return ColumnarCompiler(compiler).select(predicate, ordered=self.options.zone_maps)
+        columnar = ColumnarCompiler(compiler)
+        ordered = self.options.zone_maps
+        whole = columnar.select(predicate, ordered)
+        if not decided:
+            return whole
+        from repro.fdbs.pushdown import recombine, split_conjuncts
+
+        skipped = [conjunct for _, conjuncts in decided for conjunct in conjuncts]
+        rest = recombine(
+            [c for c in split_conjuncts(predicate) if not any(c is s for s in skipped)]
+        )
+        rest_select = None if rest is None else columnar.select(rest, ordered)
+        kernels = [kernel for kernel, _ in decided]
+
+        def selection(ctx: EvalContext) -> Callable[[object], Sequence[int]]:
+            if any(kernel(ctx) is None for kernel in kernels):
+                return whole(ctx)
+            if rest_select is None:
+                return _every_row
+            return rest_select(ctx)
+
+        return selection
 
     # -- public API -----------------------------------------------------------
 
@@ -217,8 +248,10 @@ class Planner:
         if where is not None:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
-            plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
-            plan.selection = self._selection(compiler, where)
+            predicate = compiler.compile(where)
+            decided = self._select_at_probes(select, plan, where, layout, prunable)
+            plan = FilterPlan(plan, predicate, "Filter(WHERE)")
+            plan.selection = self._selection(compiler, where, decided)
             if had_remote and self.options.pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
@@ -668,6 +701,62 @@ class Planner:
             if bind is None:
                 continue
             scan.prune_checks.append((position, bind, conjunct.render()))
+
+    def _select_at_probes(
+        self,
+        select: ast.Select,
+        plan: Plan,
+        where: ast.Expression,
+        layout: RowLayout,
+        prunable: "dict[str, TableScanPlan | None] | None",
+    ) -> "list[tuple[Callable, list[ast.Expression]]]":
+        """Attach WHERE conjuncts to the probe scans of explicit hash
+        joins (columnar mode), and return ``(kernel, conjuncts)`` per
+        scan given some.
+
+        A scan qualifies as the probe (left) input of a hash join when
+        it is a pruning target (so never on the null-supplying side of
+        a LEFT OUTER join) and the join is the whole FROM clause: no
+        fold step follows it, so the rows the scan drops cannot change
+        which lazily pulled side runs or how many table-function calls
+        are charged.  A conjunct qualifies when it reads only that
+        scan's columns and has a selection kernel; the scan runs only
+        the kernel.  The conjuncts stay in the filter above.
+        """
+        if (
+            not prunable
+            or self.options.execution_mode != "columnar"
+            or len(select.from_items) != 1
+            or not isinstance(select.from_items[0], ast.Join)
+        ):
+            return []
+        from repro.fdbs.pushdown import recombine, split_conjuncts
+
+        decided = []
+        # ``plan`` is the fold's one step: CrossApply(Unit, the join).
+        for scan in _probe_scans(plan.right.plan):
+            if prunable.get((scan.schema[0].alias or "").upper()) is not scan:
+                continue
+            owned = {id(slot) for slot in scan.schema}
+            compiler = ColumnarCompiler(self._compiler(RowLayout(scan.schema)))
+            conjuncts = []
+            for conjunct in split_conjuncts(where):
+                try:
+                    slots = [
+                        layout.resolve(ref.qualifier, ref.name)
+                        for ref in _column_refs(conjunct)
+                    ]
+                except PlanError:
+                    continue  # an ambiguous name: the filter reports it
+                if not slots or not all(s and id(s[1]) in owned for s in slots):
+                    continue
+                if compiler.kernel(conjunct, ordered=self.options.zone_maps) is not None:
+                    conjuncts.append(conjunct)
+            if conjuncts:
+                kernel = compiler.kernel(recombine(conjuncts), ordered=self.options.zone_maps)
+                scan.selection = (kernel, " AND ".join(c.render() for c in conjuncts))
+                decided.append((kernel, conjuncts))
+        return decided
 
     def _try_remote_bind(
         self,
@@ -1341,6 +1430,21 @@ def _slot_ref(index: int, slot: ColumnSlot) -> CompiledExpr:
 def _slot_columnar(index: int) -> ColumnFn:
     """Column-batch identity extractor for one output slot position."""
     return lambda batch, ctx, _i=index: batch.column(_i)
+
+
+def _probe_scans(plan: Plan):
+    """Yield every table scan that is the probe (left) input of a hash
+    join in a tree of explicit joins."""
+    if isinstance(plan, (HashJoinPlan, NestedLoopJoinPlan)):
+        if isinstance(plan, HashJoinPlan) and isinstance(plan.left, TableScanPlan):
+            yield plan.left
+        yield from _probe_scans(plan.left)
+        yield from _probe_scans(plan.right)
+
+
+def _every_row(batch) -> range:
+    """A selection that keeps every row of a batch."""
+    return range(len(batch))
 
 
 def _column_refs(expr: ast.Expression):

@@ -92,3 +92,33 @@ def test_explain_names_lateral_table_functions(mode):
         "      TableScan(w)",
         "    TableFunction(GetQuality) AS R",
     ]
+
+
+@pytest.mark.parametrize(
+    "kind,label,build_scan",
+    [
+        ("JOIN", "INNER", "TableScan(store, zone: (s.region = 1))"),
+        ("LEFT OUTER JOIN", "LEFT OUTER", "TableScan(store)"),
+    ],
+)
+def test_explain_shows_the_probe_scan_selection(kind, label, build_scan):
+    """In columnar mode a WHERE conjunct over the probe side of an
+    explicit hash join is selected at its scan; the null-supplying side
+    of a LEFT OUTER join is neither zone-checked nor selected."""
+    database = Database("probe", execution_mode="columnar")
+    database.execute("CREATE TABLE sales (day INT, store_id INT)")
+    database.execute("CREATE TABLE store (store_id INT, region INT)")
+    sql = (
+        f"EXPLAIN SELECT s.region FROM sales AS f {kind} store AS s "
+        "ON f.store_id = s.store_id WHERE f.day BETWEEN ? AND ? AND s.region = 1"
+    )
+    lines = [row[0] for row in database.execute(sql).rows]
+    assert lines[-3:] == [
+        f"      HashJoin({label}, on (f.store_id = s.store_id), join=hash)",
+        "        TableScan(sales, zone: (f.day BETWEEN ? AND ?), "
+        "select: (f.day BETWEEN ? AND ?))",
+        f"        {build_scan}",
+    ]
+    database.configure(execution_mode="row")
+    lines = [row[0] for row in database.execute(sql).rows]
+    assert "        TableScan(sales, zone: (f.day BETWEEN ? AND ?))" in lines
